@@ -7,7 +7,7 @@ from .geometry import (AmbientPoint, BergerParam, GeometryDomainError, Hermitian
                        horizontal_frame, killing_field, killing_flow, metric_eval,
                        ricci, scalar_curvature, sectional_curvature,
                        sff_geodesic_sphere, tai_embed, tai_sff_inner)
-from .models import (CircleCover, CliffordHypersurface, IndexReport, JacobiMode,
+from .models import (MODELS, CircleCover, CliffordHypersurface, IndexReport, JacobiMode,
                      ModelSubmanifold, TotallyGeodesicBergerSphere, TotallyRealSphere,
                      TruncationError, TruncationPolicy, VeroneseRP3, VeroneseS3,
                      circle_modes, circle_stability, clifford_index_nullity,

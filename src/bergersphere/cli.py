@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -22,6 +23,8 @@ from .geometry import GeometryDomainError, RoundSphereUnsupportedError
 from .models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                      TotallyRealSphere, TruncationError, TruncationPolicy, VeroneseRP3,
                      VeroneseS3)
+
+_MODEL_BY_NAME = {cls.name: cls for cls in models.MODELS}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -117,33 +120,15 @@ def cmd_spectrum(args, out) -> int:
 
 
 def _build_model(args):
-    name = args.model
-    try:
-        if name == "tg-berger":
-            _need(args, "n", "m")
-            return TotallyGeodesicBergerSphere(args.n, args.m)
-        if name == "circle":
-            _need(args, "n", "s")
-            return CircleCover(args.n, args.s)
-        if name == "veronese-rp3":
-            return VeroneseRP3()
-        if name == "veronese-s3":
-            return VeroneseS3()
-        if name == "totally-real":
-            _need(args, "n", "d")
-            return TotallyRealSphere(args.n, args.d)
-        if name == "clifford":
-            _need(args, "m1", "m2")
-            return CliffordHypersurface(args.m1, args.m2)
-    except GeometryDomainError as exc:
-        raise CliError(str(exc))
-    raise CliError(f"unknown model {name!r}")
-
-
-def _need(args, *names):
-    for nm in names:
-        if getattr(args, nm) is None:
-            raise CliError(f"--model {args.model} needs --{nm}")
+    """The ``--model`` family, built from the flags named like its fields."""
+    cls = _MODEL_BY_NAME[args.model]
+    values = []
+    for field in dataclasses.fields(cls):
+        value = getattr(args, field.name)
+        if value is None:
+            raise CliError(f"--model {args.model} needs --{field.name}")
+        values.append(value)
+    return cls(*values)
 
 
 def _mode_rows(report):
@@ -216,6 +201,8 @@ def _phase_models(n_max: int):
 
 def cmd_phase(args, out) -> int:
     grid = [parse_tau_sq(chunk) for chunk in args.tau_sq_grid.split(",") if chunk.strip()]
+    if args.n_max < 1 or not grid:
+        raise CliError("phase needs --n-max >= 1 and a nonempty --tau-sq-grid")
     rows = stability.phase_rows(_phase_models(args.n_max), grid)
     header = stability.PHASE_HEADER
     if args.format == "json":
@@ -267,8 +254,14 @@ def _emit_reports(reports, args, out) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
+def _samples(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
+
+
 def cmd_verify(args, out) -> int:
-    reports = oracle.verify_all(samples=args.samples, seed=args.seed)
+    reports = oracle.verify_all(samples=_samples(args), seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
@@ -276,17 +269,18 @@ def cmd_tai_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
     if tau_sq == 1:
         raise CliError("the projector embedding needs tau^2 < 1")
-    reports = oracle.tai_checks(tau_sq, args.n, samples=args.samples, seed=args.seed)
+    reports = oracle.tai_checks(tau_sq, args.n, samples=_samples(args), seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
 def cmd_curvature_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
+    samples = _samples(args)
     reports = [
-        oracle.curvature_symmetry_check(tau_sq, args.n, args.samples, args.seed),
-        oracle.sectional_consistency_check(tau_sq, args.n, args.samples, args.seed),
-        oracle.ricci_vertical_check(tau_sq, args.n, args.samples, args.seed),
-        oracle.round_degeneration_check(args.n, args.samples, args.seed),
+        oracle.curvature_symmetry_check(tau_sq, args.n, samples, args.seed),
+        oracle.sectional_consistency_check(tau_sq, args.n, samples, args.seed),
+        oracle.ricci_vertical_check(tau_sq, args.n, samples, args.seed),
+        oracle.round_degeneration_check(args.n, samples, args.seed),
     ]
     return _emit_reports(reports, args, out)
 
@@ -331,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="Jacobi index/nullity of a model submanifold")
     add_common(p)
-    p.add_argument("--model", required=True,
-                   choices=("tg-berger", "circle", "veronese-rp3", "veronese-s3",
-                            "totally-real", "clifford"))
+    p.add_argument("--model", required=True, choices=tuple(_MODEL_BY_NAME))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--s", type=int)

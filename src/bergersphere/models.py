@@ -16,14 +16,15 @@ beyond the scanned range are strictly positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .geometry import BergerParam, GeometryDomainError
 from . import spectra
 
 ZERO_BAND = 1e-12
+K_LIMIT = 64  # deepest scan ``enumerate_index`` runs, whatever the policy asks
 
 
 class TruncationError(RuntimeError):
@@ -35,10 +36,37 @@ class TruncationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+class ModelSubmanifold:
+    """One model family: a frozen dataclass whose fields are its parameters.
+
+    Every family declares what ``enumerate_index``, the phase rows and the
+    command line need to know about it:
+
+    * ``name``: the ``--model`` value; the dataclass fields are the flags;
+    * ``bundle``: (m, s) of the circle-bundle picture, or None;
+    * ``certified_k``: the scan depth beyond which every mode is positive;
+    * ``modes(param, k)``: the Jacobi modes up to depth k;
+    * ``certificate(k)``: why the modes beyond depth k are positive;
+    * ``lower_bounds(param)``: whether index and nullity are only bounded
+      below.
+    """
+
+    name: ClassVar[str]
+    bundle: ClassVar[Optional[tuple[int, int]]] = None
+
+    def label(self) -> str:
+        args = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"{self.name}({args})" if args else self.name
+
+    def lower_bounds(self, param: BergerParam) -> tuple[bool, bool]:
+        return False, False
+
+
 @dataclass(frozen=True)
-class TotallyGeodesicBergerSphere:
+class TotallyGeodesicBergerSphere(ModelSubmanifold):
     """S^{2m+1}_tau inside S^{2n+1}_tau by padding with zeros."""
 
+    name = "tg-berger"
     n: int
     m: int
 
@@ -50,14 +78,30 @@ class TotallyGeodesicBergerSphere:
     def dimension(self) -> int:
         return 2 * self.m + 1
 
-    def label(self) -> str:
-        return f"tg-berger(n={self.n},m={self.m})"
+    @property
+    def bundle(self) -> tuple[int, int]:
+        return self.m, 1
+
+    @property
+    def certified_k(self) -> int:
+        if self.m >= self.n:  # the whole sphere has no normal modes
+            raise GeometryDomainError("index enumeration needs m < n")
+        return 2
+
+    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
+        return tg_berger_modes(self.n, self.m, param, k_max=k)
+
+    def certificate(self, k: int) -> str:
+        return (f"scanned k <= {k}; for k >= 2 every mode is at least "
+                f"(2m+3)(k-1) > 0 plus a nonnegative vertical term")
 
 
 @dataclass(frozen=True)
-class CircleCover:
+class CircleCover(ModelSubmanifold):
     """The closed geodesic z -> (z^s, 0, ..., 0), an s-fold covered circle."""
 
+    name = "circle"
+    dimension = 1
     n: int
     s: int
 
@@ -66,49 +110,64 @@ class CircleCover:
             raise GeometryDomainError("need n >= 1 and s >= 1")
 
     @property
-    def dimension(self) -> int:
-        return 1
+    def bundle(self) -> tuple[int, int]:
+        return 0, self.s
 
-    def label(self) -> str:
-        return f"circle(n={self.n},s={self.s})"
+    @property
+    def certified_k(self) -> int:
+        return self.s
+
+    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
+        return circle_modes(self.s, param, k_max=k, slots=self.n)
+
+    def certificate(self, k: int) -> str:
+        return (f"scanned k <= {k}; for k > s every mode is at least "
+                f"k^2/s^2 - 1 > 0 plus a nonnegative vertical term")
+
+
+class _QuadraticCurveBundle(ModelSubmanifold):
+    """What the two quadratic-curve models in S^5_tau share; neither
+    subclasses the other, so ``isinstance`` tells them apart."""
+
+    n = 2
+    dimension = 3
+    certified_k = 4
+    quotient: ClassVar[bool]
+
+    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
+        return veronese_modes(param, k_max=k, quotient=self.quotient)
+
+    def certificate(self, k: int) -> str:
+        return f"scanned k <= {k}; modes with k >= 5 satisfy rho >= (k^2-16)/4 > 0"
+
+    def lower_bounds(self, param: BergerParam) -> tuple[bool, bool]:
+        return _veronese_lower_bounds(param.tau_sq, self.quotient)
 
 
 @dataclass(frozen=True)
-class VeroneseRP3:
+class VeroneseRP3(_QuadraticCurveBundle):
     """The embedded real projective 3-space over the quadratic curve in CP^2."""
 
-    @property
-    def n(self) -> int:
-        return 2
-
-    @property
-    def dimension(self) -> int:
-        return 3
-
-    def label(self) -> str:
-        return "veronese-rp3"
+    name = "veronese-rp3"
+    bundle = (1, 1)
+    quotient = True
 
 
 @dataclass(frozen=True)
-class VeroneseS3:
+class VeroneseS3(_QuadraticCurveBundle):
     """The 2-1 immersed 3-sphere covering the embedded projective space."""
 
-    @property
-    def n(self) -> int:
-        return 2
-
-    @property
-    def dimension(self) -> int:
-        return 3
-
-    def label(self) -> str:
-        return "veronese-s3"
+    name = "veronese-s3"
+    bundle = (1, 2)
+    quotient = False
 
 
 @dataclass(frozen=True)
-class TotallyRealSphere:
+class TotallyRealSphere(ModelSubmanifold):
     """The totally geodesic real d-sphere with normal Killing field."""
 
+    name = "totally-real"
+    certified_k = 2
     n: int
     d: int
 
@@ -120,12 +179,16 @@ class TotallyRealSphere:
     def dimension(self) -> int:
         return self.d
 
-    def label(self) -> str:
-        return f"totally-real(n={self.n},d={self.d})"
+    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
+        return totally_real_sphere_modes(self.n, self.d, param, k_max=k)
+
+    def certificate(self, k: int) -> str:
+        return (f"scanned k <= {k}; constant-normal modes grow like k(d+k-1)-d "
+                "and gradient-pair modes are positive exactly for lambda_k > 2(d+1)")
 
 
 @dataclass(frozen=True)
-class CliffordHypersurface:
+class CliffordHypersurface(ModelSubmanifold):
     """Minimal product S^{2m1+1}(r1) x S^{2m2+1}(r2) inside S^{2n+1}_tau.
 
     Both factor dimensions are odd by construction; that is exactly the
@@ -133,6 +196,8 @@ class CliffordHypersurface:
     tangential Killing field.
     """
 
+    name = "clifford"
+    certified_k = 2
     m1: int
     m2: int
 
@@ -148,12 +213,16 @@ class CliffordHypersurface:
     def dimension(self) -> int:
         return 2 * self.n
 
-    def label(self) -> str:
-        return f"clifford(m1={self.m1},m2={self.m2})"
+    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
+        return clifford_jacobi_modes(self.m1, self.m2, param, sum_max=k)
+
+    def certificate(self, k: int) -> str:
+        return (f"scanned k1+k2 <= {k}; eigenvalues with k1+k2 >= 3 satisfy "
+                f"mu >= 2n(k1+k2) > 4n")
 
 
-ModelSubmanifold = Union[TotallyGeodesicBergerSphere, CircleCover, VeroneseRP3,
-                         VeroneseS3, TotallyRealSphere, CliffordHypersurface]
+MODELS = (TotallyGeodesicBergerSphere, CircleCover, VeroneseRP3, VeroneseS3,
+          TotallyRealSphere, CliffordHypersurface)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +457,16 @@ def veronese_index_nullity(tau, quotient: bool = True) -> IndexReport:
     param = BergerParam.coerce(tau)
     modes = veronese_modes(param, k_max=4, quotient=quotient)
     cert = "modes with k >= 5 satisfy rho >= (k^2-16)/4 > 0 since tau^2 <= 1"
-    index_lb = (not quotient) and param.tau_sq > Fraction(1, 4)
-    nullity_lb = (not quotient) and param.tau_sq not in (
-        Fraction(1), Fraction(1, 4), Fraction(1, 8))
-    return _collect_report(modes, 4, cert,
-                           index_is_lower_bound=index_lb,
-                           nullity_is_lower_bound=nullity_lb)
+    return _collect_report(modes, 4, cert, *_veronese_lower_bounds(param.tau_sq, quotient))
+
+
+def _veronese_lower_bounds(tau_sq: Fraction, quotient: bool) -> tuple[bool, bool]:
+    """(index, nullity) lower-bound flags: exact for the projective model;
+    for the covering 3-sphere the index above 1/4 and the nullity away from
+    1/8, 1/4 and 1 are only bounded below."""
+    if quotient:
+        return False, False
+    return tau_sq > Fraction(1, 4), tau_sq not in (Fraction(1), Fraction(1, 4), Fraction(1, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +553,12 @@ def totally_real_sphere_index_nullity(n: int, d: int, tau) -> IndexReport:
 # ---------------------------------------------------------------------------
 
 
-def clifford_jacobi_modes(m1: int, m2: int, tau) -> list[JacobiMode]:
-    """Nonpositive-relevant Jacobi modes of the Clifford hypersurface.
+def clifford_jacobi_modes(m1: int, m2: int, tau, sum_max: int = 2) -> list[JacobiMode]:
+    """Jacobi modes of the Clifford hypersurface with k1 + k2 <= sum_max.
 
-    The Jacobi operator is the Laplacian plus 4n, so its modes are
-    mu_{k1,k2,p} - 4n; every mode with k1+k2 >= 3 (and every (2,0)/(0,2)
-    mode) is strictly positive, leaving
+    The Jacobi operator is the Laplacian plus 4n, so its modes are the
+    Laplace modes mu_{k1,k2,p} - 4n.  Every mode with k1+k2 >= 3 (and every
+    (2,0)/(0,2) mode) is strictly positive; the nonpositive-relevant ones are
 
     * -4n with multiplicity 1,
     * 1/tau^2 - (2n+1) with multiplicity 2(n+1),
@@ -493,32 +566,35 @@ def clifford_jacobi_modes(m1: int, m2: int, tau) -> list[JacobiMode]:
     * 4(1-tau^2)/tau^2 with multiplicity 2(m1+1)(m2+1) (frequency-2 pair;
       this one reaches zero at tau^2 = 1 and doubles the nullity there).
     """
-    param = BergerParam.coerce(tau)
-    n = m1 + m2 + 1
-    shift = 4 * n
-
-    def mode(k1, k2, p):
-        value = spectra.clifford_eigenvalue(m1, m2, param, k1, k2, p) - shift
-        mult = spectra.clifford_multiplicity(m1, m2, k1, k2, p)
-        return JacobiMode("hypersurface", (k1, k2, p), value, mult)
-
-    modes = [mode(0, 0, 0), mode(1, 0, 0), mode(0, 1, 0), mode(1, 1, 1), mode(1, 1, 0)]
+    shift = 4 * (m1 + m2 + 1)
+    modes = [JacobiMode("hypersurface", (c.k1, c.k2, c.p), c.value - shift, c.multiplicity)
+             for c in spectra.clifford_modes(m1, m2, tau, sum_max)]
     modes.sort(key=lambda mo: (mo.value_float, mo.labels))
     return modes
 
 
 def clifford_index_nullity(m1: int, m2: int, tau) -> IndexReport:
-    """Index/nullity of the Clifford hypersurface.
+    """Closed-form index/nullity of the Clifford hypersurface.
 
     Index 1 for tau^2 <= 1/(2n+1), else 2n+3.  Nullity 2(m1+1)(m2+1)
     generically, gaining 2(n+1) at tau^2 = 1/(2n+1) and doubling at
     tau^2 = 1 (cross-checked against the flat-torus Fourier oracle).
     """
     param = BergerParam.coerce(tau)
-    modes = clifford_jacobi_modes(m1, m2, param)
-    cert = ("eigenvalues with k1+k2 >= 3 satisfy mu >= 2n(k1+k2) > 4n and the "
-            "(2,0)/(0,2) shells exceed 4n, so the five listed modes are complete")
-    return _collect_report([m for m in modes if m.sign <= 0], 2, cert)
+    n = m1 + m2 + 1
+    threshold = Fraction(1, 2 * n + 1)
+    index = 1 if param.tau_sq <= threshold else 2 * n + 3
+    nullity = 2 * (m1 + 1) * (m2 + 1)
+    if param.tau_sq == 1:
+        nullity *= 2
+    elif param.tau_sq == threshold:
+        nullity += 2 * (n + 1)
+    cert = ("piecewise table in tau^2; branch thresholds 1/(2n+1) and 1, "
+            "eigenvalues with k1+k2 >= 3 satisfy mu >= 2n(k1+k2) > 4n")
+    report = _collect_report(clifford_jacobi_modes(m1, m2, param), 2, cert)
+    if (report.index, report.nullity) != (index, nullity):
+        raise AssertionError("closed-form table disagrees with its own mode list")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -531,84 +607,22 @@ class TruncationPolicy:
     """Optional override of the scan depth used by ``enumerate_index``."""
 
     k_max: Optional[int] = None
-    k_limit: int = 64
 
 
 def _resolve_k(policy: Optional[TruncationPolicy], required: int) -> int:
-    policy = policy or TruncationPolicy()
-    k = required if policy.k_max is None else policy.k_max
+    k = required if policy is None or policy.k_max is None else policy.k_max
     if k < required:
         raise TruncationError(
             f"requested truncation k_max={k} is below the certified bound {required}")
-    if k > policy.k_limit:
+    if k > K_LIMIT:
         raise TruncationError(
-            f"certified truncation {k} exceeds the configured limit {policy.k_limit}")
+            f"certified truncation {k} exceeds the configured limit {K_LIMIT}")
     return k
 
 
 def enumerate_index(model: ModelSubmanifold, tau, policy: Optional[TruncationPolicy] = None) -> IndexReport:
     """Index/nullity of a model by mode enumeration with a positivity certificate."""
     param = BergerParam.coerce(tau)
-
-    if isinstance(model, TotallyGeodesicBergerSphere):
-        if model.m >= model.n:
-            raise GeometryDomainError("index enumeration needs m < n")
-        k = _resolve_k(policy, 2)
-        modes = tg_berger_modes(model.n, model.m, param, k_max=k)
-        cert = (f"scanned k <= {k}; for k >= 2 every mode is at least "
-                f"(2m+3)(k-1) > 0 plus a nonnegative vertical term")
-        return _collect_report(modes, k, cert)
-
-    if isinstance(model, CircleCover):
-        k = _resolve_k(policy, model.s)
-        modes = circle_modes(model.s, param, k_max=k, slots=model.n)
-        cert = (f"scanned k <= {k}; for k > s every mode is at least "
-                f"k^2/s^2 - 1 > 0 plus a nonnegative vertical term")
-        return _collect_report(modes, k, cert)
-
-    if isinstance(model, (VeroneseRP3, VeroneseS3)):
-        quotient = isinstance(model, VeroneseRP3)
-        k = _resolve_k(policy, 4)
-        modes = veronese_modes(param, k_max=k, quotient=quotient)
-        cert = f"scanned k <= {k}; modes with k >= 5 satisfy rho >= (k^2-16)/4 > 0"
-        index_lb = (not quotient) and param.tau_sq > Fraction(1, 4)
-        nullity_lb = (not quotient) and param.tau_sq not in (
-            Fraction(1), Fraction(1, 4), Fraction(1, 8))
-        return _collect_report(modes, k, cert,
-                               index_is_lower_bound=index_lb,
-                               nullity_is_lower_bound=nullity_lb)
-
-    if isinstance(model, TotallyRealSphere):
-        k = _resolve_k(policy, 2)
-        modes = totally_real_sphere_modes(model.n, model.d, param, k_max=k)
-        cert = (f"scanned k <= {k}; constant-normal modes grow like k(d+k-1)-d "
-                "and gradient-pair modes are positive exactly for lambda_k > 2(d+1)")
-        return _collect_report(modes, k, cert)
-
-    if isinstance(model, CliffordHypersurface):
-        k = _resolve_k(policy, 2)
-        n = model.n
-        shift = 4 * n
-        modes = []
-        for cmode in spectra.clifford_modes(model.m1, model.m2, param, sum_max=k):
-            modes.append(JacobiMode("hypersurface", (cmode.k1, cmode.k2, cmode.p),
-                                    cmode.value - shift, cmode.multiplicity))
-        modes.sort(key=lambda mo: (mo.value_float, mo.labels))
-        cert = (f"scanned k1+k2 <= {k}; eigenvalues with k1+k2 >= 3 satisfy "
-                f"mu >= 2n(k1+k2) > 4n")
-        return _collect_report(modes, k, cert)
-
-    raise GeometryDomainError(f"unknown model {model!r}")
-
-
-def model_index_nullity(model: ModelSubmanifold, tau) -> IndexReport:
-    """Closed-form report for a model (piecewise tables where available)."""
-    if isinstance(model, TotallyGeodesicBergerSphere):
-        return tg_berger_index_nullity(model.n, model.m, tau)
-    if isinstance(model, TotallyRealSphere):
-        return totally_real_sphere_index_nullity(model.n, model.d, tau)
-    if isinstance(model, CliffordHypersurface):
-        return clifford_index_nullity(model.m1, model.m2, tau)
-    if isinstance(model, (VeroneseRP3, VeroneseS3)):
-        return veronese_index_nullity(tau, quotient=isinstance(model, VeroneseRP3))
-    return enumerate_index(model, tau)
+    k = _resolve_k(policy, model.certified_k)
+    return _collect_report(model.modes(param, k), k, model.certificate(k),
+                           *model.lower_bounds(param))

@@ -50,7 +50,7 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verification check; passed iff max_error <= tolerance."""
+    """Outcome of one verification check; passed iff samples >= 1 and max_error <= tolerance."""
 
     name: str
     max_error: float
@@ -72,8 +72,8 @@ class CheckReport:
 
 def _report(name: str, max_error: float, samples: int, tolerance: float,
             seed: Optional[int]) -> CheckReport:
-    return CheckReport(name, float(max_error), samples, float(max_error) <= tolerance,
-                       tolerance, seed)
+    return CheckReport(name, float(max_error), samples,
+                       samples >= 1 and float(max_error) <= tolerance, tolerance, seed)
 
 
 def _rng(seed: int, name: str) -> np.random.Generator:
@@ -568,6 +568,8 @@ def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> lis
     param = BergerParam.coerce(tau)
     if param.is_round:
         raise GeometryDomainError("the projector embedding needs tau < 1")
+    if n < 1:
+        raise GeometryDomainError("the projector embedding needs n >= 1")
     rng = _rng(seed, "tai")
     radius = 1.0 / math.sqrt(float(param.one_minus))
     center = tai_sphere_center(param, n).entries
@@ -665,6 +667,19 @@ def _berger_inner_rows(ts: float, z: np.ndarray, v: np.ndarray, w: np.ndarray) -
             - (1.0 - ts) * np.einsum("ij,ij->i", v, iz) * np.einsum("ij,ij->i", w, iz))
 
 
+def _normal_rows(ts: float, pts: np.ndarray, a: np.ndarray,
+                 tangents) -> tuple[np.ndarray, np.ndarray]:
+    """Project the constant vector ``a`` off the radial direction, then off
+    each tangent row field in turn (Berger-orthogonally); return the rows and
+    their Berger norms."""
+    w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
+    for tv in tangents:
+        coef = (_berger_inner_rows(ts, pts, w, tv)
+                / _berger_inner_rows(ts, pts, tv, tv))
+        w = w - coef[:, None] * tv
+    return w, np.sqrt(_berger_inner_rows(ts, pts, w, w))
+
+
 def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int = 3,
                                      seed: int = DEFAULT_SEED) -> CheckReport:
     """First variation of volume under localised normal bumps is zero.
@@ -742,24 +757,12 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             for _ in range(samples):
                 for _ in range(32):  # redraw if the projected field nearly vanishes
                     a = rng.standard_normal(dim)
-                    pts0 = chart(th)
-                    w0 = a[None, :] - np.einsum("ij,j->i", pts0, a)[:, None] * pts0
-                    tv0 = tangent(th)
-                    coef0 = (_berger_inner_rows(ts, pts0, w0, tv0)
-                             / _berger_inner_rows(ts, pts0, tv0, tv0))
-                    w0 = w0 - coef0[:, None] * tv0
-                    if np.sqrt(_berger_inner_rows(ts, pts0, w0, w0)).min() > 0.3:
+                    if _normal_rows(ts, chart(th), a, (tangent(th),))[1].min() > 0.3:
                         break
                 c0 = rng.uniform(0, 2 * math.pi)
 
                 def eta(th_arr):
-                    pts = chart(th_arr)
-                    w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
-                    tv = tangent(th_arr)
-                    coef = (_berger_inner_rows(ts, pts, w, tv)
-                            / _berger_inner_rows(ts, pts, tv, tv))
-                    w = w - coef[:, None] * tv
-                    nrm = np.sqrt(_berger_inner_rows(ts, pts, w, w))
+                    w, nrm = _normal_rows(ts, chart(th_arr), a, (tangent(th_arr),))
                     return w / nrm[:, None]
 
                 def embed(th_arr, e):
@@ -795,9 +798,8 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - r_sq[inside]))
             return out
 
-        def eta_min_norm(a, th_arr, ph_arr):
+        def normal(a, th_arr, ph_arr):
             pts = chart(th_arr, ph_arr)
-            w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
             t1 = np.zeros_like(pts)
             t1[:, 0] = np.cos(th_arr) * np.cos(ph_arr)
             t1[:, 2] = np.cos(th_arr) * np.sin(ph_arr)
@@ -805,11 +807,7 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             t2 = np.zeros_like(pts)
             t2[:, 0] = -np.sin(th_arr) * np.sin(ph_arr)
             t2[:, 2] = np.sin(th_arr) * np.cos(ph_arr)
-            for tv in (t1, t2):
-                coef = (_berger_inner_rows(ts, pts, w, tv)
-                        / _berger_inner_rows(ts, pts, tv, tv))
-                w = w - coef[:, None] * tv
-            return float(np.sqrt(_berger_inner_rows(ts, pts, w, w)).min())
+            return _normal_rows(ts, pts, a, (t1, t2))
 
         worst = 0.0
         for _ in range(samples):
@@ -822,24 +820,11 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             wgrid = wgrid.ravel()
             for _ in range(32):  # redraw if the projected field nearly vanishes
                 a = rng.standard_normal(dim)
-                if eta_min_norm(a, thg, phg) > 0.3:
+                if normal(a, thg, phg)[1].min() > 0.3:
                     break
 
             def eta(th_arr, ph_arr):
-                pts = chart(th_arr, ph_arr)
-                w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
-                t1 = np.zeros_like(pts)
-                t1[:, 0] = np.cos(th_arr) * np.cos(ph_arr)
-                t1[:, 2] = np.cos(th_arr) * np.sin(ph_arr)
-                t1[:, 4] = -np.sin(th_arr)
-                t2 = np.zeros_like(pts)
-                t2[:, 0] = -np.sin(th_arr) * np.sin(ph_arr)
-                t2[:, 2] = np.sin(th_arr) * np.cos(ph_arr)
-                for tv in (t1, t2):
-                    coef = (_berger_inner_rows(ts, pts, w, tv)
-                            / _berger_inner_rows(ts, pts, tv, tv))
-                    w = w - coef[:, None] * tv
-                nrm = np.sqrt(_berger_inner_rows(ts, pts, w, w))
+                w, nrm = normal(a, th_arr, ph_arr)
                 return w / nrm[:, None]
 
             def embed(th_arr, ph_arr, e):

@@ -105,6 +105,12 @@ def bidegree_space(n: int, a: int, b: int) -> BidegreeSpace:
     return BidegreeSpace(a, b, bidegree_dimension(n, a, b))
 
 
+def _check_nonnegative(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise GeometryDomainError(f"{name} must be nonnegative, got {value}")
+
+
 def _check_p(k: int, p: int) -> None:
     if not (0 <= p <= k // 2):
         raise GeometryDomainError(f"p must satisfy 0 <= p <= floor(k/2), got k={k}, p={p}")
@@ -140,6 +146,7 @@ def berger_modes(n: int, tau, k_max: int) -> list[LaplaceMode]:
 
     Labels with vanishing eigenspace (only possible for n = 0) are skipped.
     """
+    _check_nonnegative(n=n, k_max=k_max)
     param = BergerParam.coerce(tau)
     modes = []
     for k in range(k_max + 1):
@@ -199,6 +206,7 @@ def clifford_multiplicity(m1: int, m2: int, k1: int, k2: int, p: int) -> int:
 
 def clifford_modes(m1: int, m2: int, tau, sum_max: int) -> list[CliffordMode]:
     """All modes with k1 + k2 <= sum_max, in (k1, k2, p) lexicographic order."""
+    _check_nonnegative(m1=m1, m2=m2, sum_max=sum_max)
     param = BergerParam.coerce(tau)
     modes = []
     for k1 in range(sum_max + 1):
@@ -219,6 +227,7 @@ def clifford_low_modes(m1: int, m2: int, tau) -> list[CliffordMode]:
     These are (k1,k2,p) = (0,0,0), (1,0,0), (0,1,0) and (1,1,1), with
     multiplicities 1, 2m1+2, 2m2+2 and 2(m1+1)(m2+1).
     """
+    _check_nonnegative(m1=m1, m2=m2)
     param = BergerParam.coerce(tau)
     labels = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
     return [CliffordMode(k1, k2, p,

@@ -247,24 +247,10 @@ PHASE_HEADER = ("model", "d", "tau_sq_num", "tau_sq_den", "index", "nullity",
                 "verdict", "theorem")
 
 
-def _bundle_parameters(model):
-    """(m, s) of the circle-bundle picture, or None for non-bundle models."""
-    if isinstance(model, models.TotallyGeodesicBergerSphere):
-        return model.m, 1
-    if isinstance(model, models.CircleCover):
-        return 0, model.s
-    if isinstance(model, models.VeroneseRP3):
-        return 1, 1
-    if isinstance(model, models.VeroneseS3):
-        return 1, 2
-    return None
-
-
 def phase_verdict(model, tau, report) -> StabilityVerdict:
     """Verdict for one phase row, tagging the criterion that decided it."""
-    bundle = _bundle_parameters(model)
-    if bundle is not None:
-        verdict = s1_bundle_stability(bundle[0], bundle[1], tau)
+    if model.bundle is not None:
+        verdict = s1_bundle_stability(*model.bundle, tau)
         if verdict.verdict in (Verdict.STABLE, Verdict.UNSTABLE):
             return verdict
     else:
@@ -279,11 +265,12 @@ def phase_rows(model_list, tau_sq_grid) -> list[tuple]:
     """Phase-diagram rows (see PHASE_HEADER), sorted by (model, tau^2)."""
     rows = []
     for model in model_list:
+        label = model.label()
         for ts in tau_sq_grid:
             param = BergerParam.coerce(ts)
             report = models.enumerate_index(model, param)
             verdict = phase_verdict(model, param, report)
-            rows.append((model.label(), model.dimension, param.tau_sq.numerator,
+            rows.append((label, model.dimension, param.tau_sq.numerator,
                          param.tau_sq.denominator, report.index, report.nullity,
                          verdict.verdict.value, verdict.theorem))
     rows.sort(key=lambda r: (r[0], Fraction(r[2], r[3])))

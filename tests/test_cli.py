@@ -1,9 +1,14 @@
 """Command-line interface: content, formats, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 
-from bergersphere import cli
+import pytest
+
+from bergersphere import cli, models
+from bergersphere.models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
+                                 TotallyRealSphere, VeroneseRP3, VeroneseS3)
 
 
 def run(argv):
@@ -78,6 +83,57 @@ class TestIndexCommand:
         code, _ = run(["index", "--model", "totally-real", "--n", "1", "--d", "3",
                        "--tau-sq", "1/2"])
         assert code == 2
+
+
+EXAMPLES = [TotallyGeodesicBergerSphere(3, 1), CircleCover(2, 3), VeroneseRP3(), VeroneseS3(),
+            TotallyRealSphere(3, 2), CliffordHypersurface(1, 0)]
+
+
+def model_flags(model, skip=None):
+    return [tok for f in dataclasses.fields(model) if f.name != skip
+            for tok in (f"--{f.name}", str(getattr(model, f.name)))]
+
+
+class TestModelFlags:
+    def test_examples_cover_every_family(self):
+        assert tuple(type(m) for m in EXAMPLES) == models.MODELS
+
+    @pytest.mark.parametrize("model", EXAMPLES, ids=lambda m: m.name)
+    def test_index_rebuilds_the_model(self, model):
+        argv = ["index", "--model", model.name, *model_flags(model), "--tau-sq", "1/3"]
+        assert cli._build_model(cli.build_parser().parse_args(argv)) == model
+        code, text = run(argv + ["--format", "json"])
+        assert code == 0 and json.loads(text)["model"] == model.label()
+
+    @pytest.mark.parametrize("model,missing", [
+        (m, f.name) for m in EXAMPLES for f in dataclasses.fields(m)])
+    def test_missing_parameter_rejected(self, model, missing, capsys):
+        code, text = run(["index", "--model", model.name, *model_flags(model, skip=missing),
+                          "--tau-sq", "1/3"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: --model {model.name} needs --{missing}\n"
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--space", "berger", "--n", "-3", "--tau-sq", "1/3"],
+        ["spectrum", "--space", "clifford", "--m1", "-2", "--m2", "0", "--tau-sq", "1/3"],
+        ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "-1", "--tau-sq", "1/3",
+         "--low"],
+        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--kmax", "-1"],
+        ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3",
+         "--kmax", "-1"],
+        ["verify", "--samples", "0"],
+        ["tai-check", "--tau-sq", "1/2", "--samples", "0"],
+        ["curvature-check", "--tau-sq", "1/2", "--samples", "0"],
+        ["tai-check", "--tau-sq", "1/2", "--n", "0", "--samples", "2"],
+        ["phase", "--n-max", "0"],
+        ["phase", "--tau-sq-grid", ",,"],
+    ])
+    def test_exit_code_two_with_one_line_error(self, argv, capsys):
+        assert run(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPhaseCommand:

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergersphere import models
 from bergersphere.geometry import GeometryDomainError
@@ -256,8 +257,7 @@ class TestEnumerationDriver:
 
     def test_limit_exceeded_rejected(self):
         with pytest.raises(TruncationError):
-            enumerate_index(CircleCover(1, 5), F(1, 2),
-                            TruncationPolicy(k_max=100, k_limit=64))
+            enumerate_index(CircleCover(1, 5), F(1, 2), TruncationPolicy(k_max=100))
 
     def test_identity_model_rejected(self):
         with pytest.raises(GeometryDomainError):
@@ -279,3 +279,82 @@ class TestModeBookkeeping:
     def test_multiplicity_validation(self):
         with pytest.raises(GeometryDomainError):
             JacobiMode("synthetic", (0,), F(1), 0)
+
+
+EXAMPLES = [TotallyGeodesicBergerSphere(3, 1), CircleCover(2, 3), VeroneseRP3(), VeroneseS3(),
+            TotallyRealSphere(3, 2), CliffordHypersurface(1, 0)]
+
+
+class TestModelProtocol:
+    def test_registry_order_and_names(self):
+        assert models.MODELS == tuple(type(m) for m in EXAMPLES)
+        assert [cls.name for cls in models.MODELS] == [
+            "tg-berger", "circle", "veronese-rp3", "veronese-s3", "totally-real", "clifford"]
+
+    @pytest.mark.parametrize("model,label,bundle", [
+        (EXAMPLES[0], "tg-berger(n=3,m=1)", (1, 1)),
+        (EXAMPLES[1], "circle(n=2,s=3)", (0, 3)),
+        (EXAMPLES[2], "veronese-rp3", (1, 1)),
+        (EXAMPLES[3], "veronese-s3", (1, 2)),
+        (EXAMPLES[4], "totally-real(n=3,d=2)", None),
+        (EXAMPLES[5], "clifford(m1=1,m2=0)", None),
+    ])
+    def test_label_and_bundle(self, model, label, bundle):
+        assert model.label() == label
+        assert model.bundle == bundle
+
+    def test_quadratic_curve_models_are_distinct_classes(self):
+        assert not isinstance(VeroneseS3(), VeroneseRP3)
+        assert not isinstance(VeroneseRP3(), VeroneseS3)
+        assert VeroneseRP3() != VeroneseS3()
+
+
+# Every rational threshold at which a table of a family with n <= 4 changes:
+# 1/(2m+2), 1/(2n+1), 1/(d+1), 1/(2s) for the circles, 1/4, 1/8 and 1.
+THRESHOLDS = sorted({F(1, 2 * m + 2) for m in range(4)} | {F(1, 2 * n + 1) for n in range(1, 5)}
+                    | {F(1, d + 1) for d in range(1, 5)} | {F(1, 2 * s) for s in (1, 2, 3)}
+                    | {F(1, 4), F(1, 8), F(1)})
+TAU_SQ = st.one_of(st.sampled_from(THRESHOLDS),
+                   st.fractions(min_value=0, max_value=1, max_denominator=64).filter(bool))
+
+
+def family_library(n_max=4):
+    out = [VeroneseRP3(), VeroneseS3()]
+    for n in range(1, n_max + 1):
+        out += [TotallyGeodesicBergerSphere(n, m) for m in range(n)]
+        out += [CircleCover(n, s) for s in (1, 2, 3)]
+        out += [TotallyRealSphere(n, d) for d in range(1, n + 1)]
+        out += [CliffordHypersurface(m1, n - 1 - m1) for m1 in range(n)]
+    return out
+
+
+CLOSED_FORMS = {
+    TotallyGeodesicBergerSphere: lambda mo, ts: tg_berger_index_nullity(mo.n, mo.m, ts),
+    VeroneseRP3: lambda mo, ts: veronese_index_nullity(ts, quotient=True),
+    VeroneseS3: lambda mo, ts: veronese_index_nullity(ts, quotient=False),
+    TotallyRealSphere: lambda mo, ts: totally_real_sphere_index_nullity(mo.n, mo.d, ts),
+    CliffordHypersurface: lambda mo, ts: clifford_index_nullity(mo.m1, mo.m2, ts),
+}
+
+
+def assert_enumeration_matches_closed_form(model, ts):
+    got = enumerate_index(model, ts)
+    if isinstance(model, CircleCover):
+        assert (got.index == 0) == circle_stability(model.s, ts), (model.label(), ts)
+        return
+    ref = CLOSED_FORMS[type(model)](model, ts)
+    assert ((got.index, got.nullity, got.index_is_lower_bound, got.nullity_is_lower_bound)
+            == (ref.index, ref.nullity, ref.index_is_lower_bound, ref.nullity_is_lower_bound)
+            ), (model.label(), ts)
+
+
+class TestEnumerationAgainstClosedForms:
+    def test_every_family_at_every_threshold(self):
+        for model in family_library():
+            for ts in THRESHOLDS:
+                assert_enumeration_matches_closed_form(model, ts)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(model=st.sampled_from(family_library()), ts=TAU_SQ)
+    def test_random_exact_parameters(self, model, ts):
+        assert_enumeration_matches_closed_form(model, ts)

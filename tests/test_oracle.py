@@ -125,6 +125,10 @@ class TestSampledChecks:
         assert {"tai-isometry", "tai-sphere-containment", "tai-sff-law",
                 "tai-sff-j-invariance", "tai-minimality"} == names
 
+    def test_no_samples_fails(self):
+        report = oracle.curvature_symmetry_check(F(1, 3), 1, samples=0)
+        assert report.samples == 0 and not report.passed
+
     def test_reports_serialise(self):
         report = oracle.ricci_vertical_check(F(1, 2), 1, samples=10)
         blob = report.to_json()
