@@ -1,0 +1,168 @@
+"""Time one representative call per layer, before and after a change.
+
+    python3 bench/layers.py --before <git rev> --out BENCH_3.json
+
+The source tree of ``<git rev>`` is extracted with ``git archive`` into a
+temporary directory; the "after" tree is the working tree.  Every case runs
+in a fresh interpreter whose ``PYTHONPATH`` is the tree's ``src``, with BLAS
+threads set to 1 and ``BERGER_SEED`` removed.  The trees alternate case by
+case, so slow drift of the host's speed hits both alike.
+
+Cases:
+
+* L2 ``curvature-tensor-500``: the curvature tensor at 500 sampled points
+  (inputs built outside the timed region); one batched call where the tree
+  has ``curvature_tensor_rows``, else 500 scalar ``curvature_tensor`` calls.
+* L3 ``curvature_symmetry_check(1/3, 2, 500)``.
+* L4 ``verify_all(512)``.
+* L5 ``python -m bergersphere.cli verify --samples 2000``, process wall time.
+
+The output holds, per case and tree, the median and the interquartile range
+of the repeats in seconds, plus the git sha, a digest of the after tree's
+sources, and the Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CASES = [
+    ("L2", "curvature-tensor-500", 21),
+    ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11),
+    ("L4", "verify_all(512)", 5),
+    ("L5", "cli verify --samples 2000 (process wall)", 5),
+]
+
+
+def _time_in_process(case: str) -> float:
+    """One timed run of an in-process case; inputs are built before the clock starts."""
+    from fractions import Fraction
+
+    from bergersphere import geometry, oracle
+
+    if case == "L2":
+        rng = np.random.default_rng(2024)
+        z = rng.standard_normal((500, 6))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        vecs = []
+        for _ in range(4):
+            u = rng.standard_normal((500, 6))
+            vecs.append(u - np.einsum("ij,ij->i", u, z)[:, None] * z)
+        tau = Fraction(1, 3)
+        if hasattr(geometry, "curvature_tensor_rows"):
+            start = time.perf_counter()
+            geometry.curvature_tensor_rows(tau, z, *vecs)
+            return time.perf_counter() - start
+        pts = [geometry.AmbientPoint(row) for row in z]
+        args = [(p, *(geometry.TangentVector(p, v[i]) for v in vecs)) for i, p in enumerate(pts)]
+        start = time.perf_counter()
+        for a in args:
+            geometry.curvature_tensor(tau, *a)
+        return time.perf_counter() - start
+    start = time.perf_counter()
+    if case == "L3":
+        oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500)
+    elif case == "L4":
+        oracle.verify_all(512)
+    return time.perf_counter() - start
+
+
+def _env(src: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "BERGER_SEED"}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return env
+
+
+def _one_run(layer: str, src: Path) -> float:
+    if layer == "L5":
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "bergersphere.cli", "verify", "--samples", "2000"],
+                       env=_env(src), stdout=subprocess.DEVNULL, check=False)
+        return time.perf_counter() - start
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", layer],
+                         env=_env(src), capture_output=True, text=True, check=True)
+    return float(out.stdout.strip().splitlines()[-1])
+
+
+def _summary(times: list[float]) -> dict:
+    q1, med, q3 = np.percentile(times, [25, 50, 75])
+    return {"median_s": float(med), "iqr_s": float(q3 - q1), "repeats": len(times)}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _src_digest(src: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        h.update(path.relative_to(src).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", help="git rev of the tree to compare against")
+    parser.add_argument("--out", default="-", help="output JSON file, - for stdout")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(_time_in_process(args.child))
+        return 0
+    if not args.before:
+        parser.error("--before is required")
+    before_sha = _git("rev-parse", args.before)
+    after_src = ROOT / "src"
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", before_sha, "src"], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        before_src = Path(tmp) / "src"
+        cases = []
+        for layer, name, repeats in CASES:
+            times = {"before": [], "after": []}
+            for _ in range(repeats):
+                times["before"].append(_one_run(layer, before_src))
+                times["after"].append(_one_run(layer, after_src))
+            before, after = _summary(times["before"]), _summary(times["after"])
+            cases.append({"layer": layer, "case": name, "before": before, "after": after,
+                          "speedup": before["median_s"] / after["median_s"]})
+            print(f"{layer} {name}: {before['median_s']:.4f} s -> {after['median_s']:.4f} s",
+                  file=sys.stderr)
+    result = {
+        "command": f"python3 bench/layers.py --before {args.before} --out {args.out}",
+        "before": {"git_sha": before_sha},
+        "after": {"git_sha": _git("rev-parse", "HEAD"),
+                  "uncommitted_changes": bool(_git("status", "--porcelain", "--", "src")),
+                  "src_sha256": _src_digest(after_src)},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "cases": cases,
+    }
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -87,6 +87,8 @@ def cmd_spectrum(args, out) -> int:
     if args.space == "berger":
         if args.n is None:
             raise CliError("--space berger needs --n")
+        if args.low:
+            raise CliError("--low applies only to --space clifford")
         rows = [(m.k, m.p, _fraction_str(m.value), m.multiplicity, "vertical-split")
                 for m in spectra.berger_modes(args.n, tau_sq, args.kmax)]
         header = ("k", "p", "value", "multiplicity", "source")

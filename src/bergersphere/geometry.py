@@ -107,16 +107,16 @@ class BergerParam:
 
 
 def mult_i(v: np.ndarray) -> np.ndarray:
-    """Multiplication by i in interleaved real coordinates."""
+    """Multiplication by i in interleaved real coordinates (last axis)."""
     out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
     return out
 
 
 def to_complex(v: np.ndarray) -> np.ndarray:
-    """Interleaved real coordinates -> complex vector."""
-    return v[0::2] + 1j * v[1::2]
+    """Interleaved real coordinates -> complex vector (last axis)."""
+    return v[..., 0::2] + 1j * v[..., 1::2]
 
 
 def from_complex(z: np.ndarray) -> np.ndarray:
@@ -127,6 +127,39 @@ def from_complex(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean product over the last axis, broadcast over the others."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def check_dimension(dim: int) -> None:
+    """Ambient coordinate rows have even length >= 4."""
+    if dim % 2 != 0 or dim < 4:
+        raise GeometryDomainError("ambient coordinates must have even length >= 4")
+
+
+def check_points(z: np.ndarray) -> np.ndarray:
+    """Validate a batch of ambient points, one per row; return it as floats.
+
+    Rows must have even length >= 4 and unit Euclidean norm (1e-12); a NaN
+    fails every bound.
+    """
+    z = np.asarray(z, dtype=float)
+    check_dimension(z.shape[1] if z.ndim == 2 else -1)
+    if not np.all(np.abs(_dot(z, z) - 1.0) <= 1e-12):
+        raise GeometryDomainError("ambient point must have unit Euclidean norm (1e-12)")
+    return z
+
+
+def check_tangents(z: np.ndarray, *vectors: np.ndarray) -> None:
+    """Validate batches of vectors tangent to the sphere at the rows of z (1e-10)."""
+    for v in vectors:
+        if np.shape(v) != z.shape:
+            raise GeometryDomainError("tangent components must match the base point shape")
+        if not np.all(np.abs(_dot(v, z)) <= 1e-10):
+            raise GeometryDomainError("vector is not tangent to the sphere (1e-10)")
+
+
 @dataclass(frozen=True)
 class AmbientPoint:
     """A point of S^{2n+1} subset C^{n+1}, in interleaved real coordinates."""
@@ -135,10 +168,7 @@ class AmbientPoint:
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or len(c) % 2 != 0 or len(c) < 4:
-            raise GeometryDomainError("ambient coordinates must have even length >= 4")
-        if abs(np.dot(c, c) - 1.0) > 1e-12:
-            raise GeometryDomainError("ambient point must have unit Euclidean norm (1e-12)")
+        check_points(c[None])
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
@@ -161,10 +191,7 @@ class TangentVector:
 
     def __post_init__(self):
         v = np.asarray(self.comps, dtype=float)
-        if v.shape != self.base.coords.shape:
-            raise GeometryDomainError("tangent components must match the base point shape")
-        if abs(float(np.dot(v, self.base.coords))) > 1e-10:
-            raise GeometryDomainError("vector is not tangent to the sphere (1e-10)")
+        check_tangents(self.base.coords[None], v[None])
         v.setflags(write=False)
         object.__setattr__(self, "comps", v)
 
@@ -217,15 +244,137 @@ class ProjectivePoint:
 
 
 # ---------------------------------------------------------------------------
-# Metric, Killing field, connection and curvature
+# Batched kernel: metric, Killing field, curvature
+# ---------------------------------------------------------------------------
+#
+# Every ``*_rows`` function works on a batch of samples: points z and tangent
+# vectors are float arrays of shape (samples, 2n+2), one sample per row, and
+# values come back with shape (samples,).  tau is coerced and converted to a
+# float once per call.  The curvature functions validate their batch once,
+# with a max over the rows, against the same bounds as ``AmbientPoint`` and
+# ``TangentVector``.  The scalar functions further down are one-row wrappers.
+
+
+def _metric(lam: float, iz: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<v, w>_tau = g(v, w) - (1 - tau^2) g(v, iz) g(w, iz), with lam = 1 - tau^2."""
+    return _dot(v, w) - lam * _dot(v, iz) * _dot(w, iz)
+
+
+def berger_inner_rows(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Berger metric on raw coordinate rows, broadcast over leading axes.
+
+    The formula is defined on all of R^{2n+2}, so nothing is validated:
+    finite-difference callers pass vectors that are only nearly tangent.
+    """
+    return _metric(float(BergerParam.coerce(tau).one_minus), mult_i(z), v, w)
+
+
+def tangent_j_rows(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex structure followed by tangential projection, row-wise."""
+    return mult_i(v) + _dot(v, mult_i(z))[..., None] * z
+
+
+def killing_field_rows(tau, z: np.ndarray) -> np.ndarray:
+    """The unit vertical field (1/tau) i z at each row of z."""
+    return mult_i(z) / BergerParam.coerce(tau).tau
+
+
+def killing_flow_rows(tau, t: float, z: np.ndarray) -> np.ndarray:
+    """Flow of the Killing field, cos(t/tau) z + sin(t/tau) i z, renormalised."""
+    th = t / BergerParam.coerce(tau).tau
+    c = math.cos(th) * z + math.sin(th) * mult_i(z)
+    return c / np.linalg.norm(c, axis=-1, keepdims=True)
+
+
+def killing_flow_differential_rows(tau, t: float, v: np.ndarray) -> np.ndarray:
+    """Pushforward of tangent rows under the (linear) Killing flow."""
+    th = t / BergerParam.coerce(tau).tau
+    return math.cos(th) * v + math.sin(th) * mult_i(v)
+
+
+def _validated(tau, z: np.ndarray, *vectors: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Check a batch of points and tangent rows; return (1 - tau^2, tau, i z)."""
+    p = BergerParam.coerce(tau)
+    z = check_points(z)
+    check_tangents(z, *vectors)
+    return float(p.one_minus), p.tau, mult_i(z)
+
+
+def curvature_tensor_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray,
+                          zz: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Riemann curvature R(x, y, z, w) of the Berger metric (five-term form)."""
+    lam, t, iz = _validated(tau, z, x, y, zz, w)
+
+    def ip(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _metric(lam, iz, a, b)
+
+    xi = iz / t
+    jx = tangent_j_rows(z, x)
+    jy = tangent_j_rows(z, y)
+    jz = tangent_j_rows(z, zz)
+    X, Y, Z, W = x, y, zz, w
+    val = ip(Y, Z) * ip(X, W) - ip(X, Z) * ip(Y, W)
+    val += lam * (ip(jy, Z) * ip(jx, W) - ip(jx, Z) * ip(jy, W) - 2.0 * ip(jx, Y) * ip(jz, W))
+    val += lam * ip(Z, xi) * (ip(X, xi) * ip(Y, W) - ip(Y, xi) * ip(X, W))
+    val += lam * ip(W, xi) * (ip(Y, xi) * ip(X, Z) - ip(X, xi) * ip(Y, Z))
+    return val
+
+
+def sectional_curvature_rows(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sectional curvature of the planes spanned by orthonormal row pairs."""
+    lam, t, iz = _validated(tau, z, v, w)
+    if not (np.all(np.abs(_metric(lam, iz, v, v) - 1.0) <= 1e-10)
+            and np.all(np.abs(_metric(lam, iz, w, w) - 1.0) <= 1e-10)
+            and np.all(np.abs(_metric(lam, iz, v, w)) <= 1e-10)):
+        raise GeometryDomainError("sectional curvature needs an orthonormal pair (1e-10)")
+    xi = iz / t
+    a = _metric(lam, iz, v, tangent_j_rows(z, w))
+    xi_v = _metric(lam, iz, xi, v)
+    xi_w = _metric(lam, iz, xi, w)
+    return 1.0 + lam * (3.0 * a * a - (xi_v * xi_v + xi_w * xi_w))
+
+
+def ricci_rows(tau, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ricci curvature of unit tangent rows."""
+    lam, t, iz = _validated(tau, z, v)
+    if not np.all(np.abs(_metric(lam, iz, v, v) - 1.0) <= 1e-10):
+        raise GeometryDomainError("Ricci curvature needs a unit vector (1e-10)")
+    n = z.shape[1] // 2 - 1
+    a = _metric(lam, iz, iz / t, v)
+    return 2.0 * n + 2.0 * lam * (1.0 - (n + 1) * a * a)
+
+
+def berger_orthonormalize_rows(tau, z: np.ndarray,
+                               vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt of (samples, k, 2n+2) vectors, per row, in slot order.
+
+    Returns the frames and a (samples, k) mask of the slots kept; a
+    dependent slot (squared norm <= 1e-16) is left at zero, so later slots
+    are projected off exactly the kept ones.
+    """
+    lam = float(BergerParam.coerce(tau).one_minus)
+    iz = mult_i(z)
+    vectors = np.asarray(vectors, dtype=float)
+    frames = np.zeros(vectors.shape)
+    kept = np.zeros(frames.shape[:2], dtype=bool)
+    for j in range(frames.shape[1]):
+        u = vectors[:, j].copy()
+        for i in range(j):
+            u -= _metric(lam, iz, u, frames[:, i])[:, None] * frames[:, i]
+        norm_sq = _metric(lam, iz, u, u)
+        kept[:, j] = norm_sq > 1e-16
+        frames[kept[:, j], j] = u[kept[:, j]] / np.sqrt(norm_sq[kept[:, j]])[:, None]
+    return frames, kept
+
+
+# ---------------------------------------------------------------------------
+# Scalar API: one-row wrappers over the batched kernel
 # ---------------------------------------------------------------------------
 
 
 def berger_inner(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     """Low-level metric evaluation on raw coordinate arrays."""
-    p = BergerParam.coerce(tau)
-    iz = mult_i(z)
-    return float(np.dot(v, w) - float(p.one_minus) * np.dot(v, iz) * np.dot(w, iz))
+    return float(berger_inner_rows(tau, z, v, w))
 
 
 def _same_base(z: AmbientPoint, *vectors: TangentVector) -> None:
@@ -242,24 +391,18 @@ def metric_eval(tau, z: AmbientPoint, v: TangentVector, w: TangentVector) -> flo
 
 def killing_field(tau, z: AmbientPoint) -> TangentVector:
     """The unit vertical field (1/tau) i z spanning the Hopf circle direction."""
-    p = BergerParam.coerce(tau)
-    return TangentVector(z, mult_i(z.coords) / p.tau)
+    return TangentVector(z, killing_field_rows(tau, z.coords))
 
 
 def killing_flow(tau, t: float, z: AmbientPoint) -> AmbientPoint:
     """Flow of the Killing field: cos(t/tau) z + sin(t/tau) i z."""
-    p = BergerParam.coerce(tau)
-    th = t / p.tau
-    c = math.cos(th) * z.coords + math.sin(th) * mult_i(z.coords)
-    return AmbientPoint(c / np.linalg.norm(c))
+    return AmbientPoint(killing_flow_rows(tau, t, z.coords))
 
 
 def killing_flow_differential(tau, t: float, v: TangentVector) -> TangentVector:
     """Pushforward of a tangent vector under the (linear) Killing flow."""
-    p = BergerParam.coerce(tau)
-    th = t / p.tau
-    base = killing_flow(tau, t, v.base)
-    return TangentVector(base, math.cos(th) * v.comps + math.sin(th) * mult_i(v.comps))
+    return TangentVector(killing_flow(tau, t, v.base),
+                         killing_flow_differential_rows(tau, t, v.comps))
 
 
 def tangent_j(z: AmbientPoint, v: np.ndarray) -> np.ndarray:
@@ -268,9 +411,7 @@ def tangent_j(z: AmbientPoint, v: np.ndarray) -> np.ndarray:
     Annihilates the Killing direction and equals multiplication by i on
     horizontal vectors; tau-independent.
     """
-    zc = z.coords
-    iv = mult_i(v)
-    return iv + float(np.dot(v, mult_i(zc))) * zc
+    return tangent_j_rows(z.coords, np.asarray(v, dtype=float))
 
 
 def connection_correction(tau, z: AmbientPoint, x: TangentVector, y: TangentVector) -> TangentVector:
@@ -293,50 +434,21 @@ def connection_correction(tau, z: AmbientPoint, x: TangentVector, y: TangentVect
 def curvature_tensor(tau, z: AmbientPoint, x: TangentVector, y: TangentVector,
                      zz: TangentVector, w: TangentVector) -> float:
     """Riemann curvature R(x, y, z, w) of the Berger metric (five-term form)."""
-    p = BergerParam.coerce(tau)
     _same_base(z, x, y, zz, w)
-    lam = float(p.one_minus)
-
-    def ip(a: np.ndarray, b: np.ndarray) -> float:
-        return berger_inner(p, z.coords, a, b)
-
-    xi = killing_field(p, z).comps
-    jx = tangent_j(z, x.comps)
-    jy = tangent_j(z, y.comps)
-    jz = tangent_j(z, zz.comps)
-    X, Y, Z, W = x.comps, y.comps, zz.comps, w.comps
-    val = ip(Y, Z) * ip(X, W) - ip(X, Z) * ip(Y, W)
-    val += lam * (ip(jy, Z) * ip(jx, W) - ip(jx, Z) * ip(jy, W) - 2.0 * ip(jx, Y) * ip(jz, W))
-    val += lam * ip(Z, xi) * (ip(X, xi) * ip(Y, W) - ip(Y, xi) * ip(X, W))
-    val += lam * ip(W, xi) * (ip(Y, xi) * ip(X, Z) - ip(X, xi) * ip(Y, Z))
-    return val
+    return float(curvature_tensor_rows(tau, z.coords[None], x.comps[None], y.comps[None],
+                                       zz.comps[None], w.comps[None])[0])
 
 
 def sectional_curvature(tau, z: AmbientPoint, v: TangentVector, w: TangentVector) -> float:
     """Sectional curvature of the plane spanned by an orthonormal pair."""
-    p = BergerParam.coerce(tau)
     _same_base(z, v, w)
-    if (abs(metric_eval(p, z, v, v) - 1.0) > 1e-10
-            or abs(metric_eval(p, z, w, w) - 1.0) > 1e-10
-            or abs(metric_eval(p, z, v, w)) > 1e-10):
-        raise GeometryDomainError("sectional curvature needs an orthonormal pair (1e-10)")
-    xi = killing_field(p, z)
-    jw = tangent_j(z, w.comps)
-    a = berger_inner(p, z.coords, v.comps, jw)
-    xi_v = metric_eval(p, z, xi, v)
-    xi_w = metric_eval(p, z, xi, w)
-    return 1.0 + float(p.one_minus) * (3.0 * a * a - (xi_v * xi_v + xi_w * xi_w))
+    return float(sectional_curvature_rows(tau, z.coords[None], v.comps[None], w.comps[None])[0])
 
 
 def ricci(tau, z: AmbientPoint, v: TangentVector) -> float:
     """Ricci curvature of a unit tangent vector."""
-    p = BergerParam.coerce(tau)
     _same_base(z, v)
-    if abs(metric_eval(p, z, v, v) - 1.0) > 1e-10:
-        raise GeometryDomainError("Ricci curvature needs a unit vector (1e-10)")
-    n = z.n
-    a = metric_eval(p, z, killing_field(p, z), v)
-    return 2.0 * n + 2.0 * float(p.one_minus) * (1.0 - (n + 1) * a * a)
+    return float(ricci_rows(tau, z.coords[None], v.comps[None])[0])
 
 
 def scalar_curvature(tau, n: int) -> Fraction:
@@ -352,6 +464,19 @@ def scalar_curvature(tau, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def geodesic_sphere_reps(tau, z: np.ndarray) -> np.ndarray:
+    """Homogeneous representatives (tau/sqrt(1-tau^2), z) of the rows of z.
+
+    Complex rows of length n+2, not normalised; only tau < 1 is defined.
+    """
+    p = BergerParam.coerce(tau)
+    if p.is_round:
+        raise RoundSphereUnsupportedError("the geodesic-sphere picture degenerates at tau=1")
+    zc = to_complex(z)
+    first = np.full(zc.shape[:-1] + (1,), p.tau / math.sqrt(float(p.one_minus)) + 0j)
+    return np.concatenate((first, zc), axis=-1)
+
+
 def geodesic_sphere_embed(tau, z: AmbientPoint) -> ProjectivePoint:
     """Embed the Berger sphere as a geodesic sphere of projective space.
 
@@ -360,12 +485,30 @@ def geodesic_sphere_embed(tau, z: AmbientPoint) -> ProjectivePoint:
     tau < 1.
     """
     p = BergerParam.coerce(tau)
-    if p.is_round:
-        raise RoundSphereUnsupportedError("the geodesic-sphere picture degenerates at tau=1")
-    lam = float(p.one_minus)
-    first = p.tau / math.sqrt(lam)
-    rep = np.concatenate(([first + 0j], to_complex(z.coords)))
-    return ProjectivePoint(rep, 1.0 / math.sqrt(lam))
+    rep = geodesic_sphere_reps(p, z.coords)
+    return ProjectivePoint(rep, 1.0 / math.sqrt(float(p.one_minus)))
+
+
+def _hermitian_re(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum(conj(a) b) over the last axis."""
+    return np.einsum("...i,...i->...", a.conj(), b).real
+
+
+def fubini_study_inner_rows(reps: np.ndarray, scale: float, x: np.ndarray,
+                            y: np.ndarray) -> np.ndarray:
+    """Fubini-Study inner products at representatives normalised to ``scale``.
+
+    Row-wise over leading axes; ``fubini_study_inner`` is the one-row case.
+    """
+    r2 = scale * scale
+
+    def horiz(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=complex)
+        a = (_hermitian_re(reps, u) / r2)[..., None]
+        b = (_hermitian_re(1j * reps, u) / r2)[..., None]
+        return u - a * reps - b * (1j * reps)
+
+    return _hermitian_re(horiz(x), horiz(y))
 
 
 def fubini_study_inner(p: ProjectivePoint, x: np.ndarray, y: np.ndarray) -> float:
@@ -377,17 +520,7 @@ def fubini_study_inner(p: ProjectivePoint, x: np.ndarray, y: np.ndarray) -> floa
     product.  Scale/phase ambiguities of curve representatives die in the
     projection, so finite-difference pushforwards can be fed in directly.
     """
-    w = p.rep
-    r2 = p.scale * p.scale
-
-    def horiz(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        a = float(np.real(np.vdot(w, u))) / r2
-        b = float(np.real(np.vdot(1j * w, u))) / r2
-        return u - a * w - b * (1j * w)
-
-    hx, hy = horiz(x), horiz(y)
-    return float(np.real(np.vdot(hx, hy)))
+    return float(fubini_study_inner_rows(p.rep, p.scale, x, y))
 
 
 def sff_geodesic_sphere(tau, x: TangentVector, y: TangentVector) -> float:
@@ -463,22 +596,12 @@ def tai_sphere_radius_sq(tau, n: int) -> Fraction:
     return Fraction(n) / (2 * (n + 1) * p.one_minus)
 
 
-def tai_sff_inner(tau, point: ProjectivePoint, x, y, v, w) -> float:
-    """Closed-form inner product of second-fundamental-form values.
-
-    For horizontal lifts x, y, v, w at a projective point, the second
-    fundamental form of the projector embedding satisfies
-
-        <s(x,y), s(v,w)> = (1-tau^2) [ 2<x,y><v,w> + <x,w><y,v>
-                            + <x,v><y,w> + <x,Jw><y,Jv> + <x,Jv><y,Jw> ],
-
-    with J multiplication by i and <.,.> the Fubini-Study metric.
-    """
-    p = BergerParam.coerce(tau)
-    lam = float(p.one_minus)
+def tai_sff_inner_rows(tau, reps: np.ndarray, scale: float, x, y, v, w) -> np.ndarray:
+    """Row-wise ``tai_sff_inner`` at representatives normalised to ``scale``."""
+    lam = float(BergerParam.coerce(tau).one_minus)
 
     def ip(a, b):
-        return fubini_study_inner(point, a, b)
+        return fubini_study_inner_rows(reps, scale, a, b)
 
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -491,6 +614,20 @@ def tai_sff_inner(tau, point: ProjectivePoint, x, y, v, w) -> float:
                   + ip(x, 1j * v) * ip(y, 1j * w))
 
 
+def tai_sff_inner(tau, point: ProjectivePoint, x, y, v, w) -> float:
+    """Closed-form inner product of second-fundamental-form values.
+
+    For horizontal lifts x, y, v, w at a projective point, the second
+    fundamental form of the projector embedding satisfies
+
+        <s(x,y), s(v,w)> = (1-tau^2) [ 2<x,y><v,w> + <x,w><y,v>
+                            + <x,v><y,w> + <x,Jw><y,Jv> + <x,Jv><y,Jw> ],
+
+    with J multiplication by i and <.,.> the Fubini-Study metric.
+    """
+    return float(tai_sff_inner_rows(tau, point.rep, point.scale, x, y, v, w))
+
+
 # ---------------------------------------------------------------------------
 # Frames
 # ---------------------------------------------------------------------------
@@ -498,16 +635,9 @@ def tai_sff_inner(tau, point: ProjectivePoint, x, y, v, w) -> float:
 
 def berger_orthonormalize(tau, z: AmbientPoint, vectors: Iterable[np.ndarray]) -> list[np.ndarray]:
     """Gram-Schmidt with respect to the Berger metric; drops dependent vectors."""
-    p = BergerParam.coerce(tau)
-    out: list[np.ndarray] = []
-    for v in vectors:
-        u = np.array(v, dtype=float)
-        for e in out:
-            u -= berger_inner(p, z.coords, u, e) * e
-        norm_sq = berger_inner(p, z.coords, u, u)
-        if norm_sq > 1e-16:
-            out.append(u / math.sqrt(norm_sq))
-    return out
+    vecs = np.array(list(vectors), dtype=float).reshape(-1, len(z.coords))
+    frames, kept = berger_orthonormalize_rows(tau, z.coords[None], vecs[None])
+    return list(frames[0, kept[0]])
 
 
 def horizontal_frame(tau, z: AmbientPoint) -> list[TangentVector]:

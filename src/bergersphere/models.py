@@ -608,6 +608,10 @@ class TruncationPolicy:
 
     k_max: Optional[int] = None
 
+    def __post_init__(self):
+        if self.k_max is not None and self.k_max < 0:
+            raise GeometryDomainError(f"k_max must be nonnegative, got {self.k_max}")
+
 
 def _resolve_k(policy: Optional[TruncationPolicy], required: int) -> int:
     k = required if policy is None or policy.k_max is None else policy.k_max

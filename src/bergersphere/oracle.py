@@ -23,16 +23,22 @@ import numpy as np
 
 from . import spectra
 from .exactlinalg import fraction_rank, integer_nullity, kernel_basis
-from .geometry import (AmbientPoint, BergerParam, GeometryDomainError, ProjectivePoint,
-                       TangentVector, berger_inner, berger_orthonormalize,
-                       curvature_tensor, fubini_study_inner, geodesic_sphere_embed,
-                       killing_field, killing_flow, killing_flow_differential,
-                       metric_eval, ricci, sectional_curvature, tai_sff_inner,
-                       tai_sphere_center, tai_sphere_radius_sq)
+from .geometry import (BergerParam, GeometryDomainError, berger_inner_rows,
+                       berger_orthonormalize_rows, check_dimension, check_points,
+                       check_tangents, curvature_tensor_rows, fubini_study_inner_rows,
+                       geodesic_sphere_reps, killing_field_rows,
+                       killing_flow_differential_rows, killing_flow_rows, ricci_rows,
+                       sectional_curvature_rows, tai_sff_inner_rows, tai_sphere_center,
+                       tai_sphere_radius_sq)
 from .models import (CliffordHypersurface, IndexReport, JacobiMode, ModelSubmanifold,
                      TotallyRealSphere, clifford_index_nullity)
 
 DEFAULT_SEED = 0x5EED
+
+# Rows per batch in the sampled checks.  The projector-embedding probe keeps
+# about twenty complex (n+1)x(n+1) matrices per row, several times what the
+# real-vector checks keep, so its batches are a quarter as long.
+SAMPLE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -78,17 +84,6 @@ def _report(name: str, max_error: float, samples: int, tolerance: float,
 
 def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
-
-
-def _random_point(rng, n: int) -> AmbientPoint:
-    v = rng.standard_normal(2 * n + 2)
-    return AmbientPoint(v / np.linalg.norm(v))
-
-
-def _random_tangent(rng, z: AmbientPoint) -> TangentVector:
-    u = rng.standard_normal(len(z.coords))
-    u -= float(np.dot(u, z.coords)) * z.coords
-    return TangentVector(z, u)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +312,40 @@ def torus_fourier_index(tau, potential=4) -> IndexReport:
 # ---------------------------------------------------------------------------
 # Sampled differential-geometry checks
 # ---------------------------------------------------------------------------
+#
+# Each check draws its samples in batches of at most SAMPLE_CHUNK rows and
+# evaluates them with the batched kernel of ``geometry``; memory therefore
+# does not grow with the sample count.  A batch takes its normals from the
+# check's stream in one (rows, slots, dim) block, which is the order in which
+# a one-sample-at-a-time loop would draw them, so the samples do not depend
+# on the chunk size.
+
+
+def _chunks(samples: int, divisor: int = 1):
+    """Sizes of the consecutive batches of ``SAMPLE_CHUNK // divisor`` rows
+    covering ``samples`` draws."""
+    size = max(1, SAMPLE_CHUNK // divisor)
+    for start in range(0, samples, size):
+        yield min(size, samples - start)
+
+
+def _draw(rng, n: int, count: int, tangents: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``count`` random points of S^{2n+1}, each with ``tangents`` random tangent vectors.
+
+    Per sample: the point's normals, then each tangent vector's, projected
+    off the point.  Points and vectors are validated once per batch.
+    """
+    dim = 2 * n + 2
+    check_dimension(dim)
+    g = rng.standard_normal((count, 1 + tangents, dim))
+    z = check_points(g[:, 0] / np.linalg.norm(g[:, 0], axis=1, keepdims=True))
+    vecs = [u - np.einsum("ij,ij->i", u, z)[:, None] * z for u in np.moveaxis(g[:, 1:], 1, 0)]
+    check_tangents(z, *vecs)
+    return z, vecs
+
+
+def _worst(worst: float, errors: np.ndarray) -> float:
+    return float(np.max(errors, initial=worst))
 
 
 def killing_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
@@ -325,18 +354,17 @@ def killing_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "killing")
     worst = 0.0
-    for _ in range(samples):
-        z = _random_point(rng, n)
-        v = _random_tangent(rng, z)
-        w = _random_tangent(rng, z)
+    for count in _chunks(samples):
+        z, (v, w) = _draw(rng, n, count, 2)
 
         def moved(t):
-            zt = killing_flow(param, t, z)
-            vt = killing_flow_differential(param, t, v)
-            wt = killing_flow_differential(param, t, w)
-            return metric_eval(param, zt, vt, wt)
+            zt = check_points(killing_flow_rows(param, t, z))
+            vt = killing_flow_differential_rows(param, t, v)
+            wt = killing_flow_differential_rows(param, t, w)
+            check_tangents(zt, vt, wt)
+            return berger_inner_rows(param, zt, vt, wt)
 
-        worst = max(worst, abs((moved(h) - moved(-h)) / (2 * h)))
+        worst = _worst(worst, np.abs((moved(h) - moved(-h)) / (2 * h)))
     return _report("killing-flow-isometry", worst, samples, tol, seed)
 
 
@@ -346,18 +374,19 @@ def curvature_symmetry_check(tau, n: int, samples: int = 500, seed: int = DEFAUL
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "curvature-symmetry")
     worst = 0.0
-    for _ in range(samples):
-        z = _random_point(rng, n)
-        x, y, zz, w = (_random_tangent(rng, z) for _ in range(4))
-        r = curvature_tensor(param, z, x, y, zz, w)
-        worst = max(
-            worst,
-            abs(r + curvature_tensor(param, z, y, x, zz, w)),
-            abs(r + curvature_tensor(param, z, x, y, w, zz)),
-            abs(r - curvature_tensor(param, z, zz, w, x, y)),
-            abs(r + curvature_tensor(param, z, y, zz, x, w)
-                + curvature_tensor(param, z, zz, x, y, w)),
-        )
+    for count in _chunks(samples):
+        z, (x, y, zz, w) = _draw(rng, n, count, 4)
+
+        def curv(a, b, c, d):
+            return curvature_tensor_rows(param, z, a, b, c, d)
+
+        r = curv(x, y, zz, w)
+        worst = _worst(worst, np.max([
+            np.abs(r + curv(y, x, zz, w)),
+            np.abs(r + curv(x, y, w, zz)),
+            np.abs(r - curv(zz, w, x, y)),
+            np.abs(r + curv(y, zz, x, w) + curv(zz, x, y, w)),
+        ], axis=0))
     return _report("curvature-symmetries", worst, samples, tol, seed)
 
 
@@ -367,33 +396,36 @@ def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEE
     param = BergerParam(Fraction(1))
     rng = _rng(seed, "round-degeneration")
     worst = 0.0
-    for _ in range(samples):
-        z = _random_point(rng, n)
-        x, y, zz, w = (_random_tangent(rng, z) for _ in range(4))
-        expected = (metric_eval(param, z, y, zz) * metric_eval(param, z, x, w)
-                    - metric_eval(param, z, x, zz) * metric_eval(param, z, y, w))
-        worst = max(worst, abs(curvature_tensor(param, z, x, y, zz, w) - expected))
+    for count in _chunks(samples):
+        z, (x, y, zz, w) = _draw(rng, n, count, 4)
+
+        def ip(a, b):
+            return berger_inner_rows(param, z, a, b)
+
+        expected = ip(y, zz) * ip(x, w) - ip(x, zz) * ip(y, w)
+        worst = _worst(worst, np.abs(curvature_tensor_rows(param, z, x, y, zz, w) - expected))
     return _report("round-sphere-degeneration", worst, samples, tol, seed)
 
 
 def sectional_consistency_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
                                 tol: float = 1e-12) -> CheckReport:
-    """Sectional curvature equals the curvature tensor on orthonormal pairs."""
+    """Sectional curvature equals the curvature tensor on orthonormal pairs.
+
+    A sample whose frame degenerates is dropped and replaced by the next
+    draw of the stream.
+    """
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "sectional-consistency")
     worst = 0.0
     done = 0
     while done < samples:
-        z = _random_point(rng, n)
-        frame = berger_orthonormalize(
-            param, z, [_random_tangent(rng, z).comps for _ in range(2)])
-        if len(frame) < 2:
-            continue
-        v = TangentVector(z, frame[0])
-        w = TangentVector(z, frame[1])
-        k = sectional_curvature(param, z, v, w)
-        worst = max(worst, abs(k - curvature_tensor(param, z, v, w, w, v)))
-        done += 1
+        z, (a, b) = _draw(rng, n, min(SAMPLE_CHUNK, samples - done), 2)
+        frames, kept = berger_orthonormalize_rows(param, z, np.stack([a, b], axis=1))
+        full = kept.all(axis=1)
+        z, v, w = z[full], frames[full, 0], frames[full, 1]
+        k = sectional_curvature_rows(param, z, v, w)
+        worst = _worst(worst, np.abs(k - curvature_tensor_rows(param, z, v, w, w, v)))
+        done += int(full.sum())
     return _report("sectional-consistency", worst, samples, tol, seed)
 
 
@@ -404,9 +436,10 @@ def ricci_vertical_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SE
     rng = _rng(seed, "ricci-vertical")
     expected = 2 * n * float(param.tau_sq)
     worst = 0.0
-    for _ in range(samples):
-        z = _random_point(rng, n)
-        worst = max(worst, abs(ricci(param, z, killing_field(param, z)) - expected))
+    for count in _chunks(samples):
+        z, _ = _draw(rng, n, count, 0)
+        xi = killing_field_rows(param, z)
+        worst = _worst(worst, np.abs(ricci_rows(param, z, xi) - expected))
     return _report("ricci-vertical", worst, samples, tol, seed)
 
 
@@ -419,12 +452,12 @@ def metric_definiteness_check(tau, n: int, samples: int = 200, seed: int = DEFAU
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "metric-definiteness")
     worst = -math.inf
-    dim = 2 * n + 1
-    for _ in range(samples):
-        z = _random_point(rng, n)
-        vecs = [_random_tangent(rng, z).comps for _ in range(dim)]
-        gram = np.array([[berger_inner(param, z.coords, a, b) for b in vecs] for a in vecs])
-        worst = max(worst, -float(np.linalg.eigvalsh(gram)[0]))
+    for count in _chunks(samples):
+        z, vecs = _draw(rng, n, count, 2 * n + 1)
+        frame = np.stack(vecs, axis=1)
+        gram = berger_inner_rows(param, z[:, None, None, :],
+                                 frame[:, :, None, :], frame[:, None, :, :])
+        worst = _worst(worst, -np.linalg.eigvalsh(gram)[:, 0])
     return _report("metric-definiteness", worst, samples, 0.0, seed)
 
 
@@ -440,41 +473,62 @@ def geodesic_sphere_isometry_check(tau, n: int, samples: int = 500, seed: int = 
     if param.is_round:
         raise GeometryDomainError("the geodesic-sphere picture needs tau < 1")
     rng = _rng(seed, "geodesic-sphere-isometry")
-    first = param.tau / math.sqrt(float(param.one_minus))
+    scale = 1.0 / math.sqrt(float(param.one_minus))
     worst = 0.0
 
     def rep(zc: np.ndarray) -> np.ndarray:
-        return np.concatenate(([first + 0j], zc[0::2] + 1j * zc[1::2]))
+        return geodesic_sphere_reps(param, zc / np.linalg.norm(zc, axis=1, keepdims=True))
 
-    for _ in range(samples):
-        z = _random_point(rng, n)
-        u = _random_tangent(rng, z)
-        v = _random_tangent(rng, z)
-        p0 = geodesic_sphere_embed(param, z)
+    for count in _chunks(samples):
+        z, (u, v) = _draw(rng, n, count, 2)
+        p0 = geodesic_sphere_reps(param, z)
+        p0 = p0 * (scale / np.linalg.norm(p0, axis=1))[:, None]
 
-        def push(t: TangentVector) -> np.ndarray:
-            plus = z.coords + h * t.comps
-            minus = z.coords - h * t.comps
-            return (rep(plus / np.linalg.norm(plus))
-                    - rep(minus / np.linalg.norm(minus))) / (2 * h)
+        def push(t: np.ndarray) -> np.ndarray:
+            return (rep(z + h * t) - rep(z - h * t)) / (2 * h)
 
-        got = fubini_study_inner(p0, push(u), push(v))
-        worst = max(worst, abs(got - metric_eval(param, z, u, v)))
+        got = fubini_study_inner_rows(p0, scale, push(u), push(v))
+        worst = _worst(worst, np.abs(got - berger_inner_rows(param, z, u, v)))
     return _report("geodesic-sphere-isometry", worst, samples, tol, seed)
 
 
 # ---------------------------------------------------------------------------
 # Projector-embedding checks
 # ---------------------------------------------------------------------------
+#
+# Complex vectors come in rows of shape (samples, n+1); Hermitian matrices in
+# stacks of shape (samples, n+1, n+1).
 
 
-def _tai_matrix(param: BergerParam, zc: np.ndarray) -> np.ndarray:
-    coef = math.sqrt(float(param.one_minus)) / math.sqrt(2.0)
-    return coef * np.outer(zc, zc.conj())
+def _tai_matrix(coef: float, zc: np.ndarray) -> np.ndarray:
+    return coef * (zc[:, :, None] * zc.conj()[:, None, :])
 
 
-def _hm_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.sum(a * b.conj())))
+def _hm_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.real(np.sum(a * b.conj(), axis=(-2, -1)))
+
+
+def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise vdot(a, b)."""
+    return np.einsum("ij,ij->i", a.conj(), b)
+
+
+def _draw_horizontal(rng, n: int, count: int, vectors: int,
+                     radius: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``count`` representatives in C^{n+1} of norm ``radius``, each with
+    ``vectors`` unit horizontal vectors.
+
+    Per sample: the representative, then each vector; every complex vector
+    draws its real parts, then its imaginary parts.
+    """
+    g = rng.standard_normal((count, 1 + vectors, 2, n + 1))
+    c = g[:, :, 0] + 1j * g[:, :, 1]
+    zc = c[:, 0] * (radius / np.linalg.norm(c[:, 0], axis=1))[:, None]
+    out = []
+    for j in range(1, 1 + vectors):
+        u = c[:, j] - (_cdot(zc, c[:, j]) / radius ** 2)[:, None] * zc
+        out.append(u / np.linalg.norm(u, axis=1)[:, None])
+    return zc, out
 
 
 def _second_derivative(curve, h: float = 2e-3) -> np.ndarray:
@@ -492,61 +546,65 @@ def _second_derivative(curve, h: float = 2e-3) -> np.ndarray:
     return (4.0 * d2(h / 2) - d2(h)) / 3.0
 
 
-def _tai_curve(param: BergerParam, zc: np.ndarray, radius: float, direction: np.ndarray):
+def _tai_curve(coef: float, zc: np.ndarray, radius: float, direction: np.ndarray):
     def at(t: float) -> np.ndarray:
         w = zc + t * direction
-        w = w * (radius / np.linalg.norm(w))
-        return _tai_matrix(param, w)
+        w = w * (radius / np.linalg.norm(w, axis=1))[:, None]
+        return _tai_matrix(coef, w)
     return at
 
 
-def _tai_push(param: BergerParam, zc: np.ndarray, radius: float,
+def _tai_push(coef: float, zc: np.ndarray, radius: float,
               direction: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    c = _tai_curve(param, zc, radius, direction)
+    c = _tai_curve(coef, zc, radius, direction)
     return (c(h) - c(-h)) / (2 * h)
 
 
 class _TaiProbe:
-    """Numeric second fundamental form of the projector embedding at one point."""
+    """Numeric second fundamental form of the projector embedding at a batch of points."""
 
-    def __init__(self, param: BergerParam, zc: np.ndarray, radius: float):
-        self.param = param
+    def __init__(self, coef: float, zc: np.ndarray, radius: float):
+        self.coef = coef
         self.zc = zc
         self.radius = radius
-        self.base = _tai_matrix(param, zc)
-        # real orthonormal horizontal basis {b_1, i b_1, b_2, i b_2, ...}
-        nc = len(zc)
-        cbasis = []
+        self.base = _tai_matrix(coef, zc)
+        # complex orthonormal basis of the horizontal space, in coordinate
+        # order; a dependent coordinate vector is left at zero and skipped
+        rows, nc = zc.shape
+        cbasis = np.zeros((rows, nc, nc), dtype=complex)
+        kept = np.zeros((rows, nc), dtype=bool)
         for j in range(nc):
-            e = np.zeros(nc, dtype=complex)
-            e[j] = 1.0
-            e -= (np.vdot(zc, e) / radius ** 2) * zc
-            for c in cbasis:
-                e -= np.vdot(c, e) * c
-            nrm = np.linalg.norm(e)
-            if nrm > 1e-8:
-                cbasis.append(e / nrm)
-        self.real_basis = []
-        for c in cbasis:
-            self.real_basis.append(c)
-            self.real_basis.append(1j * c)
+            e = np.zeros((rows, nc), dtype=complex)
+            e[:, j] = 1.0
+            e = e - (_cdot(zc, e) / radius ** 2)[:, None] * zc
+            for i in range(j):
+                e = e - _cdot(cbasis[:, i], e)[:, None] * cbasis[:, i]
+            nrm = np.linalg.norm(e, axis=1)
+            kept[:, j] = nrm > 1e-8
+            cbasis[kept[:, j], j] = e[kept[:, j]] / nrm[kept[:, j], None]
+        if np.any(kept.sum(axis=1) != nc - 1):
+            raise GeometryDomainError("failed to build a full horizontal basis")
+        order = np.argsort(~kept, axis=1, kind="stable")[:, :nc - 1]
+        cbasis = np.take_along_axis(cbasis, order[:, :, None], axis=1)
+        # real orthonormal horizontal basis {b_1, i b_1, b_2, i b_2, ...}
+        self.real_basis = [b for i in range(nc - 1) for b in (cbasis[:, i], 1j * cbasis[:, i])]
         # tangent span of the image, orthonormal in the Frobenius metric
         tangent = []
         for b in self.real_basis:
-            t = _tai_push(param, zc, radius, b)
+            t = _tai_push(coef, zc, radius, b)
             for s in tangent:
-                t = t - _hm_inner(t, s) * s
-            t = t / math.sqrt(_hm_inner(t, t))
+                t = t - _hm_inner(t, s)[:, None, None] * s
+            t = t / np.sqrt(_hm_inner(t, t))[:, None, None]
             tangent.append(t)
         self.tangent = tangent
 
     def _curve(self, direction: np.ndarray):
-        return _tai_curve(self.param, self.zc, self.radius, direction)
+        return _tai_curve(self.coef, self.zc, self.radius, direction)
 
     def _normal_part(self, mat: np.ndarray) -> np.ndarray:
         out = mat
         for t in self.tangent:
-            out = out - _hm_inner(out, t) * t
+            out = out - _hm_inner(out, t)[:, None, None] * t
         return out
 
     def sff(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -571,44 +629,34 @@ def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> lis
     if n < 1:
         raise GeometryDomainError("the projector embedding needs n >= 1")
     rng = _rng(seed, "tai")
-    radius = 1.0 / math.sqrt(float(param.one_minus))
+    lam = float(param.one_minus)
+    radius = 1.0 / math.sqrt(lam)
+    coef = math.sqrt(lam) / math.sqrt(2.0)
     center = tai_sphere_center(param, n).entries
     r_sq = float(tai_sphere_radius_sq(param, n))
 
-    def random_rep():
-        zc = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        return zc * (radius / np.linalg.norm(zc))
-
-    def random_horizontal(zc):
-        u = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        u = u - (np.vdot(zc, u) / radius ** 2) * zc
-        return u / np.linalg.norm(u)
-
     err_iso = err_sphere = 0.0
-    for _ in range(samples):
-        zc = random_rep()
-        u = random_horizontal(zc)
-        v = random_horizontal(zc)
-        got = _hm_inner(_tai_push(param, zc, radius, u), _tai_push(param, zc, radius, v))
-        err_iso = max(err_iso, abs(got - float(np.real(np.vdot(v, u)))))
-        mat = _tai_matrix(param, zc)
-        err_sphere = max(err_sphere, abs(_hm_inner(mat - center, mat - center) - r_sq))
+    for count in _chunks(samples):
+        zc, (u, v) = _draw_horizontal(rng, n, count, 2, radius)
+        got = _hm_inner(_tai_push(coef, zc, radius, u), _tai_push(coef, zc, radius, v))
+        err_iso = _worst(err_iso, np.abs(got - np.real(_cdot(v, u))))
+        diff = _tai_matrix(coef, zc) - center
+        err_sphere = _worst(err_sphere, np.abs(_hm_inner(diff, diff) - r_sq))
 
     sff_samples = max(10, samples // 5)
     err_law = err_j = err_min = 0.0
-    for _ in range(sff_samples):
-        zc = random_rep()
-        probe = _TaiProbe(param, zc, radius)
-        point = ProjectivePoint(zc, radius)
-        x, y, v, w = (random_horizontal(zc) for _ in range(4))
-        got = _hm_inner(probe.sff(x, y), probe.sff(v, w))
-        err_law = max(err_law, abs(got - tai_sff_inner(param, point, x, y, v, w)))
-        err_j = max(err_j, float(np.max(np.abs(probe.sff(1j * x, 1j * y) - probe.sff(x, y)))))
+    for count in _chunks(sff_samples, 4):
+        zc, (x, y, v, w) = _draw_horizontal(rng, n, count, 4, radius)
+        probe = _TaiProbe(coef, zc, radius)
+        s_xy = probe.sff(x, y)
+        got = _hm_inner(s_xy, probe.sff(v, w))
+        err_law = _worst(err_law, np.abs(got - tai_sff_inner_rows(param, zc, radius, x, y, v, w)))
+        err_j = _worst(err_j, np.max(np.abs(probe.sff(1j * x, 1j * y) - s_xy), axis=(1, 2)))
         trace = np.zeros_like(probe.base)
         for b in probe.real_basis:
             trace = trace + probe.sff(b, b)
         residual = trace + (2 * n / r_sq) * (probe.base - center)
-        err_min = max(err_min, float(np.max(np.abs(residual))))
+        err_min = _worst(err_min, np.max(np.abs(residual), axis=(1, 2)))
 
     return [
         _report("tai-isometry", err_iso, samples, 1e-8, seed),
@@ -642,15 +690,18 @@ def gauss_flatness_check(tau, samples: int = 64, seed: int = DEFAULT_SEED) -> Ch
     e_exact = float((1 + ts) / 4)
     f_exact = float((ts - 1) / 4)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for _ in range(samples):
-        t, s = rng.uniform(0, 2 * math.pi, size=2)
-        z = AmbientPoint(np.array([math.cos(t), math.sin(t), math.cos(s), math.sin(s)]) * inv_sqrt2)
-        dt = TangentVector(z, np.array([-math.sin(t), math.cos(t), 0.0, 0.0]) * inv_sqrt2)
-        ds = TangentVector(z, np.array([0.0, 0.0, -math.sin(s), math.cos(s)]) * inv_sqrt2)
-        worst = max(worst,
-                    abs(metric_eval(param, z, dt, dt) - e_exact),
-                    abs(metric_eval(param, z, ds, ds) - e_exact),
-                    abs(metric_eval(param, z, dt, ds) - f_exact))
+    for count in _chunks(samples):
+        t, s = rng.uniform(0, 2 * math.pi, size=(count, 2)).T
+        zero = np.zeros(count)
+        z = check_points(np.stack([np.cos(t), np.sin(t), np.cos(s), np.sin(s)], axis=1) * inv_sqrt2)
+        dt = np.stack([-np.sin(t), np.cos(t), zero, zero], axis=1) * inv_sqrt2
+        ds = np.stack([zero, zero, -np.sin(s), np.cos(s)], axis=1) * inv_sqrt2
+        check_tangents(z, dt, ds)
+        worst = _worst(worst, np.max([
+            np.abs(berger_inner_rows(param, z, dt, dt) - e_exact),
+            np.abs(berger_inner_rows(param, z, ds, ds) - e_exact),
+            np.abs(berger_inner_rows(param, z, dt, ds) - f_exact),
+        ], axis=0))
     return _report("gauss-flatness", worst, samples, 1e-12, seed)
 
 
@@ -658,26 +709,17 @@ def _bump_periodic(x: np.ndarray, center: float, kappa: float = 3.0) -> np.ndarr
     return np.exp(kappa * (np.cos(x - center) - 1.0))
 
 
-def _berger_inner_rows(ts: float, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vectorised metric over rows of points/vectors."""
-    iz = np.empty_like(z)
-    iz[:, 0::2] = -z[:, 1::2]
-    iz[:, 1::2] = z[:, 0::2]
-    return (np.einsum("ij,ij->i", v, w)
-            - (1.0 - ts) * np.einsum("ij,ij->i", v, iz) * np.einsum("ij,ij->i", w, iz))
-
-
-def _normal_rows(ts: float, pts: np.ndarray, a: np.ndarray,
+def _normal_rows(param: BergerParam, pts: np.ndarray, a: np.ndarray,
                  tangents) -> tuple[np.ndarray, np.ndarray]:
     """Project the constant vector ``a`` off the radial direction, then off
     each tangent row field in turn (Berger-orthogonally); return the rows and
     their Berger norms."""
     w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
     for tv in tangents:
-        coef = (_berger_inner_rows(ts, pts, w, tv)
-                / _berger_inner_rows(ts, pts, tv, tv))
+        coef = (berger_inner_rows(param, pts, w, tv)
+                / berger_inner_rows(param, pts, tv, tv))
         w = w - coef[:, None] * tv
-    return w, np.sqrt(_berger_inner_rows(ts, pts, w, w))
+    return w, np.sqrt(berger_inner_rows(param, pts, w, w))
 
 
 def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int = 3,
@@ -702,8 +744,6 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
         tt, ss = np.meshgrid(t, t, indexing="ij")
         tt, ss = tt.ravel(), ss.ravel()
         inv = 1.0 / math.sqrt(2.0)
-        points = np.stack([np.cos(tt), np.sin(tt), np.cos(ss), np.sin(ss)], axis=1) * inv
-        normal = np.stack([np.cos(tt), np.sin(tt), -np.cos(ss), -np.sin(ss)], axis=1) * inv
         cell = (2 * math.pi / grid_n) ** 2
         hfd = 1e-5
 
@@ -718,9 +758,9 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             du = (embed(tt + hfd, ss, bump_c, e) - embed(tt - hfd, ss, bump_c, e)) / (2 * hfd)
             dv = (embed(tt, ss + hfd, bump_c, e) - embed(tt, ss - hfd, bump_c, e)) / (2 * hfd)
             base = embed(tt, ss, bump_c, e)
-            g11 = _berger_inner_rows(ts, base, du, du)
-            g12 = _berger_inner_rows(ts, base, du, dv)
-            g22 = _berger_inner_rows(ts, base, dv, dv)
+            g11 = berger_inner_rows(param, base, du, du)
+            g12 = berger_inner_rows(param, base, du, dv)
+            g22 = berger_inner_rows(param, base, dv, dv)
             return float(np.sum(np.sqrt(g11 * g22 - g12 * g12))) * cell
 
         worst = 0.0
@@ -757,12 +797,12 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             for _ in range(samples):
                 for _ in range(32):  # redraw if the projected field nearly vanishes
                     a = rng.standard_normal(dim)
-                    if _normal_rows(ts, chart(th), a, (tangent(th),))[1].min() > 0.3:
+                    if _normal_rows(param, chart(th), a, (tangent(th),))[1].min() > 0.3:
                         break
                 c0 = rng.uniform(0, 2 * math.pi)
 
                 def eta(th_arr):
-                    w, nrm = _normal_rows(ts, chart(th_arr), a, (tangent(th_arr),))
+                    w, nrm = _normal_rows(param, chart(th_arr), a, (tangent(th_arr),))
                     return w / nrm[:, None]
 
                 def embed(th_arr, e):
@@ -772,7 +812,7 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
                 def length(e):
                     dv = (embed(th + hfd, e) - embed(th - hfd, e)) / (2 * hfd)
                     return float(np.sum(np.sqrt(
-                        _berger_inner_rows(ts, embed(th, e), dv, dv)))) * cell
+                        berger_inner_rows(param, embed(th, e), dv, dv)))) * cell
 
                 weight = float(np.sum(_bump_periodic(th, c0))) * cell
                 delta = (length(eps) - length(-eps)) / (2 * eps)
@@ -807,7 +847,7 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             t2 = np.zeros_like(pts)
             t2[:, 0] = -np.sin(th_arr) * np.sin(ph_arr)
             t2[:, 2] = np.sin(th_arr) * np.cos(ph_arr)
-            return _normal_rows(ts, pts, a, (t1, t2))
+            return _normal_rows(param, pts, a, (t1, t2))
 
         worst = 0.0
         for _ in range(samples):
@@ -836,9 +876,9 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
                 du = (embed(thg + hfd, phg, e) - embed(thg - hfd, phg, e)) / (2 * hfd)
                 dv = (embed(thg, phg + hfd, e) - embed(thg, phg - hfd, e)) / (2 * hfd)
                 base = embed(thg, phg, e)
-                g11 = _berger_inner_rows(ts, base, du, du)
-                g12 = _berger_inner_rows(ts, base, du, dv)
-                g22 = _berger_inner_rows(ts, base, dv, dv)
+                g11 = berger_inner_rows(param, base, du, du)
+                g12 = berger_inner_rows(param, base, du, dv)
+                g22 = berger_inner_rows(param, base, dv, dv)
                 return float(np.sum(np.sqrt(g11 * g22 - g12 * g12) * wgrid))
 
             weight = float(np.sum(bump(thg, phg, c) * np.sin(thg) * wgrid))

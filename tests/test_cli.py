@@ -79,6 +79,18 @@ class TestIndexCommand:
                        "--tau-sq", "1/2", "--kmax", "2"])
         assert code == 3
 
+    def test_zero_kmax_below_certified_bound_is_truncation(self, capsys):
+        code, _ = run(["index", "--model", "circle", "--n", "1", "--s", "2",
+                       "--tau-sq", "1/2", "--kmax", "0"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("truncation failure: ")
+
+    def test_negative_kmax_is_bad_input(self, capsys):
+        code, text = run(["index", "--model", "circle", "--n", "1", "--s", "2",
+                          "--tau-sq", "1/2", "--kmax", "-3"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: k_max must be nonnegative, got -3\n"
+
     def test_bad_model_parameters(self):
         code, _ = run(["index", "--model", "totally-real", "--n", "1", "--d", "3",
                        "--tau-sq", "1/2"])
@@ -123,6 +135,8 @@ class TestBadInput:
         ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--kmax", "-1"],
         ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3",
          "--kmax", "-1"],
+        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--low"],
+        ["index", "--model", "circle", "--n", "1", "--s", "2", "--tau-sq", "1/2", "--kmax", "-3"],
         ["verify", "--samples", "0"],
         ["tai-check", "--tau-sq", "1/2", "--samples", "0"],
         ["curvature-check", "--tau-sq", "1/2", "--samples", "0"],

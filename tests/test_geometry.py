@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergersphere import geometry as geo
 from bergersphere.geometry import (AmbientPoint, BergerParam, GeometryDomainError,
@@ -351,3 +352,175 @@ class TestFrames:
             assert abs(np.dot(e.comps, iz)) < 1e-12
             for j, f in enumerate(frame):
                 assert metric_eval(ts, z, e, f) == pytest.approx(float(i == j), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel against the one-sample-at-a-time formulas
+# ---------------------------------------------------------------------------
+#
+# The functions below are the scalar formulas the batched kernel replaced,
+# kept here verbatim (on raw coordinate arrays) as an independent reference.
+
+
+def _ref_mult_i(v):
+    out = np.empty_like(v)
+    out[0::2] = -v[1::2]
+    out[1::2] = v[0::2]
+    return out
+
+
+def ref_berger_inner(tau, z, v, w):
+    p = BergerParam.coerce(tau)
+    iz = _ref_mult_i(z)
+    return float(np.dot(v, w) - float(p.one_minus) * np.dot(v, iz) * np.dot(w, iz))
+
+
+def ref_tangent_j(z, v):
+    return _ref_mult_i(v) + float(np.dot(v, _ref_mult_i(z))) * z
+
+
+def ref_curvature_tensor(tau, z, x, y, zz, w):
+    p = BergerParam.coerce(tau)
+    lam = float(p.one_minus)
+
+    def ip(a, b):
+        return ref_berger_inner(p, z, a, b)
+
+    xi = _ref_mult_i(z) / p.tau
+    jx, jy, jz = ref_tangent_j(z, x), ref_tangent_j(z, y), ref_tangent_j(z, zz)
+    X, Y, Z, W = x, y, zz, w
+    val = ip(Y, Z) * ip(X, W) - ip(X, Z) * ip(Y, W)
+    val += lam * (ip(jy, Z) * ip(jx, W) - ip(jx, Z) * ip(jy, W) - 2.0 * ip(jx, Y) * ip(jz, W))
+    val += lam * ip(Z, xi) * (ip(X, xi) * ip(Y, W) - ip(Y, xi) * ip(X, W))
+    val += lam * ip(W, xi) * (ip(Y, xi) * ip(X, Z) - ip(X, xi) * ip(Y, Z))
+    return val
+
+
+def ref_sectional_curvature(tau, z, v, w):
+    p = BergerParam.coerce(tau)
+    xi = _ref_mult_i(z) / p.tau
+    a = ref_berger_inner(p, z, v, ref_tangent_j(z, w))
+    xi_v = ref_berger_inner(p, z, xi, v)
+    xi_w = ref_berger_inner(p, z, xi, w)
+    return 1.0 + float(p.one_minus) * (3.0 * a * a - (xi_v * xi_v + xi_w * xi_w))
+
+
+def ref_ricci(tau, z, v):
+    p = BergerParam.coerce(tau)
+    n = len(z) // 2 - 1
+    a = ref_berger_inner(p, z, _ref_mult_i(z) / p.tau, v)
+    return 2.0 * n + 2.0 * float(p.one_minus) * (1.0 - (n + 1) * a * a)
+
+
+THRESHOLDS = sorted({F(1, 2 * m + 2) for m in range(3)} | {F(1, 2 * n + 1) for n in (1, 2, 3)}
+                    | {F(1, d + 1) for d in (1, 2, 3)} | {F(1, 4), F(1, 8), F(1)})
+TAU_SQ = st.one_of(st.sampled_from(THRESHOLDS),
+                   st.fractions(min_value=0, max_value=1, max_denominator=64).filter(bool))
+
+
+def _unit_rows(rng, z, count):
+    """Random tangent rows at the points z, of unit Euclidean length."""
+    rows = []
+    for _ in range(count):
+        u = rng.standard_normal(z.shape)
+        u -= np.einsum("ij,ij->i", u, z)[:, None] * z
+        rows.append(u / np.linalg.norm(u, axis=1, keepdims=True))
+    return rows
+
+
+class TestBatchedKernelAgainstReference:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3]), ts=TAU_SQ, seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_scalar_formulas(self, n, ts, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((8, 2 * n + 2))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        x, y, zz, w = _unit_rows(rng, z, 4)
+        inner = geo.berger_inner_rows(ts, z, x, y)
+        jx = geo.tangent_j_rows(z, x)
+        curv = geo.curvature_tensor_rows(ts, z, x, y, zz, w)
+        frames, kept = geo.berger_orthonormalize_rows(ts, z, np.stack([x, y], axis=1))
+        assert kept.all()
+        v, u = frames[:, 0], frames[:, 1]
+        sec = geo.sectional_curvature_rows(ts, z, v, u)
+        ric = geo.ricci_rows(ts, z, v)
+        for i in range(len(z)):
+            assert abs(inner[i] - ref_berger_inner(ts, z[i], x[i], y[i])) <= 1e-13
+            assert np.max(np.abs(jx[i] - ref_tangent_j(z[i], x[i]))) <= 1e-13
+            assert abs(curv[i] - ref_curvature_tensor(ts, z[i], x[i], y[i], zz[i], w[i])) <= 1e-13
+            assert abs(sec[i] - ref_sectional_curvature(ts, z[i], v[i], u[i])) <= 1e-13
+            assert abs(ric[i] - ref_ricci(ts, z[i], v[i])) <= 1e-13
+
+    def test_scalar_api_is_the_one_row_case(self):
+        ts = F(2, 7)
+        z = random_point(2)
+        x, y, zz, w = (random_tangent(z) for _ in range(4))
+        rows = [a[None] for a in (z.coords, x.comps, y.comps, zz.comps, w.comps)]
+        assert curvature_tensor(ts, z, x, y, zz, w) == geo.curvature_tensor_rows(ts, *rows)[0]
+        assert metric_eval(ts, z, x, y) == geo.berger_inner_rows(ts, *rows[:3])[0]
+
+
+class TestBatchedValidation:
+    def test_every_row_is_checked(self):
+        z = np.zeros((5, 4))
+        z[:, 0] = 1.0
+        z[3, 0] = 1.0 + 1e-9
+        with pytest.raises(GeometryDomainError, match="unit Euclidean norm"):
+            geo.check_points(z)
+
+    def test_tangency_per_row(self):
+        z = np.zeros((3, 4))
+        z[:, 0] = 1.0
+        v = np.zeros((3, 4))
+        v[:, 1] = 1.0
+        v[2, 0] = 1e-8
+        with pytest.raises(GeometryDomainError, match="not tangent"):
+            geo.curvature_tensor_rows(F(1, 2), z, v, v, v, v)
+
+    def test_nan_rejected(self):
+        z = np.zeros((2, 4))
+        z[:, 0] = 1.0
+        z[1, 0] = np.nan
+        with pytest.raises(GeometryDomainError, match="unit Euclidean norm"):
+            AmbientPoint(z[1])
+        v = np.zeros((2, 4))
+        v[:, 1] = 1.0
+        v[0, 2] = np.nan
+        with pytest.raises(GeometryDomainError, match="not tangent"):
+            TangentVector(AmbientPoint(z[0]), v[0])
+        with pytest.raises(GeometryDomainError, match="not tangent"):
+            geo.ricci_rows(F(1, 2), z[:1], v[:1])
+
+    def test_odd_or_short_rows_rejected(self):
+        for shape in ((2, 2), (2, 5), (6,)):
+            with pytest.raises(GeometryDomainError, match="even length >= 4"):
+                geo.check_points(np.ones(shape))
+
+    def test_orthonormality_checked_in_every_row(self):
+        ts = F(1, 3)
+        z = np.zeros((4, 4))
+        z[:, 0] = 1.0
+        v = np.zeros((4, 4))
+        v[:, 2] = 1.0
+        w = np.zeros((4, 4))
+        w[:, 3] = 1.0
+        # span{v, Jv} is a holomorphic horizontal plane
+        assert np.allclose(geo.sectional_curvature_rows(ts, z, v, w), 1 + 3 * float(1 - ts))
+        w[1, 3] = 1.1
+        with pytest.raises(GeometryDomainError, match="orthonormal pair"):
+            geo.sectional_curvature_rows(ts, z, v, w)
+        with pytest.raises(GeometryDomainError, match="unit vector"):
+            geo.ricci_rows(ts, z, w)
+
+    def test_dependent_slot_dropped_per_row(self):
+        ts = F(1, 2)
+        z = random_point(1)
+        a = random_tangent(z).comps
+        b = random_tangent(z).comps
+        vecs = np.array([[a, 2.0 * a, b], [a, b, b]])
+        frames, kept = geo.berger_orthonormalize_rows(ts, np.array([z.coords, z.coords]), vecs)
+        assert kept.tolist() == [[True, False, True], [True, True, False]]
+        assert np.array_equal(frames[0, 2], frames[1, 1])
+        assert np.array_equal(frames[0, 1], np.zeros(4))
+        scalar = geo.berger_orthonormalize(ts, z, [a, 2.0 * a, b])
+        assert len(scalar) == 2 and np.array_equal(scalar[1], frames[0, 2])

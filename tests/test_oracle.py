@@ -1,10 +1,13 @@
 """Brute-force oracles and the sampled verification checks."""
 
+import io
+import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from bergersphere import oracle, spectra
+from bergersphere import cli, oracle, spectra
 from bergersphere.geometry import GeometryDomainError
 from bergersphere.models import (CliffordHypersurface, TotallyRealSphere,
                                  clifford_index_nullity)
@@ -167,3 +170,130 @@ class TestCrossChecks:
 
     def test_bidegree_crosscheck(self):
         assert oracle.bidegree_cross_check().passed
+
+
+# Scalar samplers of the one-sample-at-a-time checks, kept as the reference
+# for the draw order of the batched checks.
+def _random_point(rng, n):
+    v = rng.standard_normal(2 * n + 2)
+    return v / np.linalg.norm(v)
+
+
+def _random_tangent(rng, z):
+    u = rng.standard_normal(len(z))
+    return u - float(np.dot(u, z)) * z
+
+
+def _random_rep(rng, n, radius):
+    zc = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    return zc * (radius / np.linalg.norm(zc))
+
+
+def _random_horizontal(rng, zc, radius):
+    u = rng.standard_normal(len(zc)) + 1j * rng.standard_normal(len(zc))
+    u = u - (np.vdot(zc, u) / radius ** 2) * zc
+    return u / np.linalg.norm(u)
+
+
+def _sampled_reports(samples, seed=3):
+    third, half = F(1, 3), F(1, 2)
+    return [
+        oracle.killing_check(third, 2, samples, seed),
+        oracle.curvature_symmetry_check(third, 2, samples, seed),
+        oracle.round_degeneration_check(1, samples, seed),
+        oracle.sectional_consistency_check(third, 3, samples, seed),
+        oracle.ricci_vertical_check(third, 2, samples, seed),
+        oracle.metric_definiteness_check(third, 2, samples, seed),
+        oracle.geodesic_sphere_isometry_check(half, 2, samples, seed),
+        oracle.gauss_flatness_check(third, samples, seed),
+        *oracle.tai_checks(half, 2, samples, seed),
+    ]
+
+
+# (name, samples, tolerance, pass) of ``verify --format json`` at the default
+# 200 samples, captured from the one-sample-at-a-time implementation; the
+# list is the same at every seed.
+VERIFY_REPORTS = [
+    ("killing-flow-isometry", 200, 1e-06, True),
+    ("killing-flow-isometry", 200, 1e-06, True),
+    ("curvature-symmetries", 200, 1e-10, True),
+    ("round-sphere-degeneration", 200, 1e-12, True),
+    ("sectional-consistency", 200, 1e-12, True),
+    ("ricci-vertical", 200, 1e-12, True),
+    ("metric-definiteness", 50, 0.0, True),
+    ("geodesic-sphere-isometry", 200, 1e-08, True),
+    ("geodesic-sphere-isometry", 200, 1e-08, True),
+    ("gauss-flatness", 64, 1e-12, True),
+    ("gauss-flatness", 64, 1e-12, True),
+    ("tai-isometry", 50, 1e-08, True),
+    ("tai-sphere-containment", 50, 1e-10, True),
+    ("tai-sff-law", 10, 1e-06, True),
+    ("tai-sff-j-invariance", 10, 1e-08, True),
+    ("tai-minimality", 10, 1e-06, True),
+    ("minimality-clifford", 2, 0.0001, True),
+    ("minimality-clifford", 2, 0.0001, True),
+    ("minimality-great-circle", 2, 0.0001, True),
+    ("minimality-real-sphere", 1, 0.0001, True),
+    ("clifford-lattice-crosscheck", 5, 0.0, True),
+    ("vertical-spectrum-crosscheck", 8, 0.0, True),
+    ("bidegree-crosscheck", 45, 0.0, True),
+]
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_draws_the_scalar_stream(self, n):
+        scalar = np.random.default_rng([5, n])
+        z = _random_point(scalar, n)
+        tangents = [_random_tangent(scalar, z) for _ in range(4)]
+        after = scalar.standard_normal()
+        batched = np.random.default_rng([5, n])
+        zb, vecs = oracle._draw(batched, n, 1, 4)
+        assert batched.standard_normal() == after
+        np.testing.assert_allclose(zb[0], z, rtol=0, atol=1e-15)
+        for got, want in zip(vecs, tangents):
+            np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-14)
+        # and the first row of a larger batch is the same sample
+        zb3, vecs3 = oracle._draw(np.random.default_rng([5, n]), n, 3, 4)
+        assert np.array_equal(zb3[0], zb[0])
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(vecs3, vecs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tai_batch_draws_the_scalar_stream(self, n):
+        radius = 2.0
+        scalar = np.random.default_rng([9, n])
+        zc = _random_rep(scalar, n, radius)
+        horizontal = [_random_horizontal(scalar, zc, radius) for _ in range(4)]
+        after = scalar.standard_normal()
+        batched = np.random.default_rng([9, n])
+        zb, vecs = oracle._draw_horizontal(batched, n, 1, 4, radius)
+        assert batched.standard_normal() == after
+        np.testing.assert_allclose(zb[0], zc, rtol=0, atol=1e-14)
+        for got, want in zip(vecs, horizontal):
+            np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("samples", [6, 7, 8])
+    def test_chunking_does_not_change_any_error(self, samples, monkeypatch):
+        whole = _sampled_reports(samples)
+        monkeypatch.setattr(oracle, "SAMPLE_CHUNK", 7)
+        chunked = _sampled_reports(samples)
+        assert [r.name for r in chunked] == [r.name for r in whole]
+        for a, b in zip(chunked, whole):
+            assert a.max_error == b.max_error, a.name
+            assert a.passed and a.samples == b.samples
+
+    @pytest.mark.parametrize("n", ["0", "-1", "-2"])
+    def test_curvature_check_rejects_small_n(self, n, capsys):
+        out = io.StringIO()
+        code = cli.main(["curvature-check", "--tau-sq", "1/3", "--n", n, "--samples", "5"], out)
+        assert (code, out.getvalue()) == (2, "")
+        assert capsys.readouterr().err == "error: ambient coordinates must have even length >= 4\n"
+
+    @pytest.mark.parametrize("seed", ["1", "7", "12345", "0x5EED"])
+    def test_verify_report_list_unchanged(self, seed):
+        out = io.StringIO()
+        assert cli.main(["verify", "--seed", seed, "--format", "json"], out) == 0
+        got = [(c["name"], c["samples"], c["tolerance"], c["pass"])
+               for c in json.loads(out.getvalue())["checks"]]
+        assert got == VERIFY_REPORTS
+        assert {c["seed"] for c in json.loads(out.getvalue())["checks"]} == {int(seed, 0)}
