@@ -135,14 +135,14 @@ class TestBadInput:
         ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--kmax", "-1"],
         ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3",
          "--kmax", "-1"],
-        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--low"],
-        ["index", "--model", "circle", "--n", "1", "--s", "2", "--tau-sq", "1/2", "--kmax", "-3"],
         ["verify", "--samples", "0"],
         ["tai-check", "--tau-sq", "1/2", "--samples", "0"],
         ["curvature-check", "--tau-sq", "1/2", "--samples", "0"],
         ["tai-check", "--tau-sq", "1/2", "--n", "0", "--samples", "2"],
         ["phase", "--n-max", "0"],
         ["phase", "--tau-sq-grid", ",,"],
+        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--low"],
+        ["index", "--model", "circle", "--n", "1", "--s", "2", "--tau-sq", "1/2", "--kmax", "-3"],
     ])
     def test_exit_code_two_with_one_line_error(self, argv, capsys):
         assert run(argv) == (2, "")
