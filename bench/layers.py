@@ -1,6 +1,6 @@
 """Time one representative call per layer, before and after a change.
 
-    python3 bench/layers.py --before <git rev> --out BENCH_3.json
+    python3 bench/layers.py --before <git rev> --out BENCH_<n>.json
 
 The source tree of ``<git rev>`` is extracted with ``git archive`` into a
 temporary directory; the "after" tree is the working tree.  Every case runs
@@ -10,12 +10,16 @@ case, so slow drift of the host's speed hits both alike.
 
 Cases:
 
+* L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
+  at six random rationals tau^2 (seeded, drawn outside the timed region).
 * L2 ``curvature-tensor-500``: the curvature tensor at 500 sampled points
   (inputs built outside the timed region); one batched call where the tree
   has ``curvature_tensor_rows``, else 500 scalar ``curvature_tensor`` calls.
 * L3 ``curvature_symmetry_check(1/3, 2, 500)``.
 * L4 ``verify_all(512)``.
-* L5 ``python -m bergersphere.cli verify --samples 2000``, process wall time.
+* L5 ``python -m bergersphere.cli verify --samples 2000`` and
+  ``python -m bergersphere.cli index --model totally-real --n 4 --d 3
+  --tau-sq 2/7``, process wall time.
 
 The output holds, per case and tree, the median and the interquartile range
 of the repeats in seconds, plus the git sha, a digest of the after tree's
@@ -39,11 +43,15 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# (layer, name, repeats, command line of an L5 case)
 CASES = [
-    ("L2", "curvature-tensor-500", 21),
-    ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11),
-    ("L4", "verify_all(512)", 5),
-    ("L5", "cli verify --samples 2000 (process wall)", 5),
+    ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", 11, None),
+    ("L2", "curvature-tensor-500", 21, None),
+    ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
+    ("L4", "verify_all(512)", 5, None),
+    ("L5", "cli verify --samples 2000 (process wall)", 5, ["verify", "--samples", "2000"]),
+    ("L5", "cli index --model totally-real --n 4 --d 3 --tau-sq 2/7 (process wall)", 11,
+     ["index", "--model", "totally-real", "--n", "4", "--d", "3", "--tau-sq", "2/7"]),
 ]
 
 
@@ -51,8 +59,20 @@ def _time_in_process(case: str) -> float:
     """One timed run of an in-process case; inputs are built before the clock starts."""
     from fractions import Fraction
 
-    from bergersphere import geometry, oracle
+    from bergersphere import cli, geometry, oracle, stability
 
+    if case == "L1":
+        rng = np.random.default_rng(2024)
+        grid = []
+        while len(grid) < 6:
+            den = int(rng.integers(2, 65))
+            value = Fraction(int(rng.integers(1, den + 1)), den)
+            if value not in grid:
+                grid.append(value)
+        model_list = cli._phase_models(8)
+        start = time.perf_counter()
+        stability.phase_rows(model_list, grid)
+        return time.perf_counter() - start
     if case == "L2":
         rng = np.random.default_rng(2024)
         z = rng.standard_normal((500, 6))
@@ -87,10 +107,10 @@ def _env(src: Path) -> dict:
     return env
 
 
-def _one_run(layer: str, src: Path) -> float:
-    if layer == "L5":
+def _one_run(layer: str, command, src: Path) -> float:
+    if command is not None:
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "bergersphere.cli", "verify", "--samples", "2000"],
+        subprocess.run([sys.executable, "-m", "bergersphere.cli", *command],
                        env=_env(src), stdout=subprocess.DEVNULL, check=False)
         return time.perf_counter() - start
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", layer],
@@ -135,11 +155,11 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         before_src = Path(tmp) / "src"
         cases = []
-        for layer, name, repeats in CASES:
+        for layer, name, repeats, command in CASES:
             times = {"before": [], "after": []}
             for _ in range(repeats):
-                times["before"].append(_one_run(layer, before_src))
-                times["after"].append(_one_run(layer, after_src))
+                times["before"].append(_one_run(layer, command, before_src))
+                times["after"].append(_one_run(layer, command, after_src))
             before, after = _summary(times["before"]), _summary(times["after"])
             cases.append({"layer": layer, "case": name, "before": before, "after": after,
                           "speedup": before["median_s"] / after["median_s"]})

@@ -55,12 +55,6 @@ def parse_tau_sq(text: str) -> Fraction:
     return value
 
 
-def _fraction_str(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(float(value))
-
-
 def _csv_dump(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -89,7 +83,7 @@ def cmd_spectrum(args, out) -> int:
             raise CliError("--space berger needs --n")
         if args.low:
             raise CliError("--low applies only to --space clifford")
-        rows = [(m.k, m.p, _fraction_str(m.value), m.multiplicity, "vertical-split")
+        rows = [(m.k, m.p, str(m.value), m.multiplicity, "vertical-split")
                 for m in spectra.berger_modes(args.n, tau_sq, args.kmax)]
         header = ("k", "p", "value", "multiplicity", "source")
     else:
@@ -99,7 +93,7 @@ def cmd_spectrum(args, out) -> int:
             cmodes = spectra.clifford_low_modes(args.m1, args.m2, tau_sq)
         else:
             cmodes = spectra.clifford_modes(args.m1, args.m2, tau_sq, args.kmax)
-        rows = [(m.k1, m.k2, m.p, _fraction_str(m.value), m.multiplicity, "product-split")
+        rows = [(m.k1, m.k2, m.p, str(m.value), m.multiplicity, "product-split")
                 for m in cmodes]
         header = ("k1", "k2", "p", "value", "multiplicity", "source")
 
@@ -134,7 +128,7 @@ def _build_model(args):
 
 
 def _mode_rows(report):
-    return [(m.family, ",".join(str(x) for x in m.labels), _fraction_str(m.value),
+    return [(m.family, ",".join(str(x) for x in m.labels), str(m.value),
              m.multiplicity, m.sign) for m in report.nonpositive_modes]
 
 
@@ -156,7 +150,6 @@ def cmd_index(args, out) -> int:
             "certificate": report.certificate,
             "modes": [{"family": f, "labels": l, "value": v, "multiplicity": mu, "sign": s}
                       for (f, l, v, mu, s) in _mode_rows(report)],
-            "warnings": list(report.warnings),
         }, indent=2) + "\n")
     elif args.format == "csv":
         out.write(_csv_dump(
@@ -170,8 +163,6 @@ def cmd_index(args, out) -> int:
         out.write(f"index: {ge}{report.index}\n")
         out.write(f"nullity: {gn}{report.nullity}\n")
         out.write(f"truncation: k<={report.truncation_k}  [{report.certificate}]\n")
-        for w in report.warnings:
-            out.write(f"warning: {w}\n")
         out.write("nonpositive modes:\n")
         _print_table(("family", "labels", "value", "multiplicity", "sign"),
                      _mode_rows(report), out)
@@ -374,10 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None, out=None) -> int:
+    # Built once per process: a parser is a web of cyclic references that only
+    # a full garbage collection frees, so a parser per call lets memory climb.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()

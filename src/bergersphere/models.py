@@ -2,11 +2,11 @@
 
 Each model family below is a compact minimal submanifold of a Berger
 sphere whose Jacobi operator diagonalises against the exact Laplace
-spectra of :mod:`bergersphere.spectra`.  Mode values are exact rationals
-in tau^2 wherever the closed forms are rational, so the sign of every
-mode - and hence index and nullity - is decided exactly.  The one
-irrational family (the gradient-pair modes of the totally real spheres)
-carries a float value together with an exactly decided sign.
+spectra of :mod:`bergersphere.spectra`.  Every mode value is exact: a
+rational in tau^2, or, for the one irrational family (the gradient-pair
+modes of the totally real spheres), a ``Surd`` a - sqrt(r) with rational
+a and r.  The sign of every mode - and hence index and nullity - is
+therefore decided exactly.
 
 ``enumerate_index`` drives any family through its mode generator with a
 truncation certificate: a monotone lower bound proving that all modes
@@ -16,14 +16,13 @@ beyond the scanned range are strictly positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import ClassVar, Optional, Union
 
 from .geometry import BergerParam, GeometryDomainError
 from . import spectra
 
-ZERO_BAND = 1e-12
 K_LIMIT = 64  # deepest scan ``enumerate_index`` runs, whatever the policy asks
 
 
@@ -231,33 +230,62 @@ MODELS = (TotallyGeodesicBergerSphere, CircleCover, VeroneseRP3, VeroneseS3,
 
 
 @dataclass(frozen=True)
+class Surd:
+    """The irrational number a - sqrt(r), with rational a and a rational r > 0
+    that is not the square of a rational; build it with ``minus_sqrt``."""
+
+    a: Fraction
+    r: Fraction
+
+    @property
+    def sign(self) -> int:
+        # a^2 != r because r is not a square
+        return 1 if self.a > 0 and self.a * self.a > self.r else -1
+
+    def __float__(self) -> float:
+        return float(self.a) - math.sqrt(self.r)
+
+    def __str__(self) -> str:
+        return f"{self.a}-sqrt({self.r})" if self.a else f"-sqrt({self.r})"
+
+
+def minus_sqrt(a: Fraction, r: Fraction) -> Union[Fraction, Surd]:
+    """a - sqrt(r) for rationals a and r >= 0, exactly: a Fraction when r is
+    the square of a rational, otherwise a ``Surd``."""
+    num, den = math.isqrt(r.numerator), math.isqrt(r.denominator)
+    if num * num == r.numerator and den * den == r.denominator:
+        return a - Fraction(num, den)
+    return Surd(a, r)
+
+
+@dataclass(frozen=True)
 class JacobiMode:
     """One eigenvalue of a Jacobi operator.
 
-    ``value`` is an exact Fraction whenever the closed form is rational
-    in tau^2, otherwise a float whose sign was decided exactly and stored
-    in ``sign`` (-1, 0, +1; None means indeterminate and taints nullity).
+    ``value`` is exact, a Fraction or a ``Surd``; a float is rejected.
+    ``sign`` (-1, 0, +1) is decided from it once, on construction.
     """
 
     family: str
     labels: tuple[int, ...]
-    value: Union[Fraction, float]
+    value: Union[Fraction, Surd]
     multiplicity: int
-    sign: Optional[int] = None
+    sign: int = field(init=False)
 
     def __post_init__(self):
         if self.multiplicity < 1:
             raise GeometryDomainError("emitted modes must have multiplicity >= 1")
-        if isinstance(self.value, int):
-            object.__setattr__(self, "value", Fraction(self.value))
-        if isinstance(self.value, Fraction):
-            object.__setattr__(self, "sign", (self.value > 0) - (self.value < 0))
-        elif self.sign is None and abs(self.value) > ZERO_BAND:
-            object.__setattr__(self, "sign", 1 if self.value > 0 else -1)
-
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
+        value = self.value
+        if isinstance(value, Surd):
+            sign = value.sign
+        else:
+            if isinstance(value, int):
+                value = Fraction(value)
+                object.__setattr__(self, "value", value)
+            elif not isinstance(value, Fraction):
+                raise TypeError(f"mode values must be exact, got {type(value).__name__}")
+            sign = (value > 0) - (value < 0)
+        object.__setattr__(self, "sign", sign)
 
 
 @dataclass(frozen=True)
@@ -271,27 +299,21 @@ class IndexReport:
     certificate: str
     index_is_lower_bound: bool = False
     nullity_is_lower_bound: bool = False
-    warnings: tuple[str, ...] = ()
 
 
 def _collect_report(modes, truncation_k, certificate,
                     index_is_lower_bound=False, nullity_is_lower_bound=False) -> IndexReport:
     index = 0
     nullity = 0
-    warnings = []
     for mode in modes:
-        if mode.sign is None:
-            warnings.append(
-                f"mode {mode.family}{mode.labels} has value {mode.value!r} within "
-                f"{ZERO_BAND} of zero but no exact sign; nullity left unclaimed")
-        elif mode.sign < 0:
+        if mode.sign < 0:
             index += mode.multiplicity
         elif mode.sign == 0:
             nullity += mode.multiplicity
-    nonpos = tuple(sorted((m for m in modes if m.sign is not None and m.sign <= 0),
-                          key=lambda m: (m.value_float, m.family, m.labels)))
+    nonpos = tuple(sorted((m for m in modes if m.sign <= 0),
+                          key=lambda m: (float(m.value), m.family, m.labels)))
     return IndexReport(index, nullity, nonpos, truncation_k, certificate,
-                       index_is_lower_bound, nullity_is_lower_bound, tuple(warnings))
+                       index_is_lower_bound, nullity_is_lower_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +353,7 @@ def tg_berger_modes(n: int, m: int, tau, k_max: int = 2) -> list[JacobiMode]:
                 for s in (1, -1):
                     value = Fraction(base) + t * (q + s) ** 2
                     modes.append(JacobiMode("normal-slot", (k, p, s), value, mult * slots))
-    modes.sort(key=lambda mo: (mo.value_float, mo.labels))
+    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
     return modes
 
 
@@ -347,10 +369,7 @@ def tg_berger_index_nullity(n: int, m: int, tau) -> IndexReport:
     param = BergerParam.coerce(tau)
     slots = n - m
     threshold = Fraction(1, 2 * (m + 1))
-    if param.tau_sq <= threshold:
-        index = 0
-    else:
-        index = 2 * slots
+    index = 0 if param.tau_sq <= threshold else 2 * slots
     if param.tau_sq == 1:
         nullity = 4 * slots * (m + 1)
     elif param.tau_sq == threshold:
@@ -358,14 +377,7 @@ def tg_berger_index_nullity(n: int, m: int, tau) -> IndexReport:
     else:
         nullity = 2 * slots * (m + 1)
 
-    modes = []
-    k0_value = 1 / param.tau_sq - (2 * m + 2)
-    if k0_value <= 0:
-        modes.append(JacobiMode("normal-slot", (0, 0, 0), k0_value, 2 * slots))
-    modes.append(JacobiMode("normal-slot", (1, 0, -1), Fraction(0), (2 * m + 2) * slots))
-    plus_value = 4 * param.vertical_ratio
-    if plus_value == 0:
-        modes.append(JacobiMode("normal-slot", (1, 0, 1), plus_value, (2 * m + 2) * slots))
+    modes = tg_berger_modes(n, m, param, k_max=1)
     cert = ("piecewise table in tau^2; branch thresholds 1/(2m+2) and 1, "
             "modes with k >= 2 are strictly positive")
     report = _collect_report(modes, 1, cert)
@@ -399,7 +411,7 @@ def circle_modes(s: int, tau, k_max: int, slots: int = 1) -> list[JacobiMode]:
         for sgn in (1, -1):
             value = base + t * (Fraction(k, s) + sgn) ** 2
             modes.append(JacobiMode("circle", (k, sgn), value, 2 * slots))
-    modes.sort(key=lambda mo: (mo.value_float, mo.labels))
+    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
     return modes
 
 
@@ -443,7 +455,7 @@ def veronese_modes(tau, k_max: int = 4, quotient: bool = True) -> list[JacobiMod
                              + Fraction((q + 4 * s) ** 2, 4) / param.tau_sq
                              - Fraction((q + s) ** 2, 2))
                     modes.append(JacobiMode("bundle-pair", (k, p, s), value, mult))
-    modes.sort(key=lambda mo: (mo.value_float, mo.labels))
+    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
     return modes
 
 
@@ -485,9 +497,11 @@ def totally_real_sphere_modes(n: int, d: int, tau, k_max: int = 3) -> list[Jacob
       the 2(n-d) constant normal directions; values lambda_k - d.
     * ``gradient-pair``: the coupled gradient/function operator; values
       lambda_k - c - sqrt(c^2 + 4 tau^2 lambda_k) with c = d+1-2 tau^2 for
-      k >= 1, whose sign is the exact sign of lambda_k - 2(d+1), plus a
-      one-dimensional zero mode.  (The companion + branch is strictly
-      positive and omitted.)
+      k >= 1, whose sign is the sign of lambda_k - 2(d+1), plus a
+      one-dimensional zero mode.  The values are exact ``Surd``s, or
+      Fractions where the radicand is a rational square: at k = 2 (value 0)
+      and at tau^2 = 1.  (The companion + branch is strictly positive and
+      omitted.)
     * ``coexact-form``: the single value -4(1-tau^2) with multiplicity
       d(d+1)/2 coming from coexact one-forms (harmonic forms for d = 1).
 
@@ -498,6 +512,8 @@ def totally_real_sphere_modes(n: int, d: int, tau, k_max: int = 3) -> list[Jacob
     if not (1 <= d <= n):
         raise GeometryDomainError("need 1 <= d <= n")
     param = BergerParam.coerce(tau)
+    p, q = param.tau_sq.numerator, param.tau_sq.denominator
+    cq = (d + 1) * q - 2 * p  # c = cq / q, kept in integers for speed
     modes = []
 
     for k in range(max(k_max, 2) + 1):
@@ -509,17 +525,12 @@ def totally_real_sphere_modes(n: int, d: int, tau, k_max: int = 3) -> list[Jacob
             modes.append(JacobiMode("gradient-pair", (0,), Fraction(0), 1))
             continue
         lam = _round_sphere_eig(d, k)
-        gap = lam - 2 * (d + 1)  # exact sign of the minus branch
-        if gap == 0:
-            modes.append(JacobiMode("gradient-pair", (k,), Fraction(0), mult))
-        else:
-            c = d + 1 - 2 * float(param.tau_sq)
-            value = lam - c - math.sqrt(c * c + 4 * float(param.tau_sq) * lam)
-            modes.append(JacobiMode("gradient-pair", (k,), value, mult,
-                                    sign=(1 if gap > 0 else -1)))
+        a = Fraction(lam * q - cq, q)  # lambda_k - c
+        r = Fraction(cq * cq + 4 * p * q * lam, q * q)  # c^2 + 4 tau^2 lambda_k
+        modes.append(JacobiMode("gradient-pair", (k,), minus_sqrt(a, r), mult))
 
     modes.append(JacobiMode("coexact-form", (2,), -4 * param.one_minus, d * (d + 1) // 2))
-    modes.sort(key=lambda mo: (mo.value_float, mo.family, mo.labels))
+    modes.sort(key=lambda mo: (float(mo.value), mo.family, mo.labels))
     return modes
 
 
@@ -542,7 +553,7 @@ def totally_real_sphere_index_nullity(n: int, d: int, tau) -> IndexReport:
     cert = ("constant-normal modes are positive for k >= 2, gradient-pair "
             "modes are negative exactly for lambda_k < 2(d+1) (k <= 1) and "
             "zero exactly at k = 2; the coexact value is -4(1-tau^2)")
-    report = _collect_report([m for m in modes if m.sign is not None and m.sign <= 0], 2, cert)
+    report = _collect_report(modes, 2, cert)
     if (report.index, report.nullity) != (index, nullity):
         raise AssertionError("closed-form table disagrees with its own mode list")
     return report
@@ -569,7 +580,7 @@ def clifford_jacobi_modes(m1: int, m2: int, tau, sum_max: int = 2) -> list[Jacob
     shift = 4 * (m1 + m2 + 1)
     modes = [JacobiMode("hypersurface", (c.k1, c.k2, c.p), c.value - shift, c.multiplicity)
              for c in spectra.clifford_modes(m1, m2, tau, sum_max)]
-    modes.sort(key=lambda mo: (mo.value_float, mo.labels))
+    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
     return modes
 
 

@@ -21,15 +21,13 @@ Criterion tags used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from . import models
 from .geometry import BergerParam, GeometryDomainError
-from .models import JacobiMode
 
 
 class Verdict(Enum):
@@ -44,7 +42,6 @@ class StabilityVerdict:
     verdict: Verdict
     reason: str
     theorem: str
-    witness: Optional[Union[JacobiMode, str]] = None
 
 
 @dataclass(frozen=True)
@@ -145,23 +142,14 @@ def proof_polynomial_P(d: int, q: int, tau, x):
     return float(a) * x * x + float(b) * x + float(c)
 
 
-def proof_polynomial_max_sign(d: int, q: int, tau, grid: int = 1000) -> int:
-    """Exact sign of max_{x in grid of [0,1]} P(x), by integer arithmetic.
+def proof_polynomial_max_sign(d: int, q: int, tau) -> int:
+    """Exact sign of max_{0 <= x <= 1} P(x).
 
-    The grid is x = j/(grid-1).  Scaling by the common denominator turns
-    every evaluation into an integer, so the returned sign is exact.
+    The leading coefficient (1-tau^2)^2/tau^2 is nonnegative, so P is
+    convex and its maximum on [0, 1] is max(P(0), P(1)).
     """
     a, b, c = proof_polynomial_coefficients(d, q, tau)
-    den = grid - 1
-    common = math.lcm(a.denominator, b.denominator, c.denominator)
-    ai = a.numerator * (common // a.denominator)
-    bi = b.numerator * (common // b.denominator)
-    ci = c.numerator * (common // c.denominator)
-    best = None
-    for j in range(grid):
-        val = ai * j * j + bi * j * den + ci * den * den
-        if best is None or val > best:
-            best = val
+    best = max(c, a + b + c)
     return (best > 0) - (best < 0)
 
 

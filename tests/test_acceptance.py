@@ -175,4 +175,4 @@ def test_criterion_9_proof_polynomial():
         for q in range(1, 5):
             for i in range(1, 51):
                 ts = threshold + span * F(i, 50)
-                assert stability.proof_polynomial_max_sign(d, q, ts, grid=1000) == -1
+                assert stability.proof_polynomial_max_sign(d, q, ts) == -1

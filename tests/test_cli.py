@@ -1,6 +1,7 @@
 """Command-line interface: content, formats, exit codes, determinism."""
 
 import dataclasses
+import gc
 import io
 import json
 
@@ -126,28 +127,44 @@ class TestModelFlags:
         assert capsys.readouterr().err == f"error: --model {model.name} needs --{missing}\n"
 
 
+BAD_INPUTS = [
+    ["spectrum", "--space", "berger", "--n", "-3", "--tau-sq", "1/3"],
+    ["spectrum", "--space", "clifford", "--m1", "-2", "--m2", "0", "--tau-sq", "1/3"],
+    ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "-1", "--tau-sq", "1/3",
+     "--low"],
+    ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--kmax", "-1"],
+    ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3",
+     "--kmax", "-1"],
+    ["verify", "--samples", "0"],
+    ["tai-check", "--tau-sq", "1/2", "--samples", "0"],
+    ["curvature-check", "--tau-sq", "1/2", "--samples", "0"],
+    ["tai-check", "--tau-sq", "1/2", "--n", "0", "--samples", "2"],
+    ["phase", "--n-max", "0"],
+    ["phase", "--tau-sq-grid", ",,"],
+    ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--low"],
+    ["index", "--model", "circle", "--n", "1", "--s", "2", "--tau-sq", "1/2", "--kmax", "-3"],
+]
+
+
 class TestBadInput:
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--space", "berger", "--n", "-3", "--tau-sq", "1/3"],
-        ["spectrum", "--space", "clifford", "--m1", "-2", "--m2", "0", "--tau-sq", "1/3"],
-        ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "-1", "--tau-sq", "1/3",
-         "--low"],
-        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--kmax", "-1"],
-        ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3",
-         "--kmax", "-1"],
-        ["verify", "--samples", "0"],
-        ["tai-check", "--tau-sq", "1/2", "--samples", "0"],
-        ["curvature-check", "--tau-sq", "1/2", "--samples", "0"],
-        ["tai-check", "--tau-sq", "1/2", "--n", "0", "--samples", "2"],
-        ["phase", "--n-max", "0"],
-        ["phase", "--tau-sq-grid", ",,"],
-        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--low"],
-        ["index", "--model", "circle", "--n", "1", "--s", "2", "--tau-sq", "1/2", "--kmax", "-3"],
-    ])
+    @pytest.mark.parametrize("argv", BAD_INPUTS)
     def test_exit_code_two_with_one_line_error(self, argv, capsys):
         assert run(argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("argv", [
+        ["index", "--model", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3"],
+        ["tai-check", "--tau-sq", "1/2", "--n", "1", "--samples", "3"],
+        ["index", "--model", "circle", "--n", "1", "--tau-sq", "1/2"],
+    ])
+    def test_main_leaves_no_cyclic_garbage(self, argv):
+        run(argv)  # the first call builds the parser
+        gc.collect()
+        run(argv)
+        assert gc.collect() == 0
 
 
 class TestPhaseCommand:

@@ -1,17 +1,19 @@
 """Jacobi mode families and the index/nullity tables."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from bergersphere import models
 from bergersphere.geometry import GeometryDomainError
-from bergersphere.models import (CircleCover, CliffordHypersurface, JacobiMode,
+from bergersphere.models import (CircleCover, CliffordHypersurface, JacobiMode, Surd,
                                  TotallyGeodesicBergerSphere, TotallyRealSphere,
                                  TruncationError, TruncationPolicy, VeroneseRP3,
                                  VeroneseS3, circle_modes, circle_stability,
-                                 clifford_index_nullity, enumerate_index,
+                                 clifford_index_nullity, enumerate_index, minus_sqrt,
                                  tg_berger_index_nullity, tg_berger_modes,
                                  totally_real_sphere_index_nullity,
                                  totally_real_sphere_modes, veronese_index_nullity,
@@ -265,16 +267,15 @@ class TestEnumerationDriver:
 
 
 class TestModeBookkeeping:
-    def test_indeterminate_float_zero_is_flagged(self):
-        mode = JacobiMode("synthetic", (0,), 1e-14, 3)
-        assert mode.sign is None
-        report = models._collect_report([mode], 0, "synthetic")
-        assert report.warnings and report.nullity == 0
+    @pytest.mark.parametrize("value", [1e-14, 0.0, -2.5])
+    def test_float_value_rejected(self, value):
+        with pytest.raises(TypeError):
+            JacobiMode("synthetic", (0,), value, 3)
 
     def test_exact_zero_counts(self):
         mode = JacobiMode("synthetic", (0,), F(0), 3)
         report = models._collect_report([mode], 0, "synthetic")
-        assert report.nullity == 3 and not report.warnings
+        assert report.nullity == 3
 
     def test_multiplicity_validation(self):
         with pytest.raises(GeometryDomainError):
@@ -358,3 +359,57 @@ class TestEnumerationAgainstClosedForms:
     @given(model=st.sampled_from(family_library()), ts=TAU_SQ)
     def test_random_exact_parameters(self, model, ts):
         assert_enumeration_matches_closed_form(model, ts)
+
+
+def gradient_pair_float(d, k, ts):
+    """The float formula the gradient-pair values were stored with before
+    they became exact."""
+    lam = k * (d + k - 1)
+    c = d + 1 - 2 * float(ts)
+    return lam - c - math.sqrt(c * c + 4 * float(ts) * lam)
+
+
+class TestExactGradientPair:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(nd=st.sampled_from([(n, d) for n in range(1, 5) for d in range(1, n + 1)]),
+           ts=TAU_SQ)
+    def test_sign_is_that_of_the_eigenvalue_gap(self, nd, ts):
+        n, d = nd
+        pairs = [m for m in totally_real_sphere_modes(n, d, ts, k_max=6)
+                 if m.family == "gradient-pair" and m.labels != (0,)]
+        assert [m.labels for m in pairs] == [(k,) for k in range(1, 7)]
+        for mode in pairs:
+            (k,) = mode.labels
+            gap = k * (d + k - 1) - 2 * (d + 1)
+            assert mode.sign == (gap > 0) - (gap < 0), (n, d, ts, k)
+            assert abs(float(mode.value) - gradient_pair_float(d, k, ts)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rational_cases(self, d):
+        for ts in (F(1, 7), F(1, 3), F(1)):
+            values = {m.labels: m.value for m in totally_real_sphere_modes(4, d, ts, k_max=4)
+                      if m.family == "gradient-pair"}
+            assert values[(2,)] == 0 and isinstance(values[(2,)], F)
+            assert all(isinstance(v, F) for v in values.values()) == (ts == 1)
+        assert totally_real_sphere_modes(4, d, F(1))[0].value == -d
+
+    def test_rendering(self):
+        assert str(minus_sqrt(F(-1, 3), F(73, 9))) == "-1/3-sqrt(73/9)"
+        assert str(minus_sqrt(F(0), F(3))) == "-sqrt(3)"
+        assert str(minus_sqrt(F(2), F(4, 9))) == "4/3"
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(a=st.fractions(min_value=-20, max_value=20, max_denominator=30),
+           r=st.one_of(st.fractions(min_value=0, max_value=50, max_denominator=30),
+                       st.fractions(min_value=0, max_value=7, max_denominator=30)
+                       .map(lambda q: q * q)))
+    def test_fraction_exactly_for_square_radicands(self, a, r):
+        value = minus_sqrt(a, r)
+        root = sympy.sqrt(sympy.Rational(r.numerator, r.denominator))
+        exact = sympy.Rational(a.numerator, a.denominator) - root
+        if root.is_rational:
+            assert isinstance(value, F) and value == F(int(exact.p), int(exact.q))
+        else:
+            assert isinstance(value, Surd) and (value.a, value.r) == (a, r)
+            assert JacobiMode("synthetic", (0,), value, 1).sign == sympy.sign(exact)
+            assert abs(float(value) - float(exact)) <= 1e-12 * max(1, abs(float(exact)))

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergersphere import cli, oracle, spectra
 from bergersphere.geometry import GeometryDomainError
@@ -89,6 +90,16 @@ class TestTorusFourier:
 
     @pytest.mark.parametrize("ts", [F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(1)])
     def test_exact_crosscheck_with_closed_form(self, ts):
+        fourier = oracle.torus_fourier_index(ts, 4)
+        closed = clifford_index_nullity(0, 0, ts)
+        assert (fourier.index, fourier.nullity) == (closed.index, closed.nullity)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(ts=st.one_of(
+        st.sampled_from([F(1, 3), F(1, 3) - F(1, 4096), F(1, 3) + F(1, 4096),
+                         F(1), F(4095, 4096)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=64).filter(bool)))
+    def test_exact_crosscheck_random_parameters(self, ts):
         fourier = oracle.torus_fourier_index(ts, 4)
         closed = clifford_index_nullity(0, 0, ts)
         assert (fourier.index, fourier.nullity) == (closed.index, closed.nullity)

@@ -15,6 +15,7 @@ from bergersphere.stability import (CliffordTorus, MinimalSphere, OtherSurface,
                                     dimension_instability, genus_index_bound,
                                     hypersurface_first_eigenvalue_bound,
                                     index_lower_bound, moduli_curve,
+                                    proof_polynomial_coefficients,
                                     proof_polynomial_P, proof_polynomial_max_sign,
                                     s1_bundle_stability,
                                     surface_index_one_classification)
@@ -67,6 +68,20 @@ class TestDimensionObstruction:
         assert dimension_instability(3, F(1, 5)).verdict is Verdict.UNDETERMINED
 
 
+def grid_max_sign(d, q, tau):
+    """Reference: the sign of the largest P(j/100), j = 0..100, in integer
+    arithmetic after scaling by the common denominator.  The grid holds both
+    endpoints, so on a convex P it finds the maximum over [0, 1]."""
+    a, b, c = proof_polynomial_coefficients(d, q, tau)
+    den = 100
+    common = math.lcm(a.denominator, b.denominator, c.denominator)
+    ai = a.numerator * (common // a.denominator)
+    bi = b.numerator * (common // b.denominator)
+    ci = c.numerator * (common // c.denominator)
+    best = max(ai * j * j + bi * j * den + ci * den * den for j in range(den + 1))
+    return (best > 0) - (best < 0)
+
+
 class TestProofPolynomial:
     def test_value_at_zero(self):
         for d, q, ts in [(2, 1, F(1, 2)), (4, 3, F(2, 3))]:
@@ -81,7 +96,16 @@ class TestProofPolynomial:
             for ts in (F(1, d + 1) + F(1, 100), F(1, 2) + F(1, 7), F(1)):
                 if ts > 1:
                     continue
-                assert proof_polynomial_max_sign(d, q, ts, grid=200) == -1
+                assert proof_polynomial_max_sign(d, q, ts) == -1
+
+    @pytest.mark.parametrize("d", range(1, 12))
+    def test_max_sign_matches_grid_reference(self, d):
+        threshold = F(1, d + 1)
+        taus = [F(i, 197) for i in range(1, 198)]
+        taus += [threshold, threshold - F(1, 1000), threshold + F(1, 1000)]
+        for q in range(1, 12):
+            for ts in taus:
+                assert proof_polynomial_max_sign(d, q, ts) == grid_max_sign(d, q, ts), (d, q, ts)
 
     def test_float_evaluation(self):
         got = proof_polynomial_P(2, 1, F(1, 2), 0.5)
