@@ -10,6 +10,9 @@ case, so slow drift of the host's speed hits both alike.
 
 Cases:
 
+* L0 ``oracle.harmonic_dim_bruteforce(3, 3, 4)`` and
+  ``oracle.lxi_squared_spectrum(1, 1/3, 8)``: exact kernel ranks, dominated
+  by the elimination in ``exactlinalg``.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 (seeded, drawn outside the timed region).
 * L2 ``curvature-tensor-500``: the curvature tensor at 500 sampled points
@@ -45,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (layer, name, repeats, command line of an L5 case)
 CASES = [
+    ("L0", "harmonic_dim_bruteforce(3, 3, 4)", 5, None),
+    ("L0", "lxi_squared_spectrum(1, 1/3, 8)", 5, None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", 11, None),
     ("L2", "curvature-tensor-500", 21, None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
@@ -56,12 +61,13 @@ CASES = [
 
 
 def _time_in_process(case: str) -> float:
-    """One timed run of an in-process case; inputs are built before the clock starts."""
+    """One timed run of the in-process case named ``case``; inputs are built
+    before the clock starts."""
     from fractions import Fraction
 
     from bergersphere import cli, geometry, oracle, stability
 
-    if case == "L1":
+    if case.startswith("phase_rows"):
         rng = np.random.default_rng(2024)
         grid = []
         while len(grid) < 6:
@@ -73,7 +79,7 @@ def _time_in_process(case: str) -> float:
         start = time.perf_counter()
         stability.phase_rows(model_list, grid)
         return time.perf_counter() - start
-    if case == "L2":
+    if case == "curvature-tensor-500":
         rng = np.random.default_rng(2024)
         z = rng.standard_normal((500, 6))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -92,11 +98,16 @@ def _time_in_process(case: str) -> float:
         for a in args:
             geometry.curvature_tensor(tau, *a)
         return time.perf_counter() - start
+    call = {
+        "harmonic_dim_bruteforce(3, 3, 4)": lambda: oracle.harmonic_dim_bruteforce(3, 3, 4),
+        "lxi_squared_spectrum(1, 1/3, 8)":
+            lambda: oracle.lxi_squared_spectrum(1, Fraction(1, 3), 8),
+        "curvature_symmetry_check(1/3, 2, 500)":
+            lambda: oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500),
+        "verify_all(512)": lambda: oracle.verify_all(512),
+    }[case]
     start = time.perf_counter()
-    if case == "L3":
-        oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500)
-    elif case == "L4":
-        oracle.verify_all(512)
+    call()
     return time.perf_counter() - start
 
 
@@ -107,13 +118,13 @@ def _env(src: Path) -> dict:
     return env
 
 
-def _one_run(layer: str, command, src: Path) -> float:
+def _one_run(name: str, command, src: Path) -> float:
     if command is not None:
         start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "bergersphere.cli", *command],
                        env=_env(src), stdout=subprocess.DEVNULL, check=False)
         return time.perf_counter() - start
-    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", layer],
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name],
                          env=_env(src), capture_output=True, text=True, check=True)
     return float(out.stdout.strip().splitlines()[-1])
 
@@ -158,8 +169,8 @@ def main(argv=None) -> int:
         for layer, name, repeats, command in CASES:
             times = {"before": [], "after": []}
             for _ in range(repeats):
-                times["before"].append(_one_run(layer, command, before_src))
-                times["after"].append(_one_run(layer, command, after_src))
+                times["before"].append(_one_run(name, command, before_src))
+                times["after"].append(_one_run(name, command, after_src))
             before, after = _summary(times["before"]), _summary(times["after"])
             cases.append({"layer": layer, "case": name, "before": before, "after": after,
                           "speedup": before["median_s"] / after["median_s"]})

@@ -1,112 +1,73 @@
-"""Exact rank / kernel computations for small integer and rational matrices.
+"""Exact rank and kernel of small integer matrices.
 
 The polynomial oracles need kernel *dimensions*, and those must be exact
 integers: a float rank can silently misclassify a near-singular matrix.
-Integer matrices go through fraction-free (Bareiss) elimination so all
-intermediate entries stay integers; kernel bases are produced from a
-Fraction-valued reduced row echelon form.
+One row reduction over Python ints serves both entry points.  For each
+pivot column it replaces every row with a nonzero entry f there by
+``p*row - f*pivot_row`` (p the pivot) and divides the result by the gcd of
+its entries, so the entries stay small without any fractions.  A row with
+a zero in the pivot column is left as it is: it needs no update, and
+skipping it is what keeps the oracles' very sparse matrices cheap (Bareiss
+elimination would rescale every row below each pivot, and its entries grow
+into minors).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix (list of equal-length row lists)."""
+def _row_reduce(rows, ncols: int, full: bool):
+    """Echelon form of an integer matrix; returns (pivot rows, pivot columns).
+
+    With ``full`` the rows above each pivot are reduced too (Gauss-Jordan),
+    so every pivot column is zero outside its own row.
+    """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
+    pivots: list[int] = []
     for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pivot_row = m[rank]
         p = pivot_row[col]
-        for r in range(rank + 1, nrows):
-            row = m[r]
-            f = row[col]
-            # Bareiss update: exact integer division by the previous pivot.
-            for c in range(col + 1, ncols):
-                row[c] = (p * row[c] - f * pivot_row[c]) // prev
-            row[col] = 0
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def integer_nullity(rows: list[list[int]], ncols: int) -> int:
-    """Dimension of the right kernel of an integer matrix with `ncols` columns."""
-    if not rows:
-        return ncols
-    return ncols - integer_rank(rows)
-
-
-def fraction_rref(rows, ncols: int):
-    """Reduced row echelon form over Fraction.
-
-    Returns (rref_rows, pivot_cols); input rows may hold ints or Fractions.
-    """
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        for r in range(0 if full else rank + 1, len(m)):
+            f = m[r][col]
+            if f == 0 or r == rank:
+                continue
+            row = [p * x - f * y for x, y in zip(m[r], pivot_row)]
+            g = gcd(*row)
+            m[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
+        if len(pivots) == len(m):
             break
-    return m[:rank], pivots
+    return m[:len(pivots)], pivots
 
 
-def kernel_basis(rows, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one Fraction vector per free column.
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix (list of equal-length row lists)."""
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0, full=False)[1])
 
-    Each basis vector has a 1 in its free column, so coordinates of a
-    kernel element with respect to this basis can be read off directly
-    at the free positions.
+
+def kernel_basis(rows, ncols: int) -> list[list[int]]:
+    """Basis of the right kernel, one primitive integer vector per free column.
+
+    The vector of a free column is positive there and zero at every other
+    free column.
     """
-    if not rows:
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = fraction_rref(rows, ncols)
+    reduced, pivots = _row_reduce(rows, ncols, full=True)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        scale = lcm(*(abs(row[pc]) for row, pc in zip(reduced, pivots) if row[fc]))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc] * scale // row[pc]
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
-
-
-def fraction_rank(rows, ncols: int) -> int:
-    """Rank of a matrix with int/Fraction entries."""
-    _, pivots = fraction_rref(rows, ncols)
-    return len(pivots)

@@ -399,12 +399,6 @@ def killing_flow(tau, t: float, z: AmbientPoint) -> AmbientPoint:
     return AmbientPoint(killing_flow_rows(tau, t, z.coords))
 
 
-def killing_flow_differential(tau, t: float, v: TangentVector) -> TangentVector:
-    """Pushforward of a tangent vector under the (linear) Killing flow."""
-    return TangentVector(killing_flow(tau, t, v.base),
-                         killing_flow_differential_rows(tau, t, v.comps))
-
-
 def tangent_j(z: AmbientPoint, v: np.ndarray) -> np.ndarray:
     """Complex structure followed by tangential projection.
 

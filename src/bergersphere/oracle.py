@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectra
-from .exactlinalg import fraction_rank, integer_nullity, kernel_basis
+from .exactlinalg import integer_rank, kernel_basis
 from .geometry import (BergerParam, GeometryDomainError, berger_inner_rows,
                        berger_orthonormalize_rows, check_dimension, check_points,
                        check_tangents, curvature_tensor_rows, fubini_study_inner_rows,
@@ -108,6 +108,8 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int, cap: int = 8) -> int:
     z^alpha zbar^beta and returns the exact kernel dimension over the
     rationals.  Refuses degrees above the cap (the matrices grow fast).
     """
+    if n < 0:
+        raise GeometryDomainError(f"n must be nonnegative, got {n}")
     if a < 0 or b < 0:
         return 0
     if a + b > cap:
@@ -128,7 +130,7 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int, cap: int = 8) -> int:
                 al2 = al[:v] + (al[v] - 1,) + al[v + 1:]
                 be2 = be[:v] + (be[v] - 1,) + be[v + 1:]
                 rows[tgt_index[(al2, be2)]][j] = al[v] * be[v]
-    return integer_nullity(rows, len(cols))
+    return len(cols) - integer_rank(rows)
 
 
 def _block_basis(dvec: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -182,6 +184,8 @@ def lxi_squared_spectrum(n: int, tau, k: int, cap: int = 8):
     decreasing eigenvalue; eigenvalues are -m^2/tau^2 as exact fractions.
     Raises if the multiplicities fail to add up to the full harmonic count.
     """
+    if n < 0 or k < 0:
+        raise GeometryDomainError(f"n and k must be nonnegative, got n={n}, k={k}")
     if k > cap:
         raise GeometryDomainError(f"degree {k} exceeds the configured cap {cap}")
     param = BergerParam.coerce(tau)
@@ -218,7 +222,7 @@ def lxi_squared_spectrum(n: int, tau, k: int, cap: int = 8):
     results = []
     total = 0
     for m in range(k % 2, k + 1, 2):
-        vectors = []  # (dvec, basis, Fraction coords)
+        vectors = []  # (dvec, basis, integer coords)
         for dvec, basis, rot_sq in blocks:
             dim = len(basis)
             shifted = [[rot_sq[i][j] + (m * m if i == j else 0) for j in range(dim)]
@@ -227,17 +231,14 @@ def lxi_squared_spectrum(n: int, tau, k: int, cap: int = 8):
                 vectors.append((dvec, basis, vec))
         if not vectors:
             continue
-        if k >= 2:
-            rows = [[Fraction(0)] * len(vectors) for _ in range(len(tgt_index))]
-            for col, (dvec, basis, vec) in enumerate(vectors):
-                for t, coef in zip(basis, vec):
-                    if coef == 0:
-                        continue
-                    for key, val in laplacian_column(dvec, t, coef).items():
-                        rows[tgt_index[key]][col] += val
-            nullity = len(vectors) - fraction_rank(rows, len(vectors))
-        else:
-            nullity = len(vectors)
+        rows = [[0] * len(vectors) for _ in range(len(tgt_index))]
+        for col, (dvec, basis, vec) in enumerate(vectors):
+            for t, coef in zip(basis, vec):
+                if coef == 0:
+                    continue
+                for key, val in laplacian_column(dvec, t, coef).items():
+                    rows[tgt_index[key]][col] += val
+        nullity = len(vectors) - integer_rank(rows)
         if nullity > 0:
             results.append((Fraction(-m * m) / param.tau_sq, nullity))
             total += nullity

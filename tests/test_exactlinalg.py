@@ -1,9 +1,9 @@
-"""Exact rank kernels against each other and against sympy."""
+"""The exact rank and kernel against sympy."""
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bergersphere.exactlinalg import fraction_rank, integer_rank
+from bergersphere.exactlinalg import integer_rank, kernel_basis
 
 ENTRY = st.one_of(st.just(0), st.integers(-9, 9))
 
@@ -26,6 +26,17 @@ def integer_matrices(draw):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(rows=integer_matrices())
-def test_integer_rank_matches_fraction_rank_and_sympy(rows):
+def test_integer_rank_matches_sympy(rows):
+    assert integer_rank(rows) == sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(rows=integer_matrices())
+def test_kernel_basis_is_an_integer_kernel_basis(rows):
     ncols = len(rows[0])
-    assert integer_rank(rows) == fraction_rank(rows, ncols) == sympy.Matrix(rows).rank()
+    basis = kernel_basis(rows, ncols)
+    assert all(type(x) is int for vec in basis for x in vec)
+    assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows for vec in basis)
+    assert len(basis) == ncols - sympy.Matrix(rows).rank()
+    if basis:
+        assert sympy.Matrix(basis).rank() == len(basis)

@@ -27,11 +27,13 @@ class TestHarmonicBruteforce:
     def test_cap_enforced(self):
         with pytest.raises(GeometryDomainError):
             oracle.harmonic_dim_bruteforce(1, 5, 4)
+        with pytest.raises(GeometryDomainError):
+            oracle.harmonic_dim_bruteforce(-1, 1, 1)
 
     def test_exact_agreement_with_closed_form(self):
-        for n in (0, 1, 2):
-            for a in range(5):
-                for b in range(5 - a):
+        for n in (0, 1, 2, 3):
+            for a in range(9):
+                for b in range(9 - a):
                     assert oracle.harmonic_dim_bruteforce(n, a, b) == \
                         spectra.bidegree_dimension(n, a, b)
 
@@ -48,10 +50,10 @@ class TestVerticalSpectrum:
         ts = F(1, 3)
         assert oracle.lxi_squared_spectrum(1, ts, 2) == [(F(0), 3), (-4 / ts, 6)]
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_frequency_split(self, n):
         ts = F(2, 5)
-        for k in range(6):
+        for k in range({0: 8, 1: 8, 2: 6, 3: 5}[n] + 1):
             got = dict(oracle.lxi_squared_spectrum(n, ts, k))
             expected = {}
             for p in range(k // 2 + 1):
@@ -64,6 +66,10 @@ class TestVerticalSpectrum:
     def test_cap(self):
         with pytest.raises(GeometryDomainError):
             oracle.lxi_squared_spectrum(1, F(1, 2), 9)
+        with pytest.raises(GeometryDomainError):
+            oracle.lxi_squared_spectrum(-1, F(1, 3), 2)
+        with pytest.raises(GeometryDomainError):
+            oracle.lxi_squared_spectrum(1, F(1, 3), -1)
 
 
 class TestTorusFourier:
