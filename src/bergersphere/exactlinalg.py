@@ -23,7 +23,7 @@ def _row_reduce(rows, ncols: int, full: bool):
     With ``full`` the rows above each pivot are reduced too (Gauss-Jordan),
     so every pivot column is zero outside its own row.
     """
-    m = [list(r) for r in rows]
+    m = list(rows)  # updates build new row lists; the caller's rows stay as they are
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)

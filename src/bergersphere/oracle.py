@@ -101,12 +101,22 @@ def _monomials(nvars: int, degree: int):
             yield (first,) + rest
 
 
+def _by_weight(n: int, a: int, b: int) -> dict[tuple[int, ...], list]:
+    """Exponent pairs (alpha, beta) of bidegree (a, b), grouped by alpha - beta."""
+    blocks: dict[tuple[int, ...], list] = {}
+    for al in _monomials(n + 1, a):
+        for be in _monomials(n + 1, b):
+            blocks.setdefault(tuple(x - y for x, y in zip(al, be)), []).append((al, be))
+    return blocks
+
+
 def harmonic_dim_bruteforce(n: int, a: int, b: int, cap: int = 8) -> int:
     """Dimension of bidegree-(a, b) harmonic polynomials by exact kernel rank.
 
     Assembles the mixed second derivative sum on the monomial basis
-    z^alpha zbar^beta and returns the exact kernel dimension over the
-    rationals.  Refuses degrees above the cap (the matrices grow fast).
+    z^alpha zbar^beta, one block per weight alpha - beta, and returns the
+    exact kernel dimension over the rationals.  Refuses degrees above the
+    cap (the matrices grow fast).
     """
     if n < 0:
         raise GeometryDomainError(f"n must be nonnegative, got {n}")
@@ -114,23 +124,24 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int, cap: int = 8) -> int:
         return 0
     if a + b > cap:
         raise GeometryDomainError(f"bidegree {a}+{b} exceeds the configured cap {cap}")
-    alphas = list(_monomials(n + 1, a))
-    betas = list(_monomials(n + 1, b))
-    cols = [(al, be) for al in alphas for be in betas]
+    sources = _by_weight(n, a, b)
     if a == 0 or b == 0:
-        return len(cols)
-    tgt_index = {}
-    for al in _monomials(n + 1, a - 1):
-        for be in _monomials(n + 1, b - 1):
-            tgt_index[(al, be)] = len(tgt_index)
-    rows = [[0] * len(cols) for _ in range(len(tgt_index))]
-    for j, (al, be) in enumerate(cols):
-        for v in range(n + 1):
-            if al[v] >= 1 and be[v] >= 1:
-                al2 = al[:v] + (al[v] - 1,) + al[v + 1:]
-                be2 = be[:v] + (be[v] - 1,) + be[v + 1:]
-                rows[tgt_index[(al2, be2)]][j] = al[v] * be[v]
-    return len(cols) - integer_rank(rows)
+        return sum(map(len, sources.values()))
+    # The operator lowers alpha and beta at the same index, so it keeps the
+    # weight alpha - beta: its matrix is block diagonal by weight.
+    targets = _by_weight(n, a - 1, b - 1)
+    nullity = 0
+    for weight, cols in sources.items():
+        tgt_index = {t: i for i, t in enumerate(targets.get(weight, ()))}
+        rows = [[0] * len(cols) for _ in range(len(tgt_index))]
+        for j, (al, be) in enumerate(cols):
+            for v in range(n + 1):
+                if al[v] >= 1 and be[v] >= 1:
+                    al2 = al[:v] + (al[v] - 1,) + al[v + 1:]
+                    be2 = be[:v] + (be[v] - 1,) + be[v + 1:]
+                    rows[tgt_index[(al2, be2)]][j] = al[v] * be[v]
+        nullity += len(cols) - integer_rank(rows)
+    return nullity
 
 
 def _block_basis(dvec: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -34,7 +34,9 @@ def test_integer_rank_matches_sympy(rows):
 @given(rows=integer_matrices())
 def test_kernel_basis_is_an_integer_kernel_basis(rows):
     ncols = len(rows[0])
+    before = [list(r) for r in rows]
     basis = kernel_basis(rows, ncols)
+    assert rows == before
     assert all(type(x) is int for vec in basis for x in vec)
     assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows for vec in basis)
     assert len(basis) == ncols - sympy.Matrix(rows).rank()
