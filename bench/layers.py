@@ -67,7 +67,7 @@ def _time_in_process(case: str) -> float:
 
     from bergersphere import cli, geometry, oracle, stability
 
-    if case.startswith("phase_rows"):
+    if case == "phase_rows(_phase_models(8), 6 random tau^2)":
         rng = np.random.default_rng(2024)
         grid = []
         while len(grid) < 6:
