@@ -15,14 +15,18 @@ Cases:
   by the elimination in ``exactlinalg``.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 (seeded, drawn outside the timed region).
+  Each run is a fresh interpreter, so the mode tables start cold, as they
+  do for a single command-line call.
 * L2 ``curvature-tensor-500``: the curvature tensor at 500 sampled points
   (inputs built outside the timed region); one batched call where the tree
   has ``curvature_tensor_rows``, else 500 scalar ``curvature_tensor`` calls.
 * L3 ``curvature_symmetry_check(1/3, 2, 500)``.
 * L4 ``verify_all(512)``.
-* L5 ``python -m bergersphere.cli verify --samples 2000`` and
+* L5 ``python -m bergersphere.cli verify --samples 2000``,
   ``python -m bergersphere.cli index --model totally-real --n 4 --d 3
-  --tau-sq 2/7``, process wall time.
+  --tau-sq 2/7`` and ``python -m bergersphere.cli phase --n-max 8
+  --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json``, process wall
+  time.
 
 The output holds, per case and tree, the median and the interquartile range
 of the repeats in seconds, plus the git sha, a digest of the after tree's
@@ -57,6 +61,10 @@ CASES = [
     ("L5", "cli verify --samples 2000 (process wall)", 5, ["verify", "--samples", "2000"]),
     ("L5", "cli index --model totally-real --n 4 --d 3 --tau-sq 2/7 (process wall)", 11,
      ["index", "--model", "totally-real", "--n", "4", "--d", "3", "--tau-sq", "2/7"]),
+    ("L5", "cli phase --n-max 8 --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json "
+     "(process wall)", 11,
+     ["phase", "--n-max", "8", "--tau-sq-grid", "1/7,3/17,2/9,5/12,8/13,29/31",
+      "--format", "json"]),
 ]
 
 

@@ -78,6 +78,8 @@ def _print_table(header, rows, out):
 
 def cmd_spectrum(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
+    if args.kmax > models.K_LIMIT:
+        raise CliError(f"--kmax must be at most {models.K_LIMIT}, got {args.kmax}")
     if args.space == "berger":
         if args.n is None:
             raise CliError("--space berger needs --n")

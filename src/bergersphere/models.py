@@ -2,28 +2,45 @@
 
 Each model family below is a compact minimal submanifold of a Berger
 sphere whose Jacobi operator diagonalises against the exact Laplace
-spectra of :mod:`bergersphere.spectra`.  Every mode value is exact: a
-rational in tau^2, or, for the one irrational family (the gradient-pair
-modes of the totally real spheres), a ``Surd`` a - sqrt(r) with rational
-a and r.  The sign of every mode - and hence index and nullity - is
-therefore decided exactly.
+spectra of :mod:`bergersphere.spectra`.  A family states its Jacobi modes
+once, in a mode table that does not depend on tau and holds only
+integers.  A ``ModeRow`` carries the family, the labels, the multiplicity
+and integers (u, v, w, den), den > 0, with
 
-``enumerate_index`` drives any family through its mode generator with a
-truncation certificate: a monotone lower bound proving that all modes
-beyond the scanned range are strictly positive.
+    value = (u + v tau^2 + w / tau^2) / den,
+
+so at tau^2 = p/q the sign of a mode is the sign of the integer
+u pq + v p^2 + w q^2.  The one irrational family, the gradient-pair modes
+of the totally real spheres, has values a - sqrt(r) (a ``Surd``, with
+rational a and r) whose sign is that of lambda_k - 2(d+1) at every tau; a
+``GradientPairRow`` stores that sign and builds the value only when the
+mode is needed.  Index and nullity are therefore decided exactly, in
+integers.
+
+Tables are memoised per (model, depth).  ``enumerate_index`` drives any
+family through its table with a truncation certificate, a monotone lower
+bound proving that all modes beyond the scanned range are strictly
+positive, and builds a ``JacobiMode`` only for a nonpositive row.  The
+``*_modes`` functions evaluate the same tables at one tau^2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, NamedTuple, Optional, Union
 
 from .geometry import BergerParam, GeometryDomainError
 from . import spectra
 
 K_LIMIT = 64  # deepest scan ``enumerate_index`` runs, whatever the policy asks
+
+# Mode tables memoised by ``_mode_table``.  ``phase --n-max 8`` evaluates 110
+# models at their certified depth; 256 leaves room for as many tables again
+# from ``index`` and the ``*_modes`` functions.
+TABLE_CACHE_SIZE = 256
 
 
 class TruncationError(RuntimeError):
@@ -44,7 +61,7 @@ class ModelSubmanifold:
     * ``name``: the ``--model`` value; the dataclass fields are the flags;
     * ``bundle``: (m, s) of the circle-bundle picture, or None;
     * ``certified_k``: the scan depth beyond which every mode is positive;
-    * ``modes(param, k)``: the Jacobi modes up to depth k;
+    * ``table(k)``: the rows of its tau-free mode table up to depth k;
     * ``certificate(k)``: why the modes beyond depth k are positive;
     * ``lower_bounds(param)``: whether index and nullity are only bounded
       below.
@@ -87,8 +104,35 @@ class TotallyGeodesicBergerSphere(ModelSubmanifold):
             raise GeometryDomainError("index enumeration needs m < n")
         return 2
 
-    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
-        return tg_berger_modes(self.n, self.m, param, k_max=k)
+    def table(self, k_max: int) -> list[ModeRow]:
+        """Per complex normal slot the eigenvalues are
+
+            rho = (2m+1+k)(k-1) + ((1-tau^2)/tau^2) (k-2p +- 1)^2,
+
+        with multiplicity dim V(mu_{k,p}) of the small sphere per sign branch
+        (the branches merge, doubling the multiplicity, when k = 2p).  The
+        n - m slots carry identical spectra, so multiplicities are aggregated
+        by the slot count.  As (1-tau^2)/tau^2 = 1/tau^2 - 1, the branch with
+        c = (k-2p +- 1)^2 is the row (base - c, 0, c, 1), base = (2m+1+k)(k-1).
+        """
+        m, slots = self.m, self.n - self.m
+        rows = []
+        for k in range(k_max + 1):
+            base = (2 * m + 1 + k) * (k - 1)
+            for p in range(k // 2 + 1):
+                mult = spectra.berger_multiplicity(m, k, p)
+                if mult == 0:
+                    continue
+                q = k - 2 * p
+                if q == 0:
+                    rows.append(ModeRow("normal-slot", (k, p, 0), 2 * mult * slots,
+                                        base - 1, 0, 1, 1))
+                else:
+                    for s in (1, -1):
+                        c = (q + s) ** 2
+                        rows.append(ModeRow("normal-slot", (k, p, s), mult * slots,
+                                            base - c, 0, c, 1))
+        return rows
 
     def certificate(self, k: int) -> str:
         return (f"scanned k <= {k}; for k >= 2 every mode is at least "
@@ -116,8 +160,26 @@ class CircleCover(ModelSubmanifold):
     def certified_k(self) -> int:
         return self.s
 
-    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
-        return circle_modes(self.s, param, k_max=k, slots=self.n)
+    def table(self, k_max: int) -> list[ModeRow]:
+        """Per complex normal slot
+
+            rho_(+-)(k) = (k^2/s^2 - 1) + ((1-tau^2)/tau^2) (k/s +- 1)^2, k >= 0,
+
+        each with multiplicity 2 per slot (the circle eigenspaces are
+        two-dimensional for k >= 1 and the k = 0 branches merge).  Over the
+        denominator s^2, with c = (k +- s)^2, that is the row
+        (k^2 - s^2 - c, 0, c, s^2).
+        """
+        s, mult = self.s, 2 * self.n
+        rows = []
+        for k in range(k_max + 1):
+            if k == 0:
+                rows.append(ModeRow("circle", (0, 0), mult, -2 * s * s, 0, s * s, s * s))
+                continue
+            for sgn in (1, -1):
+                c = (k + sgn * s) ** 2
+                rows.append(ModeRow("circle", (k, sgn), mult, k * k - s * s - c, 0, c, s * s))
+        return rows
 
     def certificate(self, k: int) -> str:
         return (f"scanned k <= {k}; for k > s every mode is at least "
@@ -133,8 +195,32 @@ class _QuadraticCurveBundle(ModelSubmanifold):
     certified_k = 4
     quotient: ClassVar[bool]
 
-    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
-        return veronese_modes(param, k_max=k, quotient=self.quotient)
+    def table(self, k_max: int) -> list[ModeRow]:
+        """The eigenvalues
+
+            rho_(+-)(k,p) = (1 + k(2+k))/2 + (k-2p +- 4)^2/(4 tau^2) - 8
+                            - (k-2p +- 1)^2 / 2,
+
+        with multiplicity dim V(mu_{k,p}) of the 3-sphere per branch, doubled
+        and merged when k = 2p, are the rows over the denominator 4.  The
+        embedded projective model keeps the even k only; the 2-1 covering
+        3-sphere keeps all k.
+        """
+        rows = []
+        for k in range(k_max + 1):
+            if self.quotient and k % 2 == 1:
+                continue
+            shell = 2 * (1 + k * (2 + k)) - 32  # four times (1 + k(2+k))/2 - 8
+            for p in range(k // 2 + 1):
+                mult = spectra.berger_multiplicity(1, k, p)
+                q = k - 2 * p
+                if q == 0:
+                    rows.append(ModeRow("bundle-pair", (k, p, 0), 2 * mult, shell - 2, 0, 16, 4))
+                else:
+                    for s in (1, -1):
+                        rows.append(ModeRow("bundle-pair", (k, p, s), mult,
+                                            shell - 2 * (q + s) ** 2, 0, (q + 4 * s) ** 2, 4))
+        return rows
 
     def certificate(self, k: int) -> str:
         return f"scanned k <= {k}; modes with k >= 5 satisfy rho >= (k^2-16)/4 > 0"
@@ -178,8 +264,36 @@ class TotallyRealSphere(ModelSubmanifold):
     def dimension(self) -> int:
         return self.d
 
-    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
-        return totally_real_sphere_modes(self.n, self.d, param, k_max=k)
+    def table(self, k_max: int) -> list[Union[ModeRow, GradientPairRow]]:
+        """Three families of modes, scanned to depth max(k_max, 2).
+
+        * ``constant-normal``: the Laplacian shifted by d acting along each
+          of the 2(n-d) constant normal directions; values lambda_k - d.
+        * ``gradient-pair``: the coupled gradient/function operator; values
+          lambda_k - c - sqrt(c^2 + 4 tau^2 lambda_k) with c = d+1-2 tau^2
+          for k >= 1 (a ``GradientPairRow``), plus a one-dimensional zero
+          mode.  (The companion + branch is strictly positive and omitted.)
+        * ``coexact-form``: the single value -4(1-tau^2) with multiplicity
+          d(d+1)/2 coming from coexact one-forms (harmonic forms for d = 1).
+
+        At tau^2 = 1 these families evaluate exactly to the classical round
+        values: the coexact value reaches zero and the k = 1 gradient value
+        becomes -d.
+        """
+        n, d = self.n, self.d
+        rows = []
+        for k in range(max(k_max, 2) + 1):
+            mult = spectra.sphere_harmonic_multiplicity(d, k)
+            lam = _round_sphere_eig(d, k)
+            if d < n:
+                rows.append(ModeRow("constant-normal", (k,), 2 * (n - d) * mult, lam - d, 0, 0, 1))
+            if k == 0:
+                rows.append(ModeRow("gradient-pair", (0,), 1, 0, 0, 0, 1))
+            else:
+                gap = lam - 2 * (d + 1)
+                rows.append(GradientPairRow((k,), mult, d, lam, (gap > 0) - (gap < 0)))
+        rows.append(ModeRow("coexact-form", (2,), d * (d + 1) // 2, -4, 4, 0, 1))
+        return rows
 
     def certificate(self, k: int) -> str:
         return (f"scanned k <= {k}; constant-normal modes grow like k(d+k-1)-d "
@@ -212,8 +326,28 @@ class CliffordHypersurface(ModelSubmanifold):
     def dimension(self) -> int:
         return 2 * self.n
 
-    def modes(self, param: BergerParam, k: int) -> list[JacobiMode]:
-        return clifford_jacobi_modes(self.m1, self.m2, param, sum_max=k)
+    def table(self, sum_max: int) -> list[ModeRow]:
+        """The Jacobi operator is the Laplacian plus 4n, so its modes are the
+        Laplace modes mu_{k1,k2,p} - 4n with k1 + k2 <= sum_max.  The Laplace
+        value at tau^2 = 1 is the horizontal part h of mu; the vertical part
+        is (k1+k2-2p)^2 (1/tau^2 - 1).  Every mode with k1+k2 >= 3 (and every
+        (2,0)/(0,2) mode) is strictly positive; the nonpositive-relevant ones
+        are
+
+        * -4n with multiplicity 1,
+        * 1/tau^2 - (2n+1) with multiplicity 2(n+1),
+        * 0 with multiplicity 2(m1+1)(m2+1)                (frequency-0 pair),
+        * 4(1-tau^2)/tau^2 with multiplicity 2(m1+1)(m2+1) (frequency-2 pair;
+          this one reaches zero at tau^2 = 1 and doubles the nullity there).
+        """
+        shift = 4 * self.n
+        rows = []
+        for c in spectra.clifford_modes(self.m1, self.m2, 1, sum_max):
+            h, v = c.value, (c.k1 + c.k2 - 2 * c.p) ** 2
+            rows.append(ModeRow("hypersurface", (c.k1, c.k2, c.p), c.multiplicity,
+                                h.numerator - (shift + v) * h.denominator, 0,
+                                v * h.denominator, h.denominator))
+        return rows
 
     def certificate(self, k: int) -> str:
         return (f"scanned k1+k2 <= {k}; eigenvalues with k1+k2 >= 3 satisfy "
@@ -284,7 +418,7 @@ class JacobiMode:
                 object.__setattr__(self, "value", value)
             elif not isinstance(value, Fraction):
                 raise TypeError(f"mode values must be exact, got {type(value).__name__}")
-            sign = (value > 0) - (value < 0)
+            sign = (value.numerator > 0) - (value.numerator < 0)
         object.__setattr__(self, "sign", sign)
 
 
@@ -301,6 +435,81 @@ class IndexReport:
     nullity_is_lower_bound: bool = False
 
 
+class ModeRow(NamedTuple):
+    """One row of a mode table: a mode whose value at tau^2 is
+    (u + v tau^2 + w / tau^2) / den, with integers u, v, w and den > 0."""
+
+    family: str
+    labels: tuple[int, ...]
+    multiplicity: int
+    u: int
+    v: int
+    w: int
+    den: int
+
+
+class GradientPairRow(NamedTuple):
+    """A gradient-pair mode of the totally real d-sphere at round eigenvalue
+    lam = lambda_k, k >= 1: its value lam - c - sqrt(c^2 + 4 tau^2 lam),
+    c = d+1-2 tau^2, has the sign of lam - 2(d+1) at every tau."""
+
+    labels: tuple[int, ...]
+    multiplicity: int
+    d: int
+    lam: int
+    sign: int
+
+    family = "gradient-pair"
+
+    def value(self, p: int, q: int) -> Union[Fraction, Surd]:
+        """The exact value at tau^2 = p/q: a Fraction where the radicand is
+        the square of a rational (at k = 2, where the value is 0, and at
+        tau^2 = 1), otherwise a ``Surd``."""
+        cq = (self.d + 1) * q - 2 * p  # c = cq / q, kept in integers for speed
+        return minus_sqrt(Fraction(self.lam * q - cq, q),  # lambda - c
+                          Fraction(cq * cq + 4 * p * q * self.lam, q * q))  # c^2 + 4 tau^2 lambda
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _mode_table(model: ModelSubmanifold, k: int) -> tuple[Union[ModeRow, GradientPairRow], ...]:
+    return tuple(model.table(k))
+
+
+def _evaluate(table, tau_sq: Fraction, nonpositive_only: bool = False) -> list[JacobiMode]:
+    """The modes of a table at tau^2 = p/q, in table order.
+
+    A ``ModeRow`` has the sign of the integer u pq + v p^2 + w q^2, which is
+    den pq times its value; with ``nonpositive_only`` a value is built only
+    for a row whose sign is at most 0.
+    """
+    p, q = tau_sq.numerator, tau_sq.denominator
+    pq, pp, qq = p * q, p * p, q * q
+    modes = []
+    for row in table:
+        if type(row) is GradientPairRow:
+            if nonpositive_only and row.sign > 0:
+                continue
+            value = row.value(p, q)
+        else:
+            num = row.u * pq + row.v * pp + row.w * qq
+            if nonpositive_only and num > 0:
+                continue
+            value = Fraction(num, row.den * pq)
+        modes.append(JacobiMode(row.family, row.labels, value, row.multiplicity))
+    return modes
+
+
+def _by_value(mode: JacobiMode):
+    return float(mode.value), mode.family, mode.labels
+
+
+def _modes(model: ModelSubmanifold, tau, k: int) -> list[JacobiMode]:
+    """Every mode of the model's table at depth k, at tau, sorted by value."""
+    modes = _evaluate(_mode_table(model, k), BergerParam.coerce(tau).tau_sq)
+    modes.sort(key=_by_value)
+    return modes
+
+
 def _collect_report(modes, truncation_k, certificate,
                     index_is_lower_bound=False, nullity_is_lower_bound=False) -> IndexReport:
     index = 0
@@ -310,8 +519,7 @@ def _collect_report(modes, truncation_k, certificate,
             index += mode.multiplicity
         elif mode.sign == 0:
             nullity += mode.multiplicity
-    nonpos = tuple(sorted((m for m in modes if m.sign <= 0),
-                          key=lambda m: (float(m.value), m.family, m.labels)))
+    nonpos = tuple(sorted((m for m in modes if m.sign <= 0), key=_by_value))
     return IndexReport(index, nullity, nonpos, truncation_k, certificate,
                        index_is_lower_bound, nullity_is_lower_bound)
 
@@ -322,39 +530,12 @@ def _collect_report(modes, truncation_k, certificate,
 
 
 def tg_berger_modes(n: int, m: int, tau, k_max: int = 2) -> list[JacobiMode]:
-    """Jacobi modes of the totally geodesic Berger sphere.
-
-    Per complex normal slot the eigenvalues are
-
-        rho = (2m+1+k)(k-1) + ((1-tau^2)/tau^2) (k-2p +- 1)^2,
-
-    with multiplicity dim V(mu_{k,p}) of the small sphere per sign branch
-    (the branches merge, doubling the multiplicity, when k = 2p).  The
-    n - m slots carry identical spectra, so multiplicities are aggregated
-    by the slot count.
-    """
+    """Jacobi modes of the totally geodesic Berger sphere S^{2m+1}_tau in
+    S^{2n+1}_tau with degree k <= k_max, sorted by value (the table of
+    ``TotallyGeodesicBergerSphere`` at tau)."""
     if not (0 <= m < n):
         raise GeometryDomainError("need 0 <= m < n")
-    param = BergerParam.coerce(tau)
-    slots = n - m
-    t = param.vertical_ratio
-    modes = []
-    for k in range(k_max + 1):
-        base = (2 * m + 1 + k) * (k - 1)
-        for p in range(k // 2 + 1):
-            mult = spectra.berger_multiplicity(m, k, p)
-            if mult == 0:
-                continue
-            q = k - 2 * p
-            if q == 0:
-                value = Fraction(base) + t
-                modes.append(JacobiMode("normal-slot", (k, p, 0), value, 2 * mult * slots))
-            else:
-                for s in (1, -1):
-                    value = Fraction(base) + t * (q + s) ** 2
-                    modes.append(JacobiMode("normal-slot", (k, p, s), value, mult * slots))
-    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
-    return modes
+    return _modes(TotallyGeodesicBergerSphere(n, m), tau, k_max)
 
 
 def tg_berger_index_nullity(n: int, m: int, tau) -> IndexReport:
@@ -392,27 +573,12 @@ def tg_berger_index_nullity(n: int, m: int, tau) -> IndexReport:
 
 
 def circle_modes(s: int, tau, k_max: int, slots: int = 1) -> list[JacobiMode]:
-    """Jacobi modes of the s-fold covered circle, per complex normal slot.
-
-    rho_(+-)(k) = (k^2/s^2 - 1) + ((1-tau^2)/tau^2) (k/s +- 1)^2, k >= 0,
-    each with multiplicity 2 per slot (the circle eigenspaces are
-    two-dimensional for k >= 1 and the k = 0 branches merge).
-    """
+    """Jacobi modes of the s-fold covered circle with k <= k_max over
+    ``slots`` complex normal slots, sorted by value (the table of
+    ``CircleCover(slots, s)`` at tau)."""
     if s < 1:
         raise GeometryDomainError("need s >= 1")
-    param = BergerParam.coerce(tau)
-    t = param.vertical_ratio
-    modes = []
-    for k in range(k_max + 1):
-        base = Fraction(k * k, s * s) - 1
-        if k == 0:
-            modes.append(JacobiMode("circle", (0, 0), base + t, 2 * slots))
-            continue
-        for sgn in (1, -1):
-            value = base + t * (Fraction(k, s) + sgn) ** 2
-            modes.append(JacobiMode("circle", (k, sgn), value, 2 * slots))
-    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
-    return modes
+    return _modes(CircleCover(slots, s), tau, k_max)
 
 
 def circle_stability(s: int, tau) -> bool:
@@ -428,35 +594,10 @@ def circle_stability(s: int, tau) -> bool:
 
 
 def veronese_modes(tau, k_max: int = 4, quotient: bool = True) -> list[JacobiMode]:
-    """Jacobi modes of the quadratic-curve circle bundles in S^5_tau.
-
-    rho_(+-)(k,p) = (1 + k(2+k))/2 + (k-2p +- 4)^2/(4 tau^2) - 8
-                    - (k-2p +- 1)^2 / 2,
-
-    with multiplicity dim V(mu_{k,p}) of the 3-sphere per branch, doubled
-    and merged when k = 2p.  The embedded projective model keeps the even
-    k only; the 2-1 covering 3-sphere keeps all k.
-    """
-    param = BergerParam.coerce(tau)
-    modes = []
-    for k in range(k_max + 1):
-        if quotient and k % 2 == 1:
-            continue
-        half_shell = Fraction(1 + k * (2 + k), 2) - 8
-        for p in range(k // 2 + 1):
-            mult = spectra.berger_multiplicity(1, k, p)
-            q = k - 2 * p
-            if q == 0:
-                value = half_shell + Fraction(16, 4) / param.tau_sq - Fraction(1, 2)
-                modes.append(JacobiMode("bundle-pair", (k, p, 0), value, 2 * mult))
-            else:
-                for s in (1, -1):
-                    value = (half_shell
-                             + Fraction((q + 4 * s) ** 2, 4) / param.tau_sq
-                             - Fraction((q + s) ** 2, 2))
-                    modes.append(JacobiMode("bundle-pair", (k, p, s), value, mult))
-    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
-    return modes
+    """Jacobi modes of the quadratic-curve circle bundles in S^5_tau with
+    k <= k_max, sorted by value: the embedded projective model (the table of
+    ``VeroneseRP3``) or, with ``quotient=False``, the covering 3-sphere."""
+    return _modes(VeroneseRP3() if quotient else VeroneseS3(), tau, k_max)
 
 
 def veronese_index_nullity(tau, quotient: bool = True) -> IndexReport:
@@ -491,47 +632,10 @@ def _round_sphere_eig(d: int, k: int) -> int:
 
 
 def totally_real_sphere_modes(n: int, d: int, tau, k_max: int = 3) -> list[JacobiMode]:
-    """Jacobi modes of the totally geodesic real d-sphere, three families.
-
-    * ``constant-normal``: the Laplacian shifted by d acting along each of
-      the 2(n-d) constant normal directions; values lambda_k - d.
-    * ``gradient-pair``: the coupled gradient/function operator; values
-      lambda_k - c - sqrt(c^2 + 4 tau^2 lambda_k) with c = d+1-2 tau^2 for
-      k >= 1, whose sign is the sign of lambda_k - 2(d+1), plus a
-      one-dimensional zero mode.  The values are exact ``Surd``s, or
-      Fractions where the radicand is a rational square: at k = 2 (value 0)
-      and at tau^2 = 1.  (The companion + branch is strictly positive and
-      omitted.)
-    * ``coexact-form``: the single value -4(1-tau^2) with multiplicity
-      d(d+1)/2 coming from coexact one-forms (harmonic forms for d = 1).
-
-    At tau^2 = 1 these families evaluate exactly to the classical round
-    values: the coexact value reaches zero and the k = 1 gradient value
-    becomes -d.
-    """
-    if not (1 <= d <= n):
-        raise GeometryDomainError("need 1 <= d <= n")
-    param = BergerParam.coerce(tau)
-    p, q = param.tau_sq.numerator, param.tau_sq.denominator
-    cq = (d + 1) * q - 2 * p  # c = cq / q, kept in integers for speed
-    modes = []
-
-    for k in range(max(k_max, 2) + 1):
-        mult = spectra.sphere_harmonic_multiplicity(d, k)
-        if d < n:
-            value = Fraction(_round_sphere_eig(d, k) - d)
-            modes.append(JacobiMode("constant-normal", (k,), value, 2 * (n - d) * mult))
-        if k == 0:
-            modes.append(JacobiMode("gradient-pair", (0,), Fraction(0), 1))
-            continue
-        lam = _round_sphere_eig(d, k)
-        a = Fraction(lam * q - cq, q)  # lambda_k - c
-        r = Fraction(cq * cq + 4 * p * q * lam, q * q)  # c^2 + 4 tau^2 lambda_k
-        modes.append(JacobiMode("gradient-pair", (k,), minus_sqrt(a, r), mult))
-
-    modes.append(JacobiMode("coexact-form", (2,), -4 * param.one_minus, d * (d + 1) // 2))
-    modes.sort(key=lambda mo: (float(mo.value), mo.family, mo.labels))
-    return modes
+    """Jacobi modes of the totally geodesic real d-sphere in S^{2n+1}_tau,
+    scanned to depth max(k_max, 2) and sorted by value (the table of
+    ``TotallyRealSphere`` at tau)."""
+    return _modes(TotallyRealSphere(n, d), tau, k_max)
 
 
 def totally_real_sphere_index_nullity(n: int, d: int, tau) -> IndexReport:
@@ -565,23 +669,9 @@ def totally_real_sphere_index_nullity(n: int, d: int, tau) -> IndexReport:
 
 
 def clifford_jacobi_modes(m1: int, m2: int, tau, sum_max: int = 2) -> list[JacobiMode]:
-    """Jacobi modes of the Clifford hypersurface with k1 + k2 <= sum_max.
-
-    The Jacobi operator is the Laplacian plus 4n, so its modes are the
-    Laplace modes mu_{k1,k2,p} - 4n.  Every mode with k1+k2 >= 3 (and every
-    (2,0)/(0,2) mode) is strictly positive; the nonpositive-relevant ones are
-
-    * -4n with multiplicity 1,
-    * 1/tau^2 - (2n+1) with multiplicity 2(n+1),
-    * 0 with multiplicity 2(m1+1)(m2+1)                (frequency-0 pair),
-    * 4(1-tau^2)/tau^2 with multiplicity 2(m1+1)(m2+1) (frequency-2 pair;
-      this one reaches zero at tau^2 = 1 and doubles the nullity there).
-    """
-    shift = 4 * (m1 + m2 + 1)
-    modes = [JacobiMode("hypersurface", (c.k1, c.k2, c.p), c.value - shift, c.multiplicity)
-             for c in spectra.clifford_modes(m1, m2, tau, sum_max)]
-    modes.sort(key=lambda mo: (float(mo.value), mo.labels))
-    return modes
+    """Jacobi modes of the Clifford hypersurface with k1 + k2 <= sum_max,
+    sorted by value (the table of ``CliffordHypersurface`` at tau)."""
+    return _modes(CliffordHypersurface(m1, m2), tau, sum_max)
 
 
 def clifford_index_nullity(m1: int, m2: int, tau) -> IndexReport:
@@ -636,8 +726,12 @@ def _resolve_k(policy: Optional[TruncationPolicy], required: int) -> int:
 
 
 def enumerate_index(model: ModelSubmanifold, tau, policy: Optional[TruncationPolicy] = None) -> IndexReport:
-    """Index/nullity of a model by mode enumeration with a positivity certificate."""
+    """Index/nullity of a model by mode enumeration with a positivity certificate.
+
+    The sign of every row of the model's table is decided in integers; a
+    ``JacobiMode`` is built only for a nonpositive row.
+    """
     param = BergerParam.coerce(tau)
     k = _resolve_k(policy, model.certified_k)
-    return _collect_report(model.modes(param, k), k, model.certificate(k),
-                           *model.lower_bounds(param))
+    modes = _evaluate(_mode_table(model, k), param.tau_sq, nonpositive_only=True)
+    return _collect_report(modes, k, model.certificate(k), *model.lower_bounds(param))

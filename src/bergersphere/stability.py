@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Union
 
 from . import models
@@ -250,18 +251,19 @@ def phase_verdict(model, tau, report) -> StabilityVerdict:
 
 
 def phase_rows(model_list, tau_sq_grid) -> list[tuple]:
-    """Phase-diagram rows (see PHASE_HEADER), sorted by (model, tau^2)."""
+    """Phase-diagram rows (see PHASE_HEADER), sorted by (model, tau^2), one
+    per model and distinct value of the grid."""
+    params = sorted(set(map(BergerParam.coerce, tau_sq_grid)), key=attrgetter("tau_sq"))
+    labelled = [(model.label(), model) for model in model_list]
     rows = []
-    for model in model_list:
-        label = model.label()
-        for ts in tau_sq_grid:
-            param = BergerParam.coerce(ts)
+    for param in params:  # ascending, and the sort by label below is stable
+        ts = param.tau_sq
+        for label, model in labelled:
             report = models.enumerate_index(model, param)
             verdict = phase_verdict(model, param, report)
-            rows.append((label, model.dimension, param.tau_sq.numerator,
-                         param.tau_sq.denominator, report.index, report.nullity,
-                         verdict.verdict.value, verdict.theorem))
-    rows.sort(key=lambda r: (r[0], Fraction(r[2], r[3])))
+            rows.append((label, model.dimension, ts.numerator, ts.denominator,
+                         report.index, report.nullity, verdict.verdict.value, verdict.theorem))
+    rows.sort(key=itemgetter(0))
     return rows
 
 

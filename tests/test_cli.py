@@ -39,6 +39,12 @@ class TestSpectrumCommand:
         assert [(m["k1"], m["k2"], m["p"], m["multiplicity"]) for m in modes] == [
             (0, 0, 0, 1), (1, 0, 0, 2), (0, 1, 0, 2), (1, 1, 1, 2)]
 
+    def test_kmax_at_the_index_limit(self):
+        # one more is bad input (BAD_INPUTS)
+        code, text = run(["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3",
+                          "--kmax", str(models.K_LIMIT), "--format", "csv"])
+        assert code == 0 and text.splitlines()[-1].startswith(f"{models.K_LIMIT},")
+
     def test_zero_parameter_rejected(self):
         code, _ = run(["spectrum", "--space", "berger", "--n", "1",
                        "--tau-sq", "0", "--kmax", "2"])
@@ -143,6 +149,9 @@ BAD_INPUTS = [
     ["phase", "--tau-sq-grid", ",,"],
     ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--low"],
     ["index", "--model", "circle", "--n", "1", "--s", "2", "--tau-sq", "1/2", "--kmax", "-3"],
+    ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--kmax", "100000000"],
+    ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3",
+     "--kmax", "65"],
 ]
 
 
@@ -178,6 +187,11 @@ class TestPhaseCommand:
         for row in rows[1:]:
             index, verdict = int(row[4]), row[6]
             assert (index == 0) == (verdict == "stable")
+
+    def test_repeated_grid_value_gives_one_row(self):
+        once = run(["phase", "--n-max", "1", "--tau-sq-grid", "1/3"])
+        assert run(["phase", "--n-max", "1", "--tau-sq-grid", "1/3,2/6"]) == once
+        assert once[0] == 0 and once[1].count("\n") == 1 + len(cli._phase_models(1))
 
     def test_stable_window_tagged(self):
         code, text = run(["phase", "--n-max", "1", "--tau-sq-grid", "1/4"])

@@ -7,13 +7,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bergersphere import models
+from bergersphere import models, spectra
 from bergersphere.geometry import GeometryDomainError
 from bergersphere.models import (CircleCover, CliffordHypersurface, JacobiMode, Surd,
                                  TotallyGeodesicBergerSphere, TotallyRealSphere,
                                  TruncationError, TruncationPolicy, VeroneseRP3,
                                  VeroneseS3, circle_modes, circle_stability,
-                                 clifford_index_nullity, enumerate_index, minus_sqrt,
+                                 clifford_index_nullity, clifford_jacobi_modes,
+                                 enumerate_index, minus_sqrt,
                                  tg_berger_index_nullity, tg_berger_modes,
                                  totally_real_sphere_index_nullity,
                                  totally_real_sphere_modes, veronese_index_nullity,
@@ -359,6 +360,145 @@ class TestEnumerationAgainstClosedForms:
     @given(model=st.sampled_from(family_library()), ts=TAU_SQ)
     def test_random_exact_parameters(self, model, ts):
         assert_enumeration_matches_closed_form(model, ts)
+
+
+# Test-side copies of the per-tau mode formulas the tables replaced; each
+# returns (family, labels, value, multiplicity) in the order of the modes.
+def reference_tg_berger(n, m, ts, k_max):
+    t = (1 - ts) / ts
+    out = []
+    for k in range(k_max + 1):
+        base = (2 * m + 1 + k) * (k - 1)
+        for p in range(k // 2 + 1):
+            mult = spectra.berger_multiplicity(m, k, p)
+            if mult == 0:
+                continue
+            q = k - 2 * p
+            if q == 0:
+                out.append(("normal-slot", (k, p, 0), F(base) + t, 2 * mult * (n - m)))
+            else:
+                out += [("normal-slot", (k, p, s), F(base) + t * (q + s) ** 2, mult * (n - m))
+                        for s in (1, -1)]
+    return out
+
+
+def reference_circle(n, s, ts, k_max):
+    t = (1 - ts) / ts
+    out = []
+    for k in range(k_max + 1):
+        base = F(k * k, s * s) - 1
+        if k == 0:
+            out.append(("circle", (0, 0), base + t, 2 * n))
+            continue
+        out += [("circle", (k, sgn), base + t * (F(k, s) + sgn) ** 2, 2 * n) for sgn in (1, -1)]
+    return out
+
+
+def reference_veronese(quotient, ts, k_max):
+    out = []
+    for k in range(k_max + 1):
+        if quotient and k % 2 == 1:
+            continue
+        half_shell = F(1 + k * (2 + k), 2) - 8
+        for p in range(k // 2 + 1):
+            mult = spectra.berger_multiplicity(1, k, p)
+            q = k - 2 * p
+            if q == 0:
+                out.append(("bundle-pair", (k, p, 0), half_shell + 4 / ts - F(1, 2), 2 * mult))
+            else:
+                out += [("bundle-pair", (k, p, s),
+                         half_shell + F((q + 4 * s) ** 2, 4) / ts - F((q + s) ** 2, 2), mult)
+                        for s in (1, -1)]
+    return out
+
+
+def reference_totally_real(n, d, ts, k_max):
+    c = d + 1 - 2 * ts
+    out = []
+    for k in range(max(k_max, 2) + 1):
+        mult = spectra.sphere_harmonic_multiplicity(d, k)
+        lam = k * (d + k - 1)
+        if d < n:
+            out.append(("constant-normal", (k,), F(lam - d), 2 * (n - d) * mult))
+        if k == 0:
+            out.append(("gradient-pair", (0,), F(0), 1))
+        else:
+            out.append(("gradient-pair", (k,), minus_sqrt(lam - c, c * c + 4 * ts * lam), mult))
+    out.append(("coexact-form", (2,), -4 * (1 - ts), d * (d + 1) // 2))
+    return out
+
+
+def reference_clifford(m1, m2, ts, sum_max):
+    return [("hypersurface", (c.k1, c.k2, c.p), c.value - 4 * (m1 + m2 + 1), c.multiplicity)
+            for c in spectra.clifford_modes(m1, m2, ts, sum_max)]
+
+
+REFERENCE = {
+    TotallyGeodesicBergerSphere: lambda mo, ts, k: reference_tg_berger(mo.n, mo.m, ts, k),
+    CircleCover: lambda mo, ts, k: reference_circle(mo.n, mo.s, ts, k),
+    VeroneseRP3: lambda mo, ts, k: reference_veronese(True, ts, k),
+    VeroneseS3: lambda mo, ts, k: reference_veronese(False, ts, k),
+    TotallyRealSphere: lambda mo, ts, k: reference_totally_real(mo.n, mo.d, ts, k),
+    CliffordHypersurface: lambda mo, ts, k: reference_clifford(mo.m1, mo.m2, ts, k),
+}
+
+MODES_FUNCTION = {
+    TotallyGeodesicBergerSphere: lambda mo, ts, k: tg_berger_modes(mo.n, mo.m, ts, k_max=k),
+    CircleCover: lambda mo, ts, k: circle_modes(mo.s, ts, k_max=k, slots=mo.n),
+    VeroneseRP3: lambda mo, ts, k: veronese_modes(ts, k_max=k, quotient=True),
+    VeroneseS3: lambda mo, ts, k: veronese_modes(ts, k_max=k, quotient=False),
+    TotallyRealSphere: lambda mo, ts, k: totally_real_sphere_modes(mo.n, mo.d, ts, k_max=k),
+    CliffordHypersurface: lambda mo, ts, k: clifford_jacobi_modes(mo.m1, mo.m2, ts, sum_max=k),
+}
+
+
+def reference_modes(model, ts, k):
+    """(family, labels, value, multiplicity, sign) of every mode, sorted as
+    the mode lists are: by float value, then family and labels."""
+    out = []
+    for family, labels, value, mult in REFERENCE[type(model)](model, ts, k):
+        sign = value.sign if isinstance(value, Surd) else (value > 0) - (value < 0)
+        out.append((family, labels, value, mult, sign))
+    return sorted(out, key=lambda r: (float(r[2]), r[0], r[1]))
+
+
+def as_rows(modes):
+    return [(m.family, m.labels, m.value, m.multiplicity, m.sign) for m in modes]
+
+
+class TestModeTables:
+    """The tau-free tables against the per-tau formulas they replaced."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(model=st.sampled_from(family_library()), ts=TAU_SQ, extra=st.sampled_from([0, 3]))
+    def test_tables_match_the_per_tau_formulas(self, model, ts, extra):
+        k = model.certified_k + extra
+        want = reference_modes(model, ts, k)
+        assert as_rows(MODES_FUNCTION[type(model)](model, ts, k)) == want
+        got = enumerate_index(model, ts, TruncationPolicy(k_max=k))
+        nonpositive = [row for row in want if row[4] <= 0]
+        assert as_rows(got.nonpositive_modes) == nonpositive
+        assert got.index == sum(row[3] for row in want if row[4] < 0)
+        assert got.nullity == sum(row[3] for row in want if row[4] == 0)
+        assert got.truncation_k == k
+
+    def test_tables_are_integers_and_take_no_tau(self):
+        models._mode_table.cache_clear()
+        keys = set()
+        for ts in (F(1, 7), F(1, 3), F(2, 5), F(1)):
+            for model in family_library(2):
+                for k in (model.certified_k, model.certified_k + 3):
+                    enumerate_index(model, ts, TruncationPolicy(k_max=k))
+                    keys.add((model, k))
+                MODES_FUNCTION[type(model)](model, ts, model.certified_k)
+        info = models._mode_table.cache_info()
+        assert info.currsize == info.misses == len(keys)
+        for model, k in keys:
+            for row in models._mode_table(model, k):
+                if isinstance(row, models.GradientPairRow):
+                    assert row.sign in (-1, 0, 1)
+                else:
+                    assert all(type(x) is int for x in row[2:]) and row.den > 0
 
 
 def gradient_pair_float(d, k, ts):
