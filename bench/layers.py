@@ -20,8 +20,11 @@ Cases:
 * L2 ``curvature-tensor-500``: the curvature tensor at 500 sampled points
   (inputs built outside the timed region); one batched call where the tree
   has ``curvature_tensor_rows``, else 500 scalar ``curvature_tensor`` calls.
-* L3 ``curvature_symmetry_check(1/3, 2, 500)``.
-* L4 ``verify_all(512)``.
+* L3 ``curvature_symmetry_check(1/3, 2, 500)`` and
+  ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``,
+  the first-variation check that ``verify`` runs at every sample count.
+* L4 ``verify_all(512)`` and ``verify_all(24)``; 24 is about the median
+  ``--samples`` of a log-uniform draw up to 512.
 * L5 ``python -m bergersphere.cli verify --samples 2000``,
   ``python -m bergersphere.cli index --model totally-real --n 4 --d 3
   --tau-sq 2/7`` and ``python -m bergersphere.cli phase --n-max 8
@@ -57,7 +60,9 @@ CASES = [
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", 11, None),
     ("L2", "curvature-tensor-500", 21, None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
+    ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", 21, None),
     ("L4", "verify_all(512)", 5, None),
+    ("L4", "verify_all(24)", 21, None),
     ("L5", "cli verify --samples 2000 (process wall)", 5, ["verify", "--samples", "2000"]),
     ("L5", "cli index --model totally-real --n 4 --d 3 --tau-sq 2/7 (process wall)", 11,
      ["index", "--model", "totally-real", "--n", "4", "--d", "3", "--tau-sq", "2/7"]),
@@ -74,6 +79,7 @@ def _time_in_process(case: str) -> float:
     from fractions import Fraction
 
     from bergersphere import cli, geometry, oracle, stability
+    from bergersphere.models import CliffordHypersurface
 
     if case == "phase_rows(_phase_models(8), 6 random tau^2)":
         rng = np.random.default_rng(2024)
@@ -112,7 +118,11 @@ def _time_in_process(case: str) -> float:
             lambda: oracle.lxi_squared_spectrum(1, Fraction(1, 3), 8),
         "curvature_symmetry_check(1/3, 2, 500)":
             lambda: oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500),
+        "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":
+            lambda: oracle.minimality_first_variation_check(CliffordHypersurface(0, 0),
+                                                            Fraction(1, 3), 2),
         "verify_all(512)": lambda: oracle.verify_all(512),
+        "verify_all(24)": lambda: oracle.verify_all(24),
     }[case]
     start = time.perf_counter()
     call()

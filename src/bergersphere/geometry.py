@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -255,9 +255,18 @@ class ProjectivePoint:
 # ``TangentVector``.  The scalar functions further down are one-row wrappers.
 
 
-def _metric(lam: float, iz: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """<v, w>_tau = g(v, w) - (1 - tau^2) g(v, iz) g(w, iz), with lam = 1 - tau^2."""
-    return _dot(v, w) - lam * _dot(v, iz) * _dot(w, iz)
+def _metric(lam: float, iz: np.ndarray, v: np.ndarray, w: np.ndarray,
+            v_iz: Optional[np.ndarray] = None, w_iz: Optional[np.ndarray] = None) -> np.ndarray:
+    """<v, w>_tau = g(v, w) - (1 - tau^2) g(v, iz) g(w, iz), with lam = 1 - tau^2.
+
+    ``v_iz`` and ``w_iz`` are g(v, iz) and g(w, iz) when the caller already
+    has them.
+    """
+    if v_iz is None:
+        v_iz = _dot(v, iz)
+    if w_iz is None:
+        w_iz = _dot(w, iz)
+    return _dot(v, w) - lam * v_iz * w_iz
 
 
 def berger_inner_rows(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -267,6 +276,20 @@ def berger_inner_rows(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.nd
     finite-difference callers pass vectors that are only nearly tangent.
     """
     return _metric(float(BergerParam.coerce(tau).one_minus), mult_i(z), v, w)
+
+
+def berger_gram_rows(tau, z: np.ndarray, u: np.ndarray,
+                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(<u, u>, <u, v>, <v, v>) of the Berger metric on raw coordinate rows.
+
+    Bit for bit the three ``berger_inner_rows`` calls, with iz, g(u, iz) and
+    g(v, iz) computed once; like them, nothing is validated.
+    """
+    lam = float(BergerParam.coerce(tau).one_minus)
+    iz = mult_i(z)
+    u_iz, v_iz = _dot(u, iz), _dot(v, iz)
+    return (_metric(lam, iz, u, u, u_iz, u_iz), _metric(lam, iz, u, v, u_iz, v_iz),
+            _metric(lam, iz, v, v, v_iz, v_iz))
 
 
 def tangent_j_rows(z: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -23,12 +23,11 @@ import numpy as np
 
 from . import spectra
 from .exactlinalg import integer_rank, kernel_basis
-from .geometry import (BergerParam, GeometryDomainError, berger_inner_rows,
-                       berger_orthonormalize_rows, check_dimension, check_points,
-                       check_tangents, curvature_tensor_rows, fubini_study_inner_rows,
-                       geodesic_sphere_reps, killing_field_rows,
-                       killing_flow_differential_rows, killing_flow_rows, ricci_rows,
-                       sectional_curvature_rows, tai_sff_inner_rows, tai_sphere_center,
+from .geometry import (BergerParam, GeometryDomainError, berger_gram_rows, berger_inner_rows,
+                       berger_orthonormalize_rows, check_dimension, check_points, check_tangents,
+                       curvature_tensor_rows, fubini_study_inner_rows, geodesic_sphere_reps,
+                       killing_field_rows, killing_flow_differential_rows, killing_flow_rows,
+                       ricci_rows, sectional_curvature_rows, tai_sff_inner_rows, tai_sphere_center,
                        tai_sphere_radius_sq)
 from .models import (CliffordHypersurface, IndexReport, JacobiMode, ModelSubmanifold,
                      TotallyRealSphere, clifford_index_nullity)
@@ -517,7 +516,12 @@ def _tai_matrix(coef: float, zc: np.ndarray) -> np.ndarray:
 
 
 def _hm_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.real(np.sum(a * b.conj(), axis=(-2, -1)))
+    return _hm_dot(a, b.conj())
+
+
+def _hm_dot(a: np.ndarray, b_conj: np.ndarray) -> np.ndarray:
+    """``_hm_inner(a, b)`` given the conjugate of b."""
+    return np.real(np.sum(a * b_conj, axis=(-2, -1)))
 
 
 def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -543,15 +547,14 @@ def _draw_horizontal(rng, n: int, count: int, vectors: int,
     return zc, out
 
 
-def _second_derivative(curve, h: float = 2e-3) -> np.ndarray:
-    """Richardson-extrapolated second derivative of a matrix-valued curve.
+def _second_derivative(curve, c0: np.ndarray, h: float = 2e-3) -> np.ndarray:
+    """Richardson-extrapolated second derivative of a matrix-valued curve,
+    given its value ``c0`` at 0.
 
     The base step is larger than the first-derivative default because the
     h^-2 roundoff amplification of plain second differences would not
     reach the 1e-8 tolerances; extrapolation removes the h^2 truncation.
     """
-    c0 = curve(0.0)
-
     def d2(step):
         return (curve(step) - 2.0 * c0 + curve(-step)) / (step * step)
 
@@ -609,20 +612,24 @@ class _TaiProbe:
             t = t / np.sqrt(_hm_inner(t, t))[:, None, None]
             tangent.append(t)
         self.tangent = tangent
+        self.tangent_conj = [t.conj() for t in tangent]
+        # every curve through the base point takes this value at 0, whatever
+        # its direction
+        self.c0 = self._curve(np.zeros_like(zc))(0.0)
 
     def _curve(self, direction: np.ndarray):
         return _tai_curve(self.coef, self.zc, self.radius, direction)
 
     def _normal_part(self, mat: np.ndarray) -> np.ndarray:
         out = mat
-        for t in self.tangent:
-            out = out - _hm_inner(out, t)[:, None, None] * t
+        for t, t_conj in zip(self.tangent, self.tangent_conj):
+            out = out - _hm_dot(out, t_conj)[:, None, None] * t
         return out
 
     def sff(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Second fundamental form by polarised second derivatives."""
-        plus = self._normal_part(_second_derivative(self._curve(x + y)))
-        minus = self._normal_part(_second_derivative(self._curve(x - y)))
+        plus = self._normal_part(_second_derivative(self._curve(x + y), self.c0))
+        minus = self._normal_part(_second_derivative(self._curve(x - y), self.c0))
         return (plus - minus) / 4.0
 
 
@@ -709,10 +716,9 @@ def gauss_flatness_check(tau, samples: int = 64, seed: int = DEFAULT_SEED) -> Ch
         dt = np.stack([-np.sin(t), np.cos(t), zero, zero], axis=1) * inv_sqrt2
         ds = np.stack([zero, zero, -np.sin(s), np.cos(s)], axis=1) * inv_sqrt2
         check_tangents(z, dt, ds)
+        g_tt, g_ts, g_ss = berger_gram_rows(param, z, dt, ds)
         worst = _worst(worst, np.max([
-            np.abs(berger_inner_rows(param, z, dt, dt) - e_exact),
-            np.abs(berger_inner_rows(param, z, ds, ds) - e_exact),
-            np.abs(berger_inner_rows(param, z, dt, ds) - f_exact),
+            np.abs(g_tt - e_exact), np.abs(g_ss - e_exact), np.abs(g_ts - f_exact),
         ], axis=0))
     return _report("gauss-flatness", worst, samples, 1e-12, seed)
 
@@ -724,14 +730,51 @@ def _bump_periodic(x: np.ndarray, center: float, kappa: float = 3.0) -> np.ndarr
 def _normal_rows(param: BergerParam, pts: np.ndarray, a: np.ndarray,
                  tangents) -> tuple[np.ndarray, np.ndarray]:
     """Project the constant vector ``a`` off the radial direction, then off
-    each tangent row field in turn (Berger-orthogonally); return the rows and
-    their Berger norms."""
+    each tangent row field in turn (Berger-orthogonally); return the rows
+    scaled to unit Berger length, and the Berger lengths before scaling."""
     w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
     for tv in tangents:
         coef = (berger_inner_rows(param, pts, w, tv)
                 / berger_inner_rows(param, pts, tv, tv))
         w = w - coef[:, None] * tv
-    return w, np.sqrt(berger_inner_rows(param, pts, w, w))
+    nrm = np.sqrt(berger_inner_rows(param, pts, w, w))
+    return w / nrm[:, None], nrm
+
+
+# A first-variation check evaluates its chart at a few finite-difference
+# argument sets (the grid itself, then each parameter moved by +-h).  At each
+# set a *frame* holds the chart points, the bump and the unit normal field
+# eta; the bumped surface at eps is chart + eps * bump * eta, back on the
+# unit sphere.  Frames that depend on neither the sample nor eps are built
+# once per check, the rest once per sample, and +eps and -eps share them.
+
+
+def _bumped(frame, e: float) -> np.ndarray:
+    """chart + e * bump * eta at one frame, back on the unit sphere; in place,
+    so that a call holds one array of the frame's size."""
+    pts, bump, eta = frame
+    out = e * bump[:, None] * eta
+    out += pts
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    return out
+
+
+def _central(plus, minus, e: float, hfd: float) -> np.ndarray:
+    """Central difference of the bumped surface between two frames."""
+    out = _bumped(plus, e)
+    out -= _bumped(minus, e)
+    out /= 2 * hfd
+    return out
+
+
+def _area_density(param: BergerParam, frames, e: float, hfd: float) -> np.ndarray:
+    """sqrt(det g) of the bumped surface at eps = e, on frames (grid, t + h,
+    t - h, s + h, s - h), by central differences of step ``hfd``."""
+    base, t_plus, t_minus, s_plus, s_minus = frames
+    du = _central(t_plus, t_minus, e, hfd)
+    dv = _central(s_plus, s_minus, e, hfd)
+    g11, g12, g22 = berger_gram_rows(param, _bumped(base, e), du, dv)
+    return np.sqrt(g11 * g22 - g12 * g12)
 
 
 def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int = 3,
@@ -742,7 +785,14 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
     real spheres with d = 1 or d = 2.  The area/length functional is
     integrated on the parametrised model perturbed by eps * bump * normal,
     and the mean-curvature component is estimated from the symmetric
-    difference quotient; the assertion is |estimate| < 1e-4.
+    difference quotient; the assertion is |estimate| < 1e-4, and a NaN
+    estimate fails.
+
+    The chart points at each finite-difference argument set, and for the
+    Clifford surface the unit normal (an exact sign flip of the chart
+    columns), are built once per check; the bump and the normal field once
+    per sample, shared by +eps and -eps.  The area element takes its three
+    metric coefficients from one ``berger_gram_rows`` call.
     """
     param = BergerParam.coerce(tau)
     ts = float(param.tau_sq)
@@ -758,31 +808,24 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
         inv = 1.0 / math.sqrt(2.0)
         cell = (2 * math.pi / grid_n) ** 2
         hfd = 1e-5
+        args = [(tt, ss), (tt + hfd, ss), (tt - hfd, ss), (tt, ss + hfd), (tt, ss - hfd)]
+        charts = [np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=1) * inv
+                  for a, b in args]
+        # the unit normal is the chart with its second complex coordinate negated
+        normals = [pts * np.array([1.0, 1.0, -1.0, -1.0]) for pts in charts]
 
-        def embed(t_arr, s_arr, bump_c, e):
-            pts = np.stack([np.cos(t_arr), np.sin(t_arr), np.cos(s_arr), np.sin(s_arr)], axis=1) * inv
-            nrm = np.stack([np.cos(t_arr), np.sin(t_arr), -np.cos(s_arr), -np.sin(s_arr)], axis=1) * inv
-            b = _bump_periodic(t_arr, bump_c[0]) * _bump_periodic(s_arr, bump_c[1])
-            out = pts + e * b[:, None] * nrm
-            return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-        def area(bump_c, e):
-            du = (embed(tt + hfd, ss, bump_c, e) - embed(tt - hfd, ss, bump_c, e)) / (2 * hfd)
-            dv = (embed(tt, ss + hfd, bump_c, e) - embed(tt, ss - hfd, bump_c, e)) / (2 * hfd)
-            base = embed(tt, ss, bump_c, e)
-            g11 = berger_inner_rows(param, base, du, du)
-            g12 = berger_inner_rows(param, base, du, dv)
-            g22 = berger_inner_rows(param, base, dv, dv)
-            return float(np.sum(np.sqrt(g11 * g22 - g12 * g12))) * cell
+        def area(frames, e):
+            return float(np.sum(_area_density(param, frames, e, hfd))) * cell
 
         worst = 0.0
         dvol = np.sqrt(np.full(len(tt), (1 + ts) / 4 * (1 + ts) / 4 - ((ts - 1) / 4) ** 2)) * cell
         for _ in range(samples):
             c = rng.uniform(0, 2 * math.pi, size=2)
-            b = _bump_periodic(tt, c[0]) * _bump_periodic(ss, c[1])
-            weight = float(np.sum(b * dvol))
-            delta = (area(c, eps) - area(c, -eps)) / (2 * eps)
-            worst = max(worst, abs(delta / (model.dimension * weight)))
+            bumps = [_bump_periodic(a, c[0]) * _bump_periodic(b, c[1]) for a, b in args]
+            frames = list(zip(charts, bumps, normals))
+            weight = float(np.sum(bumps[0] * dvol))
+            delta = (area(frames, eps) - area(frames, -eps)) / (2 * eps)
+            worst = _worst(worst, abs(delta / (model.dimension * weight)))
         return _report("minimality-clifford", worst, samples, tol, seed)
 
     if isinstance(model, TotallyRealSphere) and model.d in (1, 2):
@@ -792,43 +835,38 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             th = np.arange(grid_n) * (2 * math.pi / grid_n)
             cell = 2 * math.pi / grid_n
             hfd = 1e-5
+            args = [th, th + hfd, th - hfd]
+            charts, tangents = [], []
+            for arg in args:
+                pts = np.zeros((grid_n, dim))
+                pts[:, 0] = np.cos(arg)
+                pts[:, 2] = np.sin(arg)
+                tv = np.zeros((grid_n, dim))
+                tv[:, 0] = -np.sin(arg)
+                tv[:, 2] = np.cos(arg)
+                charts.append(pts)
+                tangents.append((tv,))
 
-            def chart(th_arr):
-                pts = np.zeros((len(th_arr), dim))
-                pts[:, 0] = np.cos(th_arr)
-                pts[:, 2] = np.sin(th_arr)
-                return pts
-
-            def tangent(th_arr):
-                v = np.zeros((len(th_arr), dim))
-                v[:, 0] = -np.sin(th_arr)
-                v[:, 2] = np.cos(th_arr)
-                return v
+            def length(frames, e):
+                dv = _central(frames[1], frames[2], e, hfd)
+                return float(np.sum(np.sqrt(
+                    berger_inner_rows(param, _bumped(frames[0], e), dv, dv)))) * cell
 
             worst = 0.0
             for _ in range(samples):
                 for _ in range(32):  # redraw if the projected field nearly vanishes
                     a = rng.standard_normal(dim)
-                    if _normal_rows(param, chart(th), a, (tangent(th),))[1].min() > 0.3:
+                    eta, nrm = _normal_rows(param, charts[0], a, tangents[0])
+                    if nrm.min() > 0.3:
                         break
                 c0 = rng.uniform(0, 2 * math.pi)
-
-                def eta(th_arr):
-                    w, nrm = _normal_rows(param, chart(th_arr), a, (tangent(th_arr),))
-                    return w / nrm[:, None]
-
-                def embed(th_arr, e):
-                    pts = chart(th_arr) + e * _bump_periodic(th_arr, c0)[:, None] * eta(th_arr)
-                    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-                def length(e):
-                    dv = (embed(th + hfd, e) - embed(th - hfd, e)) / (2 * hfd)
-                    return float(np.sum(np.sqrt(
-                        berger_inner_rows(param, embed(th, e), dv, dv)))) * cell
-
-                weight = float(np.sum(_bump_periodic(th, c0))) * cell
-                delta = (length(eps) - length(-eps)) / (2 * eps)
-                worst = max(worst, abs(delta / weight))
+                etas = [eta] + [_normal_rows(param, pts, a, tv)[0]
+                                for pts, tv in zip(charts[1:], tangents[1:])]
+                bumps = [_bump_periodic(arg, c0) for arg in args]
+                frames = list(zip(charts, bumps, etas))
+                weight = float(np.sum(bumps[0])) * cell
+                delta = (length(frames, eps) - length(frames, -eps)) / (2 * eps)
+                worst = _worst(worst, abs(delta / weight))
             return _report("minimality-great-circle", worst, samples, tol, seed)
 
         # d = 2: compactly supported bump on a coordinate patch
@@ -836,12 +874,20 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
         width = 0.5
         hfd = 1e-5
 
-        def chart(th_arr, ph_arr):
+        def patch(th_arr, ph_arr):
+            """Chart points and the two coordinate tangent fields."""
             pts = np.zeros((len(th_arr), dim))
             pts[:, 0] = np.sin(th_arr) * np.cos(ph_arr)
             pts[:, 2] = np.sin(th_arr) * np.sin(ph_arr)
             pts[:, 4] = np.cos(th_arr)
-            return pts
+            t1 = np.zeros_like(pts)
+            t1[:, 0] = np.cos(th_arr) * np.cos(ph_arr)
+            t1[:, 2] = np.cos(th_arr) * np.sin(ph_arr)
+            t1[:, 4] = -np.sin(th_arr)
+            t2 = np.zeros_like(pts)
+            t2[:, 0] = -np.sin(th_arr) * np.sin(ph_arr)
+            t2[:, 2] = np.sin(th_arr) * np.cos(ph_arr)
+            return pts, (t1, t2)
 
         def bump(th_arr, ph_arr, c):
             r_sq = ((th_arr - c[0]) / width) ** 2 + ((ph_arr - c[1]) / width) ** 2
@@ -850,16 +896,11 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - r_sq[inside]))
             return out
 
-        def normal(a, th_arr, ph_arr):
-            pts = chart(th_arr, ph_arr)
-            t1 = np.zeros_like(pts)
-            t1[:, 0] = np.cos(th_arr) * np.cos(ph_arr)
-            t1[:, 2] = np.cos(th_arr) * np.sin(ph_arr)
-            t1[:, 4] = -np.sin(th_arr)
-            t2 = np.zeros_like(pts)
-            t2[:, 0] = -np.sin(th_arr) * np.sin(ph_arr)
-            t2[:, 2] = np.sin(th_arr) * np.cos(ph_arr)
-            return _normal_rows(param, pts, a, (t1, t2))
+        wgrid = (width * weights)[:, None] * (width * weights)[None, :]
+        wgrid = wgrid.ravel()
+
+        def patch_area(frames, e):
+            return float(np.sum(_area_density(param, frames, e, hfd) * wgrid))
 
         worst = 0.0
         for _ in range(samples):
@@ -868,34 +909,22 @@ def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int 
             ph_n = c[1] + width * nodes
             thg, phg = np.meshgrid(th_n, ph_n, indexing="ij")
             thg, phg = thg.ravel(), phg.ravel()
-            wgrid = (width * weights)[:, None] * (width * weights)[None, :]
-            wgrid = wgrid.ravel()
+            pts, tangents = patch(thg, phg)
             for _ in range(32):  # redraw if the projected field nearly vanishes
                 a = rng.standard_normal(dim)
-                if normal(a, thg, phg)[1].min() > 0.3:
+                eta, nrm = _normal_rows(param, pts, a, tangents)
+                if nrm.min() > 0.3:
                     break
+            frames = [(pts, bump(thg, phg, c), eta)]
+            for th_arr, ph_arr in [(thg + hfd, phg), (thg - hfd, phg),
+                                   (thg, phg + hfd), (thg, phg - hfd)]:
+                pts, tangents = patch(th_arr, ph_arr)
+                frames.append((pts, bump(th_arr, ph_arr, c),
+                               _normal_rows(param, pts, a, tangents)[0]))
 
-            def eta(th_arr, ph_arr):
-                w, nrm = normal(a, th_arr, ph_arr)
-                return w / nrm[:, None]
-
-            def embed(th_arr, ph_arr, e):
-                pts = (chart(th_arr, ph_arr)
-                       + e * bump(th_arr, ph_arr, c)[:, None] * eta(th_arr, ph_arr))
-                return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-            def patch_area(e):
-                du = (embed(thg + hfd, phg, e) - embed(thg - hfd, phg, e)) / (2 * hfd)
-                dv = (embed(thg, phg + hfd, e) - embed(thg, phg - hfd, e)) / (2 * hfd)
-                base = embed(thg, phg, e)
-                g11 = berger_inner_rows(param, base, du, du)
-                g12 = berger_inner_rows(param, base, du, dv)
-                g22 = berger_inner_rows(param, base, dv, dv)
-                return float(np.sum(np.sqrt(g11 * g22 - g12 * g12) * wgrid))
-
-            weight = float(np.sum(bump(thg, phg, c) * np.sin(thg) * wgrid))
-            delta = (patch_area(eps) - patch_area(-eps)) / (2 * eps)
-            worst = max(worst, abs(delta / (2 * weight)))
+            weight = float(np.sum(frames[0][1] * np.sin(thg) * wgrid))
+            delta = (patch_area(frames, eps) - patch_area(frames, -eps)) / (2 * eps)
+            worst = _worst(worst, abs(delta / (2 * weight)))
         return _report("minimality-real-sphere", worst, samples, tol, seed)
 
     raise GeometryDomainError(

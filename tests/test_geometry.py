@@ -459,6 +459,19 @@ class TestBatchedKernelAgainstReference:
         assert curvature_tensor(ts, z, x, y, zz, w) == geo.curvature_tensor_rows(ts, *rows)[0]
         assert metric_eval(ts, z, x, y) == geo.berger_inner_rows(ts, *rows[:3])[0]
 
+    @pytest.mark.parametrize("ts", [F(1, 3), F(1, 2), F(2, 5), F(1)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gram_is_three_inner_products_bit_for_bit(self, ts, n):
+        # raw rows, neither unit nor tangent, as the finite-difference callers pass
+        rng = np.random.default_rng([5, n])
+        z, u, v = rng.standard_normal((3, 300, 2 * n + 2))
+        got = geo.berger_gram_rows(ts, z, u, v)
+        want = (geo.berger_inner_rows(ts, z, u, u), geo.berger_inner_rows(ts, z, u, v),
+                geo.berger_inner_rows(ts, z, v, v))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (300,)
+            assert g.tobytes() == w.tobytes()
+
 
 class TestBatchedValidation:
     def test_every_row_is_checked(self):

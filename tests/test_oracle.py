@@ -145,6 +145,33 @@ class TestSampledChecks:
         assert {"tai-isometry", "tai-sphere-containment", "tai-sff-law",
                 "tai-sff-j-invariance", "tai-minimality"} == names
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tai_probe_sff_matches_per_call_evaluation(self, n):
+        """The probe's cached curve value at 0 and conjugated tangent basis
+        give the second fundamental form of re-evaluating both on every call,
+        bit for bit."""
+        radius, coef = 2.0, 0.4
+        zc, (x, y, v, w) = oracle._draw_horizontal(np.random.default_rng([11, n]), n, 5, 4,
+                                                   radius)
+        probe = oracle._TaiProbe(coef, zc, radius)
+
+        def second_derivative(direction, h=2e-3):
+            curve = oracle._tai_curve(coef, zc, radius, direction)
+
+            def d2(step):
+                return (curve(step) - 2.0 * curve(0.0) + curve(-step)) / (step * step)
+            return (4.0 * d2(h / 2) - d2(h)) / 3.0
+
+        def normal_part(mat):
+            for t in probe.tangent:
+                mat = mat - oracle._hm_inner(mat, t)[:, None, None] * t
+            return mat
+
+        for a, b in [(x, y), (v, w), (1j * x, 1j * y), (x, x)]:
+            want = (normal_part(second_derivative(a + b))
+                    - normal_part(second_derivative(a - b))) / 4.0
+            assert probe.sff(a, b).tobytes() == want.tobytes()
+
     def test_no_samples_fails(self):
         report = oracle.curvature_symmetry_check(F(1, 3), 1, samples=0)
         assert report.samples == 0 and not report.passed
