@@ -9,14 +9,13 @@ from .geometry import (AmbientPoint, BergerParam, GeometryDomainError, Hermitian
                        sff_geodesic_sphere, tai_embed, tai_sff_inner)
 from .models import (MODELS, CircleCover, CliffordHypersurface, IndexReport, JacobiMode,
                      ModelSubmanifold, TotallyGeodesicBergerSphere, TotallyRealSphere,
-                     TruncationError, TruncationPolicy, VeroneseRP3, VeroneseS3,
-                     circle_modes, circle_stability, clifford_index_nullity,
-                     enumerate_index, tg_berger_index_nullity, tg_berger_modes,
-                     totally_real_sphere_index_nullity, totally_real_sphere_modes,
-                     veronese_index_nullity, veronese_modes)
+                     TruncationError, VeroneseRP3, VeroneseS3, circle_stability,
+                     clifford_index_nullity, enumerate_index, jacobi_modes,
+                     tg_berger_index_nullity, totally_real_sphere_index_nullity,
+                     veronese_index_nullity)
 from .spectra import (BidegreeSpace, CliffordMode, LaplaceMode, berger_eigenvalue,
                       berger_modes, berger_multiplicity, bidegree_dimension,
-                      clifford_eigenvalue, clifford_low_modes, clifford_modes,
+                      clifford_eigenvalue, clifford_modes,
                       clifford_multiplicity, round_eigenvalue, round_multiplicity,
                       sphere_harmonic_multiplicity)
 from .stability import (CliffordTorus, MinimalSphere, ModuliVector, OtherSurface,

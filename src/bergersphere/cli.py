@@ -21,10 +21,12 @@ from fractions import Fraction
 from . import models, oracle, spectra, stability
 from .geometry import GeometryDomainError, RoundSphereUnsupportedError
 from .models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
-                     TotallyRealSphere, TruncationError, TruncationPolicy, VeroneseRP3,
-                     VeroneseS3)
+                     TotallyRealSphere, TruncationError, VeroneseRP3, VeroneseS3)
 
 _MODEL_BY_NAME = {cls.name: cls for cls in models.MODELS}
+# The parameter flags of ``index``: every field of some family, in first-seen order.
+_MODEL_FLAGS = tuple(dict.fromkeys(f.name for cls in models.MODELS
+                                   for f in dataclasses.fields(cls)))
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,7 +94,9 @@ def cmd_spectrum(args, out) -> int:
         if args.m1 is None or args.m2 is None:
             raise CliError("--space clifford needs --m1 and --m2")
         if args.low:
-            cmodes = spectra.clifford_low_modes(args.m1, args.m2, tau_sq)
+            by_label = {(m.k1, m.k2, m.p): m
+                        for m in spectra.clifford_modes(args.m1, args.m2, tau_sq, 2)}
+            cmodes = [by_label[label] for label in spectra.LOW_LABELS]
         else:
             cmodes = spectra.clifford_modes(args.m1, args.m2, tau_sq, args.kmax)
         rows = [(m.k1, m.k2, m.p, str(m.value), m.multiplicity, "product-split")
@@ -118,15 +122,17 @@ def cmd_spectrum(args, out) -> int:
 
 
 def _build_model(args):
-    """The ``--model`` family, built from the flags named like its fields."""
+    """The ``--model`` family, built from the flags named like its fields;
+    a flag that names a field of another family only is rejected."""
     cls = _MODEL_BY_NAME[args.model]
-    values = []
-    for field in dataclasses.fields(cls):
-        value = getattr(args, field.name)
-        if value is None:
-            raise CliError(f"--model {args.model} needs --{field.name}")
-        values.append(value)
-    return cls(*values)
+    own = [field.name for field in dataclasses.fields(cls)]
+    for name in _MODEL_FLAGS:
+        given = getattr(args, name) is not None
+        if name in own and not given:
+            raise CliError(f"--model {args.model} needs --{name}")
+        if name not in own and given:
+            raise CliError(f"--model {args.model} takes no --{name}")
+    return cls(*(getattr(args, name) for name in own))
 
 
 def _mode_rows(report):
@@ -137,8 +143,7 @@ def _mode_rows(report):
 def cmd_index(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
     model = _build_model(args)
-    policy = TruncationPolicy(k_max=args.kmax) if args.kmax is not None else None
-    report = models.enumerate_index(model, tau_sq, policy)
+    report = models.enumerate_index(model, tau_sq, args.kmax)
     if args.format == "json":
         out.write(json.dumps({
             "model": model.label(),
@@ -321,12 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="Jacobi index/nullity of a model submanifold")
     add_common(p)
     p.add_argument("--model", required=True, choices=tuple(_MODEL_BY_NAME))
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m1", type=int)
-    p.add_argument("--m2", type=int)
+    for name in _MODEL_FLAGS:
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--tau-sq", required=True)
     p.add_argument("--kmax", type=int, default=None,
                    help="override the certified truncation depth")

@@ -17,11 +17,14 @@ rational a and r) whose sign is that of lambda_k - 2(d+1) at every tau; a
 mode is needed.  Index and nullity are therefore decided exactly, in
 integers.
 
-Tables are memoised per (model, depth).  ``enumerate_index`` drives any
-family through its table with a truncation certificate, a monotone lower
-bound proving that all modes beyond the scanned range are strictly
-positive, and builds a ``JacobiMode`` only for a nonpositive row.  The
-``*_modes`` functions evaluate the same tables at one tau^2.
+Every query takes the model object.  ``jacobi_modes(model, tau, k)``
+evaluates its table at one tau^2; ``enumerate_index(model, tau, k_max)``
+drives it with a truncation certificate, a monotone lower bound proving
+that all modes beyond the scanned range are strictly positive, and builds
+a ``JacobiMode`` only for a nonpositive row.  Only tables at a family's
+certified depth are memoised.  The closed forms compute their piecewise
+formulas independently, assert that they agree with ``enumerate_index``
+and return its report.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from typing import ClassVar, NamedTuple, Optional, Union
 from .geometry import BergerParam, GeometryDomainError
 from . import spectra
 
-K_LIMIT = 64  # deepest scan ``enumerate_index`` runs, whatever the policy asks
+K_LIMIT = 64  # deepest scan ``enumerate_index`` runs, whatever ``k_max`` asks
 
-# Mode tables memoised by ``_mode_table``.  ``phase --n-max 8`` evaluates 110
-# models at their certified depth; 256 leaves room for as many tables again
-# from ``index`` and the ``*_modes`` functions.
+# Certified-depth tables memoised by ``_mode_table``, one per model.  ``phase
+# --n-max 8`` evaluates 110 models; 256 leaves room for as many again from
+# ``index`` and ``jacobi_modes``.
 TABLE_CACHE_SIZE = 256
 
 
@@ -226,7 +229,13 @@ class _QuadraticCurveBundle(ModelSubmanifold):
         return f"scanned k <= {k}; modes with k >= 5 satisfy rho >= (k^2-16)/4 > 0"
 
     def lower_bounds(self, param: BergerParam) -> tuple[bool, bool]:
-        return _veronese_lower_bounds(param.tau_sq, self.quotient)
+        """Exact for the projective model; for the covering 3-sphere the index
+        above 1/4 and the nullity away from 1/8, 1/4 and 1 are only bounded
+        below."""
+        if self.quotient:
+            return False, False
+        ts = param.tau_sq
+        return ts > Fraction(1, 4), ts not in (Fraction(1), Fraction(1, 4), Fraction(1, 8))
 
 
 @dataclass(frozen=True)
@@ -284,7 +293,7 @@ class TotallyRealSphere(ModelSubmanifold):
         rows = []
         for k in range(max(k_max, 2) + 1):
             mult = spectra.sphere_harmonic_multiplicity(d, k)
-            lam = _round_sphere_eig(d, k)
+            lam = k * (d + k - 1)
             if d < n:
                 rows.append(ModeRow("constant-normal", (k,), 2 * (n - d) * mult, lam - d, 0, 0, 1))
             if k == 0:
@@ -470,9 +479,21 @@ class GradientPairRow(NamedTuple):
                           Fraction(cq * cq + 4 * p * q * self.lam, q * q))  # c^2 + 4 tau^2 lambda
 
 
+# ---------------------------------------------------------------------------
+# Generic certified driver
+# ---------------------------------------------------------------------------
+
+
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _mode_table(model: ModelSubmanifold, k: int) -> tuple[Union[ModeRow, GradientPairRow], ...]:
-    return tuple(model.table(k))
+def _mode_table(model: ModelSubmanifold) -> tuple[Union[ModeRow, GradientPairRow], ...]:
+    """The model's table at its certified depth."""
+    return tuple(model.table(model.certified_k))
+
+
+def _table(model: ModelSubmanifold, k: int):
+    """The model's table at depth k: memoised at the certified depth, which
+    every command uses, and built per call at any other."""
+    return _mode_table(model) if k == model.certified_k else model.table(k)
 
 
 def _evaluate(table, tau_sq: Fraction, nonpositive_only: bool = False) -> list[JacobiMode]:
@@ -503,39 +524,54 @@ def _by_value(mode: JacobiMode):
     return float(mode.value), mode.family, mode.labels
 
 
-def _modes(model: ModelSubmanifold, tau, k: int) -> list[JacobiMode]:
+def jacobi_modes(model: ModelSubmanifold, tau, k: int) -> list[JacobiMode]:
     """Every mode of the model's table at depth k, at tau, sorted by value."""
-    modes = _evaluate(_mode_table(model, k), BergerParam.coerce(tau).tau_sq)
+    modes = _evaluate(_table(model, k), BergerParam.coerce(tau).tau_sq)
     modes.sort(key=_by_value)
     return modes
 
 
-def _collect_report(modes, truncation_k, certificate,
-                    index_is_lower_bound=False, nullity_is_lower_bound=False) -> IndexReport:
-    index = 0
-    nullity = 0
-    for mode in modes:
-        if mode.sign < 0:
-            index += mode.multiplicity
-        elif mode.sign == 0:
-            nullity += mode.multiplicity
-    nonpos = tuple(sorted((m for m in modes if m.sign <= 0), key=_by_value))
-    return IndexReport(index, nullity, nonpos, truncation_k, certificate,
-                       index_is_lower_bound, nullity_is_lower_bound)
+def enumerate_index(model: ModelSubmanifold, tau, k_max: Optional[int] = None) -> IndexReport:
+    """Index/nullity of a model by mode enumeration with a positivity certificate.
+
+    The scan runs to the model's certified depth, or to ``k_max`` if given,
+    which must lie between that depth and ``K_LIMIT``.  The sign of every
+    row of the table is decided in integers; a ``JacobiMode`` is built only
+    for a nonpositive row.
+    """
+    if k_max is not None and k_max < 0:
+        raise GeometryDomainError(f"k_max must be nonnegative, got {k_max}")
+    param = BergerParam.coerce(tau)
+    required = model.certified_k
+    k = required if k_max is None else k_max
+    if k < required:
+        raise TruncationError(
+            f"requested truncation k_max={k} is below the certified bound {required}")
+    if k > K_LIMIT:
+        raise TruncationError(
+            f"certified truncation {k} exceeds the configured limit {K_LIMIT}")
+    modes = _evaluate(_table(model, k), param.tau_sq, nonpositive_only=True)
+    index = sum(m.multiplicity for m in modes if m.sign < 0)
+    nullity = sum(m.multiplicity for m in modes if m.sign == 0)
+    modes.sort(key=_by_value)
+    return IndexReport(index, nullity, tuple(modes), k, model.certificate(k),
+                       *model.lower_bounds(param))
 
 
 # ---------------------------------------------------------------------------
-# Totally geodesic Berger spheres S^{2m+1}_tau in S^{2n+1}_tau
+# Closed forms, each checked against the enumeration
 # ---------------------------------------------------------------------------
 
 
-def tg_berger_modes(n: int, m: int, tau, k_max: int = 2) -> list[JacobiMode]:
-    """Jacobi modes of the totally geodesic Berger sphere S^{2m+1}_tau in
-    S^{2n+1}_tau with degree k <= k_max, sorted by value (the table of
-    ``TotallyGeodesicBergerSphere`` at tau)."""
-    if not (0 <= m < n):
-        raise GeometryDomainError("need 0 <= m < n")
-    return _modes(TotallyGeodesicBergerSphere(n, m), tau, k_max)
+def _checked(model: ModelSubmanifold, tau_sq: Fraction, index: int, nullity: int) -> IndexReport:
+    """``enumerate_index``'s report for the model, once it agrees with the
+    (index, nullity) of a closed form."""
+    report = enumerate_index(model, tau_sq)
+    if (report.index, report.nullity) != (index, nullity):
+        raise AssertionError(
+            f"closed form ({index}, {nullity}) of {model.label()} at tau^2={tau_sq} "
+            f"disagrees with the enumeration ({report.index}, {report.nullity})")
+    return report
 
 
 def tg_berger_index_nullity(n: int, m: int, tau) -> IndexReport:
@@ -545,40 +581,18 @@ def tg_berger_index_nullity(n: int, m: int, tau) -> IndexReport:
     Nullity: 2(n-m)(m+1) generically, 2(n-m)(m+2) at tau^2 = 1/(2m+2),
     4(n-m)(m+1) at tau^2 = 1.
     """
-    if not (0 <= m < n):
-        raise GeometryDomainError("need 0 <= m < n")
-    param = BergerParam.coerce(tau)
+    model = TotallyGeodesicBergerSphere(n, m)  # validates n and m before the formula
+    tau_sq = BergerParam.coerce(tau).tau_sq
     slots = n - m
     threshold = Fraction(1, 2 * (m + 1))
-    index = 0 if param.tau_sq <= threshold else 2 * slots
-    if param.tau_sq == 1:
+    index = 0 if tau_sq <= threshold else 2 * slots
+    if tau_sq == 1:
         nullity = 4 * slots * (m + 1)
-    elif param.tau_sq == threshold:
+    elif tau_sq == threshold:
         nullity = 2 * slots * (m + 2)
     else:
         nullity = 2 * slots * (m + 1)
-
-    modes = tg_berger_modes(n, m, param, k_max=1)
-    cert = ("piecewise table in tau^2; branch thresholds 1/(2m+2) and 1, "
-            "modes with k >= 2 are strictly positive")
-    report = _collect_report(modes, 1, cert)
-    if (report.index, report.nullity) != (index, nullity):
-        raise AssertionError("closed-form table disagrees with its own mode list")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Covered circles z -> (z^s, 0, ..., 0)
-# ---------------------------------------------------------------------------
-
-
-def circle_modes(s: int, tau, k_max: int, slots: int = 1) -> list[JacobiMode]:
-    """Jacobi modes of the s-fold covered circle with k <= k_max over
-    ``slots`` complex normal slots, sorted by value (the table of
-    ``CircleCover(slots, s)`` at tau)."""
-    if s < 1:
-        raise GeometryDomainError("need s >= 1")
-    return _modes(CircleCover(slots, s), tau, k_max)
+    return _checked(model, tau_sq, index, nullity)
 
 
 def circle_stability(s: int, tau) -> bool:
@@ -588,54 +602,11 @@ def circle_stability(s: int, tau) -> bool:
     return BergerParam.coerce(tau).tau_sq <= Fraction(1, 2 * s)
 
 
-# ---------------------------------------------------------------------------
-# The quadratic-curve models in S^5_tau
-# ---------------------------------------------------------------------------
-
-
-def veronese_modes(tau, k_max: int = 4, quotient: bool = True) -> list[JacobiMode]:
-    """Jacobi modes of the quadratic-curve circle bundles in S^5_tau with
-    k <= k_max, sorted by value: the embedded projective model (the table of
-    ``VeroneseRP3``) or, with ``quotient=False``, the covering 3-sphere."""
-    return _modes(VeroneseRP3() if quotient else VeroneseS3(), tau, k_max)
-
-
 def veronese_index_nullity(tau, quotient: bool = True) -> IndexReport:
-    """Index/nullity of the quadratic-curve models by exact enumeration.
-
-    Modes with k >= 5 satisfy rho >= (k^2 - 16)/4 > 0, so scanning
-    k <= 4 is complete.  For the covering 3-sphere above 1/4 the table
-    entries are only bounded below, and the report says so.
-    """
-    param = BergerParam.coerce(tau)
-    modes = veronese_modes(param, k_max=4, quotient=quotient)
-    cert = "modes with k >= 5 satisfy rho >= (k^2-16)/4 > 0 since tau^2 <= 1"
-    return _collect_report(modes, 4, cert, *_veronese_lower_bounds(param.tau_sq, quotient))
-
-
-def _veronese_lower_bounds(tau_sq: Fraction, quotient: bool) -> tuple[bool, bool]:
-    """(index, nullity) lower-bound flags: exact for the projective model;
-    for the covering 3-sphere the index above 1/4 and the nullity away from
-    1/8, 1/4 and 1 are only bounded below."""
-    if quotient:
-        return False, False
-    return tau_sq > Fraction(1, 4), tau_sq not in (Fraction(1), Fraction(1, 4), Fraction(1, 8))
-
-
-# ---------------------------------------------------------------------------
-# Totally real (round) spheres S^d with normal Killing field
-# ---------------------------------------------------------------------------
-
-
-def _round_sphere_eig(d: int, k: int) -> int:
-    return k * (d + k - 1)
-
-
-def totally_real_sphere_modes(n: int, d: int, tau, k_max: int = 3) -> list[JacobiMode]:
-    """Jacobi modes of the totally geodesic real d-sphere in S^{2n+1}_tau,
-    scanned to depth max(k_max, 2) and sorted by value (the table of
-    ``TotallyRealSphere`` at tau)."""
-    return _modes(TotallyRealSphere(n, d), tau, k_max)
+    """Index/nullity of the projective quadratic-curve model or, with
+    ``quotient=False``, of its covering 3-sphere; there is no closed form,
+    only the enumeration."""
+    return enumerate_index(VeroneseRP3() if quotient else VeroneseS3(), tau)
 
 
 def totally_real_sphere_index_nullity(n: int, d: int, tau) -> IndexReport:
@@ -644,34 +615,14 @@ def totally_real_sphere_index_nullity(n: int, d: int, tau) -> IndexReport:
     For tau^2 < 1: index 2n+1+d(d-1)/2 and nullity (d+1)(2n+1-3d/2).
     At tau^2 = 1 the classical round values 2n+1-d and (d+1)(2n+1-d).
     """
-    if not (1 <= d <= n):
-        raise GeometryDomainError("need 1 <= d <= n")
-    param = BergerParam.coerce(tau)
-    if param.tau_sq == 1:
+    tau_sq = BergerParam.coerce(tau).tau_sq
+    if tau_sq == 1:
         index = 2 * n + 1 - d
         nullity = (d + 1) * (2 * n + 1 - d)
     else:
         index = 2 * n + 1 + d * (d - 1) // 2
         nullity = int((d + 1) * Fraction(2 * (2 * n + 1) - 3 * d, 2))
-    modes = totally_real_sphere_modes(n, d, param, k_max=2)
-    cert = ("constant-normal modes are positive for k >= 2, gradient-pair "
-            "modes are negative exactly for lambda_k < 2(d+1) (k <= 1) and "
-            "zero exactly at k = 2; the coexact value is -4(1-tau^2)")
-    report = _collect_report(modes, 2, cert)
-    if (report.index, report.nullity) != (index, nullity):
-        raise AssertionError("closed-form table disagrees with its own mode list")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Clifford product hypersurfaces
-# ---------------------------------------------------------------------------
-
-
-def clifford_jacobi_modes(m1: int, m2: int, tau, sum_max: int = 2) -> list[JacobiMode]:
-    """Jacobi modes of the Clifford hypersurface with k1 + k2 <= sum_max,
-    sorted by value (the table of ``CliffordHypersurface`` at tau)."""
-    return _modes(CliffordHypersurface(m1, m2), tau, sum_max)
+    return _checked(TotallyRealSphere(n, d), tau_sq, index, nullity)
 
 
 def clifford_index_nullity(m1: int, m2: int, tau) -> IndexReport:
@@ -681,57 +632,13 @@ def clifford_index_nullity(m1: int, m2: int, tau) -> IndexReport:
     generically, gaining 2(n+1) at tau^2 = 1/(2n+1) and doubling at
     tau^2 = 1 (cross-checked against the flat-torus Fourier oracle).
     """
-    param = BergerParam.coerce(tau)
+    tau_sq = BergerParam.coerce(tau).tau_sq
     n = m1 + m2 + 1
     threshold = Fraction(1, 2 * n + 1)
-    index = 1 if param.tau_sq <= threshold else 2 * n + 3
+    index = 1 if tau_sq <= threshold else 2 * n + 3
     nullity = 2 * (m1 + 1) * (m2 + 1)
-    if param.tau_sq == 1:
+    if tau_sq == 1:
         nullity *= 2
-    elif param.tau_sq == threshold:
+    elif tau_sq == threshold:
         nullity += 2 * (n + 1)
-    cert = ("piecewise table in tau^2; branch thresholds 1/(2n+1) and 1, "
-            "eigenvalues with k1+k2 >= 3 satisfy mu >= 2n(k1+k2) > 4n")
-    report = _collect_report(clifford_jacobi_modes(m1, m2, param), 2, cert)
-    if (report.index, report.nullity) != (index, nullity):
-        raise AssertionError("closed-form table disagrees with its own mode list")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Generic certified driver
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Optional override of the scan depth used by ``enumerate_index``."""
-
-    k_max: Optional[int] = None
-
-    def __post_init__(self):
-        if self.k_max is not None and self.k_max < 0:
-            raise GeometryDomainError(f"k_max must be nonnegative, got {self.k_max}")
-
-
-def _resolve_k(policy: Optional[TruncationPolicy], required: int) -> int:
-    k = required if policy is None or policy.k_max is None else policy.k_max
-    if k < required:
-        raise TruncationError(
-            f"requested truncation k_max={k} is below the certified bound {required}")
-    if k > K_LIMIT:
-        raise TruncationError(
-            f"certified truncation {k} exceeds the configured limit {K_LIMIT}")
-    return k
-
-
-def enumerate_index(model: ModelSubmanifold, tau, policy: Optional[TruncationPolicy] = None) -> IndexReport:
-    """Index/nullity of a model by mode enumeration with a positivity certificate.
-
-    The sign of every row of the model's table is decided in integers; a
-    ``JacobiMode`` is built only for a nonpositive row.
-    """
-    param = BergerParam.coerce(tau)
-    k = _resolve_k(policy, model.certified_k)
-    modes = _evaluate(_mode_table(model, k), param.tau_sq, nonpositive_only=True)
-    return _collect_report(modes, k, model.certificate(k), *model.lower_bounds(param))
+    return _checked(CliffordHypersurface(m1, m2), tau_sq, index, nullity)

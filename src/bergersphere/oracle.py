@@ -39,6 +39,9 @@ DEFAULT_SEED = 0x5EED
 # real-vector checks keep, so its batches are a quarter as long.
 SAMPLE_CHUNK = 256
 
+# Largest degree the exact kernel-rank oracles accept.
+_CAP = 8
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -109,7 +112,7 @@ def _by_weight(n: int, a: int, b: int) -> dict[tuple[int, ...], list]:
     return blocks
 
 
-def harmonic_dim_bruteforce(n: int, a: int, b: int, cap: int = 8) -> int:
+def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
     """Dimension of bidegree-(a, b) harmonic polynomials by exact kernel rank.
 
     Assembles the mixed second derivative sum on the monomial basis
@@ -121,8 +124,8 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int, cap: int = 8) -> int:
         raise GeometryDomainError(f"n must be nonnegative, got {n}")
     if a < 0 or b < 0:
         return 0
-    if a + b > cap:
-        raise GeometryDomainError(f"bidegree {a}+{b} exceeds the configured cap {cap}")
+    if a + b > _CAP:
+        raise GeometryDomainError(f"bidegree {a}+{b} exceeds the configured cap {_CAP}")
     sources = _by_weight(n, a, b)
     if a == 0 or b == 0:
         return sum(map(len, sources.values()))
@@ -184,7 +187,7 @@ def _block_vertical_sq(dvec: tuple[int, ...]):
     return basis, [[mat[j][i] for j in range(len(basis))] for i in range(len(basis))]
 
 
-def lxi_squared_spectrum(n: int, tau, k: int, cap: int = 8):
+def lxi_squared_spectrum(n: int, tau, k: int):
     """Exact spectrum of the squared vertical derivative on degree-k harmonics.
 
     Splits the degree-k polynomials on R^{2(n+1)} into pair-degree blocks,
@@ -196,8 +199,8 @@ def lxi_squared_spectrum(n: int, tau, k: int, cap: int = 8):
     """
     if n < 0 or k < 0:
         raise GeometryDomainError(f"n and k must be nonnegative, got n={n}, k={k}")
-    if k > cap:
-        raise GeometryDomainError(f"degree {k} exceeds the configured cap {cap}")
+    if k > _CAP:
+        raise GeometryDomainError(f"degree {k} exceeds the configured cap {_CAP}")
     param = BergerParam.coerce(tau)
     npairs = n + 1
     if k == 0:
@@ -359,9 +362,9 @@ def _worst(worst: float, errors: np.ndarray) -> float:
     return float(np.max(errors, initial=worst))
 
 
-def killing_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
-                  h: float = 1e-5, tol: float = 1e-6) -> CheckReport:
+def killing_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED) -> CheckReport:
     """Metric invariance under the vertical flow, by finite differences."""
+    h = 1e-5
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "killing")
     worst = 0.0
@@ -376,11 +379,11 @@ def killing_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
             return berger_inner_rows(param, zt, vt, wt)
 
         worst = _worst(worst, np.abs((moved(h) - moved(-h)) / (2 * h)))
-    return _report("killing-flow-isometry", worst, samples, tol, seed)
+    return _report("killing-flow-isometry", worst, samples, 1e-6, seed)
 
 
-def curvature_symmetry_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
-                             tol: float = 1e-10) -> CheckReport:
+def curvature_symmetry_check(tau, n: int, samples: int = 500,
+                             seed: int = DEFAULT_SEED) -> CheckReport:
     """Antisymmetries, pair symmetry and the cyclic identity of the curvature."""
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "curvature-symmetry")
@@ -398,11 +401,10 @@ def curvature_symmetry_check(tau, n: int, samples: int = 500, seed: int = DEFAUL
             np.abs(r - curv(zz, w, x, y)),
             np.abs(r + curv(y, zz, x, w) + curv(zz, x, y, w)),
         ], axis=0))
-    return _report("curvature-symmetries", worst, samples, tol, seed)
+    return _report("curvature-symmetries", worst, samples, 1e-10, seed)
 
 
-def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEED,
-                             tol: float = 1e-12) -> CheckReport:
+def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEED) -> CheckReport:
     """At tau = 1 the curvature is the constant-curvature-one tensor."""
     param = BergerParam(Fraction(1))
     rng = _rng(seed, "round-degeneration")
@@ -415,11 +417,11 @@ def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEE
 
         expected = ip(y, zz) * ip(x, w) - ip(x, zz) * ip(y, w)
         worst = _worst(worst, np.abs(curvature_tensor_rows(param, z, x, y, zz, w) - expected))
-    return _report("round-sphere-degeneration", worst, samples, tol, seed)
+    return _report("round-sphere-degeneration", worst, samples, 1e-12, seed)
 
 
-def sectional_consistency_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
-                                tol: float = 1e-12) -> CheckReport:
+def sectional_consistency_check(tau, n: int, samples: int = 500,
+                                seed: int = DEFAULT_SEED) -> CheckReport:
     """Sectional curvature equals the curvature tensor on orthonormal pairs.
 
     A sample whose frame degenerates is dropped and replaced by the next
@@ -437,11 +439,10 @@ def sectional_consistency_check(tau, n: int, samples: int = 500, seed: int = DEF
         k = sectional_curvature_rows(param, z, v, w)
         worst = _worst(worst, np.abs(k - curvature_tensor_rows(param, z, v, w, w, v)))
         done += int(full.sum())
-    return _report("sectional-consistency", worst, samples, tol, seed)
+    return _report("sectional-consistency", worst, samples, 1e-12, seed)
 
 
-def ricci_vertical_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
-                         tol: float = 1e-12) -> CheckReport:
+def ricci_vertical_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED) -> CheckReport:
     """Ricci curvature of the vertical direction equals 2n tau^2."""
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "ricci-vertical")
@@ -451,7 +452,7 @@ def ricci_vertical_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SE
         z, _ = _draw(rng, n, count, 0)
         xi = killing_field_rows(param, z)
         worst = _worst(worst, np.abs(ricci_rows(param, z, xi) - expected))
-    return _report("ricci-vertical", worst, samples, tol, seed)
+    return _report("ricci-vertical", worst, samples, 1e-12, seed)
 
 
 def metric_definiteness_check(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> CheckReport:
@@ -472,14 +473,15 @@ def metric_definiteness_check(tau, n: int, samples: int = 200, seed: int = DEFAU
     return _report("metric-definiteness", worst, samples, 0.0, seed)
 
 
-def geodesic_sphere_isometry_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED,
-                                   h: float = 1e-6, tol: float = 1e-8) -> CheckReport:
+def geodesic_sphere_isometry_check(tau, n: int, samples: int = 500,
+                                   seed: int = DEFAULT_SEED) -> CheckReport:
     """Pullback of the Fubini-Study metric matches the Berger metric.
 
     The pushforward is a central finite difference of the homogeneous
     representative curve; the Fubini-Study pairing projects out the scale
     and phase drift.
     """
+    h = 1e-6
     param = BergerParam.coerce(tau)
     if param.is_round:
         raise GeometryDomainError("the geodesic-sphere picture needs tau < 1")
@@ -500,7 +502,7 @@ def geodesic_sphere_isometry_check(tau, n: int, samples: int = 500, seed: int = 
 
         got = fubini_study_inner_rows(p0, scale, push(u), push(v))
         worst = _worst(worst, np.abs(got - berger_inner_rows(param, z, u, v)))
-    return _report("geodesic-sphere-isometry", worst, samples, tol, seed)
+    return _report("geodesic-sphere-isometry", worst, samples, 1e-8, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -948,14 +950,14 @@ def lattice_cross_check(seed: int = DEFAULT_SEED) -> CheckReport:
     return _report("clifford-lattice-crosscheck", float(worst), len(grid), 0.0, seed)
 
 
-def vertical_spectrum_cross_check(seed: int = DEFAULT_SEED, n_max: int = 1,
-                                  k_max: int = 3) -> CheckReport:
-    """Block-diagonalisation oracle vs the closed-form frequency split."""
+def vertical_spectrum_cross_check(seed: int = DEFAULT_SEED) -> CheckReport:
+    """Block-diagonalisation oracle vs the closed-form frequency split, for
+    n <= 1 and k <= 3."""
     ts = Fraction(1, 3)
     worst = 0
     count = 0
-    for n in range(0, n_max + 1):
-        for k in range(0, k_max + 1):
+    for n in range(2):
+        for k in range(4):
             got = dict(lxi_squared_spectrum(n, ts, k))
             expected: dict[Fraction, int] = {}
             for p in range(k // 2 + 1):
@@ -969,14 +971,14 @@ def vertical_spectrum_cross_check(seed: int = DEFAULT_SEED, n_max: int = 1,
     return _report("vertical-spectrum-crosscheck", float(worst), count, 0.0, seed)
 
 
-def bidegree_cross_check(seed: int = DEFAULT_SEED, n_max: int = 2,
-                         deg_max: int = 4) -> CheckReport:
-    """Brute-force harmonic dimensions vs the closed binomial expression."""
+def bidegree_cross_check(seed: int = DEFAULT_SEED) -> CheckReport:
+    """Brute-force harmonic dimensions vs the closed binomial expression, for
+    n <= 2 and a + b <= 4."""
     worst = 0
     count = 0
-    for n in range(0, n_max + 1):
-        for a in range(deg_max + 1):
-            for b in range(deg_max + 1 - a):
+    for n in range(3):
+        for a in range(5):
+            for b in range(5 - a):
                 worst = max(worst, abs(harmonic_dim_bruteforce(n, a, b)
                                        - spectra.bidegree_dimension(n, a, b)))
                 count += 1

@@ -158,14 +158,15 @@ def berger_modes(n: int, tau, k_max: int) -> list[LaplaceMode]:
     return modes
 
 
-def low_modes(n: int, tau, k_max: int) -> list[LaplaceMode]:
-    """Modes with k <= k_max ordered by (value, k, p)."""
-    return sorted(berger_modes(n, tau, k_max), key=lambda m: (m.value, m.k, m.p))
-
-
 # ---------------------------------------------------------------------------
 # Clifford products of odd spheres
 # ---------------------------------------------------------------------------
+
+
+# The (k1, k2, p) labels of the four low modes that decide the Jacobi sign
+# analysis, with multiplicities 1, 2m1+2, 2m2+2 and 2(m1+1)(m2+1); all four
+# have k1 + k2 <= 2.
+LOW_LABELS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))
 
 
 def clifford_eigenvalue(m1: int, m2: int, tau, k1: int, k2: int, p: int) -> Fraction:
@@ -219,18 +220,3 @@ def clifford_modes(m1: int, m2: int, tau, sum_max: int) -> list[CliffordMode]:
                                           clifford_eigenvalue(m1, m2, param, k1, k2, p),
                                           mult))
     return modes
-
-
-def clifford_low_modes(m1: int, m2: int, tau) -> list[CliffordMode]:
-    """The four low modes that decide the Jacobi sign analysis.
-
-    These are (k1,k2,p) = (0,0,0), (1,0,0), (0,1,0) and (1,1,1), with
-    multiplicities 1, 2m1+2, 2m2+2 and 2(m1+1)(m2+1).
-    """
-    _check_nonnegative(m1=m1, m2=m2)
-    param = BergerParam.coerce(tau)
-    labels = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
-    return [CliffordMode(k1, k2, p,
-                         clifford_eigenvalue(m1, m2, param, k1, k2, p),
-                         clifford_multiplicity(m1, m2, k1, k2, p))
-            for (k1, k2, p) in labels]

@@ -152,6 +152,8 @@ BAD_INPUTS = [
     ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--kmax", "100000000"],
     ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3",
      "--kmax", "65"],
+    ["index", "--model", "veronese-rp3", "--n", "5", "--tau-sq", "1/3"],
+    ["index", "--model", "circle", "--n", "1", "--s", "2", "--d", "3", "--tau-sq", "1/3"],
 ]
 
 

@@ -1,6 +1,7 @@
 """Jacobi mode families and the index/nullity tables."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -9,16 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from bergersphere import models, spectra
 from bergersphere.geometry import GeometryDomainError
-from bergersphere.models import (CircleCover, CliffordHypersurface, JacobiMode, Surd,
+from bergersphere.models import (CircleCover, CliffordHypersurface, JacobiMode,
+                                 ModelSubmanifold, ModeRow, Surd,
                                  TotallyGeodesicBergerSphere, TotallyRealSphere,
-                                 TruncationError, TruncationPolicy, VeroneseRP3,
-                                 VeroneseS3, circle_modes, circle_stability,
-                                 clifford_index_nullity, clifford_jacobi_modes,
-                                 enumerate_index, minus_sqrt,
-                                 tg_berger_index_nullity, tg_berger_modes,
-                                 totally_real_sphere_index_nullity,
-                                 totally_real_sphere_modes, veronese_index_nullity,
-                                 veronese_modes)
+                                 TruncationError, VeroneseRP3, VeroneseS3, circle_stability,
+                                 clifford_index_nullity, enumerate_index, jacobi_modes,
+                                 minus_sqrt, tg_berger_index_nullity,
+                                 totally_real_sphere_index_nullity, veronese_index_nullity)
 
 TAU_GRID = [F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(1)]
 
@@ -39,18 +37,18 @@ def tg_table(n, m, ts):
 
 class TestTotallyGeodesicBergerSpheres:
     def test_positive_for_high_degree(self):
-        modes = tg_berger_modes(3, 1, F(1, 2), k_max=6)
+        modes = jacobi_modes(TotallyGeodesicBergerSphere(3, 1), F(1, 2), 6)
         assert all(m.value > 0 for m in modes if m.labels[0] >= 2)
 
     def test_lowest_mode_value(self):
         ts = F(2, 5)
         m = 1
-        modes = tg_berger_modes(3, m, ts, k_max=2)
+        modes = jacobi_modes(TotallyGeodesicBergerSphere(3, m), ts, 2)
         k0 = [mo for mo in modes if mo.labels[:2] == (0, 0)]
         assert len(k0) == 1 and k0[0].value == 1 / ts - (2 * m + 2)
 
     def test_degree_one_zero_mode(self):
-        modes = tg_berger_modes(2, 0, F(1, 3), k_max=2)
+        modes = jacobi_modes(TotallyGeodesicBergerSphere(2, 0), F(1, 3), 2)
         zero = [mo for mo in modes if mo.labels == (1, 0, -1)]
         assert len(zero) == 1 and zero[0].value == 0
 
@@ -88,7 +86,7 @@ class TestCircleCovers:
     def test_near_top_mode_value(self):
         for s in (1, 2, 3):
             ts = F(1, 3)
-            modes = circle_modes(s, ts, k_max=s)
+            modes = jacobi_modes(CircleCover(1, s), ts, s)
             if s == 1:
                 target = [m for m in modes if m.labels == (0, 0)]
             else:
@@ -147,7 +145,7 @@ class TestVeronese:
         assert r.nullity >= 10 and r.nullity_is_lower_bound
 
     def test_quotient_keeps_even_degrees_only(self):
-        ks = {m.labels[0] for m in veronese_modes(F(1, 2), k_max=5, quotient=True)}
+        ks = {m.labels[0] for m in jacobi_modes(VeroneseRP3(), F(1, 2), 5)}
         assert ks == {0, 2, 4}
 
 
@@ -174,7 +172,7 @@ class TestTotallyRealSpheres:
         # the coupled gradient/function family contributes d+1 negatives and
         # (d+2)(d+1)/2 zeros
         for n, d, ts in [(2, 2, F(1, 2)), (3, 3, F(1, 4)), (3, 1, F(2, 3))]:
-            modes = totally_real_sphere_modes(n, d, ts)
+            modes = jacobi_modes(TotallyRealSphere(n, d), ts, 3)
             fam = [m for m in modes if m.family == "gradient-pair"]
             neg = sum(m.multiplicity for m in fam if m.sign < 0)
             zero = sum(m.multiplicity for m in fam if m.sign == 0)
@@ -249,22 +247,35 @@ class TestEnumerationDriver:
     def test_truncation_stability(self, model):
         for ts in (F(1, 6), F(1, 2), F(1)):
             base = enumerate_index(model, ts)
-            doubled = enumerate_index(model, ts,
-                                      TruncationPolicy(k_max=2 * base.truncation_k))
+            doubled = enumerate_index(model, ts, k_max=2 * base.truncation_k)
             assert (base.index, base.nullity) == (doubled.index, doubled.nullity)
             assert base.nonpositive_modes == doubled.nonpositive_modes
 
     def test_too_small_truncation_rejected(self):
         with pytest.raises(TruncationError):
-            enumerate_index(CircleCover(1, 5), F(1, 2), TruncationPolicy(k_max=3))
+            enumerate_index(CircleCover(1, 5), F(1, 2), k_max=3)
 
     def test_limit_exceeded_rejected(self):
         with pytest.raises(TruncationError):
-            enumerate_index(CircleCover(1, 5), F(1, 2), TruncationPolicy(k_max=100))
+            enumerate_index(CircleCover(1, 5), F(1, 2), k_max=100)
 
     def test_identity_model_rejected(self):
         with pytest.raises(GeometryDomainError):
             enumerate_index(TotallyGeodesicBergerSphere(2, 2), F(1, 2))
+
+
+@dataclass(frozen=True)
+class OneZeroMode(ModelSubmanifold):
+    """A synthetic family whose whole table is one zero mode of multiplicity 3."""
+
+    name = "synthetic"
+    certified_k = 0
+
+    def table(self, k):
+        return [ModeRow("synthetic", (0,), 3, 0, 0, 0, 1)]
+
+    def certificate(self, k):
+        return "synthetic"
 
 
 class TestModeBookkeeping:
@@ -274,9 +285,9 @@ class TestModeBookkeeping:
             JacobiMode("synthetic", (0,), value, 3)
 
     def test_exact_zero_counts(self):
-        mode = JacobiMode("synthetic", (0,), F(0), 3)
-        report = models._collect_report([mode], 0, "synthetic")
-        assert report.nullity == 3
+        report = enumerate_index(OneZeroMode(), F(1, 3))
+        assert (report.index, report.nullity) == (0, 3)
+        assert report.nonpositive_modes == (JacobiMode("synthetic", (0,), F(0), 3),)
 
     def test_multiplicity_validation(self):
         with pytest.raises(GeometryDomainError):
@@ -361,6 +372,29 @@ class TestEnumerationAgainstClosedForms:
     def test_random_exact_parameters(self, model, ts):
         assert_enumeration_matches_closed_form(model, ts)
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(model=st.sampled_from([m for m in family_library() if type(m) in CLOSED_FORMS]),
+           ts=TAU_SQ)
+    def test_closed_forms_return_the_enumeration_report(self, model, ts):
+        # index, nullity, modes, truncation_k, certificate and both flags
+        assert CLOSED_FORMS[type(model)](model, ts) == enumerate_index(model, ts)
+
+    def test_a_moved_threshold_is_caught(self, monkeypatch):
+        # Move the Clifford torus threshold 1/(2n+1) = 1/3 to 1/4: while
+        # patched, every Fraction that ``models`` builds is still a Fraction,
+        # but Fraction(1, 3) comes out as 1/4.  The enumeration builds values
+        # only for nonpositive modes, never 1/3, so only the formula moves.
+        class MovedThreshold(F):
+            def __new__(cls, numerator=0, denominator=None):
+                if (numerator, denominator) == (1, 3):
+                    numerator, denominator = 1, 4
+                return super().__new__(cls, numerator, denominator)
+
+        assert clifford_index_nullity(0, 0, F(1, 3)).nullity == 6
+        monkeypatch.setattr(models, "Fraction", MovedThreshold)
+        with pytest.raises(AssertionError, match="disagrees with the enumeration"):
+            clifford_index_nullity(0, 0, F(1, 3))
+
 
 # Test-side copies of the per-tau mode formulas the tables replaced; each
 # returns (family, labels, value, multiplicity) in the order of the modes.
@@ -442,15 +476,6 @@ REFERENCE = {
     CliffordHypersurface: lambda mo, ts, k: reference_clifford(mo.m1, mo.m2, ts, k),
 }
 
-MODES_FUNCTION = {
-    TotallyGeodesicBergerSphere: lambda mo, ts, k: tg_berger_modes(mo.n, mo.m, ts, k_max=k),
-    CircleCover: lambda mo, ts, k: circle_modes(mo.s, ts, k_max=k, slots=mo.n),
-    VeroneseRP3: lambda mo, ts, k: veronese_modes(ts, k_max=k, quotient=True),
-    VeroneseS3: lambda mo, ts, k: veronese_modes(ts, k_max=k, quotient=False),
-    TotallyRealSphere: lambda mo, ts, k: totally_real_sphere_modes(mo.n, mo.d, ts, k_max=k),
-    CliffordHypersurface: lambda mo, ts, k: clifford_jacobi_modes(mo.m1, mo.m2, ts, sum_max=k),
-}
-
 
 def reference_modes(model, ts, k):
     """(family, labels, value, multiplicity, sign) of every mode, sorted as
@@ -474,8 +499,8 @@ class TestModeTables:
     def test_tables_match_the_per_tau_formulas(self, model, ts, extra):
         k = model.certified_k + extra
         want = reference_modes(model, ts, k)
-        assert as_rows(MODES_FUNCTION[type(model)](model, ts, k)) == want
-        got = enumerate_index(model, ts, TruncationPolicy(k_max=k))
+        assert as_rows(jacobi_modes(model, ts, k)) == want
+        got = enumerate_index(model, ts, k_max=k)
         nonpositive = [row for row in want if row[4] <= 0]
         assert as_rows(got.nonpositive_modes) == nonpositive
         assert got.index == sum(row[3] for row in want if row[4] < 0)
@@ -484,21 +509,31 @@ class TestModeTables:
 
     def test_tables_are_integers_and_take_no_tau(self):
         models._mode_table.cache_clear()
-        keys = set()
+        library = family_library(2)
         for ts in (F(1, 7), F(1, 3), F(2, 5), F(1)):
-            for model in family_library(2):
-                for k in (model.certified_k, model.certified_k + 3):
-                    enumerate_index(model, ts, TruncationPolicy(k_max=k))
-                    keys.add((model, k))
-                MODES_FUNCTION[type(model)](model, ts, model.certified_k)
+            for model in library:
+                enumerate_index(model, ts)
+                jacobi_modes(model, ts, model.certified_k)
         info = models._mode_table.cache_info()
-        assert info.currsize == info.misses == len(keys)
-        for model, k in keys:
-            for row in models._mode_table(model, k):
+        assert info.currsize == info.misses == len(library)
+        for model in library:
+            for row in models._mode_table(model):
                 if isinstance(row, models.GradientPairRow):
                     assert row.sign in (-1, 0, 1)
                 else:
                     assert all(type(x) is int for x in row[2:]) and row.den > 0
+
+    def test_only_certified_depth_tables_are_kept(self):
+        models._mode_table.cache_clear()
+        for model in family_library(2):
+            enumerate_index(model, F(1, 3))
+        before = models._mode_table.cache_info()
+        for model in family_library(2):
+            deeper = model.certified_k + 3
+            enumerate_index(model, F(1, 3), k_max=deeper)
+            jacobi_modes(model, F(2, 5), deeper)
+        after = models._mode_table.cache_info()
+        assert after.currsize == before.currsize
 
 
 def gradient_pair_float(d, k, ts):
@@ -515,7 +550,7 @@ class TestExactGradientPair:
            ts=TAU_SQ)
     def test_sign_is_that_of_the_eigenvalue_gap(self, nd, ts):
         n, d = nd
-        pairs = [m for m in totally_real_sphere_modes(n, d, ts, k_max=6)
+        pairs = [m for m in jacobi_modes(TotallyRealSphere(n, d), ts, 6)
                  if m.family == "gradient-pair" and m.labels != (0,)]
         assert [m.labels for m in pairs] == [(k,) for k in range(1, 7)]
         for mode in pairs:
@@ -527,7 +562,7 @@ class TestExactGradientPair:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_rational_cases(self, d):
         for ts in (F(1, 7), F(1, 3), F(1)):
-            values = {m.labels: m.value for m in totally_real_sphere_modes(4, d, ts, k_max=4)
+            values = {m.labels: m.value for m in jacobi_modes(TotallyRealSphere(4, d), ts, 4)
                       if m.family == "gradient-pair"}
             assert values[(2,)] == 0 and isinstance(values[(2,)], F)
             assert all(isinstance(v, F) for v in values.values()) == (ts == 1)

@@ -1,10 +1,12 @@
 """Laplace spectrum tables and multiplicity bookkeeping."""
 
+import io
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from bergersphere import spectra
+from bergersphere import cli, spectra
 from bergersphere.geometry import GeometryDomainError
 from bergersphere.oracle import harmonic_dim_bruteforce
 
@@ -101,10 +103,6 @@ class TestBergerMultiplicity:
         assert [(m.k, m.p, m.value, m.multiplicity) for m in modes] == [
             (0, 0, F(0), 1), (1, 0, F(5), 4), (2, 0, F(16), 6), (2, 1, F(8), 3)]
 
-    def test_low_modes_sorted_by_value(self):
-        values = [m.value for m in spectra.low_modes(1, F(1, 3), 4)]
-        assert values == sorted(values)
-
 
 class TestCliffordSpectrum:
     def test_zero_mode(self):
@@ -123,11 +121,18 @@ class TestCliffordSpectrum:
                 2 * (m1 + 1) * (m2 + 1)
 
     def test_low_modes_table(self):
-        m1, m2 = 1, 0
-        modes = spectra.clifford_low_modes(m1, m2, F(1, 4))
-        mults = [(m.k1, m.k2, m.p, m.multiplicity) for m in modes]
-        assert mults == [(0, 0, 0, 1), (1, 0, 0, 2 * m1 + 2), (0, 1, 0, 2 * m2 + 2),
-                         (1, 1, 1, 2 * (m1 + 1) * (m2 + 1))]
+        # the rows of ``spectrum --low``
+        for m1, m2 in [(1, 0), (0, 2), (2, 3)]:
+            out = io.StringIO()
+            assert cli.main(["spectrum", "--space", "clifford", "--m1", str(m1),
+                             "--m2", str(m2), "--tau-sq", "1/4", "--low", "--format", "json"],
+                            out=out) == 0
+            rows = [(r["k1"], r["k2"], r["p"], F(r["value"]), r["multiplicity"])
+                    for r in json.loads(out.getvalue())["modes"]]
+            assert rows == [
+                (*label, spectra.clifford_eigenvalue(m1, m2, F(1, 4), *label), mult)
+                for label, mult in zip(spectra.LOW_LABELS, [1, 2 * m1 + 2, 2 * m2 + 2,
+                                                            2 * (m1 + 1) * (m2 + 1)])]
 
     def test_product_partition(self):
         # the (k1, k2) shell splits into frequency pieces of the right total

@@ -8,8 +8,7 @@ import pytest
 from bergersphere.geometry import GeometryDomainError
 from bergersphere.models import (CircleCover, CliffordHypersurface,
                                  TotallyGeodesicBergerSphere, TotallyRealSphere,
-                                 VeroneseRP3, VeroneseS3, circle_modes,
-                                 enumerate_index)
+                                 VeroneseRP3, VeroneseS3, enumerate_index, jacobi_modes)
 from bergersphere.stability import (CliffordTorus, MinimalSphere, OtherSurface,
                                     Verdict, clifford_moduli_vector,
                                     dimension_instability, genus_index_bound,
@@ -33,7 +32,7 @@ class TestBundleStability:
     def test_gap_resolved_by_modes(self):
         verdict = s1_bundle_stability(0, 2, F(1, 3))
         assert verdict.verdict is Verdict.UNDETERMINED
-        modes = circle_modes(2, F(1, 3), k_max=2)
+        modes = jacobi_modes(CircleCover(1, 2), F(1, 3), 2)
         assert any(m.sign < 0 for m in modes)  # unstable in the gap
 
     def test_boundary_with_covering(self):
