@@ -11,8 +11,11 @@ case, so slow drift of the host's speed hits both alike.
 Cases:
 
 * L0 ``oracle.harmonic_dim_bruteforce(3, 3, 4)`` and
-  ``oracle.lxi_squared_spectrum(1, 1/3, 8)``: exact kernel ranks, dominated
-  by the elimination in ``exactlinalg``.
+  ``oracle.lxi_squared_spectrum`` at (n, tau^2, k) = (1, 1/3, 8), (2, 1/3, 5),
+  (3, 2/7, 4) and (2, 1/3, 8): exact kernel ranks, dominated by the
+  elimination in ``exactlinalg``.  The middle two are sizes of the
+  exact-oracles benchmark's large tier; (2, 1/3, 8) lies beyond it, at the
+  degree cap.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 (seeded, drawn outside the timed region).
   Each run is a fresh interpreter, so the mode tables start cold, as they
@@ -57,6 +60,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = [
     ("L0", "harmonic_dim_bruteforce(3, 3, 4)", 5, None),
     ("L0", "lxi_squared_spectrum(1, 1/3, 8)", 5, None),
+    ("L0", "lxi_squared_spectrum(2, 1/3, 5)", 5, None),
+    ("L0", "lxi_squared_spectrum(3, 2/7, 4)", 5, None),
+    ("L0", "lxi_squared_spectrum(2, 1/3, 8)", 5, None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", 11, None),
     ("L2", "curvature-tensor-500", 21, None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
@@ -116,6 +122,12 @@ def _time_in_process(case: str) -> float:
         "harmonic_dim_bruteforce(3, 3, 4)": lambda: oracle.harmonic_dim_bruteforce(3, 3, 4),
         "lxi_squared_spectrum(1, 1/3, 8)":
             lambda: oracle.lxi_squared_spectrum(1, Fraction(1, 3), 8),
+        "lxi_squared_spectrum(2, 1/3, 5)":
+            lambda: oracle.lxi_squared_spectrum(2, Fraction(1, 3), 5),
+        "lxi_squared_spectrum(3, 2/7, 4)":
+            lambda: oracle.lxi_squared_spectrum(3, Fraction(2, 7), 4),
+        "lxi_squared_spectrum(2, 1/3, 8)":
+            lambda: oracle.lxi_squared_spectrum(2, Fraction(1, 3), 8),
         "curvature_symmetry_check(1/3, 2, 500)":
             lambda: oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500),
         "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":

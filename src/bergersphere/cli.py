@@ -80,15 +80,21 @@ def _print_table(header, rows, out):
 
 def cmd_spectrum(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
-    if args.kmax > models.K_LIMIT:
-        raise CliError(f"--kmax must be at most {models.K_LIMIT}, got {args.kmax}")
+    kmax = 4 if args.kmax is None else args.kmax
+    if kmax > models.K_LIMIT:
+        raise CliError(f"--kmax must be at most {models.K_LIMIT}, got {kmax}")
+    for name in ("m1", "m2") if args.space == "berger" else ("n",):
+        if getattr(args, name) is not None:
+            raise CliError(f"--space {args.space} takes no --{name}")
+    if args.low and args.kmax is not None:
+        raise CliError("--low takes no --kmax")
     if args.space == "berger":
         if args.n is None:
             raise CliError("--space berger needs --n")
         if args.low:
             raise CliError("--low applies only to --space clifford")
         rows = [(m.k, m.p, str(m.value), m.multiplicity, "vertical-split")
-                for m in spectra.berger_modes(args.n, tau_sq, args.kmax)]
+                for m in spectra.berger_modes(args.n, tau_sq, kmax)]
         header = ("k", "p", "value", "multiplicity", "source")
     else:
         if args.m1 is None or args.m2 is None:
@@ -98,7 +104,7 @@ def cmd_spectrum(args, out) -> int:
                         for m in spectra.clifford_modes(args.m1, args.m2, tau_sq, 2)}
             cmodes = [by_label[label] for label in spectra.LOW_LABELS]
         else:
-            cmodes = spectra.clifford_modes(args.m1, args.m2, tau_sq, args.kmax)
+            cmodes = spectra.clifford_modes(args.m1, args.m2, tau_sq, kmax)
         rows = [(m.k1, m.k2, m.p, str(m.value), m.multiplicity, "product-split")
                 for m in cmodes]
         header = ("k1", "k2", "p", "value", "multiplicity", "source")
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int)
     p.add_argument("--m2", type=int)
     p.add_argument("--tau-sq", required=True)
-    p.add_argument("--kmax", type=int, default=4)
+    p.add_argument("--kmax", type=int)
     p.add_argument("--low", action="store_true",
                    help="only the low product modes entering the stability analysis")
     p.set_defaults(func=cmd_spectrum)

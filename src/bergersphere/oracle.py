@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -112,6 +113,23 @@ def _by_weight(n: int, a: int, b: int) -> dict[tuple[int, ...], list]:
     return blocks
 
 
+def _weight_block_nullity(n: int, cols: list, targets) -> int:
+    """Kernel dimension of the mixed second derivative sum on one weight block.
+
+    ``cols`` are the block's exponent pairs (alpha, beta), ``targets`` those
+    of bidegree (a-1, b-1) and the same weight.
+    """
+    tgt_index = {t: i for i, t in enumerate(targets)}
+    rows = [[0] * len(cols) for _ in range(len(tgt_index))]
+    for j, (al, be) in enumerate(cols):
+        for v in range(n + 1):
+            if al[v] >= 1 and be[v] >= 1:
+                al2 = al[:v] + (al[v] - 1,) + al[v + 1:]
+                be2 = be[:v] + (be[v] - 1,) + be[v + 1:]
+                rows[tgt_index[(al2, be2)]][j] = al[v] * be[v]
+    return len(cols) - integer_rank(rows)
+
+
 def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
     """Dimension of bidegree-(a, b) harmonic polynomials by exact kernel rank.
 
@@ -130,20 +148,14 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
     if a == 0 or b == 0:
         return sum(map(len, sources.values()))
     # The operator lowers alpha and beta at the same index, so it keeps the
-    # weight alpha - beta: its matrix is block diagonal by weight.
+    # weight alpha - beta: its matrix is block diagonal by weight.  It is
+    # symmetric in the n+1 variables, and permuting them maps the block of a
+    # weight onto the block of the permuted weight, so one block is solved
+    # per sorted weight and counted once per weight of its class.
     targets = _by_weight(n, a - 1, b - 1)
-    nullity = 0
-    for weight, cols in sources.items():
-        tgt_index = {t: i for i, t in enumerate(targets.get(weight, ()))}
-        rows = [[0] * len(cols) for _ in range(len(tgt_index))]
-        for j, (al, be) in enumerate(cols):
-            for v in range(n + 1):
-                if al[v] >= 1 and be[v] >= 1:
-                    al2 = al[:v] + (al[v] - 1,) + al[v + 1:]
-                    be2 = be[:v] + (be[v] - 1,) + be[v + 1:]
-                    rows[tgt_index[(al2, be2)]][j] = al[v] * be[v]
-        nullity += len(cols) - integer_rank(rows)
-    return nullity
+    classes = Counter(tuple(sorted(weight)) for weight in sources)
+    return sum(count * _weight_block_nullity(n, sources[weight], targets.get(weight, ()))
+               for weight, count in classes.items())
 
 
 def _block_basis(dvec: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -187,6 +199,56 @@ def _block_vertical_sq(dvec: tuple[int, ...]):
     return basis, [[mat[j][i] for j in range(len(basis))] for i in range(len(basis))]
 
 
+def _parity_halves(dvec: tuple[int, ...]):
+    """rot^2 of one pair-degree block as two blocks, by the parity of sum(a).
+
+    The rotation field moves one a_j by one, so rot^2 changes sum(a) by 0
+    or +-2 and never mixes the parities; raises if an entry would be dropped.
+    Returns [(basis, matrix)] for even, then odd sum(a).
+    """
+    basis, rot_sq = _block_vertical_sq(dvec)
+    parity = [sum(t) % 2 for t in basis]
+    if any(row[j] and parity[i] != parity[j]
+           for i, row in enumerate(rot_sq) for j in range(len(basis))):
+        raise AssertionError(f"rot^2 mixes the parities of sum(a) on block {dvec}")
+    halves = []
+    for half in (0, 1):
+        idx = [i for i in range(len(basis)) if parity[i] == half]
+        halves.append(([basis[i] for i in idx], [[rot_sq[i][j] for j in idx] for i in idx]))
+    return halves
+
+
+def _frequency_vectors(dvecs, m: int, halves: dict) -> list:
+    """Kernel of rot^2 + m^2 on every block of ``dvecs``, as (dvec, basis,
+    integer coordinates) triples.
+
+    rot is symmetric in the pairs, so permuting the pairs maps the block of
+    a sorted dvec onto the block of each of its permutations.  The kernel is
+    solved once per sorted dvec and parity (``halves`` maps each sorted dvec
+    to its ``_parity_halves``) and relabelled to every dvec of the class.
+    """
+    kernels = {}
+    vectors = []
+    for dvec in dvecs:
+        key = tuple(sorted(dvec))
+        if key not in kernels:
+            kernels[key] = []
+            for basis, mat in halves[key]:
+                shifted = [[x + m * m if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(mat)]
+                kernels[key].append(kernel_basis(shifted, len(basis)))
+        # key[pos[j]] == dvec[j]: pair j of dvec is pair pos[j] of the sorted block
+        order = sorted(range(len(dvec)), key=dvec.__getitem__)
+        pos = [0] * len(dvec)
+        for i, j in enumerate(order):
+            pos[j] = i
+        for (basis, _), vecs in zip(halves[key], kernels[key]):
+            if vecs:
+                relabelled = [tuple(t[p] for p in pos) for t in basis]
+                vectors.extend((dvec, relabelled, vec) for vec in vecs)
+    return vectors
+
+
 def lxi_squared_spectrum(n: int, tau, k: int):
     """Exact spectrum of the squared vertical derivative on degree-k harmonics.
 
@@ -206,10 +268,8 @@ def lxi_squared_spectrum(n: int, tau, k: int):
     if k == 0:
         return [(Fraction(0), 1)]
 
-    blocks = []
-    for dvec in _monomials(npairs, k):
-        basis, rot_sq = _block_vertical_sq(dvec)
-        blocks.append((dvec, basis, rot_sq))
+    dvecs = list(_monomials(npairs, k))
+    halves = {key: _parity_halves(key) for key in {tuple(sorted(dvec)) for dvec in dvecs}}
 
     tgt_index = {}
     if k >= 2:
@@ -235,13 +295,7 @@ def lxi_squared_spectrum(n: int, tau, k: int):
     results = []
     total = 0
     for m in range(k % 2, k + 1, 2):
-        vectors = []  # (dvec, basis, integer coords)
-        for dvec, basis, rot_sq in blocks:
-            dim = len(basis)
-            shifted = [[rot_sq[i][j] + (m * m if i == j else 0) for j in range(dim)]
-                       for i in range(dim)]
-            for vec in kernel_basis(shifted, dim):
-                vectors.append((dvec, basis, vec))
+        vectors = _frequency_vectors(dvecs, m, halves)
         if not vectors:
             continue
         rows = [[0] * len(vectors) for _ in range(len(tgt_index))]

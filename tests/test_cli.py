@@ -59,6 +59,21 @@ class TestSpectrumCommand:
         code, _ = run(["spectrum", "--space", "berger", "--tau-sq", "1/3"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--space", "clifford", "--m1", "0", "--m2", "0", "--n", "4"],
+         "--space clifford takes no --n"),
+        (["--space", "berger", "--n", "1", "--m2", "0"], "--space berger takes no --m2"),
+        (["--space", "clifford", "--m1", "0", "--m2", "0", "--low", "--kmax", "4"],
+         "--low takes no --kmax"),
+    ])
+    def test_flag_the_space_does_not_take_rejected(self, flags, message, capsys):
+        assert run(["spectrum", *flags, "--tau-sq", "1/3"]) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unset_kmax_means_four(self):
+        argv = ["spectrum", "--space", "clifford", "--m1", "1", "--m2", "0", "--tau-sq", "1/3"]
+        assert run(argv) == run(argv + ["--kmax", "4"])
+
 
 class TestIndexCommand:
     def test_clifford_table_output(self):
@@ -154,6 +169,10 @@ BAD_INPUTS = [
      "--kmax", "65"],
     ["index", "--model", "veronese-rp3", "--n", "5", "--tau-sq", "1/3"],
     ["index", "--model", "circle", "--n", "1", "--s", "2", "--d", "3", "--tau-sq", "1/3"],
+    ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3", "--n", "4"],
+    ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--m1", "0"],
+    ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3", "--low",
+     "--kmax", "-1"],
 ]
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergersphere import cli, oracle, spectra
+from bergersphere.exactlinalg import integer_rank, kernel_basis
 from bergersphere.geometry import GeometryDomainError
 from bergersphere.models import (CliffordHypersurface, TotallyRealSphere,
                                  clifford_index_nullity)
@@ -38,6 +39,20 @@ class TestHarmonicBruteforce:
                         spectra.bidegree_dimension(n, a, b)
 
 
+    def test_weight_blocks_match_their_sorted_weight(self):
+        # Permuting the variables maps a weight block onto the block of the
+        # permuted weight; the oracle solves only the sorted one.
+        for n in range(4):
+            for a in range(7):
+                for b in range(7 - a):
+                    sources = oracle._by_weight(n, a, b)
+                    targets = oracle._by_weight(n, a - 1, b - 1) if a and b else {}
+                    nullity = {w: oracle._weight_block_nullity(n, cols, targets.get(w, ()))
+                               for w, cols in sources.items()}
+                    for w, value in nullity.items():
+                        assert value == nullity[tuple(sorted(w))], (n, a, b, w)
+
+
 class TestVerticalSpectrum:
     def test_constants(self):
         assert oracle.lxi_squared_spectrum(1, F(1, 2), 0) == [(F(0), 1)]
@@ -62,6 +77,47 @@ class TestVerticalSpectrum:
                     key = F(-((k - 2 * p) ** 2)) / ts
                     expected[key] = expected.get(key, 0) + mult
             assert got == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_relabelled_kernels_solve_each_block(self, n):
+        """Each block's kernel of rot^2 + m^2, relabelled from its sorted dvec,
+        is a basis of the kernel of the operator built for that block."""
+        for k in range(1, 7):
+            dvecs = list(oracle._monomials(n + 1, k))
+            halves = {key: oracle._parity_halves(key) for key in {tuple(sorted(d)) for d in dvecs}}
+            for m in range(k + 1):
+                got = {}
+                for dvec, basis, vec in oracle._frequency_vectors(dvecs, m, halves):
+                    got.setdefault(dvec, []).append(dict(zip(basis, vec)))
+                for dvec in dvecs:
+                    basis, rot_sq = oracle._block_vertical_sq(dvec)
+                    shifted = [[x + m * m * (i == j) for j, x in enumerate(row)]
+                               for i, row in enumerate(rot_sq)]
+                    vecs = [[v.get(t, 0) for t in basis] for v in got.get(dvec, [])]
+                    for vec in vecs:
+                        assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in shifted)
+                    own = len(kernel_basis(shifted, len(basis)))
+                    assert len(vecs) == integer_rank(vecs) == own, (dvec, m)
+
+    def test_rotation_square_keeps_the_parity_of_the_x_degree(self):
+        for n in range(4):
+            for k in range(7):
+                for dvec in oracle._monomials(n + 1, k):
+                    basis, rot_sq = oracle._block_vertical_sq(dvec)
+                    assert all(x == 0 for s, row in zip(basis, rot_sq)
+                               for t, x in zip(basis, row) if (sum(s) - sum(t)) % 2)
+
+    def test_a_cross_parity_entry_is_caught(self, monkeypatch):
+        build = oracle._block_vertical_sq
+
+        def mixed(dvec):
+            basis, rot_sq = build(dvec)
+            rot_sq[0][1] += 1  # a = (0, ..., 0) and (0, ..., 1) differ in parity
+            return basis, rot_sq
+
+        monkeypatch.setattr(oracle, "_block_vertical_sq", mixed)
+        with pytest.raises(AssertionError, match="mixes the parities"):
+            oracle.lxi_squared_spectrum(1, F(1, 3), 2)
 
     def test_cap(self):
         with pytest.raises(GeometryDomainError):
