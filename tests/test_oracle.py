@@ -38,7 +38,6 @@ class TestHarmonicBruteforce:
                     assert oracle.harmonic_dim_bruteforce(n, a, b) == \
                         spectra.bidegree_dimension(n, a, b)
 
-
     def test_weight_blocks_match_their_sorted_weight(self):
         # Permuting the variables maps a weight block onto the block of the
         # permuted weight; the oracle solves only the sorted one.
@@ -84,7 +83,8 @@ class TestVerticalSpectrum:
         is a basis of the kernel of the operator built for that block."""
         for k in range(1, 7):
             dvecs = list(oracle._monomials(n + 1, k))
-            halves = {key: oracle._parity_halves(key) for key in {tuple(sorted(d)) for d in dvecs}}
+            halves = {key: oracle._parity_halves(key)
+                      for key in {tuple(sorted(d)) for d in dvecs}}
             for m in range(k + 1):
                 got = {}
                 for dvec, basis, vec in oracle._frequency_vectors(dvecs, m, halves):
