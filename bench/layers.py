@@ -5,8 +5,11 @@
 The source tree of ``<git rev>`` is extracted with ``git archive`` into a
 temporary directory; the "after" tree is the working tree.  Every case runs
 in a fresh interpreter whose ``PYTHONPATH`` is the tree's ``src``, with BLAS
-threads set to 1 and ``BERGER_SEED`` removed.  The trees alternate case by
-case, so slow drift of the host's speed hits both alike.
+threads set to 1 and ``BERGER_SEED`` removed.  Each repeat of a case is one
+pair of runs, one per tree, back to back; the tree that runs first alternates
+from pair to pair.  Slow drift of the host's speed thus hits both trees of a
+pair alike, and the per-pair difference cancels it where the spread of either
+tree's runs would not.
 
 Cases:
 
@@ -20,9 +23,8 @@ Cases:
   at six random rationals tau^2 (seeded, drawn outside the timed region).
   Each run is a fresh interpreter, so the mode tables start cold, as they
   do for a single command-line call.
-* L2 ``curvature-tensor-500``: the curvature tensor at 500 sampled points
-  (inputs built outside the timed region); one batched call where the tree
-  has ``curvature_tensor_rows``, else 500 scalar ``curvature_tensor`` calls.
+* L2 ``curvature-tensor-500``: one ``curvature_tensor_rows`` call on 500
+  sampled points (inputs built outside the timed region).
 * L3 ``curvature_symmetry_check(1/3, 2, 500)`` and
   ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``,
   the first-variation check that ``verify`` runs at every sample count.
@@ -34,9 +36,12 @@ Cases:
   --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json``, process wall
   time.
 
-The output holds, per case and tree, the median and the interquartile range
-of the repeats in seconds, plus the git sha, a digest of the after tree's
-sources, and the Python and numpy versions.
+Every case runs at least 11 pairs.  The output holds, per case and tree, the
+median and the interquartile range of the repeats in seconds; per case, the
+number of pairs, how many of them the after tree won (ran faster), and the
+median and interquartile range of the per-pair difference after - before in
+seconds; plus the git sha, a digest of the after tree's sources, and the
+Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -56,20 +61,20 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (layer, name, repeats, command line of an L5 case)
+# (layer, name, pairs, command line of an L5 case)
 CASES = [
-    ("L0", "harmonic_dim_bruteforce(3, 3, 4)", 5, None),
-    ("L0", "lxi_squared_spectrum(1, 1/3, 8)", 5, None),
-    ("L0", "lxi_squared_spectrum(2, 1/3, 5)", 5, None),
-    ("L0", "lxi_squared_spectrum(3, 2/7, 4)", 5, None),
-    ("L0", "lxi_squared_spectrum(2, 1/3, 8)", 5, None),
+    ("L0", "harmonic_dim_bruteforce(3, 3, 4)", 11, None),
+    ("L0", "lxi_squared_spectrum(1, 1/3, 8)", 11, None),
+    ("L0", "lxi_squared_spectrum(2, 1/3, 5)", 11, None),
+    ("L0", "lxi_squared_spectrum(3, 2/7, 4)", 11, None),
+    ("L0", "lxi_squared_spectrum(2, 1/3, 8)", 11, None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", 11, None),
     ("L2", "curvature-tensor-500", 21, None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
     ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", 21, None),
-    ("L4", "verify_all(512)", 5, None),
+    ("L4", "verify_all(512)", 11, None),
     ("L4", "verify_all(24)", 21, None),
-    ("L5", "cli verify --samples 2000 (process wall)", 5, ["verify", "--samples", "2000"]),
+    ("L5", "cli verify --samples 2000 (process wall)", 11, ["verify", "--samples", "2000"]),
     ("L5", "cli index --model totally-real --n 4 --d 3 --tau-sq 2/7 (process wall)", 11,
      ["index", "--model", "totally-real", "--n", "4", "--d", "3", "--tau-sq", "2/7"]),
     ("L5", "cli phase --n-max 8 --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json "
@@ -107,16 +112,8 @@ def _time_in_process(case: str) -> float:
         for _ in range(4):
             u = rng.standard_normal((500, 6))
             vecs.append(u - np.einsum("ij,ij->i", u, z)[:, None] * z)
-        tau = Fraction(1, 3)
-        if hasattr(geometry, "curvature_tensor_rows"):
-            start = time.perf_counter()
-            geometry.curvature_tensor_rows(tau, z, *vecs)
-            return time.perf_counter() - start
-        pts = [geometry.AmbientPoint(row) for row in z]
-        args = [(p, *(geometry.TangentVector(p, v[i]) for v in vecs)) for i, p in enumerate(pts)]
         start = time.perf_counter()
-        for a in args:
-            geometry.curvature_tensor(tau, *a)
+        geometry.curvature_tensor_rows(Fraction(1, 3), z, *vecs)
         return time.perf_counter() - start
     call = {
         "harmonic_dim_bruteforce(3, 3, 4)": lambda: oracle.harmonic_dim_bruteforce(3, 3, 4),
@@ -159,9 +156,21 @@ def _one_run(name: str, command, src: Path) -> float:
     return float(out.stdout.strip().splitlines()[-1])
 
 
+def _median_iqr(values) -> tuple[float, float]:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return float(med), float(q3 - q1)
+
+
 def _summary(times: list[float]) -> dict:
-    q1, med, q3 = np.percentile(times, [25, 50, 75])
-    return {"median_s": float(med), "iqr_s": float(q3 - q1), "repeats": len(times)}
+    med, iqr = _median_iqr(times)
+    return {"median_s": med, "iqr_s": iqr, "repeats": len(times)}
+
+
+def _paired(before: list[float], after: list[float]) -> dict:
+    diff = np.subtract(after, before)
+    med, iqr = _median_iqr(diff)
+    return {"pairs": len(diff), "after_wins": int(np.sum(diff < 0)),
+            "diff_median_s": med, "diff_iqr_s": iqr}
 
 
 def _git(*args: str) -> str:
@@ -196,16 +205,19 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         before_src = Path(tmp) / "src"
         cases = []
-        for layer, name, repeats, command in CASES:
+        trees = {"before": before_src, "after": after_src}
+        for layer, name, pairs, command in CASES:
             times = {"before": [], "after": []}
-            for _ in range(repeats):
-                times["before"].append(_one_run(name, command, before_src))
-                times["after"].append(_one_run(name, command, after_src))
+            for i in range(pairs):
+                for tree in ("before", "after") if i % 2 == 0 else ("after", "before"):
+                    times[tree].append(_one_run(name, command, trees[tree]))
             before, after = _summary(times["before"]), _summary(times["after"])
+            paired = _paired(times["before"], times["after"])
             cases.append({"layer": layer, "case": name, "before": before, "after": after,
-                          "speedup": before["median_s"] / after["median_s"]})
-            print(f"{layer} {name}: {before['median_s']:.4f} s -> {after['median_s']:.4f} s",
-                  file=sys.stderr)
+                          "speedup": before["median_s"] / after["median_s"], "paired": paired})
+            print(f"{layer} {name}: {before['median_s']:.4f} s -> {after['median_s']:.4f} s, "
+                  f"after won {paired['after_wins']}/{paired['pairs']} pairs, "
+                  f"diff median {paired['diff_median_s']:+.4f} s", file=sys.stderr)
     result = {
         "command": f"python3 bench/layers.py --before {args.before} --out {args.out}",
         "before": {"git_sha": before_sha},

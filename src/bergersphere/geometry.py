@@ -12,14 +12,21 @@ carried as an exact rational tau^2 because every classification threshold
 in this package is a rational number in tau^2 - floats would misclassify
 boundary cases.  Square roots are taken only where a float is required.
 
+The float geometry has one entry point, the batched ``*_rows`` kernel: a
+batch of points and a batch of tangent vectors are float arrays of shape
+(samples, 2n+2), one sample per row; a single sample is the batch ``x[None]``.
+The exact scalar formulas (``scalar_curvature``, ``ambient_mean_curvature``,
+``tai_sphere_radius_sq``) take no points.
+
 Conventions fixed here (used throughout the package):
 
 * ``xi(z) = (1/tau) i z`` is the unit Killing field along the Hopf circles.
-* ``tangent_j`` is multiplication by i followed by Euclidean projection
+* ``tangent_j_rows`` is multiplication by i followed by Euclidean projection
   onto the tangent space of the sphere; it annihilates xi and agrees with
   the ambient complex structure on horizontal vectors.
-* The orthonormal horizontal frame at a point is produced by projecting
-  the coordinate basis and running Gram-Schmidt, in coordinate order.
+* The orthonormal horizontal frame at a point (``horizontal_frame_rows``)
+  is produced by projecting the coordinate basis and running Gram-Schmidt,
+  in coordinate order.
 * Complex projective points are represented by a homogeneous vector
   normalised to the radius of the source sphere, 1/sqrt(1 - tau^2); the
   Fubini-Study metric is evaluated on horizontal lifts at that radius.
@@ -31,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,21 +52,21 @@ class RoundSphereUnsupportedError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Parameters and ambient objects
+# Parameters and validation
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction(value) -> Fraction:
+def _as_fraction(value, name: str = "tau^2",
+                 hint: str = "; use BergerParam.from_float to round a float explicitly"
+                 ) -> Fraction:
+    """``value`` as an exact Fraction; a float raises ``GeometryDomainError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, Rational) or isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    raise GeometryDomainError(
-        f"tau^2 must be an exact rational, got {value!r}; "
-        "use BergerParam.from_float to round a float explicitly"
-    )
+    raise GeometryDomainError(f"{name} must be an exact rational, got {value!r}{hint}")
 
 
 @dataclass(frozen=True)
@@ -119,14 +126,6 @@ def to_complex(v: np.ndarray) -> np.ndarray:
     return v[..., 0::2] + 1j * v[..., 1::2]
 
 
-def from_complex(z: np.ndarray) -> np.ndarray:
-    """Complex vector -> interleaved real coordinates."""
-    out = np.empty(2 * len(z))
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean product over the last axis, broadcast over the others."""
     return np.einsum("...i,...i->...", a, b)
@@ -160,99 +159,19 @@ def check_tangents(z: np.ndarray, *vectors: np.ndarray) -> None:
             raise GeometryDomainError("vector is not tangent to the sphere (1e-10)")
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A point of S^{2n+1} subset C^{n+1}, in interleaved real coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        check_points(c[None])
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @classmethod
-    def from_complex(cls, z: Sequence[complex]) -> "AmbientPoint":
-        return cls(from_complex(np.asarray(z, dtype=complex)))
-
-    @property
-    def n(self) -> int:
-        """Ambient complex dimension n for S^{2n+1} subset C^{n+1}."""
-        return len(self.coords) // 2 - 1
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector to the sphere at a base point."""
-
-    base: AmbientPoint
-    comps: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.comps, dtype=float)
-        check_tangents(self.base.coords[None], v[None])
-        v.setflags(write=False)
-        object.__setattr__(self, "comps", v)
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """A Hermitian matrix, the target of the projector embedding."""
-
-    order: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (self.order, self.order):
-            raise GeometryDomainError("entries must be a square matrix of the stated order")
-        if np.max(np.abs(e - e.conj().T)) > 1e-12:
-            raise GeometryDomainError("matrix is not Hermitian (1e-12)")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    def inner(self, other: "HermitianMatrix") -> float:
-        """trace(AB), the Euclidean metric on Hermitian matrices."""
-        return float(np.real(np.sum(self.entries * other.entries.conj())))
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of complex projective space, by a homogeneous representative.
-
-    The representative is normalised on construction to the radius of the
-    source sphere (``scale``); the phase stays free.
-    """
-
-    rep: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        r = np.asarray(self.rep, dtype=complex)
-        norm = float(np.linalg.norm(r))
-        if norm == 0.0:
-            raise GeometryDomainError("projective representative must be nonzero")
-        if self.scale <= 0:
-            raise GeometryDomainError("source-sphere radius must be positive")
-        r = r * (self.scale / norm)
-        r.setflags(write=False)
-        object.__setattr__(self, "rep", r)
-
-
 # ---------------------------------------------------------------------------
-# Batched kernel: metric, Killing field, curvature
+# Batched kernel: metric, Killing field, connection, curvature, frames
 # ---------------------------------------------------------------------------
 #
 # Every ``*_rows`` function works on a batch of samples: points z and tangent
 # vectors are float arrays of shape (samples, 2n+2), one sample per row, and
 # values come back with shape (samples,).  tau is coerced and converted to a
-# float once per call.  The curvature functions validate their batch once,
-# with a max over the rows, against the same bounds as ``AmbientPoint`` and
-# ``TangentVector``.  The scalar functions further down are one-row wrappers.
+# float once per call.  The functions that go through ``_validated`` (the
+# connection correction, the curvatures, the horizontal frame and the
+# geodesic-sphere second fundamental form) check their batch once, with a max
+# over the rows: rows of even length >= 4, unit Euclidean norm within 1e-12,
+# and tangency within 1e-10; a NaN fails every bound.  Sectional and Ricci
+# curvature also need an orthonormal pair, or a unit vector, within 1e-10.
 
 
 def _metric(lam: float, iz: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -293,7 +212,11 @@ def berger_gram_rows(tau, z: np.ndarray, u: np.ndarray,
 
 
 def tangent_j_rows(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Complex structure followed by tangential projection, row-wise."""
+    """Complex structure followed by tangential projection, row-wise.
+
+    Annihilates the Killing direction and equals multiplication by i on
+    horizontal vectors; tau-independent.
+    """
     return mult_i(v) + _dot(v, mult_i(z))[..., None] * z
 
 
@@ -321,6 +244,22 @@ def _validated(tau, z: np.ndarray, *vectors: np.ndarray) -> tuple[float, float, 
     z = check_points(z)
     check_tangents(z, *vectors)
     return float(p.one_minus), p.tau, mult_i(z)
+
+
+def connection_correction_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise difference of the round and Berger Levi-Civita connections.
+
+    The round connection applied to vector fields equals the Berger one
+    plus this symmetric tensorial term, ((1-tau^2)/tau) (<y,xi> J x^h +
+    <x,xi> J y^h) with x^h = x - <x,xi> xi.
+    """
+    lam, t, iz = _validated(tau, z, x, y)
+    xi = iz / t
+    ax = _metric(lam, iz, x, xi)[:, None]
+    ay = _metric(lam, iz, y, xi)[:, None]
+    jx = tangent_j_rows(z, x - ax * xi)
+    jy = tangent_j_rows(z, y - ay * xi)
+    return (lam / t) * (ay * jx + ax * jy)
 
 
 def curvature_tensor_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -390,82 +329,23 @@ def berger_orthonormalize_rows(tau, z: np.ndarray,
     return frames, kept
 
 
-# ---------------------------------------------------------------------------
-# Scalar API: one-row wrappers over the batched kernel
-# ---------------------------------------------------------------------------
+def horizontal_frame_rows(tau, z: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of the horizontal spaces, shape (samples, 2n, 2n+2).
 
-
-def berger_inner(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-    """Low-level metric evaluation on raw coordinate arrays."""
-    return float(berger_inner_rows(tau, z, v, w))
-
-
-def _same_base(z: AmbientPoint, *vectors: TangentVector) -> None:
-    for vec in vectors:
-        if vec.base.coords is not z.coords and not np.array_equal(vec.base.coords, z.coords):
-            raise GeometryDomainError("tangent vectors must be based at the same point")
-
-
-def metric_eval(tau, z: AmbientPoint, v: TangentVector, w: TangentVector) -> float:
-    """Berger inner product <v, w>_tau of two tangent vectors at z."""
-    _same_base(z, v, w)
-    return berger_inner(tau, z.coords, v.comps, w.comps)
-
-
-def killing_field(tau, z: AmbientPoint) -> TangentVector:
-    """The unit vertical field (1/tau) i z spanning the Hopf circle direction."""
-    return TangentVector(z, killing_field_rows(tau, z.coords))
-
-
-def killing_flow(tau, t: float, z: AmbientPoint) -> AmbientPoint:
-    """Flow of the Killing field: cos(t/tau) z + sin(t/tau) i z."""
-    return AmbientPoint(killing_flow_rows(tau, t, z.coords))
-
-
-def tangent_j(z: AmbientPoint, v: np.ndarray) -> np.ndarray:
-    """Complex structure followed by tangential projection.
-
-    Annihilates the Killing direction and equals multiplication by i on
-    horizontal vectors; tau-independent.
+    Convention: coordinate basis vectors are projected orthogonally to the
+    point and to the Killing direction, then orthonormalised in coordinate
+    order (the metric equals the round one on horizontal vectors).  The two
+    dependent slots of each row are dropped.
     """
-    return tangent_j_rows(z.coords, np.asarray(v, dtype=float))
-
-
-def connection_correction(tau, z: AmbientPoint, x: TangentVector, y: TangentVector) -> TangentVector:
-    """Pointwise difference of the round and Berger Levi-Civita connections.
-
-    The round connection applied to vector fields equals the Berger one
-    plus this symmetric tensorial term.
-    """
-    p = BergerParam.coerce(tau)
-    _same_base(z, x, y)
-    xi = killing_field(p, z)
-    ax = metric_eval(p, z, x, xi)
-    ay = metric_eval(p, z, y, xi)
-    jx = tangent_j(z, x.comps - ax * xi.comps)
-    jy = tangent_j(z, y.comps - ay * xi.comps)
-    coef = float(p.one_minus) / p.tau
-    return TangentVector(z, coef * (ay * jx + ax * jy))
-
-
-def curvature_tensor(tau, z: AmbientPoint, x: TangentVector, y: TangentVector,
-                     zz: TangentVector, w: TangentVector) -> float:
-    """Riemann curvature R(x, y, z, w) of the Berger metric (five-term form)."""
-    _same_base(z, x, y, zz, w)
-    return float(curvature_tensor_rows(tau, z.coords[None], x.comps[None], y.comps[None],
-                                       zz.comps[None], w.comps[None])[0])
-
-
-def sectional_curvature(tau, z: AmbientPoint, v: TangentVector, w: TangentVector) -> float:
-    """Sectional curvature of the plane spanned by an orthonormal pair."""
-    _same_base(z, v, w)
-    return float(sectional_curvature_rows(tau, z.coords[None], v.comps[None], w.comps[None])[0])
-
-
-def ricci(tau, z: AmbientPoint, v: TangentVector) -> float:
-    """Ricci curvature of a unit tangent vector."""
-    _same_base(z, v)
-    return float(ricci_rows(tau, z.coords[None], v.comps[None])[0])
+    _, _, iz = _validated(tau, z)
+    dim = z.shape[1]
+    candidates = np.eye(dim) - z[:, :, None] * z[:, None, :]
+    candidates -= _dot(candidates, iz[:, None, :])[..., None] * iz[:, None, :]
+    frames, kept = berger_orthonormalize_rows(tau, z, candidates)
+    if np.any(kept.sum(axis=1) != dim - 2):
+        raise GeometryDomainError("failed to build a full horizontal frame")
+    order = np.argsort(~kept, axis=1, kind="stable")[:, :dim - 2]
+    return np.take_along_axis(frames, order[:, :, None], axis=1)
 
 
 def scalar_curvature(tau, n: int) -> Fraction:
@@ -482,9 +362,11 @@ def scalar_curvature(tau, n: int) -> Fraction:
 
 
 def geodesic_sphere_reps(tau, z: np.ndarray) -> np.ndarray:
-    """Homogeneous representatives (tau/sqrt(1-tau^2), z) of the rows of z.
+    """Embed the Berger sphere as a geodesic sphere of projective space.
 
-    Complex rows of length n+2, not normalised; only tau < 1 is defined.
+    Returns homogeneous representatives (tau/sqrt(1-tau^2), z) of the rows
+    of z: complex rows of length n+2, not normalised, whose first coordinate
+    has squared modulus tau^2/(1-tau^2).  Only tau < 1 is defined.
     """
     p = BergerParam.coerce(tau)
     if p.is_round:
@@ -492,18 +374,6 @@ def geodesic_sphere_reps(tau, z: np.ndarray) -> np.ndarray:
     zc = to_complex(z)
     first = np.full(zc.shape[:-1] + (1,), p.tau / math.sqrt(float(p.one_minus)) + 0j)
     return np.concatenate((first, zc), axis=-1)
-
-
-def geodesic_sphere_embed(tau, z: AmbientPoint) -> ProjectivePoint:
-    """Embed the Berger sphere as a geodesic sphere of projective space.
-
-    The image point is [ (tau/sqrt(1-tau^2), z) ]; the first homogeneous
-    coordinate has squared modulus tau^2/(1-tau^2).  Only defined for
-    tau < 1.
-    """
-    p = BergerParam.coerce(tau)
-    rep = geodesic_sphere_reps(p, z.coords)
-    return ProjectivePoint(rep, 1.0 / math.sqrt(float(p.one_minus)))
 
 
 def _hermitian_re(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -515,7 +385,12 @@ def fubini_study_inner_rows(reps: np.ndarray, scale: float, x: np.ndarray,
                             y: np.ndarray) -> np.ndarray:
     """Fubini-Study inner products at representatives normalised to ``scale``.
 
-    Row-wise over leading axes; ``fubini_study_inner`` is the one-row case.
+    Row-wise over leading axes.  Ambient complex vectors are reduced to their
+    horizontal part at the representative (components along it and along i
+    times it are projected out), then paired with the real part of the
+    Hermitian product.  Scale/phase ambiguities of curve representatives die
+    in the projection, so finite-difference pushforwards can be fed in
+    directly.
     """
     r2 = scale * scale
 
@@ -528,30 +403,15 @@ def fubini_study_inner_rows(reps: np.ndarray, scale: float, x: np.ndarray,
     return _hermitian_re(horiz(x), horiz(y))
 
 
-def fubini_study_inner(p: ProjectivePoint, x: np.ndarray, y: np.ndarray) -> float:
-    """Fubini-Study inner product of two ambient complex vectors at p.
-
-    Vectors are reduced to their horizontal part at the normalised
-    representative (components along the representative and along i times
-    it are projected out), then paired with the real part of the Hermitian
-    product.  Scale/phase ambiguities of curve representatives die in the
-    projection, so finite-difference pushforwards can be fed in directly.
-    """
-    return float(fubini_study_inner_rows(p.rep, p.scale, x, y))
-
-
-def sff_geodesic_sphere(tau, x: TangentVector, y: TangentVector) -> float:
+def sff_geodesic_sphere_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Second-fundamental-form coefficient of the geodesic-sphere embedding.
 
-    Returns tau <x,y> - ((1-tau^2)/tau) <x,xi> <y,xi>, the component of
-    the second fundamental form along its unit normal.
+    Returns tau <x,y> - ((1-tau^2)/tau) <x,xi> <y,xi> per row, the component
+    of the second fundamental form along its unit normal.
     """
-    p = BergerParam.coerce(tau)
-    z = x.base
-    _same_base(z, x, y)
-    xi = killing_field(p, z)
-    return (p.tau * metric_eval(p, z, x, y)
-            - (float(p.one_minus) / p.tau) * metric_eval(p, z, x, xi) * metric_eval(p, z, y, xi))
+    lam, t, iz = _validated(tau, z, x, y)
+    xi = iz / t
+    return t * _metric(lam, iz, x, y) - (lam / t) * _metric(lam, iz, x, xi) * _metric(lam, iz, y, xi)
 
 
 def ambient_mean_curvature(tau, d: int, xi_top_norm_sq) -> float:
@@ -560,49 +420,41 @@ def ambient_mean_curvature(tau, d: int, xi_top_norm_sq) -> float:
     For a minimal d-submanifold of the Berger sphere with tangential
     Killing-field norm squared ``xi_top_norm_sq``, the mean curvature in
     the ambient projective space points along the normal direction with
-    coefficient (1/d)(tau d - ((1-tau^2)/tau) |xi^T|^2).  Exact rational
-    input makes zero detection exact.
+    coefficient (1/d)(tau d - ((1-tau^2)/tau) |xi^T|^2).  ``xi_top_norm_sq``
+    is an exact rational, so zero detection is exact; a float raises.
     """
     p = BergerParam.coerce(tau)
     if d < 1:
         raise GeometryDomainError("d must be a positive integer")
-    try:
-        x = _as_fraction(xi_top_norm_sq)
-        exact = True
-    except GeometryDomainError:
-        x = xi_top_norm_sq
-        exact = False
+    x = _as_fraction(xi_top_norm_sq, "xi_top_norm_sq", hint="")
     if not (0 <= x <= 1):
         raise GeometryDomainError("xi_top_norm_sq must lie in [0, 1]")
-    numerator = p.tau_sq * d - p.one_minus * x if exact else float(p.tau_sq) * d - float(p.one_minus) * x
-    if numerator == 0:
-        return 0.0
-    return float(numerator) / (d * p.tau)
+    return float(p.tau_sq * d - p.one_minus * x) / (d * p.tau)
 
 
-def tai_embed(tau, point: ProjectivePoint) -> HermitianMatrix:
+def tai_embed_rows(tau, reps: np.ndarray) -> np.ndarray:
     """Projector embedding of projective space into Hermitian matrices.
 
     Maps [z] with |z|^2 = 1/(1-tau^2) to (sqrt(1-tau^2)/sqrt(2)) z^t zbar.
-    Representatives of other norms are rescaled; only tau < 1 is defined.
+    ``reps`` holds complex representatives of length n+1 on its last axis,
+    any leading axes, already normalised to that radius: they are not
+    rescaled.  Returns matrices of shape (..., n+1, n+1); only tau < 1 is
+    defined.
     """
     p = BergerParam.coerce(tau)
     if p.is_round:
         raise RoundSphereUnsupportedError("the projector embedding needs tau < 1")
-    lam = float(p.one_minus)
-    radius = 1.0 / math.sqrt(lam)
-    rep = point.rep * (radius / np.linalg.norm(point.rep))
-    coef = math.sqrt(lam) / math.sqrt(2.0)
-    return HermitianMatrix(len(rep), coef * np.outer(rep, rep.conj()))
+    coef = math.sqrt(float(p.one_minus)) / math.sqrt(2.0)
+    return coef * (reps[..., :, None] * reps.conj()[..., None, :])
 
 
-def tai_sphere_center(tau, n: int) -> HermitianMatrix:
+def tai_sphere_center(tau, n: int) -> np.ndarray:
     """Center of the sphere containing the projector-embedded projective space."""
     p = BergerParam.coerce(tau)
     if p.is_round:
         raise RoundSphereUnsupportedError("the projector embedding needs tau < 1")
     c = 1.0 / ((n + 1) * math.sqrt(2.0 * float(p.one_minus)))
-    return HermitianMatrix(n + 1, c * np.eye(n + 1, dtype=complex))
+    return c * np.eye(n + 1, dtype=complex)
 
 
 def tai_sphere_radius_sq(tau, n: int) -> Fraction:
@@ -614,7 +466,17 @@ def tai_sphere_radius_sq(tau, n: int) -> Fraction:
 
 
 def tai_sff_inner_rows(tau, reps: np.ndarray, scale: float, x, y, v, w) -> np.ndarray:
-    """Row-wise ``tai_sff_inner`` at representatives normalised to ``scale``."""
+    """Closed-form inner product of second-fundamental-form values.
+
+    For horizontal lifts x, y, v, w at representatives normalised to
+    ``scale``, the second fundamental form of the projector embedding
+    satisfies
+
+        <s(x,y), s(v,w)> = (1-tau^2) [ 2<x,y><v,w> + <x,w><y,v>
+                            + <x,v><y,w> + <x,Jw><y,Jv> + <x,Jv><y,Jw> ],
+
+    with J multiplication by i and <.,.> the Fubini-Study metric; row-wise.
+    """
     lam = float(BergerParam.coerce(tau).one_minus)
 
     def ip(a, b):
@@ -629,53 +491,3 @@ def tai_sff_inner_rows(tau, reps: np.ndarray, scale: float, x, y, v, w) -> np.nd
                   + ip(x, v) * ip(y, w)
                   + ip(x, 1j * w) * ip(y, 1j * v)
                   + ip(x, 1j * v) * ip(y, 1j * w))
-
-
-def tai_sff_inner(tau, point: ProjectivePoint, x, y, v, w) -> float:
-    """Closed-form inner product of second-fundamental-form values.
-
-    For horizontal lifts x, y, v, w at a projective point, the second
-    fundamental form of the projector embedding satisfies
-
-        <s(x,y), s(v,w)> = (1-tau^2) [ 2<x,y><v,w> + <x,w><y,v>
-                            + <x,v><y,w> + <x,Jw><y,Jv> + <x,Jv><y,Jw> ],
-
-    with J multiplication by i and <.,.> the Fubini-Study metric.
-    """
-    return float(tai_sff_inner_rows(tau, point.rep, point.scale, x, y, v, w))
-
-
-# ---------------------------------------------------------------------------
-# Frames
-# ---------------------------------------------------------------------------
-
-
-def berger_orthonormalize(tau, z: AmbientPoint, vectors: Iterable[np.ndarray]) -> list[np.ndarray]:
-    """Gram-Schmidt with respect to the Berger metric; drops dependent vectors."""
-    vecs = np.array(list(vectors), dtype=float).reshape(-1, len(z.coords))
-    frames, kept = berger_orthonormalize_rows(tau, z.coords[None], vecs[None])
-    return list(frames[0, kept[0]])
-
-
-def horizontal_frame(tau, z: AmbientPoint) -> list[TangentVector]:
-    """Orthonormal frame of the horizontal space at z.
-
-    Convention: coordinate basis vectors are projected orthogonally to the
-    point and to the Killing direction, then orthonormalised in coordinate
-    order (the metric equals the round one on horizontal vectors).
-    """
-    p = BergerParam.coerce(tau)
-    zc = z.coords
-    iz = mult_i(zc)
-    dim = len(zc)
-    candidates = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        e -= float(np.dot(e, zc)) * zc
-        e -= float(np.dot(e, iz)) * iz
-        candidates.append(e)
-    frame = berger_orthonormalize(p, z, candidates)
-    if len(frame) != dim - 2:
-        raise GeometryDomainError("failed to build a full horizontal frame")
-    return [TangentVector(z, f) for f in frame]

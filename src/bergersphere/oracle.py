@@ -28,8 +28,8 @@ from .geometry import (BergerParam, GeometryDomainError, berger_gram_rows, berge
                        berger_orthonormalize_rows, check_dimension, check_points, check_tangents,
                        curvature_tensor_rows, fubini_study_inner_rows, geodesic_sphere_reps,
                        killing_field_rows, killing_flow_differential_rows, killing_flow_rows,
-                       ricci_rows, sectional_curvature_rows, tai_sff_inner_rows, tai_sphere_center,
-                       tai_sphere_radius_sq)
+                       ricci_rows, sectional_curvature_rows, tai_embed_rows, tai_sff_inner_rows,
+                       tai_sphere_center, tai_sphere_radius_sq)
 from .models import (CliffordHypersurface, IndexReport, JacobiMode, ModelSubmanifold,
                      TotallyRealSphere, clifford_index_nullity)
 
@@ -567,10 +567,6 @@ def geodesic_sphere_isometry_check(tau, n: int, samples: int = 500,
 # stacks of shape (samples, n+1, n+1).
 
 
-def _tai_matrix(coef: float, zc: np.ndarray) -> np.ndarray:
-    return coef * (zc[:, :, None] * zc.conj()[:, None, :])
-
-
 def _hm_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _hm_dot(a, b.conj())
 
@@ -603,42 +599,30 @@ def _draw_horizontal(rng, n: int, count: int, vectors: int,
     return zc, out
 
 
-def _second_derivative(curve, c0: np.ndarray, h: float = 2e-3) -> np.ndarray:
-    """Richardson-extrapolated second derivative of a matrix-valued curve,
-    given its value ``c0`` at 0.
-
-    The base step is larger than the first-derivative default because the
-    h^-2 roundoff amplification of plain second differences would not
-    reach the 1e-8 tolerances; extrapolation removes the h^2 truncation.
-    """
-    def d2(step):
-        return (curve(step) - 2.0 * c0 + curve(-step)) / (step * step)
-
-    return (4.0 * d2(h / 2) - d2(h)) / 3.0
+def _tai_curve(param: BergerParam, zc: np.ndarray, radius: float, direction: np.ndarray,
+               steps) -> np.ndarray:
+    """The projector embedding along the rays zc + t direction, renormalised
+    to ``radius``, at every step t: shape (len(steps), rows, n+1, n+1)."""
+    t = np.asarray(steps, dtype=float)[:, None, None]
+    w = zc + t * direction
+    w = w * (radius / np.linalg.norm(w, axis=-1))[..., None]
+    return tai_embed_rows(param, w)
 
 
-def _tai_curve(coef: float, zc: np.ndarray, radius: float, direction: np.ndarray):
-    def at(t: float) -> np.ndarray:
-        w = zc + t * direction
-        w = w * (radius / np.linalg.norm(w, axis=1))[:, None]
-        return _tai_matrix(coef, w)
-    return at
-
-
-def _tai_push(coef: float, zc: np.ndarray, radius: float,
+def _tai_push(param: BergerParam, zc: np.ndarray, radius: float,
               direction: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    c = _tai_curve(coef, zc, radius, direction)
-    return (c(h) - c(-h)) / (2 * h)
+    c = _tai_curve(param, zc, radius, direction, (h, -h))
+    return (c[0] - c[1]) / (2 * h)
 
 
 class _TaiProbe:
     """Numeric second fundamental form of the projector embedding at a batch of points."""
 
-    def __init__(self, coef: float, zc: np.ndarray, radius: float):
-        self.coef = coef
+    def __init__(self, param: BergerParam, zc: np.ndarray, radius: float):
+        self.param = param
         self.zc = zc
         self.radius = radius
-        self.base = _tai_matrix(coef, zc)
+        self.base = tai_embed_rows(param, zc)
         # complex orthonormal basis of the horizontal space, in coordinate
         # order; a dependent coordinate vector is left at zero and skipped
         rows, nc = zc.shape
@@ -662,7 +646,7 @@ class _TaiProbe:
         # tangent span of the image, orthonormal in the Frobenius metric
         tangent = []
         for b in self.real_basis:
-            t = _tai_push(coef, zc, radius, b)
+            t = _tai_push(param, zc, radius, b)
             for s in tangent:
                 t = t - _hm_inner(t, s)[:, None, None] * s
             t = t / np.sqrt(_hm_inner(t, t))[:, None, None]
@@ -671,10 +655,22 @@ class _TaiProbe:
         self.tangent_conj = [t.conj() for t in tangent]
         # every curve through the base point takes this value at 0, whatever
         # its direction
-        self.c0 = self._curve(np.zeros_like(zc))(0.0)
+        self.c0 = _tai_curve(param, zc, radius, np.zeros_like(zc), (0.0,))[0]
 
-    def _curve(self, direction: np.ndarray):
-        return _tai_curve(self.coef, self.zc, self.radius, direction)
+    def _second_derivative(self, direction: np.ndarray, h: float = 2e-3) -> np.ndarray:
+        """Richardson-extrapolated second derivative of the curve in
+        ``direction``, all four steps in one ``_tai_curve`` call.
+
+        The base step is larger than the first-derivative default because the
+        h^-2 roundoff amplification of plain second differences would not
+        reach the 1e-8 tolerances; extrapolation removes the h^2 truncation.
+        """
+        c = _tai_curve(self.param, self.zc, self.radius, direction, (h / 2, -h / 2, h, -h))
+
+        def d2(plus, minus, step):
+            return (plus - 2.0 * self.c0 + minus) / (step * step)
+
+        return (4.0 * d2(c[0], c[1], h / 2) - d2(c[2], c[3], h)) / 3.0
 
     def _normal_part(self, mat: np.ndarray) -> np.ndarray:
         out = mat
@@ -684,8 +680,8 @@ class _TaiProbe:
 
     def sff(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Second fundamental form by polarised second derivatives."""
-        plus = self._normal_part(_second_derivative(self._curve(x + y), self.c0))
-        minus = self._normal_part(_second_derivative(self._curve(x - y), self.c0))
+        plus = self._normal_part(self._second_derivative(x + y))
+        minus = self._normal_part(self._second_derivative(x - y))
         return (plus - minus) / 4.0
 
 
@@ -704,25 +700,23 @@ def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> lis
     if n < 1:
         raise GeometryDomainError("the projector embedding needs n >= 1")
     rng = _rng(seed, "tai")
-    lam = float(param.one_minus)
-    radius = 1.0 / math.sqrt(lam)
-    coef = math.sqrt(lam) / math.sqrt(2.0)
-    center = tai_sphere_center(param, n).entries
+    radius = 1.0 / math.sqrt(float(param.one_minus))
+    center = tai_sphere_center(param, n)
     r_sq = float(tai_sphere_radius_sq(param, n))
 
     err_iso = err_sphere = 0.0
     for count in _chunks(samples):
         zc, (u, v) = _draw_horizontal(rng, n, count, 2, radius)
-        got = _hm_inner(_tai_push(coef, zc, radius, u), _tai_push(coef, zc, radius, v))
+        got = _hm_inner(_tai_push(param, zc, radius, u), _tai_push(param, zc, radius, v))
         err_iso = _worst(err_iso, np.abs(got - np.real(_cdot(v, u))))
-        diff = _tai_matrix(coef, zc) - center
+        diff = tai_embed_rows(param, zc) - center
         err_sphere = _worst(err_sphere, np.abs(_hm_inner(diff, diff) - r_sq))
 
     sff_samples = max(10, samples // 5)
     err_law = err_j = err_min = 0.0
     for count in _chunks(sff_samples, 4):
         zc, (x, y, v, w) = _draw_horizontal(rng, n, count, 4, radius)
-        probe = _TaiProbe(coef, zc, radius)
+        probe = _TaiProbe(param, zc, radius)
         s_xy = probe.sff(x, y)
         got = _hm_inner(s_xy, probe.sff(v, w))
         err_law = _worst(err_law, np.abs(got - tai_sff_inner_rows(param, zc, radius, x, y, v, w)))

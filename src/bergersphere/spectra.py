@@ -38,15 +38,6 @@ class LaplaceMode:
 
 
 @dataclass(frozen=True)
-class BidegreeSpace:
-    """Harmonic polynomials of bidegree (a, b) on C^{n+1}."""
-
-    a: int
-    b: int
-    dim: int
-
-
-@dataclass(frozen=True)
 class CliffordMode:
     """One Laplace eigenvalue on a Clifford product hypersurface."""
 
@@ -98,11 +89,6 @@ def bidegree_dimension(n: int, a: int, b: int) -> int:
     if a >= 1 and b >= 1:
         total -= comb(a + n - 1, n) * comb(b + n - 1, n)
     return total
-
-
-def bidegree_space(n: int, a: int, b: int) -> BidegreeSpace:
-    """The bidegree-(a, b) harmonic space with its dimension attached."""
-    return BidegreeSpace(a, b, bidegree_dimension(n, a, b))
 
 
 def _check_nonnegative(**values: int) -> None:

@@ -170,16 +170,19 @@ def index_lower_bound(n: int, d: int, tau, xi_case: str,
     With a tangent Killing field and 1/(d+1) < tau^2 <= 1: hypersurfaces
     have index >= 2n+3, the totally geodesic odd-dimensional sphere
     attains 2n+1-d, and everything else has index >= 2(n+1).  A normal
-    Killing field forces index >= 2(n+1) for every tau.
+    Killing field forces index >= 2(n+1) for every tau.  Every branch
+    needs a valid tau and 1 <= d <= 2n.
     """
     if xi_case not in ("tangent", "normal"):
         raise GeometryDomainError("xi_case must be 'tangent' or 'normal'")
+    param = BergerParam.coerce(tau)
+    if not 1 <= d <= 2 * n:
+        raise GeometryDomainError("need 1 <= d <= 2n")
     if xi_case == "normal":
         if is_hypersurface or is_tg_berger_sphere:
             raise GeometryDomainError(
                 "a normal Killing field is incompatible with those flags")
         return 2 * (n + 1)
-    param = BergerParam.coerce(tau)
     if is_hypersurface and is_tg_berger_sphere:
         raise GeometryDomainError("flags are mutually exclusive")
     if param.tau_sq <= Fraction(1, d + 1):

@@ -8,27 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergersphere import geometry as geo
-from bergersphere.geometry import (AmbientPoint, BergerParam, GeometryDomainError,
-                                   ProjectivePoint, RoundSphereUnsupportedError,
-                                   TangentVector, ambient_mean_curvature,
-                                   connection_correction, curvature_tensor,
-                                   geodesic_sphere_embed, horizontal_frame,
-                                   killing_field, killing_flow, metric_eval, ricci,
-                                   scalar_curvature, sectional_curvature,
-                                   sff_geodesic_sphere, tai_embed, tai_sff_inner)
+from bergersphere.geometry import (BergerParam, GeometryDomainError, RoundSphereUnsupportedError,
+                                   ambient_mean_curvature, scalar_curvature)
 
 RNG = np.random.default_rng(20240817)
 
 
-def random_point(n):
-    v = RNG.standard_normal(2 * n + 2)
-    return AmbientPoint(v / np.linalg.norm(v))
+def random_point(n, count=1):
+    """``count`` random points of S^{2n+1}, one per row; one sample is one row."""
+    v = RNG.standard_normal((count, 2 * n + 2))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def random_tangent(z):
-    u = RNG.standard_normal(len(z.coords))
-    u -= np.dot(u, z.coords) * z.coords
-    return TangentVector(z, u)
+    """A random tangent vector at every row of z."""
+    u = RNG.standard_normal(z.shape)
+    return u - np.einsum("ij,ij->i", u, z)[:, None] * z
 
 
 class TestBergerParam:
@@ -54,136 +49,142 @@ class TestMetric:
         z = random_point(2)
         for _ in range(20):
             v, w = random_tangent(z), random_tangent(z)
-            assert metric_eval(F(1), z, v, w) == pytest.approx(
-                np.dot(v.comps, w.comps), abs=1e-12)
+            assert geo.berger_inner_rows(F(1), z, v, w)[0] == pytest.approx(
+                np.dot(v[0], w[0]), abs=1e-12)
 
     def test_killing_field_is_unit(self):
         for ts in (F(1, 3), F(1, 2), F(9, 10)):
             z = random_point(2)
-            xi = killing_field(ts, z)
-            assert metric_eval(ts, z, xi, xi) == pytest.approx(1.0, abs=1e-12)
+            xi = geo.killing_field_rows(ts, z)
+            assert geo.berger_inner_rows(ts, z, xi, xi)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_horizontal_coordinate_vector(self):
-        z = AmbientPoint(np.array([1.0, 0.0, 0.0, 0.0]))
-        v = TangentVector(z, np.array([0.0, 0.0, 1.0, 0.0]))
-        assert metric_eval(F(1, 3), z, v, v) == pytest.approx(1.0, abs=1e-15)
+        z = np.array([[1.0, 0.0, 0.0, 0.0]])
+        v = np.array([[0.0, 0.0, 1.0, 0.0]])
+        assert geo.berger_inner_rows(F(1, 3), z, v, v)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_mismatched_base_rejected(self):
+        # a vector tangent at another point is not tangent at this row's point
         z1, z2 = random_point(1), random_point(1)
-        with pytest.raises(GeometryDomainError):
-            metric_eval(F(1, 2), z1, random_tangent(z1), random_tangent(z2))
+        with pytest.raises(GeometryDomainError, match="not tangent"):
+            geo.connection_correction_rows(F(1, 2), z1, random_tangent(z1), random_tangent(z2))
 
     def test_symmetric_bilinear(self):
         ts = F(2, 5)
         z = random_point(2)
         u, v, w = (random_tangent(z) for _ in range(3))
-        assert metric_eval(ts, z, u, v) == pytest.approx(metric_eval(ts, z, v, u), abs=1e-13)
-        lin = TangentVector(z, 2.0 * u.comps + 3.0 * v.comps)
-        assert metric_eval(ts, z, lin, w) == pytest.approx(
-            2 * metric_eval(ts, z, u, w) + 3 * metric_eval(ts, z, v, w), abs=1e-11)
+        ip = geo.berger_inner_rows
+        assert ip(ts, z, u, v)[0] == pytest.approx(ip(ts, z, v, u)[0], abs=1e-13)
+        lin = 2.0 * u + 3.0 * v
+        assert ip(ts, z, lin, w)[0] == pytest.approx(
+            2 * ip(ts, z, u, w)[0] + 3 * ip(ts, z, v, w)[0], abs=1e-11)
 
 
 class TestKilling:
     def test_round_killing_is_iz(self):
         z = random_point(1)
-        assert np.allclose(killing_field(F(1), z).comps, geo.mult_i(z.coords))
+        assert np.allclose(geo.killing_field_rows(F(1), z), geo.mult_i(z))
 
     def test_quarter_param_scaling(self):
-        z = AmbientPoint.from_complex([0.0, 1.0, 0.0])
-        assert np.allclose(killing_field(F(1, 4), z).comps, 2.0 * geo.mult_i(z.coords))
+        z = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])  # (0, 1, 0) in C^3
+        assert np.allclose(geo.killing_field_rows(F(1, 4), z), 2.0 * geo.mult_i(z))
 
     def test_flow_identity_and_period(self):
         ts = F(1, 3)
         z = random_point(2)
-        assert np.allclose(killing_flow(ts, 0.0, z).coords, z.coords)
+        assert np.allclose(geo.killing_flow_rows(ts, 0.0, z), z)
         period = 2 * math.pi * BergerParam(ts).tau
-        assert np.allclose(killing_flow(ts, period, z).coords, z.coords, atol=1e-12)
+        assert np.allclose(geo.killing_flow_rows(ts, period, z), z, atol=1e-12)
 
     def test_flow_derivative_matches_field(self):
         ts = F(1, 2)
         z = random_point(2)
         h = 1e-6
-        fd = (killing_flow(ts, h, z).coords - killing_flow(ts, -h, z).coords) / (2 * h)
-        assert np.max(np.abs(fd - killing_field(ts, z).comps)) < 1e-6
+        fd = (geo.killing_flow_rows(ts, h, z) - geo.killing_flow_rows(ts, -h, z)) / (2 * h)
+        assert np.max(np.abs(fd - geo.killing_field_rows(ts, z))) < 1e-6
 
 
 class TestConnectionCorrection:
     def test_round_metric_vanishes(self):
         z = random_point(2)
         x, y = random_tangent(z), random_tangent(z)
-        assert np.max(np.abs(connection_correction(F(1), z, x, y).comps)) < 1e-14
+        assert np.max(np.abs(geo.connection_correction_rows(F(1), z, x, y))) < 1e-14
 
     def test_horizontal_pair_vanishes(self):
         ts = F(1, 3)
         z = random_point(2)
-        frame = horizontal_frame(ts, z)
-        out = connection_correction(ts, z, frame[0], frame[1])
-        assert np.max(np.abs(out.comps)) < 1e-12
+        frame = geo.horizontal_frame_rows(ts, z)
+        out = geo.connection_correction_rows(ts, z, frame[:, 0], frame[:, 1])
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_killing_with_horizontal(self):
         ts = F(1, 2)
         z = random_point(2)
-        xi = killing_field(ts, z)
-        y = horizontal_frame(ts, z)[0]
-        expected = (float(1 - ts) / BergerParam(ts).tau) * geo.tangent_j(z, y.comps)
-        assert np.allclose(connection_correction(ts, z, xi, y).comps, expected, atol=1e-12)
+        xi = geo.killing_field_rows(ts, z)
+        y = geo.horizontal_frame_rows(ts, z)[:, 0]
+        expected = (float(1 - ts) / BergerParam(ts).tau) * geo.tangent_j_rows(z, y)
+        assert np.allclose(geo.connection_correction_rows(ts, z, xi, y), expected, atol=1e-12)
 
 
 class TestCurvature:
     def test_round_sphere_constant_curvature(self):
         z = random_point(2)
+        ip = geo.berger_inner_rows
         for _ in range(20):
             x, y, zz, w = (random_tangent(z) for _ in range(4))
-            expected = (metric_eval(F(1), z, y, zz) * metric_eval(F(1), z, x, w)
-                        - metric_eval(F(1), z, x, zz) * metric_eval(F(1), z, y, w))
-            assert curvature_tensor(F(1), z, x, y, zz, w) == pytest.approx(expected, abs=1e-12)
+            expected = (ip(F(1), z, y, zz) * ip(F(1), z, x, w)
+                        - ip(F(1), z, x, zz) * ip(F(1), z, y, w))[0]
+            assert geo.curvature_tensor_rows(F(1), z, x, y, zz, w)[0] == pytest.approx(
+                expected, abs=1e-12)
 
     def test_antisymmetry_sampled(self):
         ts = F(1, 3)
-        for _ in range(100):
-            z = random_point(1)
-            x, y, zz, w = (random_tangent(z) for _ in range(4))
-            r = curvature_tensor(ts, z, x, y, zz, w)
-            assert abs(r + curvature_tensor(ts, z, y, x, zz, w)) < 1e-10
-            assert abs(r + curvature_tensor(ts, z, x, y, w, zz)) < 1e-10
+        z = random_point(1, 100)
+        x, y, zz, w = (random_tangent(z) for _ in range(4))
+        r = geo.curvature_tensor_rows(ts, z, x, y, zz, w)
+        assert np.max(np.abs(r + geo.curvature_tensor_rows(ts, z, y, x, zz, w))) < 1e-10
+        assert np.max(np.abs(r + geo.curvature_tensor_rows(ts, z, x, y, w, zz))) < 1e-10
 
     def test_vertical_plane_curvature_is_tau_sq(self):
         # a plane spanned by the vertical direction and a horizontal vector
         ts = F(2, 7)
         z = random_point(2)
-        xi = killing_field(ts, z)
-        w = horizontal_frame(ts, z)[0]
-        assert sectional_curvature(ts, z, xi, w) == pytest.approx(float(ts), abs=1e-12)
+        xi = geo.killing_field_rows(ts, z)
+        w = geo.horizontal_frame_rows(ts, z)[:, 0]
+        assert geo.sectional_curvature_rows(ts, z, xi, w)[0] == pytest.approx(
+            float(ts), abs=1e-12)
 
     def test_holomorphic_horizontal_plane(self):
         # span{v, Jv} attains 1 + 3(1 - tau^2)
         ts = F(1, 3)
         z = random_point(2)
-        v = horizontal_frame(ts, z)[0]
-        jv = TangentVector(z, geo.tangent_j(z, v.comps))
+        v = geo.horizontal_frame_rows(ts, z)[:, 0]
+        jv = geo.tangent_j_rows(z, v)
         expected = 1 + 3 * float(1 - ts)
-        assert sectional_curvature(ts, z, v, jv) == pytest.approx(expected, abs=1e-12)
+        assert geo.sectional_curvature_rows(ts, z, v, jv)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_sectional_requires_orthonormal(self):
         ts = F(1, 2)
         z = random_point(1)
         v = random_tangent(z)
         with pytest.raises(GeometryDomainError):
-            sectional_curvature(ts, z, v, v)
+            geo.sectional_curvature_rows(ts, z, v, v)
 
     def test_ricci_of_vertical(self):
         for n, ts in [(1, F(1, 3)), (2, F(1, 2)), (3, F(4, 5))]:
             z = random_point(n)
-            got = ricci(ts, z, killing_field(ts, z))
+            got = geo.ricci_rows(ts, z, geo.killing_field_rows(ts, z))[0]
             assert got == pytest.approx(2 * n * float(ts), abs=1e-12)
 
     def test_round_values(self):
         n = 2
         z = random_point(n)
-        frame = geo.berger_orthonormalize(F(1), z, [random_tangent(z).comps for _ in range(2)])
-        v, w = TangentVector(z, frame[0]), TangentVector(z, frame[1])
-        assert sectional_curvature(F(1), z, v, w) == pytest.approx(1.0, abs=1e-12)
-        assert ricci(F(1), z, v) == pytest.approx(2 * n, abs=1e-12)
+        vecs = np.stack([random_tangent(z) for _ in range(2)], axis=1)
+        frames, kept = geo.berger_orthonormalize_rows(F(1), z, vecs)
+        assert kept.all()
+        v, w = frames[:, 0], frames[:, 1]
+        assert geo.sectional_curvature_rows(F(1), z, v, w)[0] == pytest.approx(1.0, abs=1e-12)
+        assert geo.ricci_rows(F(1), z, v)[0] == pytest.approx(2 * n, abs=1e-12)
         assert scalar_curvature(F(1), n) == 2 * n * (2 * (n + 1) - 1)
 
     def test_scalar_curvature_exact(self):
@@ -194,22 +195,24 @@ class TestGeodesicSphereEmbedding:
     def test_first_coordinate_modulus(self):
         for ts in (F(1, 3), F(1, 2), F(9, 10)):
             z = random_point(2)
-            p = geodesic_sphere_embed(ts, z)
-            assert abs(p.rep[0]) ** 2 == pytest.approx(float(ts / (1 - ts)), rel=1e-12)
+            rep = geo.geodesic_sphere_reps(ts, z)[0]
+            assert abs(rep[0]) ** 2 == pytest.approx(float(ts / (1 - ts)), rel=1e-12)
+            # so the representative already has the source-sphere radius
+            assert np.linalg.norm(rep) ** 2 == pytest.approx(float(1 / (1 - ts)), rel=1e-12)
 
     def test_half_param_representative(self):
         z = random_point(1)
-        p = geodesic_sphere_embed(F(1, 2), z)
-        zc = geo.to_complex(z.coords)
-        # representative proportional to (1, z); the stored one is normalised
-        ratio = p.rep[1:] / zc
+        rep = geo.geodesic_sphere_reps(F(1, 2), z)[0]
+        zc = geo.to_complex(z[0])
+        # representative proportional to (1, z)
+        ratio = rep[1:] / zc
         assert np.allclose(ratio, ratio[0])
-        assert p.rep[0] / ratio[0] == pytest.approx(1.0, abs=1e-12)
+        assert rep[0] / ratio[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_round_sphere_unsupported(self):
         z = random_point(1)
         with pytest.raises(RoundSphereUnsupportedError):
-            geodesic_sphere_embed(F(1), z)
+            geo.geodesic_sphere_reps(F(1), z)
 
     def test_pullback_is_berger_metric(self):
         from bergersphere.oracle import geodesic_sphere_isometry_check
@@ -221,18 +224,19 @@ class TestSecondFundamentalForm:
     def test_vertical_principal_curvature(self):
         ts = F(1, 3)
         z = random_point(2)
-        xi = killing_field(ts, z)
+        xi = geo.killing_field_rows(ts, z)
         tau = BergerParam(ts).tau
-        assert sff_geodesic_sphere(ts, xi, xi) == pytest.approx(
+        assert geo.sff_geodesic_sphere_rows(ts, z, xi, xi)[0] == pytest.approx(
             (2 * float(ts) - 1) / tau, abs=1e-12)
 
     def test_horizontal_principal_curvature(self):
         ts = F(1, 2)
         z = random_point(2)
-        frame = horizontal_frame(ts, z)
+        frame = geo.horizontal_frame_rows(ts, z)
         tau = BergerParam(ts).tau
-        assert sff_geodesic_sphere(ts, frame[0], frame[0]) == pytest.approx(tau, abs=1e-12)
-        assert sff_geodesic_sphere(ts, frame[0], frame[1]) == pytest.approx(0.0, abs=1e-12)
+        e0, e1 = frame[:, 0], frame[:, 1]
+        assert geo.sff_geodesic_sphere_rows(ts, z, e0, e0)[0] == pytest.approx(tau, abs=1e-12)
+        assert geo.sff_geodesic_sphere_rows(ts, z, e0, e1)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAmbientMeanCurvature:
@@ -252,13 +256,23 @@ class TestAmbientMeanCurvature:
         with pytest.raises(GeometryDomainError):
             ambient_mean_curvature(F(1, 2), 2, 2)
 
+    def test_float_rejected(self):
+        with pytest.raises(GeometryDomainError, match="xi_top_norm_sq must be an exact rational"):
+            ambient_mean_curvature(F(1, 2), 2, 0.5)
+
+
+def random_rep(n, ts):
+    """A random representative in C^{n+1} of norm 1/sqrt(1 - tau^2), as one row."""
+    zc = RNG.standard_normal(n + 1) + 1j * RNG.standard_normal(n + 1)
+    return (zc / (np.linalg.norm(zc) * math.sqrt(float(1 - ts))))[None]
+
 
 class TestTaiEmbedding:
     def test_trace(self):
         ts = F(1, 2)
-        zc = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
-        h = tai_embed(ts, ProjectivePoint(zc, 1.0))
-        assert h.trace() == pytest.approx(1 / math.sqrt(2 * float(1 - ts)), abs=1e-12)
+        h = geo.tai_embed_rows(ts, random_rep(2, ts))[0]
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+        assert np.real(np.trace(h)) == pytest.approx(1 / math.sqrt(2 * float(1 - ts)), abs=1e-12)
 
     def test_sphere_containment(self):
         ts = F(1, 2)
@@ -267,69 +281,64 @@ class TestTaiEmbedding:
         r_sq = float(geo.tai_sphere_radius_sq(ts, n))
         assert r_sq == pytest.approx(2 / 3)
         for _ in range(20):
-            zc = RNG.standard_normal(n + 1) + 1j * RNG.standard_normal(n + 1)
-            h = tai_embed(ts, ProjectivePoint(zc, 1.0))
-            diff = h.entries - center.entries
+            h = geo.tai_embed_rows(ts, random_rep(n, ts))[0]
+            diff = h - center
             assert float(np.real(np.sum(diff * diff.conj()))) == pytest.approx(r_sq, abs=1e-10)
 
     def test_phase_invariance(self):
         ts = F(1, 3)
-        zc = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
-        a = tai_embed(ts, ProjectivePoint(zc, 1.0))
-        b = tai_embed(ts, ProjectivePoint(np.exp(0.7j) * zc, 1.0))
-        assert np.allclose(a.entries, b.entries, atol=1e-14)
+        zc = random_rep(3, ts)
+        a = geo.tai_embed_rows(ts, zc)
+        b = geo.tai_embed_rows(ts, np.exp(0.7j) * zc)
+        assert np.allclose(a, b, atol=1e-14)
 
     def test_round_sphere_unsupported(self):
         with pytest.raises(RoundSphereUnsupportedError):
-            tai_embed(F(1), ProjectivePoint(np.array([1.0 + 0j, 0.0]), 1.0))
-
-    def test_zero_rep_rejected(self):
-        with pytest.raises(GeometryDomainError):
-            ProjectivePoint(np.zeros(3, dtype=complex), 1.0)
+            geo.tai_embed_rows(F(1), np.array([[1.0 + 0j, 0.0]]))
 
 
 class TestTaiSffInner:
     def _setup(self, ts, n=2):
         radius = 1 / math.sqrt(float(1 - ts))
-        zc = RNG.standard_normal(n + 1) + 1j * RNG.standard_normal(n + 1)
-        zc *= radius / np.linalg.norm(zc)
-        point = ProjectivePoint(zc, radius)
+        zc = random_rep(n, ts)[0]
 
         def horizontal():
             u = RNG.standard_normal(n + 1) + 1j * RNG.standard_normal(n + 1)
             u -= (np.vdot(zc, u) / radius ** 2) * zc
             return u / np.linalg.norm(u)
 
-        return point, horizontal
+        def sff_inner(x, y, v, w):
+            return geo.tai_sff_inner_rows(ts, zc[None], radius, x[None], y[None], v[None],
+                                          w[None])[0]
+
+        return sff_inner, horizontal
 
     def test_diagonal_value(self):
         ts = F(1, 3)
-        point, horizontal = self._setup(ts)
+        sff_inner, horizontal = self._setup(ts)
         x = horizontal()
-        assert tai_sff_inner(ts, point, x, x, x, x) == pytest.approx(
-            4 * float(1 - ts), abs=1e-12)
+        assert sff_inner(x, x, x, x) == pytest.approx(4 * float(1 - ts), abs=1e-12)
 
     def test_orthogonal_pair_value(self):
         ts = F(1, 2)
-        point, horizontal = self._setup(ts)
+        sff_inner, horizontal = self._setup(ts)
         x = horizontal()
         # build y orthogonal to both x and Jx so only one cross term survives
         y = horizontal()
         y -= np.real(np.vdot(x, y)) * x
         y -= np.real(np.vdot(1j * x, y)) * (1j * x)
         y /= np.linalg.norm(y)
-        assert tai_sff_inner(ts, point, x, y, x, y) == pytest.approx(
-            float(1 - ts), abs=1e-12)
+        assert sff_inner(x, y, x, y) == pytest.approx(float(1 - ts), abs=1e-12)
 
     def test_symmetries_sampled(self):
         ts = F(2, 5)
-        point, horizontal = self._setup(ts)
+        sff_inner, horizontal = self._setup(ts)
         for _ in range(20):
             x, y, v, w = (horizontal() for _ in range(4))
-            base = tai_sff_inner(ts, point, x, y, v, w)
-            assert abs(base - tai_sff_inner(ts, point, y, x, v, w)) < 1e-12
-            assert abs(base - tai_sff_inner(ts, point, x, y, w, v)) < 1e-12
-            assert abs(base - tai_sff_inner(ts, point, v, w, x, y)) < 1e-12
+            base = sff_inner(x, y, v, w)
+            assert abs(base - sff_inner(y, x, v, w)) < 1e-12
+            assert abs(base - sff_inner(x, y, w, v)) < 1e-12
+            assert abs(base - sff_inner(v, w, x, y)) < 1e-12
 
 
 class TestMetricDefiniteness:
@@ -344,14 +353,15 @@ class TestMetricDefiniteness:
 class TestFrames:
     def test_horizontal_frame_size_and_orthonormality(self):
         ts = F(1, 3)
-        z = random_point(2)
-        frame = horizontal_frame(ts, z)
-        assert len(frame) == 4
-        iz = geo.mult_i(z.coords)
-        for i, e in enumerate(frame):
-            assert abs(np.dot(e.comps, iz)) < 1e-12
-            for j, f in enumerate(frame):
-                assert metric_eval(ts, z, e, f) == pytest.approx(float(i == j), abs=1e-12)
+        z = random_point(2, 3)
+        frames = geo.horizontal_frame_rows(ts, z)
+        assert frames.shape == (3, 4, 6)
+        iz = geo.mult_i(z)
+        for i in range(4):
+            assert np.max(np.abs(np.einsum("ij,ij->i", frames[:, i], iz))) < 1e-12
+            for j in range(4):
+                got = geo.berger_inner_rows(ts, z, frames[:, i], frames[:, j])
+                assert np.allclose(got, float(i == j), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +461,6 @@ class TestBatchedKernelAgainstReference:
             assert abs(sec[i] - ref_sectional_curvature(ts, z[i], v[i], u[i])) <= 1e-13
             assert abs(ric[i] - ref_ricci(ts, z[i], v[i])) <= 1e-13
 
-    def test_scalar_api_is_the_one_row_case(self):
-        ts = F(2, 7)
-        z = random_point(2)
-        x, y, zz, w = (random_tangent(z) for _ in range(4))
-        rows = [a[None] for a in (z.coords, x.comps, y.comps, zz.comps, w.comps)]
-        assert curvature_tensor(ts, z, x, y, zz, w) == geo.curvature_tensor_rows(ts, *rows)[0]
-        assert metric_eval(ts, z, x, y) == geo.berger_inner_rows(ts, *rows[:3])[0]
-
     @pytest.mark.parametrize("ts", [F(1, 3), F(1, 2), F(2, 5), F(1)], ids=str)
     @pytest.mark.parametrize("n", [1, 2])
     def test_gram_is_three_inner_products_bit_for_bit(self, ts, n):
@@ -495,12 +497,10 @@ class TestBatchedValidation:
         z[:, 0] = 1.0
         z[1, 0] = np.nan
         with pytest.raises(GeometryDomainError, match="unit Euclidean norm"):
-            AmbientPoint(z[1])
+            geo.check_points(z)
         v = np.zeros((2, 4))
         v[:, 1] = 1.0
         v[0, 2] = np.nan
-        with pytest.raises(GeometryDomainError, match="not tangent"):
-            TangentVector(AmbientPoint(z[0]), v[0])
         with pytest.raises(GeometryDomainError, match="not tangent"):
             geo.ricci_rows(F(1, 2), z[:1], v[:1])
 
@@ -528,12 +528,32 @@ class TestBatchedValidation:
     def test_dependent_slot_dropped_per_row(self):
         ts = F(1, 2)
         z = random_point(1)
-        a = random_tangent(z).comps
-        b = random_tangent(z).comps
+        a = random_tangent(z)[0]
+        b = random_tangent(z)[0]
         vecs = np.array([[a, 2.0 * a, b], [a, b, b]])
-        frames, kept = geo.berger_orthonormalize_rows(ts, np.array([z.coords, z.coords]), vecs)
+        frames, kept = geo.berger_orthonormalize_rows(ts, np.concatenate([z, z]), vecs)
         assert kept.tolist() == [[True, False, True], [True, True, False]]
         assert np.array_equal(frames[0, 2], frames[1, 1])
         assert np.array_equal(frames[0, 1], np.zeros(4))
-        scalar = geo.berger_orthonormalize(ts, z, [a, 2.0 * a, b])
-        assert len(scalar) == 2 and np.array_equal(scalar[1], frames[0, 2])
+
+    @pytest.mark.parametrize("name", ["connection_correction_rows", "sff_geodesic_sphere_rows"])
+    def test_pair_functions_check_their_batch(self, name):
+        z = np.zeros((3, 4))
+        z[:, 0] = 1.0
+        v = np.zeros((3, 4))
+        v[:, 2] = 1.0
+        v[1, 0] = 1e-8
+        with pytest.raises(GeometryDomainError, match="not tangent"):
+            getattr(geo, name)(F(1, 3), z, v, v)
+        z[2, 0] = 1.0 + 1e-9
+        with pytest.raises(GeometryDomainError, match="unit Euclidean norm"):
+            getattr(geo, name)(F(1, 3), z, v, v)
+
+    def test_horizontal_frame_checks_its_batch(self):
+        z = np.zeros((3, 4))
+        z[:, 0] = 1.0
+        z[2, 0] = np.nan
+        with pytest.raises(GeometryDomainError, match="unit Euclidean norm"):
+            geo.horizontal_frame_rows(F(1, 3), z)
+        with pytest.raises(GeometryDomainError, match="even length >= 4"):
+            geo.horizontal_frame_rows(F(1, 3), np.ones((2, 3)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bergersphere import cli, oracle, spectra
 from bergersphere.exactlinalg import integer_rank, kernel_basis
-from bergersphere.geometry import GeometryDomainError
+from bergersphere.geometry import BergerParam, GeometryDomainError
 from bergersphere.models import (CliffordHypersurface, TotallyRealSphere,
                                  clifford_index_nullity)
 
@@ -203,16 +203,17 @@ class TestSampledChecks:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tai_probe_sff_matches_per_call_evaluation(self, n):
-        """The probe's cached curve value at 0 and conjugated tangent basis
-        give the second fundamental form of re-evaluating both on every call,
-        bit for bit."""
-        radius, coef = 2.0, 0.4
+        """The probe's cached curve value at 0, conjugated tangent basis and
+        stacked four-step stencil give the second fundamental form of
+        evaluating the curve one step per call, bit for bit."""
+        param, radius = BergerParam(F(3, 4)), 2.0  # radius 1/sqrt(1 - tau^2)
         zc, (x, y, v, w) = oracle._draw_horizontal(np.random.default_rng([11, n]), n, 5, 4,
                                                    radius)
-        probe = oracle._TaiProbe(coef, zc, radius)
+        probe = oracle._TaiProbe(param, zc, radius)
 
         def second_derivative(direction, h=2e-3):
-            curve = oracle._tai_curve(coef, zc, radius, direction)
+            def curve(step):
+                return oracle._tai_curve(param, zc, radius, direction, [step])[0]
 
             def d2(step):
                 return (curve(step) - 2.0 * curve(0.0) + curve(-step)) / (step * step)

@@ -70,10 +70,6 @@ class TestBidegreeDimensions:
         assert spectra.bidegree_dimension(0, 3, 0) == 1
         assert spectra.bidegree_dimension(0, 2, 1) == 0
 
-    def test_space_record(self):
-        space = spectra.bidegree_space(1, 2, 1)
-        assert (space.a, space.b, space.dim) == (2, 1, 4)
-
     @pytest.mark.parametrize("n,deg", [(0, 5), (1, 5), (2, 4), (3, 3)])
     def test_agrees_with_bruteforce(self, n, deg):
         for a in range(deg + 1):

@@ -136,6 +136,15 @@ class TestIndexLowerBounds:
         with pytest.raises(GeometryDomainError):
             index_lower_bound(2, 3, F(1, 8), "tangent")
 
+    @pytest.mark.parametrize("args", [(1, 1, 0.5, "normal"), (1, 1, 7, "normal"),
+                                      (1, -1, F(1, 2), "tangent"), (-3, 1, F(1), "tangent")],
+                             ids=["float-tau-normal", "tau-out-of-range-normal",
+                                  "negative-d", "negative-n"])
+    def test_every_branch_validates(self, args):
+        # tau and 1 <= d <= 2n are checked before the Killing-field case
+        with pytest.raises(GeometryDomainError):
+            index_lower_bound(*args)
+
     def test_bounds_hold_on_models(self):
         # hypersurface bound against the product hypersurface table
         for m1, m2 in [(0, 0), (1, 0)]:
