@@ -5,9 +5,12 @@
 The source tree of ``<git rev>`` is extracted with ``git archive`` into a
 temporary directory; the "after" tree is the working tree.  Every case runs
 in a fresh interpreter whose ``PYTHONPATH`` is the tree's ``src``, with BLAS
-threads set to 1 and ``BERGER_SEED`` removed.  Each repeat of a case is one
-pair of runs, one per tree, back to back; the tree that runs first alternates
-from pair to pair.  Slow drift of the host's speed thus hits both trees of a
+threads set to 1 and ``BERGER_SEED`` removed.  The working tree's ``src`` is
+copied beside the extracted one without its ``__pycache__``, so both trees
+start with the same bytecode cache: bytecode that only the working tree has
+would shorten its process wall times by the compile time.  Each repeat of a
+case is one pair of runs, one per tree, back to back; the tree that runs
+first alternates from pair to pair.  Slow drift of the host's speed thus hits both trees of a
 pair alike, and the per-pair difference cancels it where the spread of either
 tree's runs would not.
 
@@ -25,16 +28,19 @@ Cases:
   do for a single command-line call.
 * L2 ``curvature-tensor-500``: one ``curvature_tensor_rows`` call on 500
   sampled points (inputs built outside the timed region).
-* L3 ``curvature_symmetry_check(1/3, 2, 500)`` and
+* L3 ``curvature_symmetry_check(1/3, 2, 500)``,
   ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``,
-  the first-variation check that ``verify`` runs at every sample count.
+  the first-variation check that ``verify`` runs at every sample count, and
+  ``tai_checks(1/2, 2, 50)``, the projector checks at the size ``verify``
+  runs them at 200 samples or fewer.
 * L4 ``verify_all(512)`` and ``verify_all(24)``; 24 is about the median
   ``--samples`` of a log-uniform draw up to 512.
 * L5 ``python -m bergersphere.cli verify --samples 2000``,
   ``python -m bergersphere.cli index --model totally-real --n 4 --d 3
-  --tau-sq 2/7`` and ``python -m bergersphere.cli phase --n-max 8
-  --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json``, process wall
-  time.
+  --tau-sq 2/7``, ``python -m bergersphere.cli phase --n-max 8
+  --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json`` and
+  ``python -m bergersphere.cli tai-check --tau-sq 1/2 --n 3 --samples 2048``
+  (the benchmark's sample cap for ``tai-check``), process wall time.
 
 Every case runs at least 11 pairs.  The output holds, per case and tree, the
 median and the interquartile range of the repeats in seconds; per case, the
@@ -51,6 +57,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -72,6 +79,7 @@ CASES = [
     ("L2", "curvature-tensor-500", 21, None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
     ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", 21, None),
+    ("L3", "tai_checks(1/2, 2, 50)", 21, None),
     ("L4", "verify_all(512)", 11, None),
     ("L4", "verify_all(24)", 21, None),
     ("L5", "cli verify --samples 2000 (process wall)", 11, ["verify", "--samples", "2000"]),
@@ -81,6 +89,8 @@ CASES = [
      "(process wall)", 11,
      ["phase", "--n-max", "8", "--tau-sq-grid", "1/7,3/17,2/9,5/12,8/13,29/31",
       "--format", "json"]),
+    ("L5", "cli tai-check --tau-sq 1/2 --n 3 --samples 2048 (process wall)", 11,
+     ["tai-check", "--tau-sq", "1/2", "--n", "3", "--samples", "2048"]),
 ]
 
 
@@ -130,6 +140,7 @@ def _time_in_process(case: str) -> float:
         "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":
             lambda: oracle.minimality_first_variation_check(CliffordHypersurface(0, 0),
                                                             Fraction(1, 3), 2),
+        "tai_checks(1/2, 2, 50)": lambda: oracle.tai_checks(Fraction(1, 2), 2, 50),
         "verify_all(512)": lambda: oracle.verify_all(512),
         "verify_all(24)": lambda: oracle.verify_all(24),
     }[case]
@@ -138,21 +149,23 @@ def _time_in_process(case: str) -> float:
     return time.perf_counter() - start
 
 
-def _env(src: Path) -> dict:
+def tree_env(src: Path) -> dict:
+    """Environment of a fresh interpreter that imports the package from
+    ``src``: one BLAS thread, no ``BERGER_SEED``."""
     env = {k: v for k, v in os.environ.items() if k != "BERGER_SEED"}
     env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     return env
 
 
-def _one_run(name: str, command, src: Path) -> float:
+def _one_run(name: str, command, env: dict) -> float:
     if command is not None:
         start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "bergersphere.cli", *command],
-                       env=_env(src), stdout=subprocess.DEVNULL, check=False)
+                       env=env, stdout=subprocess.DEVNULL, check=False)
         return time.perf_counter() - start
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name],
-                         env=_env(src), capture_output=True, text=True, check=True)
+                         env=env, capture_output=True, text=True, check=True)
     return float(out.stdout.strip().splitlines()[-1])
 
 
@@ -173,9 +186,23 @@ def _paired(before: list[float], after: list[float]) -> dict:
             "diff_median_s": med, "diff_iqr_s": iqr}
 
 
-def _git(*args: str) -> str:
+def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def extract_src(sha: str, dest: str) -> Path:
+    """The ``src`` tree of commit ``sha``, extracted under ``dest``."""
+    archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return Path(dest) / "src"
+
+
+def copy_working_src(dest: Path) -> Path:
+    """The working tree's ``src``, copied under ``dest`` without bytecode."""
+    return Path(shutil.copytree(ROOT / "src", dest / "src",
+                                ignore=shutil.ignore_patterns("__pycache__")))
 
 
 def _src_digest(src: Path) -> str:
@@ -197,20 +224,18 @@ def main(argv=None) -> int:
         return 0
     if not args.before:
         parser.error("--before is required")
-    before_sha = _git("rev-parse", args.before)
-    after_src = ROOT / "src"
+    before_sha = git("rev-parse", args.before)
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", before_sha, "src"], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        before_src = Path(tmp) / "src"
+        before_src = extract_src(before_sha, tmp)
+        after_src = copy_working_src(Path(tmp) / "after")
+        after_digest = _src_digest(after_src)
         cases = []
-        trees = {"before": before_src, "after": after_src}
+        envs = {"before": tree_env(before_src), "after": tree_env(after_src)}
         for layer, name, pairs, command in CASES:
             times = {"before": [], "after": []}
             for i in range(pairs):
                 for tree in ("before", "after") if i % 2 == 0 else ("after", "before"):
-                    times[tree].append(_one_run(name, command, trees[tree]))
+                    times[tree].append(_one_run(name, command, envs[tree]))
             before, after = _summary(times["before"]), _summary(times["after"])
             paired = _paired(times["before"], times["after"])
             cases.append({"layer": layer, "case": name, "before": before, "after": after,
@@ -221,9 +246,9 @@ def main(argv=None) -> int:
     result = {
         "command": f"python3 bench/layers.py --before {args.before} --out {args.out}",
         "before": {"git_sha": before_sha},
-        "after": {"git_sha": _git("rev-parse", "HEAD"),
-                  "uncommitted_changes": bool(_git("status", "--porcelain", "--", "src")),
-                  "src_sha256": _src_digest(after_src)},
+        "after": {"git_sha": git("rev-parse", "HEAD"),
+                  "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
+                  "src_sha256": after_digest},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),

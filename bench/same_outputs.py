@@ -1,0 +1,66 @@
+"""Check that the sampled commands print the same output before and after a change.
+
+    python3 bench/same_outputs.py --before <git rev>
+
+The source tree of ``<git rev>`` is extracted with ``git archive`` into a
+temporary directory; the "after" tree is the working tree.  Every invocation
+of a fixed corpus runs once per tree, each in a fresh interpreter whose
+``PYTHONPATH`` is the tree's ``src``, with BLAS threads set to 1 and
+``BERGER_SEED`` removed.  The corpus:
+
+* ``verify`` in table and json format at seeds 1, 7, 12345 and 0x5EED, at the
+  default sample count and at ``--samples 64``;
+* ``tai-check --samples 700`` and ``curvature-check --samples 300``, json, for
+  n = 1..4 and tau^2 in {1/3, 2/7, 1/2}.
+
+The exit code and stdout must be byte-identical.  Each invocation that
+differs is printed; the exit status is 1 if any differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from layers import ROOT, extract_src, git, tree_env
+
+
+def corpus() -> list[list[str]]:
+    argvs = [["verify", "--format", fmt, "--seed", seed, *samples]
+             for fmt in ("table", "json") for seed in ("1", "7", "12345", "0x5EED")
+             for samples in ([], ["--samples", "64"])]
+    for cmd, samples in (("tai-check", "700"), ("curvature-check", "300")):
+        argvs += [[cmd, "--tau-sq", tau_sq, "--n", str(n), "--samples", samples,
+                   "--format", "json"]
+                  for n in range(1, 5) for tau_sq in ("1/3", "2/7", "1/2")]
+    return argvs
+
+
+def _run(argv: list[str], env: dict) -> tuple[int, str]:
+    out = subprocess.run([sys.executable, "-m", "bergersphere.cli", *argv], env=env,
+                         capture_output=True, text=True, check=False)
+    return out.returncode, out.stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", required=True, help="git rev of the tree to compare against")
+    args = parser.parse_args(argv)
+    before_sha = git("rev-parse", args.before)
+    differ = 0
+    argvs = corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        before, after = tree_env(extract_src(before_sha, tmp)), tree_env(ROOT / "src")
+        for cmd in argvs:
+            if _run(cmd, before) != _run(cmd, after):
+                differ += 1
+                print("differs: " + " ".join(cmd))
+    print(f"{differ} of {len(argvs)} invocations differ from {args.before} ({before_sha[:12]})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -217,7 +217,12 @@ def tangent_j_rows(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     Annihilates the Killing direction and equals multiplication by i on
     horizontal vectors; tau-independent.
     """
-    return mult_i(v) + _dot(v, mult_i(z))[..., None] * z
+    return _j(z, v, _dot(v, mult_i(z)))
+
+
+def _j(z: np.ndarray, v: np.ndarray, v_iz: np.ndarray) -> np.ndarray:
+    """``tangent_j_rows(z, v)`` given v_iz = g(v, iz)."""
+    return mult_i(v) + v_iz[..., None] * z
 
 
 def killing_field_rows(tau, z: np.ndarray) -> np.ndarray:
@@ -264,21 +269,31 @@ def connection_correction_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray)
 
 def curvature_tensor_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray,
                           zz: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Riemann curvature R(x, y, z, w) of the Berger metric (five-term form)."""
+    """Riemann curvature R(x, y, z, w) of the Berger metric (five-term form).
+
+    Each vector's g(v, iz) and each repeated inner product is formed once;
+    the values are those of evaluating every term on its own.
+    """
     lam, t, iz = _validated(tau, z, x, y, zz, w)
-
-    def ip(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _metric(lam, iz, a, b)
-
-    xi = iz / t
-    jx = tangent_j_rows(z, x)
-    jy = tangent_j_rows(z, y)
-    jz = tangent_j_rows(z, zz)
     X, Y, Z, W = x, y, zz, w
-    val = ip(Y, Z) * ip(X, W) - ip(X, Z) * ip(Y, W)
-    val += lam * (ip(jy, Z) * ip(jx, W) - ip(jx, Z) * ip(jy, W) - 2.0 * ip(jx, Y) * ip(jz, W))
-    val += lam * ip(Z, xi) * (ip(X, xi) * ip(Y, W) - ip(Y, xi) * ip(X, W))
-    val += lam * ip(W, xi) * (ip(Y, xi) * ip(X, Z) - ip(X, xi) * ip(Y, Z))
+    xi = iz / t
+    x_iz, y_iz, z_iz, w_iz, xi_iz = (_dot(v, iz) for v in (X, Y, Z, W, xi))
+    jx, jy, jz = _j(z, X, x_iz), _j(z, Y, y_iz), _j(z, Z, z_iz)
+    jx_iz, jy_iz, jz_iz = _dot(jx, iz), _dot(jy, iz), _dot(jz, iz)
+
+    yz = _metric(lam, iz, Y, Z, y_iz, z_iz)
+    xw = _metric(lam, iz, X, W, x_iz, w_iz)
+    xz = _metric(lam, iz, X, Z, x_iz, z_iz)
+    yw = _metric(lam, iz, Y, W, y_iz, w_iz)
+    x_xi = _metric(lam, iz, X, xi, x_iz, xi_iz)
+    y_xi = _metric(lam, iz, Y, xi, y_iz, xi_iz)
+    val = yz * xw - xz * yw
+    val += lam * (_metric(lam, iz, jy, Z, jy_iz, z_iz) * _metric(lam, iz, jx, W, jx_iz, w_iz)
+                  - _metric(lam, iz, jx, Z, jx_iz, z_iz) * _metric(lam, iz, jy, W, jy_iz, w_iz)
+                  - 2.0 * _metric(lam, iz, jx, Y, jx_iz, y_iz)
+                  * _metric(lam, iz, jz, W, jz_iz, w_iz))
+    val += lam * _metric(lam, iz, Z, xi, z_iz, xi_iz) * (x_xi * yw - y_xi * xw)
+    val += lam * _metric(lam, iz, W, xi, w_iz, xi_iz) * (y_xi * xz - x_xi * yz)
     return val
 
 

@@ -86,7 +86,11 @@ def _report(name: str, max_error: float, samples: int, tolerance: float,
 
 
 def _rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
+    """The check's stream for ``seed``, which must lie in [0, 2^32): distinct
+    seeds give distinct streams."""
+    if not 0 <= seed < 2 ** 32:
+        raise GeometryDomainError(f"seed must lie in [0, 2^32), got {seed}")
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +603,44 @@ def _draw_horizontal(rng, n: int, count: int, vectors: int,
     return zc, out
 
 
+def _in_groups(fn, directions: np.ndarray, budget: int) -> np.ndarray:
+    """``fn`` of stacked ``directions`` (k, rows, n+1), evaluated on
+    consecutive groups of directions and stacked again on the leading axis.
+
+    A group holds at most ``budget`` direction-rows, and at least one
+    direction, so a small batch shares one call among several directions
+    while memory per call stays that of one ``budget``-row batch.  ``fn``
+    works on each direction independently, so the grouping does not change
+    the values.  A group of one direction is passed unstacked, as a plain
+    (rows, n+1) batch: operands of equal shape keep numpy's fast path, which
+    a leading axis of length one would leave.
+    """
+    k, rows = directions.shape[:2]
+    size = max(1, budget // rows)
+    if size >= k:
+        return fn(directions)
+
+    def group(start: int) -> np.ndarray:
+        if size == 1:
+            return fn(directions[start])[None]
+        return fn(directions[start:start + size])
+
+    first = group(0)
+    out = np.empty((k,) + first.shape[1:], dtype=first.dtype)
+    out[:size] = first
+    del first  # freed before the next group is evaluated
+    for start in range(size, k, size):
+        out[start:start + size] = group(start)
+    return out
+
+
 def _tai_curve(param: BergerParam, zc: np.ndarray, radius: float, direction: np.ndarray,
                steps) -> np.ndarray:
     """The projector embedding along the rays zc + t direction, renormalised
-    to ``radius``, at every step t: shape (len(steps), rows, n+1, n+1)."""
-    t = np.asarray(steps, dtype=float)[:, None, None]
+    to ``radius``, at every step t: shape (len(steps), *direction.shape[:-1],
+    n+1, n+1).  ``direction`` is a batch of rows (rows, n+1) or a stack of
+    such batches."""
+    t = np.asarray(steps, dtype=float).reshape((-1,) + (1,) * direction.ndim)
     w = zc + t * direction
     w = w * (radius / np.linalg.norm(w, axis=-1))[..., None]
     return tai_embed_rows(param, w)
@@ -616,7 +653,11 @@ def _tai_push(param: BergerParam, zc: np.ndarray, radius: float,
 
 
 class _TaiProbe:
-    """Numeric second fundamental form of the projector embedding at a batch of points."""
+    """Numeric second fundamental form of the projector embedding at a batch of points.
+
+    Finite-difference directions are stacked on a leading axis and evaluated
+    ``_in_groups`` of at most ``SAMPLE_CHUNK // 4`` direction-rows.
+    """
 
     def __init__(self, param: BergerParam, zc: np.ndarray, radius: float):
         self.param = param
@@ -641,12 +682,15 @@ class _TaiProbe:
             raise GeometryDomainError("failed to build a full horizontal basis")
         order = np.argsort(~kept, axis=1, kind="stable")[:, :nc - 1]
         cbasis = np.take_along_axis(cbasis, order[:, :, None], axis=1)
-        # real orthonormal horizontal basis {b_1, i b_1, b_2, i b_2, ...}
-        self.real_basis = [b for i in range(nc - 1) for b in (cbasis[:, i], 1j * cbasis[:, i])]
+        # real orthonormal horizontal basis {b_1, i b_1, b_2, i b_2, ...},
+        # stacked (2n, rows, n+1)
+        self.real_basis = np.stack([b for i in range(nc - 1)
+                                    for b in (cbasis[:, i], 1j * cbasis[:, i])])
         # tangent span of the image, orthonormal in the Frobenius metric
+        pushes = _in_groups(lambda d: _tai_push(param, zc, radius, d), self.real_basis,
+                            SAMPLE_CHUNK // 4)
         tangent = []
-        for b in self.real_basis:
-            t = _tai_push(param, zc, radius, b)
+        for t in pushes:
             for s in tangent:
                 t = t - _hm_inner(t, s)[:, None, None] * s
             t = t / np.sqrt(_hm_inner(t, t))[:, None, None]
@@ -658,8 +702,8 @@ class _TaiProbe:
         self.c0 = _tai_curve(param, zc, radius, np.zeros_like(zc), (0.0,))[0]
 
     def _second_derivative(self, direction: np.ndarray, h: float = 2e-3) -> np.ndarray:
-        """Richardson-extrapolated second derivative of the curve in
-        ``direction``, all four steps in one ``_tai_curve`` call.
+        """Richardson-extrapolated second derivative of the curve in each of
+        the stacked ``direction``, all four steps in one ``_tai_curve`` call.
 
         The base step is larger than the first-derivative default because the
         h^-2 roundoff amplification of plain second differences would not
@@ -675,14 +719,41 @@ class _TaiProbe:
     def _normal_part(self, mat: np.ndarray) -> np.ndarray:
         out = mat
         for t, t_conj in zip(self.tangent, self.tangent_conj):
-            out = out - _hm_dot(out, t_conj)[:, None, None] * t
+            out = out - _hm_dot(out, t_conj)[..., None, None] * t
         return out
 
-    def sff(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Second fundamental form by polarised second derivatives."""
-        plus = self._normal_part(self._second_derivative(x + y))
-        minus = self._normal_part(self._second_derivative(x - y))
-        return (plus - minus) / 4.0
+    def sff(self, pairs) -> np.ndarray:
+        """Second fundamental form s(x, y) of every pair (x, y), stacked, by
+        polarised second derivatives in the directions x + y and x - y."""
+        directions = np.stack([x + y for x, y in pairs] + [x - y for x, y in pairs])
+        normal = _in_groups(lambda d: self._normal_part(self._second_derivative(d)),
+                            directions, SAMPLE_CHUNK // 4)
+        # (plus - minus) / 4 in place, so no further stack is allocated
+        s = normal[:len(pairs)]
+        s -= normal[len(pairs):]
+        s /= 4.0
+        return s
+
+
+def _tai_sff_errors(param: BergerParam, radius: float, center: np.ndarray, r_sq: float,
+                    zc: np.ndarray, x, y, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row errors of the second-fundamental-form law, its invariance
+    under J and minimality into the sphere, at one batch of points.
+
+    A function of its own so that the batch's forms are freed before the
+    next batch is drawn.
+    """
+    probe = _TaiProbe(param, zc, radius)
+    s_xy, s_vw, s_ixy, *s_bb = probe.sff([(x, y), (v, w), (1j * x, 1j * y)]
+                                         + [(b, b) for b in probe.real_basis])
+    law = np.abs(_hm_inner(s_xy, s_vw) - tai_sff_inner_rows(param, zc, radius, x, y, v, w))
+    j = np.max(np.abs(s_ixy - s_xy), axis=(1, 2))
+    trace = np.zeros_like(probe.base)
+    for s in s_bb:
+        trace = trace + s
+    n = zc.shape[1] - 1
+    residual = trace + (2 * n / r_sq) * (probe.base - center)
+    return law, j, np.max(np.abs(residual), axis=(1, 2))
 
 
 def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> list[CheckReport]:
@@ -707,7 +778,8 @@ def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> lis
     err_iso = err_sphere = 0.0
     for count in _chunks(samples):
         zc, (u, v) = _draw_horizontal(rng, n, count, 2, radius)
-        got = _hm_inner(_tai_push(param, zc, radius, u), _tai_push(param, zc, radius, v))
+        got = _hm_inner(*_in_groups(lambda d: _tai_push(param, zc, radius, d),
+                                    np.stack([u, v]), SAMPLE_CHUNK))
         err_iso = _worst(err_iso, np.abs(got - np.real(_cdot(v, u))))
         diff = tai_embed_rows(param, zc) - center
         err_sphere = _worst(err_sphere, np.abs(_hm_inner(diff, diff) - r_sq))
@@ -715,17 +787,11 @@ def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> lis
     sff_samples = max(10, samples // 5)
     err_law = err_j = err_min = 0.0
     for count in _chunks(sff_samples, 4):
-        zc, (x, y, v, w) = _draw_horizontal(rng, n, count, 4, radius)
-        probe = _TaiProbe(param, zc, radius)
-        s_xy = probe.sff(x, y)
-        got = _hm_inner(s_xy, probe.sff(v, w))
-        err_law = _worst(err_law, np.abs(got - tai_sff_inner_rows(param, zc, radius, x, y, v, w)))
-        err_j = _worst(err_j, np.max(np.abs(probe.sff(1j * x, 1j * y) - s_xy), axis=(1, 2)))
-        trace = np.zeros_like(probe.base)
-        for b in probe.real_basis:
-            trace = trace + probe.sff(b, b)
-        residual = trace + (2 * n / r_sq) * (probe.base - center)
-        err_min = _worst(err_min, np.max(np.abs(residual), axis=(1, 2)))
+        zc, vectors = _draw_horizontal(rng, n, count, 4, radius)
+        law, j, minimality = _tai_sff_errors(param, radius, center, r_sq, zc, *vectors)
+        err_law = _worst(err_law, law)
+        err_j = _worst(err_j, j)
+        err_min = _worst(err_min, minimality)
 
     return [
         _report("tai-isometry", err_iso, samples, 1e-8, seed),

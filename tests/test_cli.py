@@ -173,6 +173,12 @@ BAD_INPUTS = [
     ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3", "--m1", "0"],
     ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3", "--low",
      "--kmax", "-1"],
+    # seeds outside [0, 2^32): each used to draw the samples of 0xFFFFFFFB or 0
+    ["curvature-check", "--tau-sq", "1/3", "--n", "2", "--samples", "50", "--seed", "-5"],
+    ["curvature-check", "--tau-sq", "1/3", "--n", "2", "--samples", "50", "--seed",
+     "0x1FFFFFFFB"],
+    ["curvature-check", "--tau-sq", "1/3", "--n", "2", "--samples", "50", "--seed",
+     "0x100000000"],
 ]
 
 
@@ -291,3 +297,16 @@ class TestDeterminism:
         _, text = run(["curvature-check", "--tau-sq", "1/3", "--n", "1",
                        "--samples", "10"])
         assert "seed=291" in text
+
+    @pytest.mark.parametrize("value", ["-1", "0x100000000"])
+    def test_env_seed_out_of_range_rejected(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("BERGER_SEED", value)
+        assert run(["tai-check", "--tau-sq", "1/2", "--samples", "3"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: seed must lie in [0, 2^32), got {int(value, 0)}\n"
+
+    def test_largest_seed_accepted_and_distinct(self):
+        argv = ["curvature-check", "--tau-sq", "1/3", "--n", "2", "--samples", "50", "--seed"]
+        top, zero = run(argv + ["0xFFFFFFFF"]), run(argv + ["0"])
+        assert top[0] == zero[0] == 0
+        assert top[1].replace("seed=4294967295", "seed=0") != zero[1]

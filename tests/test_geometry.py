@@ -475,6 +475,41 @@ class TestBatchedKernelAgainstReference:
             assert g.tobytes() == w.tobytes()
 
 
+def termwise_curvature_rows(tau, z, x, y, zz, w):
+    """The batched five-term curvature with every inner product, and the
+    g(v, iz) inside it, evaluated on its own."""
+    p = BergerParam.coerce(tau)
+    lam = float(p.one_minus)
+
+    def ip(a, b):
+        return geo.berger_inner_rows(p, z, a, b)
+
+    xi = geo.mult_i(z) / p.tau
+    jx, jy, jz = geo.tangent_j_rows(z, x), geo.tangent_j_rows(z, y), geo.tangent_j_rows(z, zz)
+    X, Y, Z, W = x, y, zz, w
+    val = ip(Y, Z) * ip(X, W) - ip(X, Z) * ip(Y, W)
+    val += lam * (ip(jy, Z) * ip(jx, W) - ip(jx, Z) * ip(jy, W) - 2.0 * ip(jx, Y) * ip(jz, W))
+    val += lam * ip(Z, xi) * (ip(X, xi) * ip(Y, W) - ip(Y, xi) * ip(X, W))
+    val += lam * ip(W, xi) * (ip(Y, xi) * ip(X, Z) - ip(X, xi) * ip(Y, Z))
+    return val
+
+
+class TestCurvatureSharedProducts:
+    @pytest.mark.parametrize("ts", [F(1, 3), F(2, 7), F(1)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_termwise_evaluation_bit_for_bit(self, n, ts):
+        rng = np.random.default_rng([13, n])
+        for rows in (1, 7, 256):
+            z = rng.standard_normal((rows, 2 * n + 2))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            x, y, zz, w = (u - np.einsum("ij,ij->i", u, z)[:, None] * z
+                           for u in rng.standard_normal((4, rows, 2 * n + 2)))
+            got = geo.curvature_tensor_rows(ts, z, x, y, zz, w)
+            want = termwise_curvature_rows(ts, z, x, y, zz, w)
+            assert got.shape == (rows,)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBatchedValidation:
     def test_every_row_is_checked(self):
         z = np.zeros((5, 4))

@@ -204,12 +204,21 @@ class TestSampledChecks:
     @pytest.mark.parametrize("n", [1, 2])
     def test_tai_probe_sff_matches_per_call_evaluation(self, n):
         """The probe's cached curve value at 0, conjugated tangent basis and
-        stacked four-step stencil give the second fundamental form of
-        evaluating the curve one step per call, bit for bit."""
+        stacked four-step stencil over stacked directions give the second
+        fundamental form of evaluating the curve one direction and one step
+        per call, bit for bit; so do its stacked tangent pushes."""
         param, radius = BergerParam(F(3, 4)), 2.0  # radius 1/sqrt(1 - tau^2)
         zc, (x, y, v, w) = oracle._draw_horizontal(np.random.default_rng([11, n]), n, 5, 4,
                                                    radius)
         probe = oracle._TaiProbe(param, zc, radius)
+
+        tangent = []
+        for b in probe.real_basis:
+            t = oracle._tai_push(param, zc, radius, b)
+            for s in tangent:
+                t = t - oracle._hm_inner(t, s)[:, None, None] * s
+            tangent.append(t / np.sqrt(oracle._hm_inner(t, t))[:, None, None])
+        assert [t.tobytes() for t in probe.tangent] == [t.tobytes() for t in tangent]
 
         def second_derivative(direction, h=2e-3):
             def curve(step):
@@ -224,10 +233,34 @@ class TestSampledChecks:
                 mat = mat - oracle._hm_inner(mat, t)[:, None, None] * t
             return mat
 
-        for a, b in [(x, y), (v, w), (1j * x, 1j * y), (x, x)]:
+        pairs = [(x, y), (v, w), (1j * x, 1j * y), (x, x)] + [(b, b) for b in probe.real_basis]
+        got = probe.sff(pairs)
+        assert got.shape == (len(pairs), 5, n + 1, n + 1)
+        for (a, b), s in zip(pairs, got):
             want = (normal_part(second_derivative(a + b))
                     - normal_part(second_derivative(a - b))) / 4.0
-            assert probe.sff(a, b).tobytes() == want.tobytes()
+            assert s.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tai_checks_do_not_depend_on_the_group_budget(self, n, monkeypatch):
+        """Stacking directions in groups of any size gives the same reports,
+        bit for bit: from one direction per call to all of them."""
+        grouped = oracle._in_groups
+
+        def reports():
+            return [repr(oracle.tai_checks(F(2, 7), n, samples, seed=5)) for samples in (7, 330)]
+
+        want = reports()
+        for budget in (1, 3, 64, 10 ** 6):
+            monkeypatch.setattr(oracle, "_in_groups",
+                                lambda fn, directions, _, b=budget: grouped(fn, directions, b))
+            assert reports() == want
+
+    def test_seed_outside_32_bits_rejected(self):
+        for seed in (-1, 2 ** 32):
+            with pytest.raises(GeometryDomainError, match="seed"):
+                oracle.ricci_vertical_check(F(1, 2), 1, samples=3, seed=seed)
+        assert oracle.ricci_vertical_check(F(1, 2), 1, samples=3, seed=2 ** 32 - 1).passed
 
     def test_no_samples_fails(self):
         report = oracle.curvature_symmetry_check(F(1, 3), 1, samples=0)
