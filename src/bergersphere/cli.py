@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import models, oracle, spectra, stability
-from .geometry import GeometryDomainError, RoundSphereUnsupportedError
+from .geometry import GeometryDomainError
 from .models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                      TotallyRealSphere, TruncationError, VeroneseRP3, VeroneseS3)
 
@@ -37,9 +37,7 @@ DEFAULT_PHASE_GRID = "1/12,1/8,1/6,1/4,1/3,1/2,3/5,1"
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+    """Bad input found by the command line itself; exits with EXIT_BAD_INPUT."""
 
 
 def parse_tau_sq(text: str) -> Fraction:
@@ -226,10 +224,7 @@ def cmd_phase(args, out) -> int:
 def cmd_moduli(args, out) -> int:
     lo = parse_tau_sq(args.tau_sq_min)
     hi = parse_tau_sq(args.tau_sq_max)
-    try:
-        curve = stability.moduli_curve(args.samples, lo, hi)
-    except GeometryDomainError as exc:
-        raise CliError(str(exc))
+    curve = stability.moduli_curve(args.samples, lo, hi)
     header = ("tau_sq_num", "tau_sq_den", "x", "y")
     rows = [(v.tau_sq.numerator, v.tau_sq.denominator, repr(v.x), repr(v.y))
             for v in curve]
@@ -273,8 +268,6 @@ def cmd_verify(args, out) -> int:
 
 def cmd_tai_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
-    if tau_sq == 1:
-        raise CliError("the projector embedding needs tau^2 < 1")
     reports = oracle.tai_checks(tau_sq, args.n, samples=_samples(args), seed=args.seed)
     return _emit_reports(reports, args, out)
 
@@ -312,10 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra, curvature checks and stability tables for Berger spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=False):
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                       help="RNG seed (default: BERGER_SEED env var or 0x5EED)")
+        if seed:
+            p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+                           help="RNG seed (default: BERGER_SEED env var or 0x5EED)")
 
     p = sub.add_parser("spectrum", help="Laplace spectrum tables")
     add_common(p)
@@ -353,19 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moduli)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tai-check", help="projector-embedding checks")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--tau-sq", required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_tai_check)
 
     p = sub.add_parser("curvature-check", help="curvature identity checks")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--tau-sq", required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--samples", type=int, default=200)
@@ -386,18 +380,15 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = _parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None:
+        if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         return args.func(args, out)
-    except CliError as exc:
+    except (CliError, GeometryDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_BAD_INPUT
     except TruncationError as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (GeometryDomainError, RoundSphereUnsupportedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ class GeometryDomainError(ValueError):
     """Raised when arguments violate a documented precondition."""
 
 
-class RoundSphereUnsupportedError(ValueError):
+class RoundSphereUnsupportedError(GeometryDomainError):
     """Raised for constructions that are only defined for tau < 1."""
 
 

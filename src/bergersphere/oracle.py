@@ -45,19 +45,6 @@ _CAP = 8
 
 
 @dataclass(frozen=True)
-class LatticeSpec:
-    """A rank-two lattice in the plane, by two generator rows."""
-
-    generators: tuple[tuple[float, float], tuple[float, float]]
-    description: str
-
-    def __post_init__(self):
-        (a, b), (c, d) = self.generators
-        if abs(a * d - b * c) < 1e-14:
-            raise GeometryDomainError("lattice generators must be linearly independent")
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one verification check; passed iff samples >= 1 and max_error <= tolerance."""
 
@@ -325,20 +312,6 @@ def lxi_squared_spectrum(n: int, tau, k: int):
 # ---------------------------------------------------------------------------
 # Flat-torus Fourier oracle
 # ---------------------------------------------------------------------------
-
-
-def clifford_lattice(tau) -> LatticeSpec:
-    """Period lattice of the flat Clifford surface in S^3_tau.
-
-    In the flat coordinates of the universal covering
-    (t, s) -> (e^{it}, e^{is})/sqrt(2) the lattice is generated by
-    pi (tau, 1) and pi (tau, -1).
-    """
-    param = BergerParam.coerce(tau)
-    t = param.tau
-    return LatticeSpec(((math.pi * t, math.pi), (math.pi * t, -math.pi)),
-                       "flat coordinates of the square-torus universal covering; "
-                       "x = tau (t+s)/2, y = (t-s)/2")
 
 
 def torus_fourier_index(tau, potential=4) -> IndexReport:
@@ -767,7 +740,7 @@ def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> lis
     """
     param = BergerParam.coerce(tau)
     if param.is_round:
-        raise GeometryDomainError("the projector embedding needs tau < 1")
+        raise GeometryDomainError("the projector embedding needs tau^2 < 1")
     if n < 1:
         raise GeometryDomainError("the projector embedding needs n >= 1")
     rng = _rng(seed, "tai")
@@ -811,16 +784,12 @@ def gauss_flatness_check(tau, samples: int = 64, seed: int = DEFAULT_SEED) -> Ch
     """The Clifford surface in S^3_tau is flat.
 
     The induced metric in the flat covering coordinates is constant
-    ((1+tau^2)/4 on the diagonal, (tau^2-1)/4 off it) and the intrinsic
-    curvature -|sff|^2/2 + tau^2 + 4(1-tau^2) nu^2 vanishes for
-    |sff|^2 = 2 tau^2 and nu = 0.  Both are checked: the curvature value
-    exactly, the metric coefficients against samples of the embedding.
+    ((1+tau^2)/4 on the diagonal, (tau^2-1)/4 off it); the check compares
+    those coefficients with samples of the embedding.
     """
     param = BergerParam.coerce(tau)
     ts = param.tau_sq
-    sff_sq = 2 * ts
-    gauss = -sff_sq / 2 + ts + 4 * (1 - ts) * Fraction(0)  # nu = 0 on this surface
-    worst = abs(float(gauss))
+    worst = 0.0
     rng = _rng(seed, "gauss-flatness")
     e_exact = float((1 + ts) / 4)
     f_exact = float((ts - 1) / 4)

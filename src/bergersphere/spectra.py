@@ -57,13 +57,7 @@ def round_eigenvalue(n: int, k: int) -> int:
 
 def round_multiplicity(n: int, k: int) -> int:
     """Dimension of degree-k spherical harmonics on S^{2n+1}."""
-    if k < 0:
-        raise GeometryDomainError("k must be nonnegative")
-    nvars = 2 * n + 2
-    total = comb(k + nvars - 1, nvars - 1)
-    if k >= 2:
-        total -= comb(k - 2 + nvars - 1, nvars - 1)
-    return total
+    return sphere_harmonic_multiplicity(2 * n + 1, k)
 
 
 def sphere_harmonic_multiplicity(d: int, k: int) -> int:

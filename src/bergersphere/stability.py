@@ -21,6 +21,7 @@ Criterion tags used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,7 +29,7 @@ from operator import attrgetter, itemgetter
 from typing import Union
 
 from . import models
-from .geometry import BergerParam, GeometryDomainError
+from .geometry import BergerParam, GeometryDomainError, _as_fraction
 
 
 class Verdict(Enum):
@@ -131,16 +132,13 @@ def proof_polynomial_P(d: int, q: int, tau, x):
     """The quadratic controlling the summed second variation of test sections.
 
     P(x) = ((1-tau^2)^2/tau^2) x^2 - ((1-tau^2)/tau^2)(1+q+tau^2(d-1)) x
-           - q(d+1-1/tau^2),  exact when x is rational.
+           - q(d+1-1/tau^2),  exact; ``x`` must be rational.
     """
     a, b, c = proof_polynomial_coefficients(d, q, tau)
-    if isinstance(x, (Fraction, int)):
-        if not (0 <= x <= 1):
-            raise GeometryDomainError("x must lie in [0, 1]")
-        return a * Fraction(x) ** 2 + b * Fraction(x) + c
-    if not (0.0 <= x <= 1.0):
+    x = _as_fraction(x, "x", hint="")
+    if not (0 <= x <= 1):
         raise GeometryDomainError("x must lie in [0, 1]")
-    return float(a) * x * x + float(b) * x + float(c)
+    return a * x * x + b * x + c
 
 
 def proof_polynomial_max_sign(d: int, q: int, tau) -> int:
@@ -336,10 +334,11 @@ def surface_index_one_classification(tau, surface: SurfaceKind) -> SurfaceIndexV
             return SurfaceIndexVerdict(True, 1,
                                        "the flat surface at tau^2 = 1/3 has index one",
                                        "index-one-surfaces")
-        return SurfaceIndexVerdict(False, 5,
-                                   "above tau^2 = 1/3 the flat surface has index 2n+3 = 5",
+        index = models.enumerate_index(models.CliffordHypersurface(0, 0), param).index
+        return SurfaceIndexVerdict(False, index,
+                                   f"above tau^2 = 1/3 the flat surface has index {index}",
                                    "mode-enumeration")
-    bound = max(2, -(-surface.genus // 4))
+    bound = max(2, math.ceil(genus_index_bound(surface.genus)))
     return SurfaceIndexVerdict(False, bound,
                                f"not index one; index >= genus/4 = {surface.genus}/4 "
                                "and index one is excluded",

@@ -305,6 +305,40 @@ class TestDeterminism:
         err = capsys.readouterr().err
         assert err == f"error: seed must lie in [0, 2^32), got {int(value, 0)}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3"],
+        ["index", "--model", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3"],
+        ["phase", "--n-max", "1"],
+        ["moduli", "--samples", "3"],
+        ["verify", "--samples", "2"],
+        ["tai-check", "--tau-sq", "1/2", "--samples", "2"],
+        ["curvature-check", "--tau-sq", "1/2", "--samples", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_env_seed_read_only_by_commands_that_draw(self, monkeypatch, capsys, argv):
+        monkeypatch.delenv("BERGER_SEED", raising=False)
+        unset = run(argv)
+        monkeypatch.setenv("BERGER_SEED", "abc")
+        malformed = run(argv)
+        err = capsys.readouterr().err
+        assert unset[0] == 0
+        if argv[0] in ("verify", "tai-check", "curvature-check"):
+            assert malformed == (2, "")
+            assert err == "error: BERGER_SEED must be an integer, got 'abc'\n"
+        else:
+            assert malformed == unset and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--space", "berger", "--n", "1", "--tau-sq", "1/3"],
+        ["index", "--model", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3"],
+        ["phase", "--n-max", "1"],
+        ["moduli"],
+    ], ids=lambda argv: argv[0])
+    def test_exact_command_takes_no_seed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_largest_seed_accepted_and_distinct(self):
         argv = ["curvature-check", "--tau-sq", "1/3", "--n", "2", "--samples", "50", "--seed"]
         top, zero = run(argv + ["0xFFFFFFFF"]), run(argv + ["0"])

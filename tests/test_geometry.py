@@ -296,6 +296,11 @@ class TestTaiEmbedding:
         with pytest.raises(RoundSphereUnsupportedError):
             geo.tai_embed_rows(F(1), np.array([[1.0 + 0j, 0.0]]))
 
+    def test_round_sphere_error_is_a_domain_error(self):
+        assert issubclass(RoundSphereUnsupportedError, GeometryDomainError)
+        with pytest.raises(GeometryDomainError):
+            geo.tai_sphere_radius_sq(F(1), 2)
+
 
 class TestTaiSffInner:
     def _setup(self, ts, n=2):

@@ -105,8 +105,8 @@ def test_corpus_is_the_recorded_one():
 
 
 def test_outputs_match_recorded_digests(monkeypatch):
-    # argparse wraps help text at the terminal width; every command reads
-    # the seed variable.
+    # argparse wraps help text at the terminal width; the sampled commands
+    # read the seed variable.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("BERGER_SEED", raising=False)
     header, recorded = _recorded()
@@ -122,6 +122,15 @@ def test_outputs_match_recorded_digests(monkeypatch):
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     os.environ.pop("BERGER_SEED", None)
-    lines = [_python()] + [f"{digest(a)}  {' '.join(a)}" for a in corpus()]
+    old = {argv: want for want, argv in _recorded()[1]}
+    new = [(" ".join(a), digest(a)) for a in corpus()]
+    for argv in sorted(old.keys() - dict(new).keys()):
+        print(f"removed: {argv}")
+    for argv, got in new:
+        if old.get(argv, got) != got:
+            print(f"changed: {argv}")
+        elif argv not in old:
+            print(f"added: {argv}")
+    lines = [_python()] + [f"{got}  {argv}" for argv, got in new]
     DIGESTS.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} digests to {DIGESTS}")

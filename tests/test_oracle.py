@@ -129,13 +129,6 @@ class TestVerticalSpectrum:
 
 
 class TestTorusFourier:
-    def test_lattice_generators(self):
-        import math
-        spec = oracle.clifford_lattice(F(1, 4))
-        (a, b), (c, d) = spec.generators
-        assert a == pytest.approx(math.pi * 0.5) and b == pytest.approx(math.pi)
-        assert c == pytest.approx(math.pi * 0.5) and d == pytest.approx(-math.pi)
-
     def test_zero_mode(self):
         report = oracle.torus_fourier_index(F(1, 3), 4)
         bottom = report.nonpositive_modes[0]
@@ -200,6 +193,11 @@ class TestSampledChecks:
         names = {r.name for r in reports}
         assert {"tai-isometry", "tai-sphere-containment", "tai-sff-law",
                 "tai-sff-j-invariance", "tai-minimality"} == names
+
+    def test_tai_suite_rejects_the_round_sphere(self):
+        with pytest.raises(GeometryDomainError,
+                           match=r"^the projector embedding needs tau\^2 < 1$"):
+            oracle.tai_checks(1, 2)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tai_probe_sff_matches_per_call_evaluation(self, n):

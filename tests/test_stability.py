@@ -106,10 +106,9 @@ class TestProofPolynomial:
             for ts in taus:
                 assert proof_polynomial_max_sign(d, q, ts) == grid_max_sign(d, q, ts), (d, q, ts)
 
-    def test_float_evaluation(self):
-        got = proof_polynomial_P(2, 1, F(1, 2), 0.5)
-        exact = proof_polynomial_P(2, 1, F(1, 2), F(1, 2))
-        assert got == pytest.approx(float(exact), abs=1e-12)
+    def test_float_rejected(self):
+        with pytest.raises(GeometryDomainError, match="x must be an exact rational"):
+            proof_polynomial_P(2, 1, F(1, 2), 0.5)
 
     def test_domain(self):
         with pytest.raises(GeometryDomainError):
@@ -217,6 +216,16 @@ class TestSurfaceClassification:
     def test_flat_surface_above(self):
         verdict = surface_index_one_classification(F(1, 2), CliffordTorus())
         assert not verdict.index_one and verdict.index_lower_bound == 5
+
+    def test_flat_surface_index_is_the_enumerated_one(self):
+        grid = sorted({F(1, 3) + F(2, 3) * F(j, den)
+                       for den in (1, 5, 7, 12) for j in range(den + 1)})
+        assert grid[0] == F(1, 3) and grid[-1] == 1
+        torus = CliffordHypersurface(0, 0)
+        for ts in grid:
+            verdict = surface_index_one_classification(ts, CliffordTorus())
+            assert verdict.index_lower_bound == enumerate_index(torus, ts).index, ts
+            assert verdict.index_one == (ts == F(1, 3))
 
     def test_genus_bound(self):
         verdict = surface_index_one_classification(F(1, 2), OtherSurface(9))
