@@ -21,7 +21,8 @@ Cases:
   (3, 2/7, 4) and (2, 1/3, 8): exact kernel ranks, dominated by the
   elimination in ``exactlinalg``.  The middle two are sizes of the
   exact-oracles benchmark's large tier; (2, 1/3, 8) lies beyond it, at the
-  degree cap.
+  degree cap.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
+  scan, which ``verify`` runs five times.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 (seeded, drawn outside the timed region).
   Each run is a fresh interpreter, so the mode tables start cold, as they
@@ -29,8 +30,9 @@ Cases:
 * L2 ``curvature-tensor-500``: one ``curvature_tensor_rows`` call on 500
   sampled points (inputs built outside the timed region).
 * L3 ``curvature_symmetry_check(1/3, 2, 500)``,
-  ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``,
-  the first-variation check that ``verify`` runs at every sample count, and
+  ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``
+  and ``minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)``,
+  first-variation checks that ``verify`` runs at every sample count, and
   ``tai_checks(1/2, 2, 50)``, the projector checks at the size ``verify``
   runs them at 200 samples or fewer.
 * L4 ``verify_all(512)`` and ``verify_all(24)``; 24 is about the median
@@ -75,10 +77,12 @@ CASES = [
     ("L0", "lxi_squared_spectrum(2, 1/3, 5)", 11, None),
     ("L0", "lxi_squared_spectrum(3, 2/7, 4)", 11, None),
     ("L0", "lxi_squared_spectrum(2, 1/3, 8)", 11, None),
+    ("L0", "torus_fourier_index(1/3, 4)", 21, None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", 11, None),
     ("L2", "curvature-tensor-500", 21, None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
     ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", 21, None),
+    ("L3", "minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)", 21, None),
     ("L3", "tai_checks(1/2, 2, 50)", 21, None),
     ("L4", "verify_all(512)", 11, None),
     ("L4", "verify_all(24)", 21, None),
@@ -100,7 +104,7 @@ def _time_in_process(case: str) -> float:
     from fractions import Fraction
 
     from bergersphere import cli, geometry, oracle, stability
-    from bergersphere.models import CliffordHypersurface
+    from bergersphere.models import CliffordHypersurface, TotallyRealSphere
 
     if case == "phase_rows(_phase_models(8), 6 random tau^2)":
         rng = np.random.default_rng(2024)
@@ -140,6 +144,10 @@ def _time_in_process(case: str) -> float:
         "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":
             lambda: oracle.minimality_first_variation_check(CliffordHypersurface(0, 0),
                                                             Fraction(1, 3), 2),
+        "minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)":
+            lambda: oracle.minimality_first_variation_check(TotallyRealSphere(2, 2),
+                                                            Fraction(1, 2), 1),
+        "torus_fourier_index(1/3, 4)": lambda: oracle.torus_fourier_index(Fraction(1, 3), 4),
         "tai_checks(1/2, 2, 50)": lambda: oracle.tai_checks(Fraction(1, 2), 2, 50),
         "verify_all(512)": lambda: oracle.verify_all(512),
         "verify_all(24)": lambda: oracle.verify_all(24),

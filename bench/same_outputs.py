@@ -9,7 +9,8 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
 ``BERGER_SEED`` removed.  The corpus:
 
 * ``verify`` in table and json format at seeds 1, 7, 12345 and 0x5EED, at the
-  default sample count and at ``--samples 64``;
+  default sample count and at ``--samples`` 1, 64 and 512 (1 and 512 bound the
+  sampled-verify benchmark's sample range);
 * ``tai-check --samples 700`` and ``curvature-check --samples 300``, json, for
   n = 1..4 and tau^2 in {1/3, 2/7, 1/2}.
 
@@ -31,7 +32,7 @@ from layers import ROOT, extract_src, git, tree_env
 def corpus() -> list[list[str]]:
     argvs = [["verify", "--format", fmt, "--seed", seed, *samples]
              for fmt in ("table", "json") for seed in ("1", "7", "12345", "0x5EED")
-             for samples in ([], ["--samples", "64"])]
+             for samples in ([], *(["--samples", n] for n in ("1", "64", "512")))]
     for cmd, samples in (("tai-check", "700"), ("curvature-check", "300")):
         argvs += [[cmd, "--tau-sq", tau_sq, "--n", str(n), "--samples", samples,
                    "--format", "json"]

@@ -59,12 +59,13 @@ class RoundSphereUnsupportedError(GeometryDomainError):
 def _as_fraction(value, name: str = "tau^2",
                  hint: str = "; use BergerParam.from_float to round a float explicitly"
                  ) -> Fraction:
-    """``value`` as an exact Fraction; a float raises ``GeometryDomainError``."""
+    """``value`` as an exact Fraction; a float, or a string written as a
+    decimal (with ".", "e" or "E"), raises ``GeometryDomainError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, Rational) or isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and not any(ch in value for ch in ".eE"):
         return Fraction(value)
     raise GeometryDomainError(f"{name} must be an exact rational, got {value!r}{hint}")
 

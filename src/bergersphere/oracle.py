@@ -13,6 +13,7 @@ from (seed, check name), so identical seeds give identical reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from collections import Counter
@@ -324,29 +325,28 @@ def torus_fourier_index(tau, potential=4) -> IndexReport:
 
     on integer coordinates.  Q(a, b) >= 2(a^2+b^2), so scanning the box
     a^2+b^2 <= potential/2 is provably complete; the bound is recorded in
-    the certificate.
+    the certificate.  With tau^2 = p/q and potential = P/R, Q - potential =
+    N/(pR) with N = R((a^2+b^2)(p+q) + 2ab(q-p)) - Pp, decided in integers.
     """
     param = BergerParam.coerce(tau)
     pot = Fraction(potential)
-    ts = param.tau_sq
+    p, q = param.tau_sq.numerator, param.tau_sq.denominator
+    big_p, big_r = pot.numerator, pot.denominator
 
-    def q_form(a: int, b: int) -> Fraction:
-        return ((a * a + b * b) * (ts + 1) + 2 * a * b * (1 - ts)) / ts
-
-    radius = math.isqrt(max(0, int(pot / 2))) + 1
-    buckets: dict[Fraction, list] = {}
+    radius = math.isqrt(max(0, big_p // (2 * big_r))) + 1
+    buckets: dict[int, list] = {}
     for a in range(-radius, radius + 1):
         for b in range(-radius, radius + 1):
-            if a * a + b * b > pot / 2:
+            norm_sq = a * a + b * b
+            if 2 * big_r * norm_sq > big_p:
                 continue
-            val = q_form(a, b) - pot
-            if val > 0:
+            num = big_r * (norm_sq * (p + q) + 2 * a * b * (q - p)) - big_p * p
+            if num > 0:
                 continue
-            buckets.setdefault(val, []).append((a, b))
-    modes = []
-    for val in sorted(buckets):
-        pts = sorted(buckets[val])
-        modes.append(JacobiMode("dual-lattice", pts[0], val, len(pts)))
+            buckets.setdefault(num, []).append((a, b))
+    modes = [JacobiMode("dual-lattice", min(buckets[num]), Fraction(num, p * big_r),
+                        len(buckets[num]))
+             for num in sorted(buckets)]
     cert = (f"Q(a,b) >= 2(a^2+b^2): every dual point with a^2+b^2 > {pot}/2 "
             f"exceeds the potential; scanned |a|,|b| <= {radius}")
     index = sum(m.multiplicity for m in modes if m.sign < 0)
@@ -832,6 +832,24 @@ def _normal_rows(param: BergerParam, pts: np.ndarray, a: np.ndarray,
 # eta; the bumped surface at eps is chart + eps * bump * eta, back on the
 # unit sphere.  Frames that depend on neither the sample nor eps are built
 # once per check, the rest once per sample, and +eps and -eps share them.
+# A two-parameter grid is a mesh flattened in meshgrid "ij" order, built from
+# 1-D factors by ``np.repeat`` (first parameter) and ``np.tile`` (second).
+
+_EPS = 1e-4  # bump amplitude
+_HFD = 1e-5  # finite-difference step
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` bit for bit: numpy adds a row's squares
+    left to right below 8 columns, as this faster column sum does, and
+    pairwise from 8 on."""
+    if x.shape[1] >= 8:
+        return np.linalg.norm(x, axis=1)
+    sq = x * x
+    total = sq[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        total += sq[:, j]
+    return np.sqrt(total)
 
 
 def _bumped(frame, e: float) -> np.ndarray:
@@ -840,180 +858,207 @@ def _bumped(frame, e: float) -> np.ndarray:
     pts, bump, eta = frame
     out = e * bump[:, None] * eta
     out += pts
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out /= _row_norms(out)[:, None]
     return out
 
 
-def _central(plus, minus, e: float, hfd: float) -> np.ndarray:
+def _central(plus, minus, e: float) -> np.ndarray:
     """Central difference of the bumped surface between two frames."""
     out = _bumped(plus, e)
     out -= _bumped(minus, e)
-    out /= 2 * hfd
+    out /= 2 * _HFD
     return out
 
 
-def _area_density(param: BergerParam, frames, e: float, hfd: float) -> np.ndarray:
-    """sqrt(det g) of the bumped surface at eps = e, on frames (grid, t + h,
-    t - h, s + h, s - h), by central differences of step ``hfd``."""
+def _bumped_patch(frames, e: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bumped surface at eps = e and its two coordinate derivatives, on
+    frames (grid, t + h, t - h, s + h, s - h); free of tau."""
     base, t_plus, t_minus, s_plus, s_minus = frames
-    du = _central(t_plus, t_minus, e, hfd)
-    dv = _central(s_plus, s_minus, e, hfd)
-    g11, g12, g22 = berger_gram_rows(param, _bumped(base, e), du, dv)
+    return _bumped(base, e), _central(t_plus, t_minus, e), _central(s_plus, s_minus, e)
+
+
+def _area_density(param: BergerParam, patch) -> np.ndarray:
+    """sqrt(det g) on a ``_bumped_patch``."""
+    g11, g12, g22 = berger_gram_rows(param, *patch)
     return np.sqrt(g11 * g22 - g12 * g12)
 
 
-def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int = 3,
-                                     seed: int = DEFAULT_SEED) -> CheckReport:
-    """First variation of volume under localised normal bumps is zero.
+def _draw_normal(param: BergerParam, rng, pts: np.ndarray, tangents):
+    """A random constant vector ``a`` and its unit normal field on the chart;
+    redrawn if the projected field nearly vanishes."""
+    for _ in range(32):
+        a = rng.standard_normal(pts.shape[1])
+        eta, nrm = _normal_rows(param, pts, a, tangents)
+        if nrm.min() > 0.3:
+            break
+    return a, eta
+
+
+@functools.cache
+def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-point Gauss-Legendre rule on [-1, 1], read-only, computed on
+    first use (importing ``numpy.polynomial`` costs memory)."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _clifford_variations(params: list[BergerParam], samples: int, rng) -> list[float]:
+    """Worst first-variation ratio of the Clifford surface at each of
+    ``params``, from one draw: only the metric depends on tau."""
+    grid_n = 48
+    cell = (2 * math.pi / grid_n) ** 2
+    t = np.arange(grid_n) * (2 * math.pi / grid_n)
+    steps = (t, t + _HFD, t - _HFD)
+    sets = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))  # grid, t +- h, s +- h
+    inv = 1.0 / math.sqrt(2.0)
+    trig = [(np.cos(x) * inv, np.sin(x) * inv) for x in steps]
+    charts = [np.stack([np.repeat(trig[i][0], grid_n), np.repeat(trig[i][1], grid_n),
+                        np.tile(trig[j][0], grid_n), np.tile(trig[j][1], grid_n)], axis=1)
+              for i, j in sets]
+    # the unit normal is the chart with its second complex coordinate negated
+    normals = [pts * np.array([1.0, 1.0, -1.0, -1.0]) for pts in charts]
+    # the induced metric is constant, and so is its volume element
+    dvols = [math.sqrt((1 + ts) / 4 * (1 + ts) / 4 - ((ts - 1) / 4) ** 2) * cell
+             for ts in (float(param.tau_sq) for param in params)]
+
+    def areas(frames, e):  # holds one bumped surface at a time
+        patch = _bumped_patch(frames, e)
+        return [float(np.sum(_area_density(param, patch))) * cell for param in params]
+
+    worst = [0.0] * len(params)
+    for _ in range(samples):
+        first, second = ([_bump_periodic(x, c) for x in steps]
+                         for c in rng.uniform(0, 2 * math.pi, size=2))
+        bumps = [np.repeat(first[i], grid_n) * np.tile(second[j], grid_n) for i, j in sets]
+        frames = list(zip(charts, bumps, normals))
+        plus, minus = areas(frames, _EPS), areas(frames, -_EPS)
+        for k, dvol in enumerate(dvols):
+            weight = float(np.sum(bumps[0] * dvol))
+            worst[k] = _worst(worst[k], abs((plus[k] - minus[k]) / (2 * _EPS) / (2 * weight)))
+    return worst
+
+
+def _great_circle_variation(param: BergerParam, n: int, samples: int, rng) -> float:
+    """Worst first-variation ratio of the great circle in S^{2n+1}."""
+    grid_n = 256
+    cell = 2 * math.pi / grid_n
+    th = np.arange(grid_n) * cell
+    args = [th, th + _HFD, th - _HFD]
+    charts, tangents = [], []
+    for arg in args:
+        pts = np.zeros((grid_n, 2 * n + 2))
+        tv = np.zeros_like(pts)
+        pts[:, 0] = tv[:, 2] = np.cos(arg)
+        pts[:, 2] = np.sin(arg)
+        tv[:, 0] = -pts[:, 2]
+        charts.append(pts)
+        tangents.append((tv,))
+
+    def length(frames, e):
+        dv = _central(frames[1], frames[2], e)
+        return float(np.sum(np.sqrt(
+            berger_inner_rows(param, _bumped(frames[0], e), dv, dv)))) * cell
+
+    worst = 0.0
+    for _ in range(samples):
+        a, eta = _draw_normal(param, rng, charts[0], tangents[0])
+        c0 = rng.uniform(0, 2 * math.pi)
+        etas = [eta] + [_normal_rows(param, pts, a, tv)[0]
+                        for pts, tv in zip(charts[1:], tangents[1:])]
+        bumps = [_bump_periodic(arg, c0) for arg in args]
+        frames = list(zip(charts, bumps, etas))
+        weight = float(np.sum(bumps[0])) * cell
+        delta = (length(frames, _EPS) - length(frames, -_EPS)) / (2 * _EPS)
+        worst = _worst(worst, abs(delta / weight))
+    return worst
+
+
+def _real_sphere_variation(param: BergerParam, n: int, samples: int, rng) -> float:
+    """Worst first-variation ratio of the totally real 2-sphere in S^{2n+1},
+    under a compactly supported bump on a Gauss-Legendre coordinate patch."""
+    nodes, weights = _gauss_legendre_32()
+    grid_n = len(nodes)
+    width = 0.5
+
+    def patch(th, ph):
+        """Chart points and coordinate tangent fields on the mesh of th, ph."""
+        sin_th, cos_th = np.repeat(np.sin(th), grid_n), np.repeat(np.cos(th), grid_n)
+        sin_ph, cos_ph = np.tile(np.sin(ph), grid_n), np.tile(np.cos(ph), grid_n)
+        pts = np.zeros((grid_n * grid_n, 2 * n + 2))
+        t1, t2 = np.zeros_like(pts), np.zeros_like(pts)
+        pts[:, 0] = sin_th * cos_ph
+        pts[:, 2] = sin_th * sin_ph
+        pts[:, 4] = cos_th
+        t1[:, 0] = cos_th * cos_ph
+        t1[:, 2] = cos_th * sin_ph
+        t1[:, 4] = -sin_th
+        t2[:, 0] = -sin_th * sin_ph
+        t2[:, 2] = sin_th * cos_ph
+        return pts, (t1, t2)
+
+    def bump(th, ph, c):
+        r_sq = np.repeat(((th - c[0]) / width) ** 2, grid_n)
+        r_sq += np.tile(((ph - c[1]) / width) ** 2, grid_n)
+        out = np.zeros_like(r_sq)
+        inside = r_sq < 1.0
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r_sq[inside]))
+        return out
+
+    wgrid = np.repeat(width * weights, grid_n) * np.tile(width * weights, grid_n)
+
+    def patch_area(frames, e):
+        return float(np.sum(_area_density(param, _bumped_patch(frames, e)) * wgrid))
+
+    worst = 0.0
+    for _ in range(samples):
+        c = np.array([rng.uniform(1.0, math.pi - 1.0), rng.uniform(0.8, 2 * math.pi - 0.8)])
+        th_n = c[0] + width * nodes
+        ph_n = c[1] + width * nodes
+        pts, tangents = patch(th_n, ph_n)
+        a, eta = _draw_normal(param, rng, pts, tangents)
+        frames = [(pts, bump(th_n, ph_n, c), eta)]
+        for th, ph in [(th_n + _HFD, ph_n), (th_n - _HFD, ph_n),
+                       (th_n, ph_n + _HFD), (th_n, ph_n - _HFD)]:
+            pts, tangents = patch(th, ph)
+            frames.append((pts, bump(th, ph, c), _normal_rows(param, pts, a, tangents)[0]))
+        weight = float(np.sum(frames[0][1] * np.repeat(np.sin(th_n), grid_n) * wgrid))
+        delta = (patch_area(frames, _EPS) - patch_area(frames, -_EPS)) / (2 * _EPS)
+        worst = _worst(worst, abs(delta / (2 * weight)))
+    return worst
+
+
+def minimality_first_variation_checks(model: ModelSubmanifold, taus, samples: int = 3,
+                                      seed: int = DEFAULT_SEED) -> list[CheckReport]:
+    """First variation of volume under localised normal bumps is zero; one
+    report per tau of ``taus``.
 
     Supported models: the Clifford surface (m1 = m2 = 0) and the totally
     real spheres with d = 1 or d = 2.  The area/length functional is
     integrated on the parametrised model perturbed by eps * bump * normal,
     and the mean-curvature component is estimated from the symmetric
     difference quotient; the assertion is |estimate| < 1e-4, and a NaN
-    estimate fails.
-
-    The chart points at each finite-difference argument set, and for the
-    Clifford surface the unit normal (an exact sign flip of the chart
-    columns), are built once per check; the bump and the normal field once
-    per sample, shared by +eps and -eps.  The area element takes its three
-    metric coefficients from one ``berger_gram_rows`` call.
+    estimate fails.  The random stream is named by the model, so every tau
+    draws the same samples; the Clifford surface's normal field is free of
+    tau, so its bumped surfaces are built once per draw for all of ``taus``.
     """
-    param = BergerParam.coerce(tau)
-    ts = float(param.tau_sq)
-    rng = _rng(seed, f"minimality-{getattr(model, 'label', lambda: model)()}")
-    eps = 1e-4
-    tol = 1e-4
-
+    params = [BergerParam.coerce(tau) for tau in taus]
+    stream = f"minimality-{getattr(model, 'label', lambda: model)()}"
     if isinstance(model, CliffordHypersurface) and model.m1 == 0 and model.m2 == 0:
-        grid_n = 48
-        t = np.arange(grid_n) * (2 * math.pi / grid_n)
-        tt, ss = np.meshgrid(t, t, indexing="ij")
-        tt, ss = tt.ravel(), ss.ravel()
-        inv = 1.0 / math.sqrt(2.0)
-        cell = (2 * math.pi / grid_n) ** 2
-        hfd = 1e-5
-        args = [(tt, ss), (tt + hfd, ss), (tt - hfd, ss), (tt, ss + hfd), (tt, ss - hfd)]
-        charts = [np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=1) * inv
-                  for a, b in args]
-        # the unit normal is the chart with its second complex coordinate negated
-        normals = [pts * np.array([1.0, 1.0, -1.0, -1.0]) for pts in charts]
-
-        def area(frames, e):
-            return float(np.sum(_area_density(param, frames, e, hfd))) * cell
-
-        worst = 0.0
-        dvol = np.sqrt(np.full(len(tt), (1 + ts) / 4 * (1 + ts) / 4 - ((ts - 1) / 4) ** 2)) * cell
-        for _ in range(samples):
-            c = rng.uniform(0, 2 * math.pi, size=2)
-            bumps = [_bump_periodic(a, c[0]) * _bump_periodic(b, c[1]) for a, b in args]
-            frames = list(zip(charts, bumps, normals))
-            weight = float(np.sum(bumps[0] * dvol))
-            delta = (area(frames, eps) - area(frames, -eps)) / (2 * eps)
-            worst = _worst(worst, abs(delta / (model.dimension * weight)))
-        return _report("minimality-clifford", worst, samples, tol, seed)
-
+        worst = _clifford_variations(params, samples, _rng(seed, stream))
+        return [_report("minimality-clifford", w, samples, 1e-4, seed) for w in worst]
     if isinstance(model, TotallyRealSphere) and model.d in (1, 2):
-        dim = 2 * model.n + 2
-        if model.d == 1:
-            grid_n = 256
-            th = np.arange(grid_n) * (2 * math.pi / grid_n)
-            cell = 2 * math.pi / grid_n
-            hfd = 1e-5
-            args = [th, th + hfd, th - hfd]
-            charts, tangents = [], []
-            for arg in args:
-                pts = np.zeros((grid_n, dim))
-                pts[:, 0] = np.cos(arg)
-                pts[:, 2] = np.sin(arg)
-                tv = np.zeros((grid_n, dim))
-                tv[:, 0] = -np.sin(arg)
-                tv[:, 2] = np.cos(arg)
-                charts.append(pts)
-                tangents.append((tv,))
+        name, vary = (("minimality-great-circle", _great_circle_variation) if model.d == 1
+                      else ("minimality-real-sphere", _real_sphere_variation))
+        return [_report(name, vary(param, model.n, samples, _rng(seed, stream)), samples,
+                        1e-4, seed) for param in params]
+    raise GeometryDomainError(f"no explicit parametrisation wired up for {model!r}")
 
-            def length(frames, e):
-                dv = _central(frames[1], frames[2], e, hfd)
-                return float(np.sum(np.sqrt(
-                    berger_inner_rows(param, _bumped(frames[0], e), dv, dv)))) * cell
 
-            worst = 0.0
-            for _ in range(samples):
-                for _ in range(32):  # redraw if the projected field nearly vanishes
-                    a = rng.standard_normal(dim)
-                    eta, nrm = _normal_rows(param, charts[0], a, tangents[0])
-                    if nrm.min() > 0.3:
-                        break
-                c0 = rng.uniform(0, 2 * math.pi)
-                etas = [eta] + [_normal_rows(param, pts, a, tv)[0]
-                                for pts, tv in zip(charts[1:], tangents[1:])]
-                bumps = [_bump_periodic(arg, c0) for arg in args]
-                frames = list(zip(charts, bumps, etas))
-                weight = float(np.sum(bumps[0])) * cell
-                delta = (length(frames, eps) - length(frames, -eps)) / (2 * eps)
-                worst = _worst(worst, abs(delta / weight))
-            return _report("minimality-great-circle", worst, samples, tol, seed)
-
-        # d = 2: compactly supported bump on a coordinate patch
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        width = 0.5
-        hfd = 1e-5
-
-        def patch(th_arr, ph_arr):
-            """Chart points and the two coordinate tangent fields."""
-            pts = np.zeros((len(th_arr), dim))
-            pts[:, 0] = np.sin(th_arr) * np.cos(ph_arr)
-            pts[:, 2] = np.sin(th_arr) * np.sin(ph_arr)
-            pts[:, 4] = np.cos(th_arr)
-            t1 = np.zeros_like(pts)
-            t1[:, 0] = np.cos(th_arr) * np.cos(ph_arr)
-            t1[:, 2] = np.cos(th_arr) * np.sin(ph_arr)
-            t1[:, 4] = -np.sin(th_arr)
-            t2 = np.zeros_like(pts)
-            t2[:, 0] = -np.sin(th_arr) * np.sin(ph_arr)
-            t2[:, 2] = np.sin(th_arr) * np.cos(ph_arr)
-            return pts, (t1, t2)
-
-        def bump(th_arr, ph_arr, c):
-            r_sq = ((th_arr - c[0]) / width) ** 2 + ((ph_arr - c[1]) / width) ** 2
-            out = np.zeros_like(th_arr)
-            inside = r_sq < 1.0
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - r_sq[inside]))
-            return out
-
-        wgrid = (width * weights)[:, None] * (width * weights)[None, :]
-        wgrid = wgrid.ravel()
-
-        def patch_area(frames, e):
-            return float(np.sum(_area_density(param, frames, e, hfd) * wgrid))
-
-        worst = 0.0
-        for _ in range(samples):
-            c = np.array([rng.uniform(1.0, math.pi - 1.0), rng.uniform(0.8, 2 * math.pi - 0.8)])
-            th_n = c[0] + width * nodes
-            ph_n = c[1] + width * nodes
-            thg, phg = np.meshgrid(th_n, ph_n, indexing="ij")
-            thg, phg = thg.ravel(), phg.ravel()
-            pts, tangents = patch(thg, phg)
-            for _ in range(32):  # redraw if the projected field nearly vanishes
-                a = rng.standard_normal(dim)
-                eta, nrm = _normal_rows(param, pts, a, tangents)
-                if nrm.min() > 0.3:
-                    break
-            frames = [(pts, bump(thg, phg, c), eta)]
-            for th_arr, ph_arr in [(thg + hfd, phg), (thg - hfd, phg),
-                                   (thg, phg + hfd), (thg, phg - hfd)]:
-                pts, tangents = patch(th_arr, ph_arr)
-                frames.append((pts, bump(th_arr, ph_arr, c),
-                               _normal_rows(param, pts, a, tangents)[0]))
-
-            weight = float(np.sum(frames[0][1] * np.sin(thg) * wgrid))
-            delta = (patch_area(frames, eps) - patch_area(frames, -eps)) / (2 * eps)
-            worst = _worst(worst, abs(delta / (2 * weight)))
-        return _report("minimality-real-sphere", worst, samples, tol, seed)
-
-    raise GeometryDomainError(
-        f"no explicit parametrisation wired up for {model!r}")
+def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int = 3,
+                                     seed: int = DEFAULT_SEED) -> CheckReport:
+    """``minimality_first_variation_checks`` at the one ``tau``."""
+    return minimality_first_variation_checks(model, (tau,), samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1085,8 +1130,8 @@ def verify_all(samples: int = 200, seed: int = DEFAULT_SEED) -> list[CheckReport
         gauss_flatness_check(third, seed=seed),
         gauss_flatness_check(Fraction(1), seed=seed),
         *tai_checks(half, 2, max(50, samples // 4), seed),
-        minimality_first_variation_check(CliffordHypersurface(0, 0), third, 2, seed),
-        minimality_first_variation_check(CliffordHypersurface(0, 0), Fraction(1), 2, seed),
+        *minimality_first_variation_checks(CliffordHypersurface(0, 0), (third, Fraction(1)), 2,
+                                           seed),
         minimality_first_variation_check(TotallyRealSphere(2, 1), third, 2, seed),
         minimality_first_variation_check(TotallyRealSphere(2, 2), half, 1, seed),
         lattice_cross_check(seed),

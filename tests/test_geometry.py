@@ -39,6 +39,17 @@ class TestBergerParam:
             BergerParam.coerce(0.5)
         assert BergerParam.from_float(0.5).tau_sq == F(1, 4)
 
+    @pytest.mark.parametrize("text", ["0.5", "1e-1", "1E-1", ".5", "1/3.0", "2e0"])
+    def test_decimal_string_rejected(self, text):
+        with pytest.raises(GeometryDomainError, match="tau\\^2 must be an exact rational"):
+            BergerParam.coerce(text)
+        with pytest.raises(GeometryDomainError, match="tau\\^2 must be an exact rational"):
+            BergerParam(text)
+
+    def test_rational_string_accepted(self):
+        assert BergerParam.coerce("1/3").tau_sq == F(1, 3)
+        assert BergerParam("1").tau_sq == F(1)
+
     def test_tau_is_sqrt(self):
         p = BergerParam(F(1, 3))
         assert p.tau == pytest.approx(math.sqrt(1 / 3), abs=1e-16)

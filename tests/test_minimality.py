@@ -290,3 +290,51 @@ def test_conjugation_odd_metric_mutation_fails(model, tau, samples, monkeypatch)
     monkeypatch.setattr(geometry, "_metric", _perturbed_metric(_conjugation_odd))
     report = oracle.minimality_first_variation_check(model, tau, samples)
     assert report.max_error > report.tolerance
+
+
+# ---------------------------------------------------------------------------
+# The Clifford pair of verify_all: one draw, one report per tau
+# ---------------------------------------------------------------------------
+
+CLIFFORD_PAIR = (F(1, 3), F(1))
+
+
+def test_shared_draw_clifford_pair_bitwise_equals_reference():
+    for samples in (1, 2, 3):
+        for seed in SEEDS:
+            reports = oracle.minimality_first_variation_checks(CLIFFORD, CLIFFORD_PAIR,
+                                                               samples, seed)
+            assert [r.name for r in reports] == ["minimality-clifford"] * 2
+            for report, tau in zip(reports, CLIFFORD_PAIR):
+                want = _reference(CLIFFORD, tau, samples, seed)
+                assert want != 0.0
+                assert report.max_error.hex() == want.hex(), (tau, samples, seed)
+                assert (report.samples, report.seed) == (samples, seed)
+
+
+@pytest.mark.parametrize("extra", [lambda v, w: np.nan, _reflection_even, _conjugation_odd],
+                         ids=["nan", "reflection-even", "conjugation-odd"])
+def test_shared_draw_clifford_pair_fails_under_metric_mutations(extra, monkeypatch):
+    reports = oracle.minimality_first_variation_checks(CLIFFORD, CLIFFORD_PAIR, 2)
+    assert all(r.passed for r in reports)
+    monkeypatch.setattr(geometry, "_metric", _perturbed_metric(extra))
+    reports = oracle.minimality_first_variation_checks(CLIFFORD, CLIFFORD_PAIR, 2)
+    assert len(reports) == 2
+    for report in reports:
+        assert not report.passed
+        assert math.isnan(report.max_error) or report.max_error > report.tolerance
+
+
+@pytest.mark.parametrize("metric", [None, _conjugation_odd], ids=["berger", "conjugation-odd"])
+def test_real_sphere_with_rows_of_length_8_bitwise_equals_reference(metric, monkeypatch):
+    """S^2 in S^7: rows of 8 coordinates, whose norms numpy sums pairwise."""
+    if metric is not None:
+        monkeypatch.setattr(geometry, "_metric", _perturbed_metric(metric))
+    model = TotallyRealSphere(3, 2)
+    for samples in (1, 2):
+        for seed in SEEDS:
+            got = oracle.minimality_first_variation_check(model, F(1, 2), samples, seed)
+            want = _ref_real_sphere(model, BergerParam(F(1, 2)), samples,
+                                    oracle._rng(seed, f"minimality-{model.label()}"))
+            assert got.max_error.hex() == want.hex(), (samples, seed)
+            assert metric is None or want != 0.0

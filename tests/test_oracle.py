@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from bergersphere import cli, oracle, spectra
 from bergersphere.exactlinalg import integer_rank, kernel_basis
 from bergersphere.geometry import BergerParam, GeometryDomainError
-from bergersphere.models import (CliffordHypersurface, TotallyRealSphere,
-                                 clifford_index_nullity)
+from bergersphere.models import (CliffordHypersurface, IndexReport, JacobiMode,
+                                 TotallyRealSphere, clifford_index_nullity)
 
 
 class TestHarmonicBruteforce:
@@ -162,6 +163,40 @@ class TestTorusFourier:
     def test_search_radius_recorded(self):
         report = oracle.torus_fourier_index(F(1, 3), 4)
         assert "scanned" in report.certificate
+
+    def test_integer_oracle_matches_fraction_reference(self):
+        """The integer scan against the same scan in Fraction arithmetic, over
+        random tau^2, the breakpoints 1/3 and 1 and their neighbours."""
+        rng = np.random.default_rng(15)
+        grid = [F(1, 3), F(1), F(1, 3) - F(1, 10 ** 6), F(1, 3) + F(1, 10 ** 6), F(999, 1000)]
+        while len(grid) < 520:
+            den = int(rng.integers(1, 2000))
+            grid.append(F(int(rng.integers(1, den + 1)), den))
+        for ts in grid:
+            for potential in (2, 4, F(7, 2), 8):
+                assert oracle.torus_fourier_index(ts, potential) == _fraction_torus_index(
+                    ts, potential), (ts, potential)
+
+
+def _fraction_torus_index(ts, potential):
+    """Reference for ``oracle.torus_fourier_index``: every lattice point's
+    value Q(a, b) - potential as a Fraction."""
+    pot = F(potential)
+    radius = math.isqrt(max(0, int(pot / 2))) + 1
+    buckets = {}
+    for a in range(-radius, radius + 1):
+        for b in range(-radius, radius + 1):
+            if a * a + b * b > pot / 2:
+                continue
+            val = ((a * a + b * b) * (ts + 1) + 2 * a * b * (1 - ts)) / ts - pot
+            if val <= 0:
+                buckets.setdefault(val, []).append((a, b))
+    modes = tuple(JacobiMode("dual-lattice", sorted(buckets[val])[0], val, len(buckets[val]))
+                  for val in sorted(buckets))
+    cert = (f"Q(a,b) >= 2(a^2+b^2): every dual point with a^2+b^2 > {pot}/2 "
+            f"exceeds the potential; scanned |a|,|b| <= {radius}")
+    return IndexReport(sum(m.multiplicity for m in modes if m.sign < 0),
+                       sum(m.multiplicity for m in modes if m.sign == 0), modes, radius, cert)
 
 
 class TestSampledChecks:

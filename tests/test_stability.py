@@ -110,6 +110,15 @@ class TestProofPolynomial:
         with pytest.raises(GeometryDomainError, match="x must be an exact rational"):
             proof_polynomial_P(2, 1, F(1, 2), 0.5)
 
+    @pytest.mark.parametrize("x", ["0.5", "5e-1", "5E-1"])
+    def test_decimal_string_rejected(self, x):
+        with pytest.raises(GeometryDomainError, match="x must be an exact rational"):
+            proof_polynomial_P(2, 1, "1/3", x)
+
+    def test_rational_strings_accepted(self):
+        assert proof_polynomial_P(2, 1, "1/3", "1/2") == proof_polynomial_P(2, 1, F(1, 3), F(1, 2))
+        assert proof_polynomial_P(2, 1, "1/3", "1") == proof_polynomial_P(2, 1, F(1, 3), 1)
+
     def test_domain(self):
         with pytest.raises(GeometryDomainError):
             proof_polynomial_P(2, 1, F(1, 2), 2)
