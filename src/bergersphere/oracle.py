@@ -840,11 +840,9 @@ _HFD = 1e-5  # finite-difference step
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)`` bit for bit: numpy adds a row's squares
-    left to right below 8 columns, as this faster column sum does, and
-    pairwise from 8 on."""
-    if x.shape[1] >= 8:
-        return np.linalg.norm(x, axis=1)
+    """Row norms as a column sum of squares, faster than ``np.linalg.norm(x,
+    axis=1)`` and equal to it bit for bit below 8 columns, where numpy also
+    adds left to right (from 8 on it adds pairwise; the last bit may differ)."""
     sq = x * x
     total = sq[:, 0].copy()
     for j in range(1, x.shape[1]):
@@ -1028,10 +1026,19 @@ def _real_sphere_variation(param: BergerParam, n: int, samples: int, rng) -> flo
     return worst
 
 
-def minimality_first_variation_checks(model: ModelSubmanifold, taus, samples: int = 3,
-                                      seed: int = DEFAULT_SEED) -> list[CheckReport]:
-    """First variation of volume under localised normal bumps is zero; one
-    report per tau of ``taus``.
+def _clifford_minimality_checks(taus, samples: int, seed: int) -> list[CheckReport]:
+    """``minimality_first_variation_check`` of the Clifford surface at each of
+    ``taus``.  Every tau draws the same samples, and the surface's normal
+    field is free of tau, so its bumped surfaces are built once per draw."""
+    params = [BergerParam.coerce(tau) for tau in taus]
+    stream = f"minimality-{CliffordHypersurface(0, 0).label()}"
+    worst = _clifford_variations(params, samples, _rng(seed, stream))
+    return [_report("minimality-clifford", w, samples, 1e-4, seed) for w in worst]
+
+
+def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int = 3,
+                                     seed: int = DEFAULT_SEED) -> CheckReport:
+    """First variation of volume under localised normal bumps is zero.
 
     Supported models: the Clifford surface (m1 = m2 = 0) and the totally
     real spheres with d = 1 or d = 2.  The area/length functional is
@@ -1039,26 +1046,17 @@ def minimality_first_variation_checks(model: ModelSubmanifold, taus, samples: in
     and the mean-curvature component is estimated from the symmetric
     difference quotient; the assertion is |estimate| < 1e-4, and a NaN
     estimate fails.  The random stream is named by the model, so every tau
-    draws the same samples; the Clifford surface's normal field is free of
-    tau, so its bumped surfaces are built once per draw for all of ``taus``.
+    draws the same samples.
     """
-    params = [BergerParam.coerce(tau) for tau in taus]
-    stream = f"minimality-{getattr(model, 'label', lambda: model)()}"
+    param = BergerParam.coerce(tau)
     if isinstance(model, CliffordHypersurface) and model.m1 == 0 and model.m2 == 0:
-        worst = _clifford_variations(params, samples, _rng(seed, stream))
-        return [_report("minimality-clifford", w, samples, 1e-4, seed) for w in worst]
+        return _clifford_minimality_checks((param,), samples, seed)[0]
     if isinstance(model, TotallyRealSphere) and model.d in (1, 2):
         name, vary = (("minimality-great-circle", _great_circle_variation) if model.d == 1
                       else ("minimality-real-sphere", _real_sphere_variation))
-        return [_report(name, vary(param, model.n, samples, _rng(seed, stream)), samples,
-                        1e-4, seed) for param in params]
+        rng = _rng(seed, f"minimality-{getattr(model, 'label', lambda: model)()}")
+        return _report(name, vary(param, model.n, samples, rng), samples, 1e-4, seed)
     raise GeometryDomainError(f"no explicit parametrisation wired up for {model!r}")
-
-
-def minimality_first_variation_check(model: ModelSubmanifold, tau, samples: int = 3,
-                                     seed: int = DEFAULT_SEED) -> CheckReport:
-    """``minimality_first_variation_checks`` at the one ``tau``."""
-    return minimality_first_variation_checks(model, (tau,), samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1130,8 +1128,7 @@ def verify_all(samples: int = 200, seed: int = DEFAULT_SEED) -> list[CheckReport
         gauss_flatness_check(third, seed=seed),
         gauss_flatness_check(Fraction(1), seed=seed),
         *tai_checks(half, 2, max(50, samples // 4), seed),
-        *minimality_first_variation_checks(CliffordHypersurface(0, 0), (third, Fraction(1)), 2,
-                                           seed),
+        *_clifford_minimality_checks((third, Fraction(1)), 2, seed),
         minimality_first_variation_check(TotallyRealSphere(2, 1), third, 2, seed),
         minimality_first_variation_check(TotallyRealSphere(2, 2), half, 1, seed),
         lattice_cross_check(seed),
