@@ -16,12 +16,13 @@ tree's runs would not.
 
 Cases:
 
-* L0 ``oracle.harmonic_dim_bruteforce(3, 3, 4)`` and
-  ``oracle.lxi_squared_spectrum`` at (n, tau^2, k) = (1, 1/3, 8), (2, 1/3, 5),
-  (3, 2/7, 4) and (2, 1/3, 8): exact kernel ranks, dominated by the
-  elimination in ``exactlinalg``.  The middle two are sizes of the
-  exact-oracles benchmark's large tier; (2, 1/3, 8) lies beyond it, at the
-  degree cap.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
+* L0 ``oracle.harmonic_dim_bruteforce`` at (n, a, b) = (3, 3, 4), a size of
+  the exact-oracles benchmark's large tier, and (2, 1, 4), a small-tier size
+  near the benchmark's median operation.  ``oracle.lxi_squared_spectrum`` at
+  (n, tau^2, k) = (1, 1/3, 8), (2, 1/3, 5), (3, 2/7, 4) and (2, 1/3, 8):
+  exact kernel ranks, dominated by the elimination in ``exactlinalg``.  The
+  middle two are sizes of the exact-oracles benchmark's large tier;
+  (2, 1/3, 8) lies beyond it, at the degree cap.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
   scan, which ``verify`` runs five times.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 (seeded, drawn outside the timed region).
@@ -34,7 +35,8 @@ Cases:
   and ``minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)``,
   first-variation checks that ``verify`` runs at every sample count, and
   ``tai_checks(1/2, 2, 50)``, the projector checks at the size ``verify``
-  runs them at 200 samples or fewer.
+  runs them at 200 samples or fewer, and ``bidegree_cross_check()``, the 45
+  small harmonic-dimension oracle calls of ``verify``.
 * L4 ``verify_all(512)`` and ``verify_all(24)``; 24 is about the median
   ``--samples`` of a log-uniform draw up to 512.
 * L5 ``python -m bergersphere.cli verify --samples 2000``,
@@ -73,6 +75,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # (layer, name, pairs, command line of an L5 case)
 CASES = [
     ("L0", "harmonic_dim_bruteforce(3, 3, 4)", 11, None),
+    ("L0", "harmonic_dim_bruteforce(2, 1, 4)", 21, None),
     ("L0", "lxi_squared_spectrum(1, 1/3, 8)", 11, None),
     ("L0", "lxi_squared_spectrum(2, 1/3, 5)", 11, None),
     ("L0", "lxi_squared_spectrum(3, 2/7, 4)", 11, None),
@@ -84,6 +87,7 @@ CASES = [
     ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", 21, None),
     ("L3", "minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)", 21, None),
     ("L3", "tai_checks(1/2, 2, 50)", 21, None),
+    ("L3", "bidegree_cross_check()", 21, None),
     ("L4", "verify_all(512)", 11, None),
     ("L4", "verify_all(24)", 21, None),
     ("L5", "cli verify --samples 2000 (process wall)", 11, ["verify", "--samples", "2000"]),
@@ -131,6 +135,7 @@ def _time_in_process(case: str) -> float:
         return time.perf_counter() - start
     call = {
         "harmonic_dim_bruteforce(3, 3, 4)": lambda: oracle.harmonic_dim_bruteforce(3, 3, 4),
+        "harmonic_dim_bruteforce(2, 1, 4)": lambda: oracle.harmonic_dim_bruteforce(2, 1, 4),
         "lxi_squared_spectrum(1, 1/3, 8)":
             lambda: oracle.lxi_squared_spectrum(1, Fraction(1, 3), 8),
         "lxi_squared_spectrum(2, 1/3, 5)":
@@ -149,6 +154,7 @@ def _time_in_process(case: str) -> float:
                                                             Fraction(1, 2), 1),
         "torus_fourier_index(1/3, 4)": lambda: oracle.torus_fourier_index(Fraction(1, 3), 4),
         "tai_checks(1/2, 2, 50)": lambda: oracle.tai_checks(Fraction(1, 2), 2, 50),
+        "bidegree_cross_check()": oracle.bidegree_cross_check,
         "verify_all(512)": lambda: oracle.verify_all(512),
         "verify_all(24)": lambda: oracle.verify_all(24),
     }[case]

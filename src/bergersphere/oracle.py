@@ -1,7 +1,8 @@
 """Independent verification engines: brute-force algebra and sampling checks.
 
 Everything here recomputes quantities of the closed-form modules by a
-different route: harmonic dimension counts by exact kernel ranks, the
+different route: harmonic dimension counts by exact kernel ranks (one
+weight block solved per sorted weight, counted once per permutation), the
 squared vertical derivative by exact block diagonalisation, the Clifford
 torus index by dual-lattice enumeration, and the differential-geometric
 identities by seeded finite-difference sampling.  Where an oracle and a
@@ -16,20 +17,21 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 import numpy as np
 
 from . import spectra
 from .exactlinalg import integer_rank, kernel_basis
-from .geometry import (BergerParam, GeometryDomainError, berger_gram_rows, berger_inner_rows,
-                       berger_orthonormalize_rows, check_dimension, check_points, check_tangents,
-                       curvature_tensor_rows, fubini_study_inner_rows, geodesic_sphere_reps,
-                       killing_field_rows, killing_flow_differential_rows, killing_flow_rows,
-                       ricci_rows, sectional_curvature_rows, tai_embed_rows, tai_sff_inner_rows,
+from .geometry import (BergerParam, GeometryDomainError, _as_fraction, berger_gram_rows,
+                       berger_inner_rows, berger_orthonormalize_rows, check_dimension,
+                       check_points, check_tangents, curvature_tensor_rows,
+                       fubini_study_inner_rows, geodesic_sphere_reps, killing_field_rows,
+                       killing_flow_differential_rows, killing_flow_rows, ricci_rows,
+                       sectional_curvature_rows, tai_embed_rows, tai_sff_inner_rows,
                        tai_sphere_center, tai_sphere_radius_sq)
 from .models import (CliffordHypersurface, IndexReport, JacobiMode, ModelSubmanifold,
                      TotallyRealSphere, clifford_index_nullity)
@@ -86,23 +88,46 @@ def _rng(seed: int, name: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _monomials(nvars: int, degree: int):
-    """All exponent tuples of the given total degree."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _monomials(nvars - 1, degree - first):
-            yield (first,) + rest
+def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of ``nvars`` variables and the given total degree,
+    in lexicographic order."""
+    heads = [((), degree)]  # (leading exponents, degree left for the rest)
+    for _ in range(nvars - 1):
+        heads = [(head + (e,), left - e) for head, left in heads for e in range(left + 1)]
+    return [head + (left,) for head, left in heads]
 
 
-def _by_weight(n: int, a: int, b: int) -> dict[tuple[int, ...], list]:
-    """Exponent pairs (alpha, beta) of bidegree (a, b), grouped by alpha - beta."""
-    blocks: dict[tuple[int, ...], list] = {}
-    for al in _monomials(n + 1, a):
-        for be in _monomials(n + 1, b):
-            blocks.setdefault(tuple(x - y for x, y in zip(al, be)), []).append((al, be))
-    return blocks
+def _sorted_weight_blocks(n: int, a: int, b: int):
+    """One weight block per sorted weight: (weight, class size, cols, targets).
+
+    The sorted weights are the nondecreasing w in Z^{n+1} with sum a - b whose
+    negative parts w-_j = max(0, -w_j) sum to at most b.  With w+ = w + w-,
+    the block of w is the exponent pairs (gamma + w+, gamma + w-) of bidegree
+    (a, b), so |gamma| = b - |w-|; its targets are those with |gamma| one
+    less.  The class size (n+1)!/prod mult! counts the distinct permutations
+    of w.
+    """
+    heads = [((), -b, a - b, b)]  # (entries so far, least next entry, sum left, |w-| left)
+    for slots in range(n + 1, 1, -1):
+        heads = [(w + (v,), v, left - v, budget + min(v, 0))
+                 for w, least, left, budget in heads
+                 for v in range(max(least, -budget), left // slots + 1)]
+    # |gamma| = b - |w-| <= b - max(0, b - a) = min(a, b)
+    monomials = [_monomials(n + 1, d) for d in range(min(a, b) + 1)]
+    for w, _, left, budget in heads:
+        free = budget + min(left, 0)  # b - |w-|
+        if free < 0:
+            continue
+        w += (left,)
+        pos = [max(x, 0) for x in w]
+        neg = [p - x for p, x in zip(pos, w)]
+        cols, targets = ([(tuple(map(add, gamma, pos)), tuple(map(add, gamma, neg)))
+                          for gamma in monomials[d]] if d >= 0 else []
+                         for d in (free, free - 1))
+        size = math.factorial(n + 1)
+        for x in set(w):
+            size //= math.factorial(w.count(x))
+        yield w, size, cols, targets
 
 
 def _weight_block_nullity(n: int, cols: list, targets) -> int:
@@ -126,9 +151,9 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
     """Dimension of bidegree-(a, b) harmonic polynomials by exact kernel rank.
 
     Assembles the mixed second derivative sum on the monomial basis
-    z^alpha zbar^beta, one block per weight alpha - beta, and returns the
-    exact kernel dimension over the rationals.  Refuses degrees above the
-    cap (the matrices grow fast).
+    z^alpha zbar^beta, one block per sorted weight alpha - beta, and returns
+    the exact kernel dimension over the rationals.  Refuses degrees above
+    the cap (the matrices grow fast).
     """
     if n < 0:
         raise GeometryDomainError(f"n must be nonnegative, got {n}")
@@ -136,18 +161,16 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
         return 0
     if a + b > _CAP:
         raise GeometryDomainError(f"bidegree {a}+{b} exceeds the configured cap {_CAP}")
-    sources = _by_weight(n, a, b)
-    if a == 0 or b == 0:
-        return sum(map(len, sources.values()))
+    if a == 0 or b == 0:  # the operator is zero: every monomial is harmonic
+        return len(_monomials(n + 1, a)) * len(_monomials(n + 1, b))
     # The operator lowers alpha and beta at the same index, so it keeps the
     # weight alpha - beta: its matrix is block diagonal by weight.  It is
     # symmetric in the n+1 variables, and permuting them maps the block of a
-    # weight onto the block of the permuted weight, so one block is solved
-    # per sorted weight and counted once per weight of its class.
-    targets = _by_weight(n, a - 1, b - 1)
-    classes = Counter(tuple(sorted(weight)) for weight in sources)
-    return sum(count * _weight_block_nullity(n, sources[weight], targets.get(weight, ()))
-               for weight, count in classes.items())
+    # weight onto the block of the permuted weight, so only the sorted weights
+    # are enumerated, each block solved once and counted once per weight of
+    # its class.
+    return sum(size * _weight_block_nullity(n, cols, targets)
+               for _, size, cols, targets in _sorted_weight_blocks(n, a, b))
 
 
 def _block_basis(dvec: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -327,9 +350,11 @@ def torus_fourier_index(tau, potential=4) -> IndexReport:
     a^2+b^2 <= potential/2 is provably complete; the bound is recorded in
     the certificate.  With tau^2 = p/q and potential = P/R, Q - potential =
     N/(pR) with N = R((a^2+b^2)(p+q) + 2ab(q-p)) - Pp, decided in integers.
+    The potential must be an exact rational, like tau^2: a float or a
+    decimal string raises ``GeometryDomainError``.
     """
     param = BergerParam.coerce(tau)
-    pot = Fraction(potential)
+    pot = _as_fraction(potential, "potential", hint="")
     p, q = param.tau_sq.numerator, param.tau_sq.denominator
     big_p, big_r = pot.numerator, pot.denominator
 

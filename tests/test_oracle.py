@@ -1,8 +1,10 @@
 """Brute-force oracles and the sampled verification checks."""
 
 import io
+import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -39,18 +41,69 @@ class TestHarmonicBruteforce:
                     assert oracle.harmonic_dim_bruteforce(n, a, b) == \
                         spectra.bidegree_dimension(n, a, b)
 
+    def test_monomials_are_every_exponent_tuple_of_the_degree(self):
+        for nvars in range(1, 5):
+            for degree in range(6):
+                assert oracle._monomials(nvars, degree) == [
+                    t for t in itertools.product(range(degree + 1), repeat=nvars)
+                    if sum(t) == degree]
+
     def test_weight_blocks_match_their_sorted_weight(self):
         # Permuting the variables maps a weight block onto the block of the
-        # permuted weight; the oracle solves only the sorted one.
+        # permuted weight; the oracle enumerates and solves only the sorted
+        # one, and each sorted weight's class must account for every pair.
         for n in range(4):
             for a in range(7):
                 for b in range(7 - a):
-                    sources = oracle._by_weight(n, a, b)
-                    targets = oracle._by_weight(n, a - 1, b - 1) if a and b else {}
+                    sources, targets = _all_weight_blocks(n, a, b)
                     nullity = {w: oracle._weight_block_nullity(n, cols, targets.get(w, ()))
                                for w, cols in sources.items()}
                     for w, value in nullity.items():
                         assert value == nullity[tuple(sorted(w))], (n, a, b, w)
+                    classes = Counter(tuple(sorted(w)) for w in sources)
+                    blocks = list(oracle._sorted_weight_blocks(n, a, b))
+                    assert {w: size for w, size, _, _ in blocks} == classes, (n, a, b)
+                    for w, _, cols, tgts in blocks:
+                        assert sorted(cols) == sorted(sources[w]), (n, a, b, w)
+                        assert sorted(tgts) == sorted(targets.get(w, [])), (n, a, b, w)
+                    assert sum(size * len(cols) for _, size, cols, _ in blocks) == \
+                        sum(map(len, sources.values())), (n, a, b)
+
+    def test_matches_every_weight_block_solved(self):
+        """The shortcut against the kernel rank of every weight block."""
+        for n in range(6):
+            for a in range(9):
+                for b in range(9 - a):
+                    sources, targets = _all_weight_blocks(n, a, b)
+                    expected = sum(oracle._weight_block_nullity(n, cols, targets.get(w, ()))
+                                   for w, cols in sources.items())
+                    assert oracle.harmonic_dim_bruteforce(n, a, b) == expected, (n, a, b)
+
+    def test_never_calls_the_binomials_it_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle called a closed form")
+
+        monkeypatch.setattr(spectra, "bidegree_dimension", refuse)
+        monkeypatch.setattr(spectra, "berger_multiplicity", refuse)
+        for n in range(4):
+            for a in range(9):
+                for b in range(9 - a):
+                    oracle.harmonic_dim_bruteforce(n, a, b)
+
+
+def _all_weight_blocks(n, a, b):
+    """Reference enumeration: every exponent pair (alpha, beta) of bidegree
+    (a, b), and of (a-1, b-1), grouped by the weight alpha - beta."""
+    def by_weight(a, b):
+        blocks = {}
+        if a < 0 or b < 0:
+            return blocks
+        for al in oracle._monomials(n + 1, a):
+            for be in oracle._monomials(n + 1, b):
+                blocks.setdefault(tuple(x - y for x, y in zip(al, be)), []).append((al, be))
+        return blocks
+
+    return by_weight(a, b), by_weight(a - 1, b - 1)
 
 
 class TestVerticalSpectrum:
@@ -159,6 +212,17 @@ class TestTorusFourier:
         fourier = oracle.torus_fourier_index(ts, 4)
         closed = clifford_index_nullity(0, 0, ts)
         assert (fourier.index, fourier.nullity) == (closed.index, closed.nullity)
+
+    @pytest.mark.parametrize("potential", [4.1, "4.1", "1e1"])
+    def test_inexact_potential_is_rejected(self, potential):
+        with pytest.raises(GeometryDomainError, match="potential must be an exact rational"):
+            oracle.torus_fourier_index(F(1, 3), potential)
+
+    @pytest.mark.parametrize("potential, exact", [(4, F(4)), (F(9, 2), F(9, 2)),
+                                                  ("9/2", F(9, 2))])
+    def test_exact_potential_is_accepted(self, potential, exact):
+        assert oracle.torus_fourier_index(F(1, 3), potential) == \
+            _fraction_torus_index(F(1, 3), exact)
 
     def test_search_radius_recorded(self):
         report = oracle.torus_fourier_index(F(1, 3), 4)
