@@ -30,7 +30,8 @@ Cases:
   do for a single command-line call.
 * L2 ``curvature-tensor-500``: one ``curvature_tensor_rows`` call on 500
   sampled points (inputs built outside the timed region).
-* L3 ``curvature_symmetry_check(1/3, 2, 500)``,
+* L3 ``curvature_symmetry_check(1/3, 2, 500)`` (two batches of full
+  size),
   ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``
   and ``minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)``,
   first-variation checks that ``verify`` runs at every sample count, and
@@ -39,25 +40,39 @@ Cases:
   small harmonic-dimension oracle calls of ``verify``.
 * L4 ``verify_all(512)`` and ``verify_all(24)``; 24 is about the median
   ``--samples`` of a log-uniform draw up to 512.
+* Warm cases, named with a trailing ``warm``: the call runs once before the
+  clock starts, so imports done on first use (``numpy.random`` alone takes
+  about 15 ms) and cold caches stay out of the timed call, as in a process
+  that runs many commands, like the sampled-verify benchmark's worker.  L3
+  ``curvature_symmetry_check(2/7, 2, 16)`` and ``tai_checks(2/7, 2, 20)``,
+  small batches near that benchmark's median operation, and L4
+  ``verify_all(24)``.
 * L5 ``python -m bergersphere.cli verify --samples 2000``,
   ``python -m bergersphere.cli index --model totally-real --n 4 --d 3
   --tau-sq 2/7``, ``python -m bergersphere.cli phase --n-max 8
   --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json`` and
   ``python -m bergersphere.cli tai-check --tau-sq 1/2 --n 3 --samples 2048``
-  (the benchmark's sample cap for ``tai-check``), process wall time.
+  (the benchmark's sample cap for ``tai-check``), and the small sampled
+  commands near the sampled-verify benchmark's median,
+  ``curvature-check --tau-sq 2/7 --n 2 --samples 16`` and
+  ``tai-check --tau-sq 2/7 --n 2 --samples 20``; process wall time.
 
-Every case runs at least 11 pairs.  The output holds, per case and tree, the
-median and the interquartile range of the repeats in seconds; per case, the
-number of pairs, how many of them the after tree won (ran faster), and the
-median and interquartile range of the per-pair difference after - before in
-seconds; plus the git sha, a digest of the after tree's sources, and the
-Python and numpy versions.
+Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
+difference of several milliseconds on code that did not change.  The output
+holds, per case and tree, the median and the interquartile range of the
+repeats in seconds; per case, the number of pairs, how many of them the after
+tree won (ran faster), and the median and interquartile range of the
+per-pair difference after - before in seconds; the number of ``np.einsum``
+calls each tree makes for each command of ``EINSUM_COMMANDS`` (numpy's
+per-call cost dominates small sampled runs); plus the git sha, a digest of
+the after tree's sources, and the Python and numpy versions.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -72,33 +87,49 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (layer, name, pairs, command line of an L5 case)
+PAIRS = 21
+
+# (layer, name, command line of an L5 case)
 CASES = [
-    ("L0", "harmonic_dim_bruteforce(3, 3, 4)", 11, None),
-    ("L0", "harmonic_dim_bruteforce(2, 1, 4)", 21, None),
-    ("L0", "lxi_squared_spectrum(1, 1/3, 8)", 11, None),
-    ("L0", "lxi_squared_spectrum(2, 1/3, 5)", 11, None),
-    ("L0", "lxi_squared_spectrum(3, 2/7, 4)", 11, None),
-    ("L0", "lxi_squared_spectrum(2, 1/3, 8)", 11, None),
-    ("L0", "torus_fourier_index(1/3, 4)", 21, None),
-    ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", 11, None),
-    ("L2", "curvature-tensor-500", 21, None),
-    ("L3", "curvature_symmetry_check(1/3, 2, 500)", 11, None),
-    ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", 21, None),
-    ("L3", "minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)", 21, None),
-    ("L3", "tai_checks(1/2, 2, 50)", 21, None),
-    ("L3", "bidegree_cross_check()", 21, None),
-    ("L4", "verify_all(512)", 11, None),
-    ("L4", "verify_all(24)", 21, None),
-    ("L5", "cli verify --samples 2000 (process wall)", 11, ["verify", "--samples", "2000"]),
-    ("L5", "cli index --model totally-real --n 4 --d 3 --tau-sq 2/7 (process wall)", 11,
+    ("L0", "harmonic_dim_bruteforce(3, 3, 4)", None),
+    ("L0", "harmonic_dim_bruteforce(2, 1, 4)", None),
+    ("L0", "lxi_squared_spectrum(1, 1/3, 8)", None),
+    ("L0", "lxi_squared_spectrum(2, 1/3, 5)", None),
+    ("L0", "lxi_squared_spectrum(3, 2/7, 4)", None),
+    ("L0", "lxi_squared_spectrum(2, 1/3, 8)", None),
+    ("L0", "torus_fourier_index(1/3, 4)", None),
+    ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", None),
+    ("L2", "curvature-tensor-500", None),
+    ("L3", "curvature_symmetry_check(1/3, 2, 500)", None),
+    ("L3", "curvature_symmetry_check(2/7, 2, 16) warm", None),
+    ("L3", "tai_checks(2/7, 2, 20) warm", None),
+    ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", None),
+    ("L3", "minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)", None),
+    ("L3", "tai_checks(1/2, 2, 50)", None),
+    ("L3", "bidegree_cross_check()", None),
+    ("L4", "verify_all(512)", None),
+    ("L4", "verify_all(24)", None),
+    ("L4", "verify_all(24) warm", None),
+    ("L5", "cli verify --samples 2000 (process wall)", ["verify", "--samples", "2000"]),
+    ("L5", "cli index --model totally-real --n 4 --d 3 --tau-sq 2/7 (process wall)",
      ["index", "--model", "totally-real", "--n", "4", "--d", "3", "--tau-sq", "2/7"]),
     ("L5", "cli phase --n-max 8 --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json "
-     "(process wall)", 11,
+     "(process wall)",
      ["phase", "--n-max", "8", "--tau-sq-grid", "1/7,3/17,2/9,5/12,8/13,29/31",
       "--format", "json"]),
-    ("L5", "cli tai-check --tau-sq 1/2 --n 3 --samples 2048 (process wall)", 11,
+    ("L5", "cli tai-check --tau-sq 1/2 --n 3 --samples 2048 (process wall)",
      ["tai-check", "--tau-sq", "1/2", "--n", "3", "--samples", "2048"]),
+    ("L5", "cli curvature-check --tau-sq 2/7 --n 2 --samples 16 (process wall)",
+     ["curvature-check", "--tau-sq", "2/7", "--n", "2", "--samples", "16"]),
+    ("L5", "cli tai-check --tau-sq 2/7 --n 2 --samples 20 (process wall)",
+     ["tai-check", "--tau-sq", "2/7", "--n", "2", "--samples", "20"]),
+]
+
+# Command lines whose ``np.einsum`` calls are counted, once per tree.
+EINSUM_COMMANDS = [
+    ["verify", "--samples", "22"],
+    ["curvature-check", "--tau-sq", "2/7", "--n", "2", "--samples", "16"],
+    ["tai-check", "--tau-sq", "2/7", "--n", "2", "--samples", "20"],
 ]
 
 
@@ -146,6 +177,9 @@ def _time_in_process(case: str) -> float:
             lambda: oracle.lxi_squared_spectrum(2, Fraction(1, 3), 8),
         "curvature_symmetry_check(1/3, 2, 500)":
             lambda: oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500),
+        "curvature_symmetry_check(2/7, 2, 16)":
+            lambda: oracle.curvature_symmetry_check(Fraction(2, 7), 2, 16),
+        "tai_checks(2/7, 2, 20)": lambda: oracle.tai_checks(Fraction(2, 7), 2, 20),
         "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":
             lambda: oracle.minimality_first_variation_check(CliffordHypersurface(0, 0),
                                                             Fraction(1, 3), 2),
@@ -157,10 +191,31 @@ def _time_in_process(case: str) -> float:
         "bidegree_cross_check()": oracle.bidegree_cross_check,
         "verify_all(512)": lambda: oracle.verify_all(512),
         "verify_all(24)": lambda: oracle.verify_all(24),
-    }[case]
+    }[case.removesuffix(" warm")]
+    if case.endswith(" warm"):
+        call()
     start = time.perf_counter()
     call()
     return time.perf_counter() - start
+
+
+def _count_einsum(argv: list[str]) -> int:
+    """``np.einsum`` calls of one in-process CLI invocation."""
+    calls = 0
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return einsum(*args, **kwargs)
+
+    np.einsum = counting
+    try:
+        from bergersphere import cli
+        cli.main(argv, out=io.StringIO())
+    finally:
+        np.einsum = einsum
+    return calls
 
 
 def tree_env(src: Path) -> dict:
@@ -181,6 +236,12 @@ def _one_run(name: str, command, env: dict) -> float:
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name],
                          env=env, capture_output=True, text=True, check=True)
     return float(out.stdout.strip().splitlines()[-1])
+
+
+def _one_einsum_count(command, env: dict) -> int:
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child-einsum",
+                          *command], env=env, capture_output=True, text=True, check=True)
+    return int(out.stdout.strip().splitlines()[-1])
 
 
 def _median_iqr(values) -> tuple[float, float]:
@@ -232,9 +293,13 @@ def main(argv=None) -> int:
     parser.add_argument("--before", help="git rev of the tree to compare against")
     parser.add_argument("--out", default="-", help="output JSON file, - for stdout")
     parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--child-einsum", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(_time_in_process(args.child))
+        return 0
+    if args.child_einsum:
+        print(_count_einsum(args.child_einsum))
         return 0
     if not args.before:
         parser.error("--before is required")
@@ -245,9 +310,15 @@ def main(argv=None) -> int:
         after_digest = _src_digest(after_src)
         cases = []
         envs = {"before": tree_env(before_src), "after": tree_env(after_src)}
-        for layer, name, pairs, command in CASES:
+        einsum_calls = []
+        for command in EINSUM_COMMANDS:
+            counts = {tree: _one_einsum_count(command, envs[tree]) for tree in envs}
+            einsum_calls.append({"command": " ".join(command), **counts})
+            print(f"einsum calls of {' '.join(command)}: {counts['before']} -> "
+                  f"{counts['after']}", file=sys.stderr)
+        for layer, name, command in CASES:
             times = {"before": [], "after": []}
-            for i in range(pairs):
+            for i in range(PAIRS):
                 for tree in ("before", "after") if i % 2 == 0 else ("after", "before"):
                     times[tree].append(_one_run(name, command, envs[tree]))
             before, after = _summary(times["before"]), _summary(times["after"])
@@ -267,6 +338,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
         "cases": cases,
+        "einsum_calls": einsum_calls,
     }
     text = json.dumps(result, indent=2) + "\n"
     if args.out == "-":

@@ -9,10 +9,13 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
 ``BERGER_SEED`` removed.  The corpus:
 
 * ``verify`` in table and json format at seeds 1, 7, 12345 and 0x5EED, at the
-  default sample count and at ``--samples`` 1, 64 and 512 (1 and 512 bound the
-  sampled-verify benchmark's sample range);
+  default sample count and at ``--samples`` 1, 22, 43, 64 and 512 (1 and 512
+  bound the sampled-verify benchmark's sample range, 22 is near its median);
 * ``tai-check --samples 700`` and ``curvature-check --samples 300``, json, for
-  n = 1..4 and tau^2 in {1/3, 2/7, 1/2}.
+  n = 1..4 and tau^2 in {1/3, 2/7, 1/2};
+* ``tai-check`` and ``curvature-check`` at ``--samples`` 1, 16, 42, 43 and 257,
+  json, for n = 1..3 and tau^2 in {1/3, 2/7, 1/2}.  These straddle the sizes
+  at which the checks' stacked kernel calls split: 256 // 6 = 42 rows.
 
 The exit code and stdout must be byte-identical.  Each invocation that
 differs is printed; the exit status is 1 if any differs, else 0.
@@ -32,11 +35,15 @@ from layers import ROOT, extract_src, git, tree_env
 def corpus() -> list[list[str]]:
     argvs = [["verify", "--format", fmt, "--seed", seed, *samples]
              for fmt in ("table", "json") for seed in ("1", "7", "12345", "0x5EED")
-             for samples in ([], *(["--samples", n] for n in ("1", "64", "512")))]
+             for samples in ([], *(["--samples", n] for n in ("1", "22", "43", "64", "512")))]
     for cmd, samples in (("tai-check", "700"), ("curvature-check", "300")):
         argvs += [[cmd, "--tau-sq", tau_sq, "--n", str(n), "--samples", samples,
                    "--format", "json"]
                   for n in range(1, 5) for tau_sq in ("1/3", "2/7", "1/2")]
+    argvs += [[cmd, "--tau-sq", tau_sq, "--n", str(n), "--samples", samples, "--format", "json"]
+              for cmd in ("tai-check", "curvature-check")
+              for samples in ("1", "16", "42", "43", "257")
+              for n in range(1, 4) for tau_sq in ("1/3", "2/7", "1/2")]
     return argvs
 
 

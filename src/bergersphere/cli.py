@@ -261,6 +261,12 @@ def _samples(args) -> int:
     return args.samples
 
 
+def _dimension(args) -> int:
+    if args.n > oracle.N_LIMIT:
+        raise CliError(f"--n must be at most {oracle.N_LIMIT}, got {args.n}")
+    return args.n
+
+
 def cmd_verify(args, out) -> int:
     reports = oracle.verify_all(samples=_samples(args), seed=args.seed)
     return _emit_reports(reports, args, out)
@@ -268,18 +274,19 @@ def cmd_verify(args, out) -> int:
 
 def cmd_tai_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
-    reports = oracle.tai_checks(tau_sq, args.n, samples=_samples(args), seed=args.seed)
+    reports = oracle.tai_checks(tau_sq, _dimension(args), samples=_samples(args),
+                                seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
 def cmd_curvature_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
-    samples = _samples(args)
+    n, samples = _dimension(args), _samples(args)
     reports = [
-        oracle.curvature_symmetry_check(tau_sq, args.n, samples, args.seed),
-        oracle.sectional_consistency_check(tau_sq, args.n, samples, args.seed),
-        oracle.ricci_vertical_check(tau_sq, args.n, samples, args.seed),
-        oracle.round_degeneration_check(args.n, samples, args.seed),
+        oracle.curvature_symmetry_check(tau_sq, n, samples, args.seed),
+        oracle.sectional_consistency_check(tau_sq, n, samples, args.seed),
+        oracle.ricci_vertical_check(tau_sq, n, samples, args.seed),
+        oracle.round_degeneration_check(n, samples, args.seed),
     ]
     return _emit_reports(reports, args, out)
 

@@ -176,17 +176,20 @@ def check_tangents(z: np.ndarray, *vectors: np.ndarray) -> None:
 
 
 def _metric(lam: float, iz: np.ndarray, v: np.ndarray, w: np.ndarray,
-            v_iz: Optional[np.ndarray] = None, w_iz: Optional[np.ndarray] = None) -> np.ndarray:
+            v_iz: Optional[np.ndarray] = None, w_iz: Optional[np.ndarray] = None,
+            vw: Optional[np.ndarray] = None) -> np.ndarray:
     """<v, w>_tau = g(v, w) - (1 - tau^2) g(v, iz) g(w, iz), with lam = 1 - tau^2.
 
-    ``v_iz`` and ``w_iz`` are g(v, iz) and g(w, iz) when the caller already
-    has them.
+    ``v_iz``, ``w_iz`` and ``vw`` are g(v, iz), g(w, iz) and g(v, w) when the
+    caller already has them.
     """
     if v_iz is None:
         v_iz = _dot(v, iz)
     if w_iz is None:
         w_iz = _dot(w, iz)
-    return _dot(v, w) - lam * v_iz * w_iz
+    if vw is None:
+        vw = _dot(v, w)
+    return vw - lam * v_iz * w_iz
 
 
 def berger_inner_rows(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -205,11 +208,21 @@ def berger_gram_rows(tau, z: np.ndarray, u: np.ndarray,
     Bit for bit the three ``berger_inner_rows`` calls, with iz, g(u, iz) and
     g(v, iz) computed once; like them, nothing is validated.
     """
-    lam = float(BergerParam.coerce(tau).one_minus)
+    return _berger_grams((tau,), z, u, v)[0]
+
+
+def _berger_grams(taus, z: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[tuple]:
+    """``berger_gram_rows`` at each of ``taus``; the tau-free products (iz,
+    g(u, iz), g(v, iz) and the Euclidean products) are computed once."""
     iz = mult_i(z)
     u_iz, v_iz = _dot(u, iz), _dot(v, iz)
-    return (_metric(lam, iz, u, u, u_iz, u_iz), _metric(lam, iz, u, v, u_iz, v_iz),
-            _metric(lam, iz, v, v, v_iz, v_iz))
+    uu, uv, vv = _dot(u, u), _dot(u, v), _dot(v, v)
+    out = []
+    for tau in taus:
+        lam = float(BergerParam.coerce(tau).one_minus)
+        out.append((_metric(lam, iz, u, u, u_iz, u_iz, uu), _metric(lam, iz, u, v, u_iz, v_iz, uv),
+                    _metric(lam, iz, v, v, v_iz, v_iz, vv)))
+    return out
 
 
 def tangent_j_rows(z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -397,25 +410,33 @@ def _hermitian_re(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a.conj(), b).real
 
 
+def _fs_horizontal(reps: np.ndarray, scale: float):
+    """The map u -> horizontal part of u at ``reps`` (normalised to ``scale``):
+    the components along reps and along i reps are projected out."""
+    r2 = scale * scale
+    ireps = 1j * reps
+
+    def horiz(u) -> np.ndarray:
+        u = np.asarray(u, dtype=complex)
+        a = (_hermitian_re(reps, u) / r2)[..., None]
+        b = (_hermitian_re(ireps, u) / r2)[..., None]
+        return u - a * reps - b * ireps
+
+    return horiz
+
+
 def fubini_study_inner_rows(reps: np.ndarray, scale: float, x: np.ndarray,
                             y: np.ndarray) -> np.ndarray:
     """Fubini-Study inner products at representatives normalised to ``scale``.
 
     Row-wise over leading axes.  Ambient complex vectors are reduced to their
     horizontal part at the representative (components along it and along i
-    times it are projected out), then paired with the real part of the
-    Hermitian product.  Scale/phase ambiguities of curve representatives die
-    in the projection, so finite-difference pushforwards can be fed in
-    directly.
+    times it are projected out, by the projection ``tai_sff_inner_rows``
+    shares), then paired with the real part of the Hermitian product.
+    Scale/phase ambiguities of curve representatives die in the projection,
+    so finite-difference pushforwards can be fed in directly.
     """
-    r2 = scale * scale
-
-    def horiz(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        a = (_hermitian_re(reps, u) / r2)[..., None]
-        b = (_hermitian_re(1j * reps, u) / r2)[..., None]
-        return u - a * reps - b * (1j * reps)
-
+    horiz = _fs_horizontal(reps, scale)
     return _hermitian_re(horiz(x), horiz(y))
 
 
@@ -492,18 +513,18 @@ def tai_sff_inner_rows(tau, reps: np.ndarray, scale: float, x, y, v, w) -> np.nd
                             + <x,v><y,w> + <x,Jw><y,Jv> + <x,Jv><y,Jw> ],
 
     with J multiplication by i and <.,.> the Fubini-Study metric; row-wise.
+    The six vectors x, y, v, w, Jw and Jv are each projected horizontally
+    once, and the ten products paired from the projections: bit for bit the
+    ten ``fubini_study_inner_rows`` calls of the formula.
     """
     lam = float(BergerParam.coerce(tau).one_minus)
-
-    def ip(a, b):
-        return fubini_study_inner_rows(reps, scale, a, b)
-
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    horiz = _fs_horizontal(reps, scale)
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return lam * (2.0 * ip(x, y) * ip(v, w)
-                  + ip(x, w) * ip(y, v)
-                  + ip(x, v) * ip(y, w)
-                  + ip(x, 1j * w) * ip(y, 1j * v)
-                  + ip(x, 1j * v) * ip(y, 1j * w))
+    hx, hy, hv, hw, hjw, hjv = map(horiz, (x, y, v, w, 1j * w, 1j * v))
+    ip = _hermitian_re
+    return lam * (2.0 * ip(hx, hy) * ip(hv, hw)
+                  + ip(hx, hw) * ip(hy, hv)
+                  + ip(hx, hv) * ip(hy, hw)
+                  + ip(hx, hjw) * ip(hy, hjv)
+                  + ip(hx, hjv) * ip(hy, hjw))

@@ -24,13 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import spectra
+from . import geometry, spectra
 from .exactlinalg import integer_rank, kernel_basis
-from .geometry import (BergerParam, GeometryDomainError, _as_fraction, berger_gram_rows,
-                       berger_inner_rows, berger_orthonormalize_rows, check_dimension,
-                       check_points, check_tangents, curvature_tensor_rows,
+from .geometry import (BergerParam, GeometryDomainError, _as_fraction, _berger_grams, _dot,
+                       berger_gram_rows, berger_inner_rows, berger_orthonormalize_rows,
+                       check_dimension, check_points, check_tangents, curvature_tensor_rows,
                        fubini_study_inner_rows, geodesic_sphere_reps, killing_field_rows,
-                       killing_flow_differential_rows, killing_flow_rows, ricci_rows,
+                       killing_flow_differential_rows, killing_flow_rows, mult_i, ricci_rows,
                        sectional_curvature_rows, tai_embed_rows, tai_sff_inner_rows,
                        tai_sphere_center, tai_sphere_radius_sq)
 from .models import (CliffordHypersurface, IndexReport, JacobiMode, ModelSubmanifold,
@@ -42,6 +42,11 @@ DEFAULT_SEED = 0x5EED
 # about twenty complex (n+1)x(n+1) matrices per row, several times what the
 # real-vector checks keep, so its batches are a quarter as long.
 SAMPLE_CHUNK = 256
+
+# Largest n that the command-line curvature and projector checks accept: at
+# n = 16 a 256-sample projector batch traces about 35 MiB, and the Ricci
+# check's roundoff on 2n tau^2 grows with n (at n = 128 it exceeds 1e-12).
+N_LIMIT = 16
 
 # Largest degree the exact kernel-rank oracles accept.
 _CAP = 8
@@ -388,7 +393,10 @@ def torus_fourier_index(tau, potential=4) -> IndexReport:
 # does not grow with the sample count.  A batch takes its normals from the
 # check's stream in one (rows, slots, dim) block, which is the order in which
 # a one-sample-at-a-time loop would draw them, so the samples do not depend
-# on the chunk size.
+# on the chunk size.  A check that evaluates one kernel on several argument
+# sets of a batch (the rearrangements of a curvature identity, the two ends
+# of a finite difference) stacks them ``_in_groups`` of at most SAMPLE_CHUNK
+# rows per call, so a small batch pays the per-call cost once.
 
 
 def _chunks(samples: int, divisor: int = 1):
@@ -397,6 +405,58 @@ def _chunks(samples: int, divisor: int = 1):
     size = max(1, SAMPLE_CHUNK // divisor)
     for start in range(0, samples, size):
         yield min(size, samples - start)
+
+
+def _in_groups(fn, directions: np.ndarray, budget: int) -> np.ndarray:
+    """``fn`` of stacked ``directions`` (k, rows, ...), evaluated on
+    consecutive groups of directions and stacked again on the leading axis.
+
+    A group holds at most ``budget`` direction-rows, and at least one
+    direction, so a small batch shares one call among several directions
+    while memory per call stays that of one ``budget``-row batch.  ``fn``
+    works on each direction independently, so the grouping does not change
+    the values.  A group of one direction is passed unstacked, as a plain
+    (rows, ...) batch: operands of equal shape keep numpy's fast path, which
+    a leading axis of length one would leave.
+    """
+    k, rows = directions.shape[:2]
+    size = max(1, budget // rows)
+    if size >= k:
+        return fn(directions)
+
+    def group(start: int) -> np.ndarray:
+        if size == 1:
+            return fn(directions[start])[None]
+        return fn(directions[start:start + size])
+
+    first = group(0)
+    out = np.empty((k,) + first.shape[1:], dtype=first.dtype)
+    out[:size] = first
+    del first  # freed before the next group is evaluated
+    for start in range(size, k, size):
+        out[start:start + size] = group(start)
+    return out
+
+
+def _stacked(fn, arguments: list[tuple]) -> np.ndarray:
+    """``fn(*args)`` for every argument tuple of ``arguments``, stacked on a
+    new leading axis.
+
+    Every tuple holds batches of the same rows; ``_in_groups`` decides which
+    tuples share one call.  A shared call gets each argument's batches joined
+    row-wise; ``fn`` works row by row, so the joining does not change the
+    values.  A tuple alone is passed as it is.
+    """
+    rows = len(arguments[0][0])
+    ids = np.broadcast_to(np.arange(len(arguments))[:, None], (len(arguments), rows))
+
+    def group(ids: np.ndarray) -> np.ndarray:
+        if ids.ndim == 1:
+            return fn(*arguments[ids[0]])
+        out = fn(*map(np.concatenate, zip(*(arguments[i] for i in ids[:, 0]))))
+        return out.reshape(ids.shape + out.shape[1:])
+
+    return _in_groups(group, ids, SAMPLE_CHUNK)
 
 
 def _draw(rng, n: int, count: int, tangents: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -424,38 +484,45 @@ def killing_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED) -> 
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "killing")
     worst = 0.0
+
+    def inner(zt, vt, wt):
+        zt = check_points(zt)
+        check_tangents(zt, vt, wt)
+        return berger_inner_rows(param, zt, vt, wt)
+
     for count in _chunks(samples):
         z, (v, w) = _draw(rng, n, count, 2)
-
-        def moved(t):
-            zt = check_points(killing_flow_rows(param, t, z))
-            vt = killing_flow_differential_rows(param, t, v)
-            wt = killing_flow_differential_rows(param, t, w)
-            check_tangents(zt, vt, wt)
-            return berger_inner_rows(param, zt, vt, wt)
-
-        worst = _worst(worst, np.abs((moved(h) - moved(-h)) / (2 * h)))
+        ends = _stacked(inner, [(killing_flow_rows(param, t, z),
+                                 killing_flow_differential_rows(param, t, v),
+                                 killing_flow_differential_rows(param, t, w)) for t in (h, -h)])
+        worst = _worst(worst, np.abs((ends[0] - ends[1]) / (2 * h)))
     return _report("killing-flow-isometry", worst, samples, 1e-6, seed)
 
 
 def curvature_symmetry_check(tau, n: int, samples: int = 500,
                              seed: int = DEFAULT_SEED) -> CheckReport:
-    """Antisymmetries, pair symmetry and the cyclic identity of the curvature."""
+    """Antisymmetries, pair symmetry and the cyclic identity of the curvature.
+
+    The reference value R(x, y, z, w) and its five rearrangements are one
+    ``_stacked`` evaluation of ``curvature_tensor_rows``: a batch of up to
+    SAMPLE_CHUNK // 6 rows takes one kernel call, a full batch six.
+    """
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "curvature-symmetry")
     worst = 0.0
+
+    def curv(*args):
+        return curvature_tensor_rows(param, *args)
+
     for count in _chunks(samples):
         z, (x, y, zz, w) = _draw(rng, n, count, 4)
-
-        def curv(a, b, c, d):
-            return curvature_tensor_rows(param, z, a, b, c, d)
-
-        r = curv(x, y, zz, w)
+        r = _stacked(curv, [(z, x, y, zz, w), (z, y, x, zz, w), (z, x, y, w, zz),
+                            (z, zz, w, x, y), (z, y, zz, x, w), (z, zz, x, y, w)])
         worst = _worst(worst, np.max([
-            np.abs(r + curv(y, x, zz, w)),
-            np.abs(r + curv(x, y, w, zz)),
-            np.abs(r - curv(zz, w, x, y)),
-            np.abs(r + curv(y, zz, x, w) + curv(zz, x, y, w)),
+            np.abs(r[0] + r[1]),
+            np.abs(r[0] + r[2]),
+            np.abs(r[0] - r[3]),
+            np.abs(r[0] + r[4] + r[5]),
         ], axis=0))
     return _report("curvature-symmetries", worst, samples, 1e-10, seed)
 
@@ -465,13 +532,14 @@ def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEE
     param = BergerParam(Fraction(1))
     rng = _rng(seed, "round-degeneration")
     worst = 0.0
+
+    def ip(*args):
+        return berger_inner_rows(param, *args)
+
     for count in _chunks(samples):
         z, (x, y, zz, w) = _draw(rng, n, count, 4)
-
-        def ip(a, b):
-            return berger_inner_rows(param, z, a, b)
-
-        expected = ip(y, zz) * ip(x, w) - ip(x, zz) * ip(y, w)
+        yz, xw, xz, yw = _stacked(ip, [(z, y, zz), (z, x, w), (z, x, zz), (z, y, w)])
+        expected = yz * xw - xz * yw
         worst = _worst(worst, np.abs(curvature_tensor_rows(param, z, x, y, zz, w) - expected))
     return _report("round-sphere-degeneration", worst, samples, 1e-12, seed)
 
@@ -552,11 +620,9 @@ def geodesic_sphere_isometry_check(tau, n: int, samples: int = 500,
         z, (u, v) = _draw(rng, n, count, 2)
         p0 = geodesic_sphere_reps(param, z)
         p0 = p0 * (scale / np.linalg.norm(p0, axis=1))[:, None]
-
-        def push(t: np.ndarray) -> np.ndarray:
-            return (rep(z + h * t) - rep(z - h * t)) / (2 * h)
-
-        got = fubini_study_inner_rows(p0, scale, push(u), push(v))
+        ends = _stacked(rep, [(z + h * u,), (z - h * u,), (z + h * v,), (z - h * v,)])
+        got = fubini_study_inner_rows(p0, scale, (ends[0] - ends[1]) / (2 * h),
+                                      (ends[2] - ends[3]) / (2 * h))
         worst = _worst(worst, np.abs(got - berger_inner_rows(param, z, u, v)))
     return _report("geodesic-sphere-isometry", worst, samples, 1e-8, seed)
 
@@ -599,37 +665,6 @@ def _draw_horizontal(rng, n: int, count: int, vectors: int,
         u = c[:, j] - (_cdot(zc, c[:, j]) / radius ** 2)[:, None] * zc
         out.append(u / np.linalg.norm(u, axis=1)[:, None])
     return zc, out
-
-
-def _in_groups(fn, directions: np.ndarray, budget: int) -> np.ndarray:
-    """``fn`` of stacked ``directions`` (k, rows, n+1), evaluated on
-    consecutive groups of directions and stacked again on the leading axis.
-
-    A group holds at most ``budget`` direction-rows, and at least one
-    direction, so a small batch shares one call among several directions
-    while memory per call stays that of one ``budget``-row batch.  ``fn``
-    works on each direction independently, so the grouping does not change
-    the values.  A group of one direction is passed unstacked, as a plain
-    (rows, n+1) batch: operands of equal shape keep numpy's fast path, which
-    a leading axis of length one would leave.
-    """
-    k, rows = directions.shape[:2]
-    size = max(1, budget // rows)
-    if size >= k:
-        return fn(directions)
-
-    def group(start: int) -> np.ndarray:
-        if size == 1:
-            return fn(directions[start])[None]
-        return fn(directions[start:start + size])
-
-    first = group(0)
-    out = np.empty((k,) + first.shape[1:], dtype=first.dtype)
-    out[:size] = first
-    del first  # freed before the next group is evaluated
-    for start in range(size, k, size):
-        out[start:start + size] = group(start)
-    return out
 
 
 def _tai_curve(param: BergerParam, zc: np.ndarray, radius: float, direction: np.ndarray,
@@ -837,18 +872,27 @@ def _bump_periodic(x: np.ndarray, center: float, kappa: float = 3.0) -> np.ndarr
     return np.exp(kappa * (np.cos(x - center) - 1.0))
 
 
-def _normal_rows(param: BergerParam, pts: np.ndarray, a: np.ndarray,
-                 tangents) -> tuple[np.ndarray, np.ndarray]:
-    """Project the constant vector ``a`` off the radial direction, then off
-    each tangent row field in turn (Berger-orthogonally); return the rows
-    scaled to unit Berger length, and the Berger lengths before scaling."""
-    w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
+def _normal_frame(param: BergerParam, pts: np.ndarray, tangents):
+    """The chart's normal field as a function of a constant vector ``a``:
+    ``a`` projected off the radial direction, then off each tangent row field
+    in turn (Berger-orthogonally), scaled to unit Berger length, and the
+    lengths before scaling.  i z and each tangent's g(tv, iz) and squared
+    length are formed once per chart."""
+    lam, iz = float(param.one_minus), mult_i(pts)
+    known = []
     for tv in tangents:
-        coef = (berger_inner_rows(param, pts, w, tv)
-                / berger_inner_rows(param, pts, tv, tv))
-        w = w - coef[:, None] * tv
-    nrm = np.sqrt(berger_inner_rows(param, pts, w, w))
-    return w / nrm[:, None], nrm
+        tv_iz = _dot(tv, iz)
+        known.append((tv, tv_iz, geometry._metric(lam, iz, tv, tv, tv_iz, tv_iz)))
+
+    def normal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = a[None, :] - np.einsum("ij,j->i", pts, a)[:, None] * pts
+        for tv, tv_iz, tv_sq in known:
+            w = w - (geometry._metric(lam, iz, w, tv, None, tv_iz) / tv_sq)[:, None] * tv
+        w_iz = _dot(w, iz)
+        nrm = np.sqrt(geometry._metric(lam, iz, w, w, w_iz, w_iz))
+        return w / nrm[:, None], nrm
+
+    return normal
 
 
 # A first-variation check evaluates its chart at a few finite-difference
@@ -900,18 +944,18 @@ def _bumped_patch(frames, e: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return _bumped(base, e), _central(t_plus, t_minus, e), _central(s_plus, s_minus, e)
 
 
-def _area_density(param: BergerParam, patch) -> np.ndarray:
-    """sqrt(det g) on a ``_bumped_patch``."""
-    g11, g12, g22 = berger_gram_rows(param, *patch)
-    return np.sqrt(g11 * g22 - g12 * g12)
+def _area_densities(params: list[BergerParam], patch) -> list[np.ndarray]:
+    """sqrt(det g) on a ``_bumped_patch`` at each of ``params``; the products
+    free of tau are formed once."""
+    return [np.sqrt(g11 * g22 - g12 * g12) for g11, g12, g22 in _berger_grams(params, *patch)]
 
 
-def _draw_normal(param: BergerParam, rng, pts: np.ndarray, tangents):
-    """A random constant vector ``a`` and its unit normal field on the chart;
-    redrawn if the projected field nearly vanishes."""
+def _draw_normal(rng, normal, dim: int):
+    """A random constant vector ``a`` and its unit ``normal`` field (a
+    ``_normal_frame``) on the chart; redrawn if the field nearly vanishes."""
     for _ in range(32):
-        a = rng.standard_normal(pts.shape[1])
-        eta, nrm = _normal_rows(param, pts, a, tangents)
+        a = rng.standard_normal(dim)
+        eta, nrm = normal(a)
         if nrm.min() > 0.3:
             break
     return a, eta
@@ -946,8 +990,8 @@ def _clifford_variations(params: list[BergerParam], samples: int, rng) -> list[f
              for ts in (float(param.tau_sq) for param in params)]
 
     def areas(frames, e):  # holds one bumped surface at a time
-        patch = _bumped_patch(frames, e)
-        return [float(np.sum(_area_density(param, patch))) * cell for param in params]
+        return [float(np.sum(density)) * cell
+                for density in _area_densities(params, _bumped_patch(frames, e))]
 
     worst = [0.0] * len(params)
     for _ in range(samples):
@@ -968,7 +1012,7 @@ def _great_circle_variation(param: BergerParam, n: int, samples: int, rng) -> fl
     cell = 2 * math.pi / grid_n
     th = np.arange(grid_n) * cell
     args = [th, th + _HFD, th - _HFD]
-    charts, tangents = [], []
+    charts, normals = [], []
     for arg in args:
         pts = np.zeros((grid_n, 2 * n + 2))
         tv = np.zeros_like(pts)
@@ -976,7 +1020,7 @@ def _great_circle_variation(param: BergerParam, n: int, samples: int, rng) -> fl
         pts[:, 2] = np.sin(arg)
         tv[:, 0] = -pts[:, 2]
         charts.append(pts)
-        tangents.append((tv,))
+        normals.append(_normal_frame(param, pts, (tv,)))
 
     def length(frames, e):
         dv = _central(frames[1], frames[2], e)
@@ -985,10 +1029,9 @@ def _great_circle_variation(param: BergerParam, n: int, samples: int, rng) -> fl
 
     worst = 0.0
     for _ in range(samples):
-        a, eta = _draw_normal(param, rng, charts[0], tangents[0])
+        a, eta = _draw_normal(rng, normals[0], 2 * n + 2)
         c0 = rng.uniform(0, 2 * math.pi)
-        etas = [eta] + [_normal_rows(param, pts, a, tv)[0]
-                        for pts, tv in zip(charts[1:], tangents[1:])]
+        etas = [eta] + [normal(a)[0] for normal in normals[1:]]
         bumps = [_bump_periodic(arg, c0) for arg in args]
         frames = list(zip(charts, bumps, etas))
         weight = float(np.sum(bumps[0])) * cell
@@ -1031,7 +1074,7 @@ def _real_sphere_variation(param: BergerParam, n: int, samples: int, rng) -> flo
     wgrid = np.repeat(width * weights, grid_n) * np.tile(width * weights, grid_n)
 
     def patch_area(frames, e):
-        return float(np.sum(_area_density(param, _bumped_patch(frames, e)) * wgrid))
+        return float(np.sum(_area_densities((param,), _bumped_patch(frames, e))[0] * wgrid))
 
     worst = 0.0
     for _ in range(samples):
@@ -1039,12 +1082,12 @@ def _real_sphere_variation(param: BergerParam, n: int, samples: int, rng) -> flo
         th_n = c[0] + width * nodes
         ph_n = c[1] + width * nodes
         pts, tangents = patch(th_n, ph_n)
-        a, eta = _draw_normal(param, rng, pts, tangents)
+        a, eta = _draw_normal(rng, _normal_frame(param, pts, tangents), 2 * n + 2)
         frames = [(pts, bump(th_n, ph_n, c), eta)]
         for th, ph in [(th_n + _HFD, ph_n), (th_n - _HFD, ph_n),
                        (th_n, ph_n + _HFD), (th_n, ph_n - _HFD)]:
             pts, tangents = patch(th, ph)
-            frames.append((pts, bump(th, ph, c), _normal_rows(param, pts, a, tangents)[0]))
+            frames.append((pts, bump(th, ph, c), _normal_frame(param, pts, tangents)(a)[0]))
         weight = float(np.sum(frames[0][1] * np.repeat(np.sin(th_n), grid_n) * wgrid))
         delta = (patch_area(frames, _EPS) - patch_area(frames, -_EPS)) / (2 * _EPS)
         worst = _worst(worst, abs(delta / (2 * weight)))

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from bergersphere import cli, models
+from bergersphere import cli, models, oracle
 from bergersphere.models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                                  TotallyRealSphere, VeroneseRP3, VeroneseS3)
 
@@ -179,6 +179,12 @@ BAD_INPUTS = [
      "0x1FFFFFFFB"],
     ["curvature-check", "--tau-sq", "1/3", "--n", "2", "--samples", "50", "--seed",
      "0x100000000"],
+    # n above oracle.N_LIMIT: out of memory, or roundoff past an absolute tolerance
+    ["tai-check", "--tau-sq", "1/3", "--n", "17", "--samples", "1"],
+    ["tai-check", "--tau-sq", "1/3", "--n", "150", "--samples", "1"],
+    ["curvature-check", "--tau-sq", "1/3", "--n", "17", "--samples", "1"],
+    ["curvature-check", "--tau-sq", "1/3", "--n", "128", "--samples", "1024"],
+    ["curvature-check", "--n", "100000", "--tau-sq", "1/2"],
 ]
 
 
@@ -188,6 +194,19 @@ class TestBadInput:
         assert run(argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestDimensionLimit:
+    @pytest.mark.parametrize("cmd", ["tai-check", "curvature-check"])
+    def test_n_at_the_limit_runs(self, cmd):
+        code, text = run([cmd, "--tau-sq", "1/3", "--n", str(oracle.N_LIMIT), "--samples", "3"])
+        assert code == 0 and all(line.startswith("PASS") for line in text.splitlines())
+
+    @pytest.mark.parametrize("cmd", ["tai-check", "curvature-check"])
+    def test_one_more_is_bad_input(self, cmd, capsys):
+        n = oracle.N_LIMIT + 1
+        assert run([cmd, "--tau-sq", "1/3", "--n", str(n), "--samples", "3"]) == (2, "")
+        assert capsys.readouterr().err == f"error: --n must be at most {oracle.N_LIMIT}, got {n}\n"
 
 
 class TestParserReuse:

@@ -268,10 +268,6 @@ def test_nan_metric_fails(model, tau, samples, monkeypatch):
 VERIFY_CASES = [
     pytest.param(CLIFFORD, F(1, 3), 2, id="clifford-1/3"),
     pytest.param(CLIFFORD, F(1), 2, id="clifford-1"),
-    pytest.param(GREAT_CIRCLE, F(1, 3), 2, id="great-circle-1/3", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 5: the normal field lies in the -1 eigenspace of "
-        "the reflection that fixes the circle, and this perturbation is invariant under "
-        "it, so the +eps and -eps lengths agree bit for bit")),
     pytest.param(REAL_SPHERE, F(1, 2), 1, id="real-sphere-1/2"),
 ]
 
@@ -281,6 +277,18 @@ def test_reflection_even_metric_mutation_fails(model, tau, samples, monkeypatch)
     assert oracle.minimality_first_variation_check(model, tau, samples).passed
     monkeypatch.setattr(geometry, "_metric", _perturbed_metric(_reflection_even))
     assert not oracle.minimality_first_variation_check(model, tau, samples).passed
+
+
+def test_reflection_even_metric_mutation_leaves_great_circle_at_zero(monkeypatch):
+    """The normal field lies in the -1 eigenspace of the reflection that fixes
+    the circle, and this perturbation is invariant under it, so the +eps and
+    -eps lengths agree bit for bit."""
+    assert oracle.minimality_first_variation_check(GREAT_CIRCLE, F(1, 3), 2).passed
+    monkeypatch.setattr(geometry, "_metric", _perturbed_metric(_reflection_even))
+    for samples in (1, 2, 3):
+        for seed in SEEDS:
+            report = oracle.minimality_first_variation_check(GREAT_CIRCLE, F(1, 3), samples, seed)
+            assert report.max_error == 0.0 and report.passed, (samples, seed)
 
 
 @pytest.mark.parametrize("model, tau, samples", [
