@@ -27,7 +27,11 @@ Cases:
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 (seeded, drawn outside the timed region).
   Each run is a fresh interpreter, so the mode tables start cold, as they
-  do for a single command-line call.
+  do for a single command-line call.  L1 Laplace tables:
+  ``spectra.berger_modes(4, 2/7, 8)`` and ``spectra.clifford_modes(1, 2,
+  2/7, 6)``, sizes of the exact-tables benchmark's ``spectrum`` draws, and
+  the depth-64 Clifford tables ``spectra.clifford_modes(3, 3, 1/3, 64)`` and
+  ``CliffordHypersurface(3, 3).table(64)``.
 * L2 ``curvature-tensor-500``: one ``curvature_tensor_rows`` call on 500
   sampled points (inputs built outside the timed region).
 * L3 ``curvature_symmetry_check(1/3, 2, 500)`` (two batches of full
@@ -55,7 +59,11 @@ Cases:
   (the benchmark's sample cap for ``tai-check``), and the small sampled
   commands near the sampled-verify benchmark's median,
   ``curvature-check --tau-sq 2/7 --n 2 --samples 16`` and
-  ``tai-check --tau-sq 2/7 --n 2 --samples 20``; process wall time.
+  ``tai-check --tau-sq 2/7 --n 2 --samples 20``; the depth-64 Clifford
+  tables ``index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64`` and
+  ``spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64``, and
+  the small ``spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8``; process
+  wall time.
 
 Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
 difference of several milliseconds on code that did not change.  The output
@@ -99,6 +107,10 @@ CASES = [
     ("L0", "lxi_squared_spectrum(2, 1/3, 8)", None),
     ("L0", "torus_fourier_index(1/3, 4)", None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", None),
+    ("L1", "berger_modes(4, 2/7, 8)", None),
+    ("L1", "clifford_modes(1, 2, 2/7, 6)", None),
+    ("L1", "clifford_modes(3, 3, 1/3, 64)", None),
+    ("L1", "CliffordHypersurface(3, 3).table(64)", None),
     ("L2", "curvature-tensor-500", None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", None),
     ("L3", "curvature_symmetry_check(2/7, 2, 16) warm", None),
@@ -123,6 +135,15 @@ CASES = [
      ["curvature-check", "--tau-sq", "2/7", "--n", "2", "--samples", "16"]),
     ("L5", "cli tai-check --tau-sq 2/7 --n 2 --samples 20 (process wall)",
      ["tai-check", "--tau-sq", "2/7", "--n", "2", "--samples", "20"]),
+    ("L5", "cli index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 (process wall)",
+     ["index", "--model", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
+      "--kmax", "64"]),
+    ("L5", "cli spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 "
+     "(process wall)",
+     ["spectrum", "--space", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
+      "--kmax", "64"]),
+    ("L5", "cli spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8 (process wall)",
+     ["spectrum", "--space", "berger", "--n", "2", "--tau-sq", "2/7", "--kmax", "8"]),
 ]
 
 # Command lines whose ``np.einsum`` calls are counted, once per tree.
@@ -138,7 +159,7 @@ def _time_in_process(case: str) -> float:
     before the clock starts."""
     from fractions import Fraction
 
-    from bergersphere import cli, geometry, oracle, stability
+    from bergersphere import cli, geometry, oracle, spectra, stability
     from bergersphere.models import CliffordHypersurface, TotallyRealSphere
 
     if case == "phase_rows(_phase_models(8), 6 random tau^2)":
@@ -187,6 +208,11 @@ def _time_in_process(case: str) -> float:
             lambda: oracle.minimality_first_variation_check(TotallyRealSphere(2, 2),
                                                             Fraction(1, 2), 1),
         "torus_fourier_index(1/3, 4)": lambda: oracle.torus_fourier_index(Fraction(1, 3), 4),
+        "berger_modes(4, 2/7, 8)": lambda: spectra.berger_modes(4, Fraction(2, 7), 8),
+        "clifford_modes(1, 2, 2/7, 6)": lambda: spectra.clifford_modes(1, 2, Fraction(2, 7), 6),
+        "clifford_modes(3, 3, 1/3, 64)":
+            lambda: spectra.clifford_modes(3, 3, Fraction(1, 3), 64),
+        "CliffordHypersurface(3, 3).table(64)": lambda: CliffordHypersurface(3, 3).table(64),
         "tai_checks(1/2, 2, 50)": lambda: oracle.tai_checks(Fraction(1, 2), 2, 50),
         "bidegree_cross_check()": oracle.bidegree_cross_check,
         "verify_all(512)": lambda: oracle.verify_all(512),

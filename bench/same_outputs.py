@@ -1,4 +1,4 @@
-"""Check that the sampled commands print the same output before and after a change.
+"""Check that the sampled and table commands print the same output before and after a change.
 
     python3 bench/same_outputs.py --before <git rev>
 
@@ -15,7 +15,15 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
   n = 1..4 and tau^2 in {1/3, 2/7, 1/2};
 * ``tai-check`` and ``curvature-check`` at ``--samples`` 1, 16, 42, 43 and 257,
   json, for n = 1..3 and tau^2 in {1/3, 2/7, 1/2}.  These straddle the sizes
-  at which the checks' stacked kernel calls split: 256 // 6 = 42 rows.
+  at which the checks' stacked kernel calls split: 256 // 6 = 42 rows;
+* ``spectrum`` in every format at tau^2 in {1/3, 2/7, 1}: ``--space berger``
+  for n in {0, 1, 4} and ``--space clifford`` for (m1, m2) in {(0, 0),
+  (1, 2), (3, 3)}, at the default depth, ``--kmax`` 0, 4 and 8 and, for
+  Clifford, ``--low``; and at ``--kmax 64`` in every format at tau^2 = 2/7;
+* ``index`` for the same Clifford models at ``--kmax`` 8, 32 and 64 and
+  tau^2 in {1/(2n+1), 2/7, 1}, and at ``--kmax 64`` in json.  A depth-64
+  Clifford table takes seconds on a tree that counts each frequency per
+  label.
 
 The exit code and stdout must be byte-identical.  Each invocation that
 differs is printed; the exit status is 1 if any differs, else 0.
@@ -44,6 +52,24 @@ def corpus() -> list[list[str]]:
               for cmd in ("tai-check", "curvature-check")
               for samples in ("1", "16", "42", "43", "257")
               for n in range(1, 4) for tau_sq in ("1/3", "2/7", "1/2")]
+    spaces = [["--space", "berger", "--n", n] for n in ("0", "1", "4")]
+    pairs = ((0, 0), (1, 2), (3, 3))
+    spaces += [["--space", "clifford", "--m1", str(m1), "--m2", str(m2)] for m1, m2 in pairs]
+    for space in spaces:
+        depths = ([], ["--kmax", "0"], ["--kmax", "4"], ["--kmax", "8"])
+        if "clifford" in space:
+            depths += (["--low"],)
+        argvs += [["spectrum", *space, "--tau-sq", tau_sq, *depth, "--format", fmt]
+                  for tau_sq in ("1/3", "2/7", "1") for depth in depths
+                  for fmt in ("table", "csv", "json")]
+        argvs += [["spectrum", *space, "--tau-sq", "2/7", "--kmax", "64", "--format", fmt]
+                  for fmt in ("table", "csv", "json")]
+    for m1, m2 in pairs:
+        model = ["index", "--model", "clifford", "--m1", str(m1), "--m2", str(m2)]
+        threshold = f"1/{2 * (m1 + m2 + 1) + 1}"
+        argvs += [[*model, "--tau-sq", tau_sq, "--kmax", kmax]
+                  for kmax in ("8", "32", "64") for tau_sq in (threshold, "2/7", "1")]
+        argvs.append([*model, "--tau-sq", threshold, "--kmax", "64", "--format", "json"])
     return argvs
 
 

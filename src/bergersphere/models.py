@@ -4,14 +4,16 @@ Each model family below is a compact minimal submanifold of a Berger
 sphere whose Jacobi operator diagonalises against the exact Laplace
 spectra of :mod:`bergersphere.spectra`.  A family states its Jacobi modes
 once, in a mode table that does not depend on tau and holds only
-integers.  A ``ModeRow`` carries the family, the labels, the multiplicity
-and integers (u, v, w, den), den > 0, with
+integers.  A ``ModeRow`` (defined in :mod:`bergersphere.spectra`, whose
+Laplace families take the same form) carries the family, the labels, the
+multiplicity and integers (u, v, w, den), den > 0, with
 
     value = (u + v tau^2 + w / tau^2) / den,
 
 so at tau^2 = p/q the sign of a mode is the sign of the integer
-u pq + v p^2 + w q^2.  The one irrational family, the gradient-pair modes
-of the totally real spheres, has values a - sqrt(r) (a ``Surd``, with
+u pq + v p^2 + w q^2; ``spectra.evaluate`` evaluates the rows of both
+modules.  The one irrational family, the gradient-pair modes of the
+totally real spheres, has values a - sqrt(r) (a ``Surd``, with
 rational a and r) whose sign is that of lambda_k - 2(d+1) at every tau; a
 ``GradientPairRow`` stores that sign and builds the value only when the
 mode is needed.  Index and nullity are therefore decided exactly, in
@@ -37,6 +39,7 @@ from typing import ClassVar, NamedTuple, Optional, Union
 
 from .geometry import BergerParam, GeometryDomainError
 from . import spectra
+from .spectra import ModeRow
 
 K_LIMIT = 64  # deepest scan ``enumerate_index`` runs, whatever ``k_max`` asks
 
@@ -120,21 +123,16 @@ class TotallyGeodesicBergerSphere(ModelSubmanifold):
         """
         m, slots = self.m, self.n - self.m
         rows = []
-        for k in range(k_max + 1):
+        for laplace in spectra.berger_rows(m, k_max):
+            (k, p), mult = laplace.labels, laplace.multiplicity * slots
             base = (2 * m + 1 + k) * (k - 1)
-            for p in range(k // 2 + 1):
-                mult = spectra.berger_multiplicity(m, k, p)
-                if mult == 0:
-                    continue
-                q = k - 2 * p
-                if q == 0:
-                    rows.append(ModeRow("normal-slot", (k, p, 0), 2 * mult * slots,
-                                        base - 1, 0, 1, 1))
-                else:
-                    for s in (1, -1):
-                        c = (q + s) ** 2
-                        rows.append(ModeRow("normal-slot", (k, p, s), mult * slots,
-                                            base - c, 0, c, 1))
+            q = k - 2 * p
+            if q == 0:
+                rows.append(ModeRow("normal-slot", (k, p, 0), 2 * mult, base - 1, 0, 1, 1))
+            else:
+                for s in (1, -1):
+                    c = (q + s) ** 2
+                    rows.append(ModeRow("normal-slot", (k, p, s), mult, base - c, 0, c, 1))
         return rows
 
     def certificate(self, k: int) -> str:
@@ -210,19 +208,18 @@ class _QuadraticCurveBundle(ModelSubmanifold):
         3-sphere keeps all k.
         """
         rows = []
-        for k in range(k_max + 1):
+        for laplace in spectra.berger_rows(1, k_max):
+            (k, p), mult = laplace.labels, laplace.multiplicity
             if self.quotient and k % 2 == 1:
                 continue
             shell = 2 * (1 + k * (2 + k)) - 32  # four times (1 + k(2+k))/2 - 8
-            for p in range(k // 2 + 1):
-                mult = spectra.berger_multiplicity(1, k, p)
-                q = k - 2 * p
-                if q == 0:
-                    rows.append(ModeRow("bundle-pair", (k, p, 0), 2 * mult, shell - 2, 0, 16, 4))
-                else:
-                    for s in (1, -1):
-                        rows.append(ModeRow("bundle-pair", (k, p, s), mult,
-                                            shell - 2 * (q + s) ** 2, 0, (q + 4 * s) ** 2, 4))
+            q = k - 2 * p
+            if q == 0:
+                rows.append(ModeRow("bundle-pair", (k, p, 0), 2 * mult, shell - 2, 0, 16, 4))
+            else:
+                for s in (1, -1):
+                    rows.append(ModeRow("bundle-pair", (k, p, s), mult,
+                                        shell - 2 * (q + s) ** 2, 0, (q + 4 * s) ** 2, 4))
         return rows
 
     def certificate(self, k: int) -> str:
@@ -337,9 +334,10 @@ class CliffordHypersurface(ModelSubmanifold):
 
     def table(self, sum_max: int) -> list[ModeRow]:
         """The Jacobi operator is the Laplacian plus 4n, so its modes are the
-        Laplace modes mu_{k1,k2,p} - 4n with k1 + k2 <= sum_max.  The Laplace
-        value at tau^2 = 1 is the horizontal part h of mu; the vertical part
-        is (k1+k2-2p)^2 (1/tau^2 - 1).  Every mode with k1+k2 >= 3 (and every
+        Laplace modes mu_{k1,k2,p} - 4n with k1 + k2 <= sum_max: the rows of
+        ``spectra.clifford_rows``, (h - q^2 den, 0, q^2 den, den) with the
+        horizontal part h / den of mu and q = k1+k2-2p, with u shifted by
+        -4n den.  Every mode with k1+k2 >= 3 (and every
         (2,0)/(0,2) mode) is strictly positive; the nonpositive-relevant ones
         are
 
@@ -350,13 +348,9 @@ class CliffordHypersurface(ModelSubmanifold):
           this one reaches zero at tau^2 = 1 and doubles the nullity there).
         """
         shift = 4 * self.n
-        rows = []
-        for c in spectra.clifford_modes(self.m1, self.m2, 1, sum_max):
-            h, v = c.value, (c.k1 + c.k2 - 2 * c.p) ** 2
-            rows.append(ModeRow("hypersurface", (c.k1, c.k2, c.p), c.multiplicity,
-                                h.numerator - (shift + v) * h.denominator, 0,
-                                v * h.denominator, h.denominator))
-        return rows
+        return [ModeRow("hypersurface", labels, mult, u - shift * den, v, w, den)
+                for _, labels, mult, u, v, w, den
+                in spectra.clifford_rows(self.m1, self.m2, sum_max)]
 
     def certificate(self, k: int) -> str:
         return (f"scanned k1+k2 <= {k}; eigenvalues with k1+k2 >= 3 satisfy "
@@ -444,19 +438,6 @@ class IndexReport:
     nullity_is_lower_bound: bool = False
 
 
-class ModeRow(NamedTuple):
-    """One row of a mode table: a mode whose value at tau^2 is
-    (u + v tau^2 + w / tau^2) / den, with integers u, v, w and den > 0."""
-
-    family: str
-    labels: tuple[int, ...]
-    multiplicity: int
-    u: int
-    v: int
-    w: int
-    den: int
-
-
 class GradientPairRow(NamedTuple):
     """A gradient-pair mode of the totally real d-sphere at round eigenvalue
     lam = lambda_k, k >= 1: its value lam - c - sqrt(c^2 + 4 tau^2 lam),
@@ -497,27 +478,11 @@ def _table(model: ModelSubmanifold, k: int):
 
 
 def _evaluate(table, tau_sq: Fraction, nonpositive_only: bool = False) -> list[JacobiMode]:
-    """The modes of a table at tau^2 = p/q, in table order.
-
-    A ``ModeRow`` has the sign of the integer u pq + v p^2 + w q^2, which is
-    den pq times its value; with ``nonpositive_only`` a value is built only
-    for a row whose sign is at most 0.
-    """
-    p, q = tau_sq.numerator, tau_sq.denominator
-    pq, pp, qq = p * q, p * p, q * q
-    modes = []
-    for row in table:
-        if type(row) is GradientPairRow:
-            if nonpositive_only and row.sign > 0:
-                continue
-            value = row.value(p, q)
-        else:
-            num = row.u * pq + row.v * pp + row.w * qq
-            if nonpositive_only and num > 0:
-                continue
-            value = Fraction(num, row.den * pq)
-        modes.append(JacobiMode(row.family, row.labels, value, row.multiplicity))
-    return modes
+    """The modes of a table at tau^2, in table order, by ``spectra.evaluate``:
+    with ``nonpositive_only`` a value is built only for a row whose sign is
+    at most 0."""
+    return [JacobiMode(row.family, row.labels, value, row.multiplicity)
+            for row, value in spectra.evaluate(table, tau_sq, nonpositive_only)]
 
 
 def _by_value(mode: JacobiMode):

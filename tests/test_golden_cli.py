@@ -5,9 +5,10 @@ CLI invocations must not change.
 ``json.dumps([exit code, stdout, stderr])`` and the arguments.  The corpus
 covers ``index`` for every family at the threshold values of tau^2 in all
 formats, ``spectrum`` for both spaces with and without ``--low``, ``phase``,
-``moduli``, the ``--help`` screens and the bad-input cases; sampled
-commands, whose ``max_error`` is a float, are left out.  After a change
-that is meant to alter an output, rewrite the file with
+``moduli``, the ``--help`` screens, the bad-input cases and a few deep
+tables (``DEEP_TABLES``); sampled commands, whose ``max_error`` is a
+float, are left out.  After a change that is meant to alter an output,
+rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -28,6 +29,15 @@ from test_cli import BAD_INPUTS
 DIGESTS = Path(__file__).with_name("golden_cli.sha256")
 THRESHOLDS = ["1/8", "1/7", "1/6", "1/5", "1/4", "1/3", "1/2", "1"]
 FORMATS = ["table", "csv", "json"]
+# Tables far beyond the default depth, where a row form or a frequency count
+# could go wrong without the shallow corpus noticing.  Depth 32 keeps the
+# Clifford index fast; depth 64 takes seconds.
+DEEP_TABLES = (
+    [["spectrum", "--space", "clifford", "--m1", "1", "--m2", "2", "--tau-sq", "2/7",
+      "--kmax", "16", "--format", fmt] for fmt in FORMATS]
+    + [["spectrum", "--space", "berger", "--n", "4", "--tau-sq", "2/7", "--kmax", "16"],
+       ["index", "--model", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
+        "--kmax", "32"]])
 
 
 def _model_flags():
@@ -74,6 +84,7 @@ def corpus() -> list[list[str]]:
         ["tai-check", "--tau-sq", "1", "--n", "2"],
         ["moduli", "--samples", "1"],
     ]
+    argvs += DEEP_TABLES
     return argvs
 
 

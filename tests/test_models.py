@@ -381,9 +381,10 @@ class TestEnumerationAgainstClosedForms:
 
     def test_a_moved_threshold_is_caught(self, monkeypatch):
         # Move the Clifford torus threshold 1/(2n+1) = 1/3 to 1/4: while
-        # patched, every Fraction that ``models`` builds is still a Fraction,
-        # but Fraction(1, 3) comes out as 1/4.  The enumeration builds values
-        # only for nonpositive modes, never 1/3, so only the formula moves.
+        # patched, every Fraction that ``models`` and ``spectra`` (which
+        # evaluates the rows) build is still a Fraction, but Fraction(1, 3)
+        # comes out as 1/4.  The enumeration builds values only for
+        # nonpositive modes, never 1/3, so only the formula moves.
         class MovedThreshold(F):
             def __new__(cls, numerator=0, denominator=None):
                 if (numerator, denominator) == (1, 3):
@@ -392,6 +393,7 @@ class TestEnumerationAgainstClosedForms:
 
         assert clifford_index_nullity(0, 0, F(1, 3)).nullity == 6
         monkeypatch.setattr(models, "Fraction", MovedThreshold)
+        monkeypatch.setattr(spectra, "Fraction", MovedThreshold)
         with pytest.raises(AssertionError, match="disagrees with the enumeration"):
             clifford_index_nullity(0, 0, F(1, 3))
 
@@ -463,8 +465,16 @@ def reference_totally_real(n, d, ts, k_max):
 
 
 def reference_clifford(m1, m2, ts, sum_max):
-    return [("hypersurface", (c.k1, c.k2, c.p), c.value - 4 * (m1 + m2 + 1), c.multiplicity)
-            for c in spectra.clifford_modes(m1, m2, ts, sum_max)]
+    # the per-label closed forms: the table is built from ``clifford_rows``
+    labels = [(k1, k2, p) for k1 in range(sum_max + 1) for k2 in range(sum_max + 1 - k1)
+              for p in range((k1 + k2) // 2 + 1)]
+    out = []
+    for label in labels:
+        mult = spectra.clifford_multiplicity(m1, m2, *label)
+        if mult:
+            value = spectra.clifford_eigenvalue(m1, m2, ts, *label) - 4 * (m1 + m2 + 1)
+            out.append(("hypersurface", label, value, mult))
+    return out
 
 
 REFERENCE = {
