@@ -334,12 +334,11 @@ class CliffordHypersurface(ModelSubmanifold):
 
     def table(self, sum_max: int) -> list[ModeRow]:
         """The Jacobi operator is the Laplacian plus 4n, so its modes are the
-        Laplace modes mu_{k1,k2,p} - 4n with k1 + k2 <= sum_max: the rows of
-        ``spectra.clifford_rows``, (h - q^2 den, 0, q^2 den, den) with the
-        horizontal part h / den of mu and q = k1+k2-2p, with u shifted by
-        -4n den.  Every mode with k1+k2 >= 3 (and every
-        (2,0)/(0,2) mode) is strictly positive; the nonpositive-relevant ones
-        are
+        Laplace modes mu_{k1,k2,p} - 4n with k1 + k2 <= sum_max: the rows
+        (h - q^2 den, 0, q^2 den, den) of ``spectra.clifford_rows``, with h / den
+        the horizontal part of mu and q = k1+k2-2p, with u shifted by -4n den.
+        Every mode with k1+k2 >= 3 (and every (2,0)/(0,2) mode) is strictly
+        positive; the nonpositive-relevant ones are
 
         * -4n with multiplicity 1,
         * 1/tau^2 - (2n+1) with multiplicity 2(n+1),
