@@ -25,9 +25,10 @@ Cases:
   (2, 1/3, 8) lies beyond it, at the degree cap.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
   scan, which ``verify`` runs five times.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
-  at six random rationals tau^2 (seeded, drawn outside the timed region).
-  Each run is a fresh interpreter, so the mode tables start cold, as they
-  do for a single command-line call.  L1 Laplace tables:
+  at six random rationals tau^2 and over ``cli._phase_models(12)`` at ten
+  (seeded, drawn outside the timed region).  Each run is a fresh
+  interpreter, so the mode tables start cold, as they do for a single
+  command-line call.  L1 Laplace tables:
   ``spectra.berger_modes(4, 2/7, 8)`` and ``spectra.clifford_modes(1, 2,
   2/7, 6)``, sizes of the exact-tables benchmark's ``spectrum`` draws, and
   the depth-64 Clifford tables ``spectra.clifford_modes(3, 3, 1/3, 64)`` and
@@ -61,14 +62,15 @@ Cases:
   ``curvature-check --tau-sq 2/7 --n 2 --samples 16`` and
   ``tai-check --tau-sq 2/7 --n 2 --samples 20``; the depth-64 Clifford
   tables ``index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64`` and
-  ``spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64``, and
-  the small ``spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8``; process
-  wall time.
+  ``spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64``, the
+  latter also with ``--format json``, and the small ``spectrum --space
+  berger --n 2 --tau-sq 2/7 --kmax 8``; process wall time and the process's
+  peak resident set size (``ru_maxrss`` of the reaped child).
 
 Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
 difference of several milliseconds on code that did not change.  The output
 holds, per case and tree, the median and the interquartile range of the
-repeats in seconds; per case, the number of pairs, how many of them the after
+repeats in seconds and, for L5 cases, of the peak RSS in MiB; per case, the number of pairs, how many of them the after
 tree won (ran faster), and the median and interquartile range of the
 per-pair difference after - before in seconds; the number of ``np.einsum``
 calls each tree makes for each command of ``EINSUM_COMMANDS`` (numpy's
@@ -90,6 +92,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -107,6 +110,7 @@ CASES = [
     ("L0", "lxi_squared_spectrum(2, 1/3, 8)", None),
     ("L0", "torus_fourier_index(1/3, 4)", None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", None),
+    ("L1", "phase_rows(_phase_models(12), 10 random tau^2)", None),
     ("L1", "berger_modes(4, 2/7, 8)", None),
     ("L1", "clifford_modes(1, 2, 2/7, 6)", None),
     ("L1", "clifford_modes(3, 3, 1/3, 64)", None),
@@ -142,6 +146,10 @@ CASES = [
      "(process wall)",
      ["spectrum", "--space", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
       "--kmax", "64"]),
+    ("L5", "cli spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 --format json "
+     "(process wall)",
+     ["spectrum", "--space", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
+      "--kmax", "64", "--format", "json"]),
     ("L5", "cli spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8 (process wall)",
      ["spectrum", "--space", "berger", "--n", "2", "--tau-sq", "2/7", "--kmax", "8"]),
 ]
@@ -162,15 +170,18 @@ def _time_in_process(case: str) -> float:
     from bergersphere import cli, geometry, oracle, spectra, stability
     from bergersphere.models import CliffordHypersurface, TotallyRealSphere
 
-    if case == "phase_rows(_phase_models(8), 6 random tau^2)":
+    phase_sizes = {"phase_rows(_phase_models(8), 6 random tau^2)": (8, 6),
+                   "phase_rows(_phase_models(12), 10 random tau^2)": (12, 10)}
+    if case in phase_sizes:
+        n_max, size = phase_sizes[case]
         rng = np.random.default_rng(2024)
         grid = []
-        while len(grid) < 6:
+        while len(grid) < size:
             den = int(rng.integers(2, 65))
             value = Fraction(int(rng.integers(1, den + 1)), den)
             if value not in grid:
                 grid.append(value)
-        model_list = cli._phase_models(8)
+        model_list = cli._phase_models(n_max)
         start = time.perf_counter()
         stability.phase_rows(model_list, grid)
         return time.perf_counter() - start
@@ -253,15 +264,20 @@ def tree_env(src: Path) -> dict:
     return env
 
 
-def _one_run(name: str, command, env: dict) -> float:
+def _one_run(name: str, command, env: dict) -> tuple[float, Optional[float]]:
+    """Seconds of one run and, for a command line, the peak RSS of its
+    process in MiB."""
     if command is not None:
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "bergersphere.cli", *command],
-                       env=env, stdout=subprocess.DEVNULL, check=False)
-        return time.perf_counter() - start
+        proc = subprocess.Popen([sys.executable, "-m", "bergersphere.cli", *command],
+                                env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        return elapsed, usage.ru_maxrss / 1024
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name],
                          env=env, capture_output=True, text=True, check=True)
-    return float(out.stdout.strip().splitlines()[-1])
+    return float(out.stdout.strip().splitlines()[-1]), None
 
 
 def _one_einsum_count(command, env: dict) -> int:
@@ -344,13 +360,20 @@ def main(argv=None) -> int:
                   f"{counts['after']}", file=sys.stderr)
         for layer, name, command in CASES:
             times = {"before": [], "after": []}
+            rss = {"before": [], "after": []}
             for i in range(PAIRS):
                 for tree in ("before", "after") if i % 2 == 0 else ("after", "before"):
-                    times[tree].append(_one_run(name, command, envs[tree]))
+                    seconds, peak = _one_run(name, command, envs[tree])
+                    times[tree].append(seconds)
+                    rss[tree].append(peak)
             before, after = _summary(times["before"]), _summary(times["after"])
             paired = _paired(times["before"], times["after"])
-            cases.append({"layer": layer, "case": name, "before": before, "after": after,
-                          "speedup": before["median_s"] / after["median_s"], "paired": paired})
+            case = {"layer": layer, "case": name, "before": before, "after": after,
+                    "speedup": before["median_s"] / after["median_s"], "paired": paired}
+            if command is not None:
+                case["peak_rss_mb"] = {tree: dict(zip(("median", "iqr"), _median_iqr(rss[tree])))
+                                       for tree in rss}
+            cases.append(case)
             print(f"{layer} {name}: {before['median_s']:.4f} s -> {after['median_s']:.4f} s, "
                   f"after won {paired['after_wins']}/{paired['pairs']} pairs, "
                   f"diff median {paired['diff_median_s']:+.4f} s", file=sys.stderr)

@@ -20,10 +20,16 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
   for n in {0, 1, 4} and ``--space clifford`` for (m1, m2) in {(0, 0),
   (1, 2), (3, 3)}, at the default depth, ``--kmax`` 0, 4 and 8 and, for
   Clifford, ``--low``; and at ``--kmax 64`` in every format at tau^2 = 2/7;
+* ``spectrum --format json --kmax 64`` at tau^2 = 1/3 for ``--space berger
+  --n 4`` and ``--space clifford --m1 3 --m2 3``;
 * ``index`` for the same Clifford models at ``--kmax`` 8, 32 and 64 and
   tau^2 in {1/(2n+1), 2/7, 1}, and at ``--kmax 64`` in json.  A depth-64
   Clifford table takes seconds on a tree that counts each frequency per
-  label.
+  label;
+* ``phase`` in every format at ``--n-max`` 1, 2, 3, 8 and 12, each on the
+  default grid, on a grid of every threshold of those models (1/k for
+  2 <= k <= 25, and 1) and on three random grids of six values with
+  denominators up to 1000, drawn from ``random.Random`` seeds 1, 2 and 3.
 
 The exit code and stdout must be byte-identical.  Each invocation that
 differs is printed; the exit status is 1 if any differs, else 0.
@@ -32,6 +38,7 @@ differs is printed; the exit status is 1 if any differs, else 0.
 from __future__ import annotations
 
 import argparse
+import random
 import subprocess
 import sys
 import tempfile
@@ -70,6 +77,20 @@ def corpus() -> list[list[str]]:
         argvs += [[*model, "--tau-sq", tau_sq, "--kmax", kmax]
                   for kmax in ("8", "32", "64") for tau_sq in (threshold, "2/7", "1")]
         argvs.append([*model, "--tau-sq", threshold, "--kmax", "64", "--format", "json"])
+    argvs += [["spectrum", *space, "--tau-sq", "1/3", "--kmax", "64", "--format", "json"]
+              for space in (["--space", "berger", "--n", "4"],
+                            ["--space", "clifford", "--m1", "3", "--m2", "3"])]
+    grids = [[], ["--tau-sq-grid", ",".join([f"1/{k}" for k in range(25, 1, -1)] + ["1"])]]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        values = []
+        for _ in range(6):
+            den = rng.randint(1, 1000)
+            values.append(f"{rng.randint(1, den)}/{den}")
+        grids.append(["--tau-sq-grid", ",".join(values)])
+    argvs += [["phase", "--n-max", n_max, *grid, "--format", fmt]
+              for n_max in ("1", "2", "3", "8", "12") for grid in grids
+              for fmt in ("table", "csv", "json")]
     return argvs
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -34,6 +33,9 @@ EXIT_BAD_INPUT = 2
 EXIT_TRUNCATION = 3
 
 DEFAULT_PHASE_GRID = "1/12,1/8,1/6,1/4,1/3,1/2,3/5,1"
+# Largest ``phase --n-max``: the model list grows like 1.25 n^2 and is built
+# before the first row is written; n = 64 takes seconds on the default grid.
+PHASE_N_MAX = 64
 
 
 class CliError(Exception):
@@ -55,20 +57,35 @@ def parse_tau_sq(text: str) -> Fraction:
     return value
 
 
-def _csv_dump(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(header, rows, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+
+
+def _write_json_rows(doc: dict, key: str, header, rows, out) -> None:
+    """``json.dumps`` of ``doc`` with ``key`` added last, holding one object
+    per row, at indent 2 and with a final newline; the rows are encoded and
+    written one at a time, each re-indented to its depth in the document."""
+    encoder = json.JSONEncoder(indent=2)
+    head = encoder.encode({**doc, key: []})  # ends in '[]\n}'
+    if not rows:
+        out.write(head + "\n")
+        return
+    out.write(head[:-4] + "[")
+    sep = "\n    "
+    for row in rows:
+        out.write(sep + encoder.encode(dict(zip(header, row))).replace("\n", "\n    "))
+        sep = ",\n    "
+    out.write("\n  ]\n}\n")
 
 
 def _print_table(header, rows, out):
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-              for i, h in enumerate(header)]
-    out.write("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-    for r in rows:
-        out.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    """Left-aligned columns two spaces apart, each line right-stripped; every
+    cell is turned into a string once."""
+    lines = [tuple(map(str, header)), *(tuple(map(str, r)) for r in rows)]
+    line_format = "  ".join(f"%-{max(map(len, column))}s" for column in zip(*lines))
+    out.writelines((line_format % line).rstrip() + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +125,10 @@ def cmd_spectrum(args, out) -> int:
         header = ("k1", "k2", "p", "value", "multiplicity", "source")
 
     if args.format == "json":
-        out.write(json.dumps({
-            "space": args.space,
-            "tau_sq": str(tau_sq),
-            "modes": [dict(zip(header, r)) for r in rows],
-        }, indent=2) + "\n")
+        _write_json_rows({"space": args.space, "tau_sq": str(tau_sq)}, "modes", header, rows,
+                         out)
     elif args.format == "csv":
-        out.write(_csv_dump(header, rows))
+        _write_csv(header, rows, out)
     else:
         _print_table(header, rows, out)
     return EXIT_OK
@@ -163,10 +177,9 @@ def cmd_index(args, out) -> int:
                       for (f, l, v, mu, s) in _mode_rows(report)],
         }, indent=2) + "\n")
     elif args.format == "csv":
-        out.write(_csv_dump(
-            ("model", "d", "tau_sq_num", "tau_sq_den", "index", "nullity", "source"),
-            [(model.label(), model.dimension, tau_sq.numerator, tau_sq.denominator,
-              report.index, report.nullity, "mode-enumeration")]))
+        _write_csv(("model", "d", "tau_sq_num", "tau_sq_den", "index", "nullity", "source"),
+                   [(model.label(), model.dimension, tau_sq.numerator, tau_sq.denominator,
+                     report.index, report.nullity, "mode-enumeration")], out)
     else:
         ge = ">= " if report.index_is_lower_bound else ""
         gn = ">= " if report.nullity_is_lower_bound else ""
@@ -207,12 +220,13 @@ def cmd_phase(args, out) -> int:
     grid = [parse_tau_sq(chunk) for chunk in args.tau_sq_grid.split(",") if chunk.strip()]
     if args.n_max < 1 or not grid:
         raise CliError("phase needs --n-max >= 1 and a nonempty --tau-sq-grid")
+    if args.n_max > PHASE_N_MAX:
+        raise CliError(f"--n-max must be at most {PHASE_N_MAX}, got {args.n_max}")
     rows = stability.phase_rows(_phase_models(args.n_max), grid)
-    header = stability.PHASE_HEADER
     if args.format == "json":
-        out.write(json.dumps({"rows": [dict(zip(header, r)) for r in rows]}, indent=2) + "\n")
+        _write_json_rows({}, "rows", stability.PHASE_HEADER, rows, out)
     else:
-        out.write(_csv_dump(header, rows))
+        _write_csv(stability.PHASE_HEADER, rows, out)
     return EXIT_OK
 
 
@@ -233,7 +247,7 @@ def cmd_moduli(args, out) -> int:
             "rows": [{"tau_sq": str(v.tau_sq), "x": v.x, "y": v.y} for v in curve]
         }, indent=2) + "\n")
     elif args.format == "csv":
-        out.write(_csv_dump(header, rows))
+        _write_csv(header, rows, out)
     else:
         _print_table(header, rows, out)
     return EXIT_OK

@@ -476,6 +476,19 @@ def _table(model: ModelSubmanifold, k: int):
     return _mode_table(model) if k == model.certified_k else model.table(k)
 
 
+def _check_limit(k: int) -> None:
+    if k > K_LIMIT:
+        raise TruncationError(
+            f"certified truncation {k} exceeds the configured limit {K_LIMIT}")
+
+
+def certified_table(model: ModelSubmanifold) -> tuple[Union[ModeRow, GradientPairRow], ...]:
+    """The memoised table that ``enumerate_index`` scans by default, at the
+    model's certified depth, which must not exceed ``K_LIMIT``."""
+    _check_limit(model.certified_k)
+    return _mode_table(model)
+
+
 def _evaluate(table, tau_sq: Fraction, nonpositive_only: bool = False) -> list[JacobiMode]:
     """The modes of a table at tau^2, in table order, by ``spectra.evaluate``:
     with ``nonpositive_only`` a value is built only for a row whose sign is
@@ -511,9 +524,7 @@ def enumerate_index(model: ModelSubmanifold, tau, k_max: Optional[int] = None) -
     if k < required:
         raise TruncationError(
             f"requested truncation k_max={k} is below the certified bound {required}")
-    if k > K_LIMIT:
-        raise TruncationError(
-            f"certified truncation {k} exceeds the configured limit {K_LIMIT}")
+    _check_limit(k)
     modes = _evaluate(_table(model, k), param.tau_sq, nonpositive_only=True)
     index = sum(m.multiplicity for m in modes if m.sign < 0)
     nullity = sum(m.multiplicity for m in modes if m.sign == 0)

@@ -31,6 +31,8 @@ the factor bidegree dimensions, convolved by frequency.  ``evaluate`` is
 the one evaluator of such rows, here and in :mod:`bergersphere.models`: at
 tau^2 = a/b a row's value is the integer u ab + v a^2 + w b^2 over den ab,
 so a table is evaluated in integers and makes one ``Fraction`` per value.
+``sign_counts`` reads the same integers and only sums multiplicities by
+sign, which is all an index and a nullity need.
 
 The per-label closed forms (``berger_eigenvalue``, ``berger_multiplicity``,
 ``clifford_eigenvalue``, ``clifford_multiplicity``) compute the same
@@ -81,26 +83,45 @@ class ModeRow(NamedTuple):
     den: int
 
 
+def _sign_numbers(rows, a: int, b: int) -> list[int]:
+    """One integer per row with the sign of its value at tau^2 = a/b: for a
+    ``ModeRow`` u ab + v a^2 + w b^2, which is den ab times its value; any
+    other row brings its own ``sign``."""
+    ab, aa, bb = a * b, a * a, b * b
+    return [row.u * ab + row.v * aa + row.w * bb if type(row) is ModeRow else row.sign
+            for row in rows]
+
+
 def evaluate(rows, tau_sq: Fraction, nonpositive_only: bool = False) -> list[tuple]:
     """(row, value) for each row at tau^2 = a/b, in row order.
 
-    A ``ModeRow`` has the sign of the integer u ab + v a^2 + w b^2, which is
-    den ab times its value; with ``nonpositive_only`` a row whose integer is
-    positive is skipped before its ``Fraction`` is built.  Any other row
-    brings its own ``sign`` and exact ``value(a, b)``.
+    With ``nonpositive_only`` a row whose sign number (``_sign_numbers``) is
+    positive is skipped before its value is built.  A ``ModeRow``'s value is
+    one ``Fraction`` of its sign number over den ab; any other row brings its
+    own exact ``value(a, b)``.
     """
     a, b = tau_sq.numerator, tau_sq.denominator
-    ab, aa, bb = a * b, a * a, b * b
+    ab = a * b
     out = []
-    for row in rows:
-        if type(row) is ModeRow:
-            num = row.u * ab + row.v * aa + row.w * bb
-            if nonpositive_only and num > 0:
-                continue
-            out.append((row, Fraction(num, row.den * ab)))
-        elif not (nonpositive_only and row.sign > 0):
-            out.append((row, row.value(a, b)))
+    for row, num in zip(rows, _sign_numbers(rows, a, b)):
+        if nonpositive_only and num > 0:
+            continue
+        out.append((row, Fraction(num, row.den * ab) if type(row) is ModeRow
+                    else row.value(a, b)))
     return out
+
+
+def sign_counts(rows, tau_sq: Fraction) -> tuple[int, int]:
+    """(negative, zero): the summed multiplicities of the rows whose value at
+    tau^2 is negative and of those where it is zero, decided from the sign
+    numbers of ``evaluate`` alone; no value is built."""
+    negative = zero = 0
+    for row, num in zip(rows, _sign_numbers(rows, tau_sq.numerator, tau_sq.denominator)):
+        if num < 0:
+            negative += row.multiplicity
+        elif num == 0:
+            zero += row.multiplicity
+    return negative, zero
 
 
 def round_eigenvalue(n: int, k: int) -> int:

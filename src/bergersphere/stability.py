@@ -1,10 +1,12 @@
 """Stability classification predicates, the proof polynomial and moduli data.
 
-Verdicts are exact: every threshold is a rational number in tau^2 and the
-comparisons are done on Fractions.  Each verdict carries the tag of the
-criterion that produced it, so downstream tables stay auditable, and
-``Undetermined`` is an honest output for parameter regions that no
-implemented criterion covers.
+Verdicts are exact: every threshold is a rational number 1/N in tau^2, stated
+once as its denominator N, and tau^2 = a/b is compared with it in integers
+(a N against b).  Each criterion's decision is separate from the reason text
+its public function adds, so the phase rows take the decision alone.  Each
+verdict carries the tag of the criterion that produced it, so downstream
+tables stay auditable, and ``Undetermined`` is an honest output for
+parameter regions that no implemented criterion covers.
 
 Criterion tags used throughout:
 
@@ -25,10 +27,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Union
 
-from . import models
+from . import models, spectra
 from .geometry import BergerParam, GeometryDomainError, _as_fraction
 
 
@@ -61,6 +63,45 @@ class ModuliVector:
             raise GeometryDomainError("moduli vector must lie in the fundamental domain")
 
 
+def _dimension_den(d: int) -> int:
+    """The dimension threshold 1/(d+1) of the obstruction, as its denominator."""
+    return d + 1
+
+
+def _bundle_dens(m: int, s: int) -> tuple[int, int]:
+    """Denominators of the stability window 1/(s(2m+2)) of a circle bundle of
+    order s over a complex 2m-fold and of its dimension threshold (d = 2m+1)."""
+    den = _dimension_den(2 * m + 1)
+    return s * den, den
+
+
+def _side(tau_sq: Fraction, den: int) -> int:
+    """The sign of tau^2 - 1/den, decided in integers."""
+    diff = tau_sq.numerator * den - tau_sq.denominator
+    return (diff > 0) - (diff < 0)
+
+
+def _bundle_decision(m: int, s: int, tau_sq: Fraction) -> tuple[Verdict, str]:
+    """The verdict and criterion tag of ``s1_bundle_stability``."""
+    window, threshold = _bundle_dens(m, s)
+    if _side(tau_sq, window) <= 0:
+        return Verdict.STABLE, "stability-window"
+    side = _side(tau_sq, threshold)
+    if side > 0:
+        return Verdict.UNSTABLE, "dimension-obstruction"
+    if side == 0:
+        return Verdict.BOUNDARY, "dimension-obstruction"
+    return Verdict.UNDETERMINED, "stability-window"
+
+
+def _dimension_decision(d: int, tau_sq: Fraction) -> Verdict:
+    """The verdict of ``dimension_instability``, tagged dimension-obstruction."""
+    side = _side(tau_sq, _dimension_den(d))
+    if side > 0:
+        return Verdict.UNSTABLE
+    return Verdict.BOUNDARY if side == 0 else Verdict.UNDETERMINED
+
+
 def s1_bundle_stability(m: int, s: int, tau) -> StabilityVerdict:
     """Stability of a circle bundle of order s over a complex 2m-fold.
 
@@ -71,49 +112,39 @@ def s1_bundle_stability(m: int, s: int, tau) -> StabilityVerdict:
     """
     if m < 0 or s < 1:
         raise GeometryDomainError("need m >= 0 and s >= 1")
-    param = BergerParam.coerce(tau)
-    window = Fraction(1, s * (2 * m + 2))
-    threshold = Fraction(1, 2 * m + 2)
-    if param.tau_sq <= window:
-        return StabilityVerdict(Verdict.STABLE,
-                                f"tau^2 <= 1/(s(2m+2)) = {window}", "stability-window")
-    if param.tau_sq > threshold:
-        return StabilityVerdict(Verdict.UNSTABLE,
-                                f"tau^2 > 1/(d+1) = {threshold} with d = {2*m+1}",
-                                "dimension-obstruction")
-    if param.tau_sq == threshold:
-        return StabilityVerdict(Verdict.BOUNDARY,
-                                "tau^2 = 1/(2m+2) with covering order s >= 2; "
-                                "not decided by the implemented criteria",
-                                "dimension-obstruction")
-    return StabilityVerdict(Verdict.UNDETERMINED,
-                            f"window bound {window} < tau^2 < {threshold}; "
-                            "resolve by mode enumeration of a concrete model",
-                            "stability-window")
+    verdict, theorem = _bundle_decision(m, s, BergerParam.coerce(tau).tau_sq)
+    window, threshold = (Fraction(1, den) for den in _bundle_dens(m, s))
+    if verdict is Verdict.STABLE:
+        reason = f"tau^2 <= 1/(s(2m+2)) = {window}"
+    elif verdict is Verdict.UNSTABLE:
+        reason = f"tau^2 > 1/(d+1) = {threshold} with d = {2*m+1}"
+    elif verdict is Verdict.BOUNDARY:
+        reason = ("tau^2 = 1/(2m+2) with covering order s >= 2; "
+                  "not decided by the implemented criteria")
+    else:
+        reason = (f"window bound {window} < tau^2 < {threshold}; "
+                  "resolve by mode enumeration of a concrete model")
+    return StabilityVerdict(verdict, reason, theorem)
 
 
 def dimension_instability(d: int, tau) -> StabilityVerdict:
     """Dimension obstruction for compact minimal d-submanifolds."""
     if d < 1:
         raise GeometryDomainError("need d >= 1")
-    param = BergerParam.coerce(tau)
-    threshold = Fraction(1, d + 1)
-    if param.tau_sq > threshold:
-        return StabilityVerdict(Verdict.UNSTABLE,
-                                f"no stable compact minimal {d}-submanifold for "
-                                f"tau^2 > 1/(d+1) = {threshold}",
-                                "dimension-obstruction")
-    if param.tau_sq == threshold:
-        if d % 2 == 0:
-            reason = ("tau^2 = 1/(d+1); stable embedded submanifolds would be "
-                      "odd-dimensional circle bundles, impossible for even d")
-        else:
-            reason = ("tau^2 = 1/(d+1); embedded stable submanifolds are exactly "
-                      "the circle bundles over complex submanifolds")
-        return StabilityVerdict(Verdict.BOUNDARY, reason, "dimension-obstruction")
-    return StabilityVerdict(Verdict.UNDETERMINED,
-                            f"tau^2 < 1/(d+1) = {threshold}: outside the obstruction range",
-                            "dimension-obstruction")
+    verdict = _dimension_decision(d, BergerParam.coerce(tau).tau_sq)
+    threshold = Fraction(1, _dimension_den(d))
+    if verdict is Verdict.UNSTABLE:
+        reason = (f"no stable compact minimal {d}-submanifold for "
+                  f"tau^2 > 1/(d+1) = {threshold}")
+    elif verdict is Verdict.BOUNDARY and d % 2 == 0:
+        reason = ("tau^2 = 1/(d+1); stable embedded submanifolds would be "
+                  "odd-dimensional circle bundles, impossible for even d")
+    elif verdict is Verdict.BOUNDARY:
+        reason = ("tau^2 = 1/(d+1); embedded stable submanifolds are exactly "
+                  "the circle bundles over complex submanifolds")
+    else:
+        reason = f"tau^2 < 1/(d+1) = {threshold}: outside the obstruction range"
+    return StabilityVerdict(verdict, reason, "dimension-obstruction")
 
 
 def proof_polynomial_coefficients(d: int, q: int, tau) -> tuple[Fraction, Fraction, Fraction]:
@@ -237,34 +268,36 @@ PHASE_HEADER = ("model", "d", "tau_sq_num", "tau_sq_den", "index", "nullity",
                 "verdict", "theorem")
 
 
-def phase_verdict(model, tau, report) -> StabilityVerdict:
-    """Verdict for one phase row, tagging the criterion that decided it."""
+def _phase_decision(model, tau_sq: Fraction, index: int) -> tuple[str, str]:
+    """(verdict, criterion tag) of one phase row: the circle-bundle criterion
+    where it decides stable or unstable, or the dimension obstruction where it
+    decides unstable; otherwise whether the counted index is zero."""
     if model.bundle is not None:
-        verdict = s1_bundle_stability(*model.bundle, tau)
-        if verdict.verdict in (Verdict.STABLE, Verdict.UNSTABLE):
-            return verdict
-    else:
-        verdict = dimension_instability(model.dimension, tau)
-        if verdict.verdict is Verdict.UNSTABLE:
-            return verdict
-    word = Verdict.STABLE if report.index == 0 else Verdict.UNSTABLE
-    return StabilityVerdict(word, "decided by exact mode enumeration", "mode-enumeration")
+        verdict, theorem = _bundle_decision(*model.bundle, tau_sq)
+        if verdict is Verdict.STABLE or verdict is Verdict.UNSTABLE:
+            return verdict.value, theorem
+    elif _dimension_decision(model.dimension, tau_sq) is Verdict.UNSTABLE:
+        return Verdict.UNSTABLE.value, "dimension-obstruction"
+    return (Verdict.STABLE if index == 0 else Verdict.UNSTABLE).value, "mode-enumeration"
 
 
 def phase_rows(model_list, tau_sq_grid) -> list[tuple]:
     """Phase-diagram rows (see PHASE_HEADER), sorted by (model, tau^2), one
-    per model and distinct value of the grid."""
-    params = sorted(set(map(BergerParam.coerce, tau_sq_grid)), key=attrgetter("tau_sq"))
-    labelled = [(model.label(), model) for model in model_list]
+    per model and distinct value of the grid.
+
+    Index and nullity are the summed multiplicities of the negative and of
+    the zero rows of the model's certified-depth table, decided from integer
+    signs alone (``spectra.sign_counts``); no mode value is built.
+    """
+    tau_sqs = sorted({BergerParam.coerce(t).tau_sq for t in tau_sq_grid})
     rows = []
-    for param in params:  # ascending, and the sort by label below is stable
-        ts = param.tau_sq
-        for label, model in labelled:
-            report = models.enumerate_index(model, param)
-            verdict = phase_verdict(model, param, report)
-            rows.append((label, model.dimension, ts.numerator, ts.denominator,
-                         report.index, report.nullity, verdict.verdict.value, verdict.theorem))
-    rows.sort(key=itemgetter(0))
+    for label, model in sorted(((model.label(), model) for model in model_list),
+                               key=itemgetter(0)):
+        table, d = models.certified_table(model), model.dimension
+        for ts in tau_sqs:
+            index, nullity = spectra.sign_counts(table, ts)
+            rows.append((label, d, ts.numerator, ts.denominator, index, nullity,
+                         *_phase_decision(model, ts, index)))
     return rows
 
 

@@ -185,6 +185,9 @@ BAD_INPUTS = [
     ["curvature-check", "--tau-sq", "1/3", "--n", "17", "--samples", "1"],
     ["curvature-check", "--tau-sq", "1/3", "--n", "128", "--samples", "1024"],
     ["curvature-check", "--n", "100000", "--tau-sq", "1/2"],
+    # n-max above cli.PHASE_N_MAX: about 1.25 n^2 models built before any row
+    ["phase", "--n-max", "65"],
+    ["phase", "--n-max", "100000"],
 ]
 
 
@@ -244,6 +247,68 @@ class TestPhaseCommand:
         assert code == 0
         row = [l for l in text.splitlines() if "tg-berger(n=1,m=0)" in l][0]
         assert row.endswith("0,2,stable,stability-window")
+
+
+    def test_n_max_above_the_limit_builds_no_model(self, monkeypatch, capsys):
+        def refuse(n_max):
+            raise AssertionError("models built for a rejected --n-max")
+
+        monkeypatch.setattr(cli, "_phase_models", refuse)
+        n = cli.PHASE_N_MAX + 1
+        assert run(["phase", "--n-max", str(n)]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: --n-max must be at most {cli.PHASE_N_MAX}, got {n}\n")
+
+
+def _old_csv_dump(header, rows) -> str:
+    """The whole-document CSV writer the row writer replaced."""
+    import csv
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _old_print_table(header, rows) -> str:
+    """The table printer that formatted every cell twice."""
+    out = io.StringIO()
+    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
+              for i, h in enumerate(header)]
+    out.write("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+    for r in rows:
+        out.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    return out.getvalue()
+
+
+WRITER_HEADER = ("model", "d", "value", "note")
+WRITER_ROWS = [("clifford(m1=0,m2=0)", 2, "-4", ""),
+               ("tg-berger(n=1,m=0)", 1, "1/3", 'a "quoted", comma'),
+               ("circle(n=1,s=2)", 10, "-17/6", "caf\u00e9 \\ tab\there"),
+               ("x" * 30, -3, "0", "line\nbreak")]
+
+
+@pytest.mark.parametrize("rows", [[], WRITER_ROWS[:1], WRITER_ROWS * 40],
+                         ids=["no-rows", "one-row", "many-rows"])
+class TestRowWriters:
+    @pytest.mark.parametrize("doc,key", [({}, "rows"),
+                                         ({"space": "berger", "tau_sq": "1/3"}, "modes")])
+    def test_json_rows_match_one_dump(self, rows, doc, key):
+        out = io.StringIO()
+        cli._write_json_rows(doc, key, WRITER_HEADER, rows, out)
+        want = {**doc, key: [dict(zip(WRITER_HEADER, r)) for r in rows]}
+        assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+    def test_csv_rows_match_the_whole_document(self, rows):
+        out = io.StringIO()
+        cli._write_csv(WRITER_HEADER, rows, out)
+        assert out.getvalue() == _old_csv_dump(WRITER_HEADER, rows)
+
+    def test_table_matches_the_two_pass_printer(self, rows):
+        rows = [r[:3] for r in rows]  # table cells hold no line breaks
+        out = io.StringIO()
+        cli._print_table(WRITER_HEADER[:3], rows, out)
+        assert out.getvalue() == _old_print_table(WRITER_HEADER[:3], rows)
 
 
 class TestModuliCommand:

@@ -29,15 +29,21 @@ from test_cli import BAD_INPUTS
 DIGESTS = Path(__file__).with_name("golden_cli.sha256")
 THRESHOLDS = ["1/8", "1/7", "1/6", "1/5", "1/4", "1/3", "1/2", "1"]
 FORMATS = ["table", "csv", "json"]
+# Every threshold of the phase models up to n = 12: 1/(2m+2), 1/(s(2m+2)),
+# 1/(d+1) and 1/(2n+1) are all 1/k with 2 <= k <= 25, and 1/4, 1/8 and 1.
+PHASE_THRESHOLD_GRID = ",".join([f"1/{k}" for k in range(25, 1, -1)] + ["1"])
 # Tables far beyond the default depth, where a row form or a frequency count
-# could go wrong without the shallow corpus noticing.  Depth 32 keeps the
-# Clifford index fast; depth 64 takes seconds.
+# could go wrong without the shallow corpus noticing, and the largest phase
+# diagram the corpus holds, at every threshold.  Depth 32 keeps the Clifford
+# index fast; depth 64 takes seconds.
 DEEP_TABLES = (
     [["spectrum", "--space", "clifford", "--m1", "1", "--m2", "2", "--tau-sq", "2/7",
       "--kmax", "16", "--format", fmt] for fmt in FORMATS]
     + [["spectrum", "--space", "berger", "--n", "4", "--tau-sq", "2/7", "--kmax", "16"],
        ["index", "--model", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
-        "--kmax", "32"]])
+        "--kmax", "32"]]
+    + [["phase", "--n-max", "12", "--tau-sq-grid", PHASE_THRESHOLD_GRID, "--format", fmt]
+       for fmt in ("csv", "json")])
 
 
 def _model_flags():

@@ -2,18 +2,23 @@
 
 import math
 from fractions import Fraction as F
+from operator import attrgetter, itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bergersphere.geometry import GeometryDomainError
+from bergersphere import cli
+from bergersphere.geometry import BergerParam, GeometryDomainError
 from bergersphere.models import (CircleCover, CliffordHypersurface,
                                  TotallyGeodesicBergerSphere, TotallyRealSphere,
-                                 VeroneseRP3, VeroneseS3, enumerate_index, jacobi_modes)
+                                 VeroneseRP3, VeroneseS3, certified_table, enumerate_index,
+                                 jacobi_modes)
+from bergersphere.spectra import sign_counts
 from bergersphere.stability import (CliffordTorus, MinimalSphere, OtherSurface,
                                     Verdict, clifford_moduli_vector,
                                     dimension_instability, genus_index_bound,
                                     hypersurface_first_eigenvalue_bound,
-                                    index_lower_bound, moduli_curve,
+                                    index_lower_bound, moduli_curve, phase_rows,
                                     proof_polynomial_coefficients,
                                     proof_polynomial_P, proof_polynomial_max_sign,
                                     s1_bundle_stability,
@@ -284,3 +289,99 @@ class TestConsistency:
             for ts in TAU_GRID:
                 if s1_bundle_stability(m, s, ts).verdict is Verdict.STABLE:
                     assert enumerate_index(model, ts).index == 0, (model.label(), ts)
+
+
+# ---------------------------------------------------------------------------
+# Count-only phase rows against the enumeration
+# ---------------------------------------------------------------------------
+
+
+def _count_models():
+    """Every phase model up to n = 8, tg-berger, circle (s <= 4) and totally
+    real spheres up to n = 6, and Clifford hypersurfaces with m1, m2 <= 4."""
+    out = list(cli._phase_models(8))
+    for n in range(1, 7):
+        out += [TotallyGeodesicBergerSphere(n, m) for m in range(n)]
+        out += [CircleCover(n, s) for s in range(1, 5)]
+        out += [TotallyRealSphere(n, d) for d in range(1, n + 1)]
+    out += [CliffordHypersurface(m1, m2) for m1 in range(5) for m2 in range(5)]
+    return list(dict.fromkeys(out))
+
+
+COUNT_MODELS = _count_models()
+
+
+def _thresholds():
+    """1/(2m+2), 1/(s(2m+2)), 1/(d+1), 1/(2n+1), 1/4, 1/8 and 1 over the models
+    above, each with its neighbours at distance 1/1000 inside (0, 1]."""
+    base = {F(1, 4), F(1, 8), F(1)}
+    base |= {F(1, s * (2 * m + 2)) for m in range(8) for s in range(1, 5)}
+    base |= {F(1, m.dimension + 1) for m in COUNT_MODELS}
+    base |= {F(1, 2 * n + 1) for n in range(1, 10)}
+    return sorted({t + e for t in base for e in (F(-1, 1000), 0, F(1, 1000)) if 0 < t + e <= 1})
+
+
+THRESHOLDS = _thresholds()
+
+random_tau_sq = st.integers(1, 1000).flatmap(
+    lambda den: st.integers(1, den).map(lambda num: F(num, den)))
+
+
+def _assert_counts_match(tau_sq):
+    for model in COUNT_MODELS:
+        report = enumerate_index(model, tau_sq)
+        assert sign_counts(certified_table(model), tau_sq) == (report.index, report.nullity), \
+            (model.label(), tau_sq)
+
+
+def _reference_verdict(model, tau, report) -> tuple[str, str]:
+    """The phase verdict and tag as the deleted ``phase_verdict`` decided them,
+    with the window and dimension criteria restated here in ``Fraction``s."""
+    ts = BergerParam.coerce(tau).tau_sq
+    if model.bundle is not None:
+        m, s = model.bundle
+        if ts <= F(1, s * (2 * m + 2)):
+            return "stable", "stability-window"
+        if ts > F(1, 2 * m + 2):
+            return "unstable", "dimension-obstruction"
+    elif ts > F(1, model.dimension + 1):
+        return "unstable", "dimension-obstruction"
+    return ("stable" if report.index == 0 else "unstable"), "mode-enumeration"
+
+
+def _reference_phase_rows(model_list, tau_sq_grid):
+    """Phase rows from ``enumerate_index`` reports and the verdicts above."""
+    params = sorted(set(map(BergerParam.coerce, tau_sq_grid)), key=attrgetter("tau_sq"))
+    labelled = [(model.label(), model) for model in model_list]
+    rows = []
+    for param in params:
+        ts = param.tau_sq
+        for label, model in labelled:
+            report = enumerate_index(model, param)
+            rows.append((label, model.dimension, ts.numerator, ts.denominator,
+                         report.index, report.nullity, *_reference_verdict(model, param, report)))
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
+class TestCountOnlyPhase:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(random_tau_sq)
+    def test_counts_match_enumeration_at_random_tau(self, tau_sq):
+        _assert_counts_match(tau_sq)
+
+    @pytest.mark.parametrize("tau_sq", THRESHOLDS, ids=str)
+    def test_counts_match_enumeration_at_thresholds(self, tau_sq):
+        _assert_counts_match(tau_sq)
+
+    @pytest.mark.parametrize("n_max", range(1, 9))
+    def test_rows_match_reference_on_threshold_grid(self, n_max):
+        model_list = cli._phase_models(n_max)
+        assert phase_rows(model_list, THRESHOLDS) == _reference_phase_rows(model_list,
+                                                                            THRESHOLDS)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 8), st.lists(random_tau_sq, min_size=1, max_size=6))
+    def test_rows_match_reference_on_random_grids(self, n_max, grid):
+        model_list = cli._phase_models(n_max)
+        assert phase_rows(model_list, grid) == _reference_phase_rows(model_list, grid)
