@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import io
+import itertools
 import json
 
 import pytest
@@ -288,24 +289,31 @@ WRITER_ROWS = [("clifford(m1=0,m2=0)", 2, "-4", ""),
                ("x" * 30, -3, "0", "line\nbreak")]
 
 
-@pytest.mark.parametrize("rows", [[], WRITER_ROWS[:1], WRITER_ROWS * 40],
-                         ids=["no-rows", "one-row", "many-rows"])
+def _writer_rows(count):
+    return [(*row[:3], f"{row[3]} {i}") for i, row in
+            zip(range(count), itertools.cycle(WRITER_ROWS))]
+
+
+@pytest.mark.parametrize("count", [0, 1, cli.JSON_ROWS_PER_WRITE, cli.JSON_ROWS_PER_WRITE + 1,
+                                   2 * cli.JSON_ROWS_PER_WRITE + 3])
 class TestRowWriters:
     @pytest.mark.parametrize("doc,key", [({}, "rows"),
                                          ({"space": "berger", "tau_sq": "1/3"}, "modes")])
-    def test_json_rows_match_one_dump(self, rows, doc, key):
+    def test_json_rows_match_one_dump(self, count, doc, key):
+        rows = _writer_rows(count)
         out = io.StringIO()
         cli._write_json_rows(doc, key, WRITER_HEADER, rows, out)
         want = {**doc, key: [dict(zip(WRITER_HEADER, r)) for r in rows]}
         assert out.getvalue() == json.dumps(want, indent=2) + "\n"
 
-    def test_csv_rows_match_the_whole_document(self, rows):
+    def test_csv_rows_match_the_whole_document(self, count):
+        rows = _writer_rows(count)
         out = io.StringIO()
         cli._write_csv(WRITER_HEADER, rows, out)
         assert out.getvalue() == _old_csv_dump(WRITER_HEADER, rows)
 
-    def test_table_matches_the_two_pass_printer(self, rows):
-        rows = [r[:3] for r in rows]  # table cells hold no line breaks
+    def test_table_matches_the_two_pass_printer(self, count):
+        rows = [r[:3] for r in _writer_rows(count)]  # table cells hold no line breaks
         out = io.StringIO()
         cli._print_table(WRITER_HEADER[:3], rows, out)
         assert out.getvalue() == _old_print_table(WRITER_HEADER[:3], rows)
