@@ -129,6 +129,7 @@ def cmd_spectrum(args, out) -> int:
             cmodes = spectra.clifford_modes(args.m1, args.m2, tau_sq, kmax)
         rows = [(m.k1, m.k2, m.p, str(m.value), m.multiplicity, "product-split")
                 for m in cmodes]
+        del cmodes  # the rows hold all that is printed; free the modes before writing
         header = ("k1", "k2", "p", "value", "multiplicity", "source")
 
     if args.format == "json":
