@@ -36,11 +36,6 @@ DEFAULT_PHASE_GRID = "1/12,1/8,1/6,1/4,1/3,1/2,3/5,1"
 # Largest ``phase --n-max``: the model list grows like 1.25 n^2 and is built
 # before the first row is written; n = 64 takes seconds on the default grid.
 PHASE_N_MAX = 64
-# Rows per JSON encoder call.  The encoder sets up its nested generators on
-# every call, so one call per row made a 47,377-row document about 1.5 times
-# slower than one call for all rows; a batch costs less than either and keeps
-# the document from being built whole.
-JSON_ROWS_PER_WRITE = 256
 
 
 class CliError(Exception):
@@ -70,20 +65,18 @@ def _write_csv(header, rows, out) -> None:
 
 def _write_json_rows(doc: dict, key: str, header, rows, out) -> None:
     """``json.dumps`` of ``doc`` with ``key`` added last, holding one object
-    per row, at indent 2 and with a final newline.  The rows are encoded and
-    written ``JSON_ROWS_PER_WRITE`` at a time, each batch as a top-level list
-    re-indented to the rows' depth in the document."""
+    per row, at indent 2 and with a final newline; the rows are encoded and
+    written one at a time, each re-indented to its depth in the document."""
     encoder = json.JSONEncoder(indent=2)
     head = encoder.encode({**doc, key: []})  # ends in '[]\n}'
     if not rows:
         out.write(head + "\n")
         return
-    sep = head[:-4] + "[\n"
-    for start in range(0, len(rows), JSON_ROWS_PER_WRITE):
-        batch = rows[start:start + JSON_ROWS_PER_WRITE]
-        text = encoder.encode([dict(zip(header, row)) for row in batch])  # '[\n  {...}\n]'
-        out.write(sep + "  " + text[2:-2].replace("\n", "\n  "))
-        sep = ",\n"
+    out.write(head[:-4] + "[")
+    sep = "\n    "
+    for row in rows:
+        out.write(sep + encoder.encode(dict(zip(header, row))).replace("\n", "\n    "))
+        sep = ",\n    "
     out.write("\n  ]\n}\n")
 
 

@@ -294,8 +294,7 @@ def _writer_rows(count):
             zip(range(count), itertools.cycle(WRITER_ROWS))]
 
 
-@pytest.mark.parametrize("count", [0, 1, cli.JSON_ROWS_PER_WRITE, cli.JSON_ROWS_PER_WRITE + 1,
-                                   2 * cli.JSON_ROWS_PER_WRITE + 3])
+@pytest.mark.parametrize("count", [0, 1, 600])
 class TestRowWriters:
     @pytest.mark.parametrize("doc,key", [({}, "rows"),
                                          ({"space": "berger", "tau_sq": "1/3"}, "modes")])
