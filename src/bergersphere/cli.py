@@ -34,7 +34,7 @@ EXIT_TRUNCATION = 3
 
 DEFAULT_PHASE_GRID = "1/12,1/8,1/6,1/4,1/3,1/2,3/5,1"
 # Largest ``phase --n-max``: the model list grows like 1.25 n^2 and is built
-# before the first row is written; n = 64 takes seconds on the default grid.
+# before the first row is written; n = 64 takes about a second on the default grid.
 PHASE_N_MAX = 64
 
 

@@ -102,13 +102,11 @@ def evaluate(rows, tau_sq: Fraction, nonpositive_only: bool = False) -> list[tup
     """
     a, b = tau_sq.numerator, tau_sq.denominator
     ab = a * b
-    out = []
-    for row, num in zip(rows, _sign_numbers(rows, a, b)):
-        if nonpositive_only and num > 0:
-            continue
-        out.append((row, Fraction(num, row.den * ab) if type(row) is ModeRow
-                    else row.value(a, b)))
-    return out
+    signed = zip(rows, _sign_numbers(rows, a, b))
+    if nonpositive_only:
+        signed = [(row, num) for row, num in signed if num <= 0]
+    return [(row, Fraction(num, row.den * ab) if type(row) is ModeRow else row.value(a, b))
+            for row, num in signed]
 
 
 def sign_counts(rows, tau_sq: Fraction) -> tuple[int, int]:
