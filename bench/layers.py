@@ -34,9 +34,14 @@ Cases:
   the depth-64 Clifford tables ``spectra.clifford_modes(3, 3, 1/3, 64)`` and
   ``CliffordHypersurface(3, 3).table(64)``.
 * L2 ``curvature-tensor-500``: one ``curvature_tensor_rows`` call on 500
-  sampled points (inputs built outside the timed region).
+  sampled points, and ``curvature-six-orders-256``: R(x, y, z, w) and the
+  five rearrangements that ``curvature-symmetries`` compares, on 256 sampled
+  points at n = 2: one ``curvature_orders_rows`` call, or six
+  ``curvature_tensor_rows`` calls in a tree without it (inputs built outside
+  the timed region).
 * L3 ``curvature_symmetry_check(1/3, 2, 500)`` (two batches of full
-  size),
+  size), ``sectional_consistency_check(2/7, 3, 256)`` and
+  ``round_degeneration_check(3, 256)`` (one full batch each),
   ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``
   and ``minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)``,
   first-variation checks that ``verify`` runs at every sample count, and
@@ -116,7 +121,10 @@ CASES = [
     ("L1", "clifford_modes(3, 3, 1/3, 64)", None),
     ("L1", "CliffordHypersurface(3, 3).table(64)", None),
     ("L2", "curvature-tensor-500", None),
+    ("L2", "curvature-six-orders-256", None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", None),
+    ("L3", "sectional_consistency_check(2/7, 3, 256)", None),
+    ("L3", "round_degeneration_check(3, 256)", None),
     ("L3", "curvature_symmetry_check(2/7, 2, 16) warm", None),
     ("L3", "tai_checks(2/7, 2, 20) warm", None),
     ("L3", "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)", None),
@@ -185,16 +193,25 @@ def _time_in_process(case: str) -> float:
         start = time.perf_counter()
         stability.phase_rows(model_list, grid)
         return time.perf_counter() - start
-    if case == "curvature-tensor-500":
+    if case in ("curvature-tensor-500", "curvature-six-orders-256"):
+        rows = 500 if case == "curvature-tensor-500" else 256
         rng = np.random.default_rng(2024)
-        z = rng.standard_normal((500, 6))
+        z = rng.standard_normal((rows, 6))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         vecs = []
         for _ in range(4):
-            u = rng.standard_normal((500, 6))
+            u = rng.standard_normal((rows, 6))
             vecs.append(u - np.einsum("ij,ij->i", u, z)[:, None] * z)
+        orders = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (1, 2, 0, 3),
+                  (2, 0, 1, 3))
         start = time.perf_counter()
-        geometry.curvature_tensor_rows(Fraction(1, 3), z, *vecs)
+        if case == "curvature-tensor-500":
+            geometry.curvature_tensor_rows(Fraction(1, 3), z, *vecs)
+        elif hasattr(geometry, "curvature_orders_rows"):
+            geometry.curvature_orders_rows(Fraction(1, 3), z, vecs, orders)
+        else:
+            for order in orders:
+                geometry.curvature_tensor_rows(Fraction(1, 3), z, *(vecs[i] for i in order))
         return time.perf_counter() - start
     call = {
         "harmonic_dim_bruteforce(3, 3, 4)": lambda: oracle.harmonic_dim_bruteforce(3, 3, 4),
@@ -211,6 +228,9 @@ def _time_in_process(case: str) -> float:
             lambda: oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500),
         "curvature_symmetry_check(2/7, 2, 16)":
             lambda: oracle.curvature_symmetry_check(Fraction(2, 7), 2, 16),
+        "sectional_consistency_check(2/7, 3, 256)":
+            lambda: oracle.sectional_consistency_check(Fraction(2, 7), 3, 256),
+        "round_degeneration_check(3, 256)": lambda: oracle.round_degeneration_check(3, 256),
         "tai_checks(2/7, 2, 20)": lambda: oracle.tai_checks(Fraction(2, 7), 2, 20),
         "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":
             lambda: oracle.minimality_first_variation_check(CliffordHypersurface(0, 0),

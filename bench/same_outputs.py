@@ -9,13 +9,17 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
 ``BERGER_SEED`` removed.  The corpus:
 
 * ``verify`` in table and json format at seeds 1, 7, 12345 and 0x5EED, at the
-  default sample count and at ``--samples`` 1, 22, 43, 64 and 512 (1 and 512
-  bound the sampled-verify benchmark's sample range, 22 is near its median);
+  default sample count and at ``--samples`` 1, 22, 43, 64, 512 and 2048 (1 and
+  512 bound the sampled-verify benchmark's sample range, 22 is near its
+  median, 2048 spans eight full batches);
 * ``tai-check --samples 700`` and ``curvature-check --samples 300``, json, for
   n = 1..4 and tau^2 in {1/3, 2/7, 1/2};
 * ``tai-check`` and ``curvature-check`` at ``--samples`` 1, 16, 42, 43 and 257,
-  json, for n = 1..3 and tau^2 in {1/3, 2/7, 1/2}.  These straddle the sizes
-  at which the checks' stacked kernel calls split: 256 // 6 = 42 rows;
+  json, for n = 1..3 and tau^2 in {1/3, 2/7, 1/2}.  These straddle a full
+  256-row batch and its sixth, 42 rows;
+* ``tai-check`` and ``curvature-check`` at ``--samples`` 1, 43 and 257, json,
+  at n = 16 (``oracle.N_LIMIT``) and tau^2 = 1/1000, where rounding is
+  largest;
 * ``spectrum`` in every format at tau^2 in {1/3, 2/7, 1}: ``--space berger``
   for n in {0, 1, 4} and ``--space clifford`` for (m1, m2) in {(0, 0),
   (1, 2), (3, 3)}, at the default depth, ``--kmax`` 0, 4 and 8 and, for
@@ -50,7 +54,8 @@ from layers import ROOT, extract_src, git, tree_env
 def corpus() -> list[list[str]]:
     argvs = [["verify", "--format", fmt, "--seed", seed, *samples]
              for fmt in ("table", "json") for seed in ("1", "7", "12345", "0x5EED")
-             for samples in ([], *(["--samples", n] for n in ("1", "22", "43", "64", "512")))]
+             for samples in ([], *(["--samples", n]
+                                   for n in ("1", "22", "43", "64", "512", "2048")))]
     for cmd, samples in (("tai-check", "700"), ("curvature-check", "300")):
         argvs += [[cmd, "--tau-sq", tau_sq, "--n", str(n), "--samples", samples,
                    "--format", "json"]
@@ -59,6 +64,8 @@ def corpus() -> list[list[str]]:
               for cmd in ("tai-check", "curvature-check")
               for samples in ("1", "16", "42", "43", "257")
               for n in range(1, 4) for tau_sq in ("1/3", "2/7", "1/2")]
+    argvs += [[cmd, "--tau-sq", "1/1000", "--n", "16", "--samples", samples, "--format", "json"]
+              for cmd in ("tai-check", "curvature-check") for samples in ("1", "43", "257")]
     spaces = [["--space", "berger", "--n", n] for n in ("0", "1", "4")]
     pairs = ((0, 0), (1, 2), (3, 3))
     spaces += [["--space", "clifford", "--m1", str(m1), "--m2", str(m2)] for m1, m2 in pairs]

@@ -36,6 +36,9 @@ DEFAULT_PHASE_GRID = "1/12,1/8,1/6,1/4,1/3,1/2,3/5,1"
 # Largest ``phase --n-max``: the model list grows like 1.25 n^2 and is built
 # before the first row is written; n = 64 takes about a second on the default grid.
 PHASE_N_MAX = 64
+# Largest ``moduli --samples``: every vector, row and the JSON document are
+# held before the first byte is written; 10,000 takes well under a second.
+MODULI_SAMPLES_MAX = 10_000
 
 
 class CliError(Exception):
@@ -239,6 +242,8 @@ def cmd_phase(args, out) -> int:
 def cmd_moduli(args, out) -> int:
     lo = parse_tau_sq(args.tau_sq_min)
     hi = parse_tau_sq(args.tau_sq_max)
+    if args.samples > MODULI_SAMPLES_MAX:
+        raise CliError(f"--samples must be at most {MODULI_SAMPLES_MAX}, got {args.samples}")
     curve = stability.moduli_curve(args.samples, lo, hi)
     header = ("tau_sq_num", "tau_sq_den", "x", "y")
     rows = [(v.tau_sq.numerator, v.tau_sq.denominator, repr(v.x), repr(v.y))

@@ -283,32 +283,53 @@ def connection_correction_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray)
 
 def curvature_tensor_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray,
                           zz: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Riemann curvature R(x, y, z, w) of the Berger metric (five-term form).
+    """Riemann curvature R(x, y, z, w) of the Berger metric (five-term form):
+    the one-order case of ``curvature_orders_rows``."""
+    return curvature_orders_rows(tau, z, (x, y, zz, w), ((0, 1, 2, 3),))[0]
 
-    Each vector's g(v, iz) and each repeated inner product is formed once;
-    the values are those of evaluating every term on its own.
+
+def curvature_orders_rows(tau, z: np.ndarray, vectors, orders, pairs=()) -> np.ndarray:
+    """R(v_a, v_b, v_c, v_d) for every order (a, b, c, d) of indices into
+    ``vectors``, then the Berger product <v_p, v_q> for every index pair
+    (p, q) of ``pairs``, stacked on a new leading axis.
+
+    With (x, y, z, w) an order's four vectors, the five-term form is
+
+        R = <y,z><x,w> - <x,z><y,w>
+            + lam (<Jy,z><Jx,w> - <Jx,z><Jy,w> - 2 <Jx,y><Jz,w>)
+            + lam <z,xi> (<x,xi><y,w> - <y,xi><x,w>)
+            + lam <w,xi> (<y,xi><x,z> - <x,xi><y,z>),   lam = 1 - tau^2.
+
+    Each vector's g(v, iz), J v and <v, xi> is formed once, and so is the
+    Berger product <v_p, v_q> and <Jv_p, v_q> of every ordered pair of
+    ``vectors`` (two ``einsum`` calls), however many orders share it; the
+    orders then only pick their products.  A product is kept per ordered
+    pair: (lam g(v, iz)) g(w, iz) and (lam g(w, iz)) g(v, iz) may differ in
+    the last bit.  Every value is that of evaluating the form term by term
+    on the order's own arguments, bit for bit.
     """
-    lam, t, iz = _validated(tau, z, x, y, zz, w)
-    X, Y, Z, W = x, y, zz, w
+    lam, t, iz = _validated(tau, z, *vectors)
+    vecs = np.stack(vectors)
     xi = iz / t
-    x_iz, y_iz, z_iz, w_iz, xi_iz = (_dot(v, iz) for v in (X, Y, Z, W, xi))
-    jx, jy, jz = _j(z, X, x_iz), _j(z, Y, y_iz), _j(z, Z, z_iz)
-    jx_iz, jy_iz, jz_iz = _dot(jx, iz), _dot(jy, iz), _dot(jz, iz)
+    v_iz = _dot(vecs, iz)
+    jv = _j(z, vecs, v_iz)
+    lam_v = lam * v_iz
+    v_xi = _dot(vecs, xi) - lam_v * _dot(xi, iz)
+    metric = np.einsum("pri,qri->pqr", vecs, vecs) - lam_v[:, None] * v_iz
+    j_metric = np.einsum("pri,qri->pqr", jv, vecs) - (lam * _dot(jv, iz))[:, None] * v_iz
 
-    yz = _metric(lam, iz, Y, Z, y_iz, z_iz)
-    xw = _metric(lam, iz, X, W, x_iz, w_iz)
-    xz = _metric(lam, iz, X, Z, x_iz, z_iz)
-    yw = _metric(lam, iz, Y, W, y_iz, w_iz)
-    x_xi = _metric(lam, iz, X, xi, x_iz, xi_iz)
-    y_xi = _metric(lam, iz, Y, xi, y_iz, xi_iz)
+    a, b, c, d = np.array(orders).T
+    yz, xw, xz, yw = metric[[b, a, a, b], [c, d, c, d]]
+    jy_z, jx_w, jx_z, jy_w, jx_y, jz_w = j_metric[[b, a, a, b, a, c], [c, d, c, d, b, d]]
+    x_xi, y_xi, z_xi, w_xi = v_xi[[a, b, c, d]]
     val = yz * xw - xz * yw
-    val += lam * (_metric(lam, iz, jy, Z, jy_iz, z_iz) * _metric(lam, iz, jx, W, jx_iz, w_iz)
-                  - _metric(lam, iz, jx, Z, jx_iz, z_iz) * _metric(lam, iz, jy, W, jy_iz, w_iz)
-                  - 2.0 * _metric(lam, iz, jx, Y, jx_iz, y_iz)
-                  * _metric(lam, iz, jz, W, jz_iz, w_iz))
-    val += lam * _metric(lam, iz, Z, xi, z_iz, xi_iz) * (x_xi * yw - y_xi * xw)
-    val += lam * _metric(lam, iz, W, xi, w_iz, xi_iz) * (y_xi * xz - x_xi * yz)
-    return val
+    val += lam * (jy_z * jx_w - jx_z * jy_w - 2.0 * jx_y * jz_w)
+    val += lam * z_xi * (x_xi * yw - y_xi * xw)
+    val += lam * w_xi * (y_xi * xz - x_xi * yz)
+    if not pairs:
+        return val
+    p, q = np.array(pairs).T
+    return np.concatenate((val, metric[p, q]))
 
 
 def sectional_curvature_rows(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

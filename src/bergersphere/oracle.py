@@ -27,8 +27,8 @@ import numpy as np
 from . import geometry, spectra
 from .exactlinalg import integer_rank, kernel_basis
 from .geometry import (BergerParam, GeometryDomainError, _as_fraction, _berger_grams, _dot,
-                       berger_gram_rows, berger_inner_rows, berger_orthonormalize_rows,
-                       check_dimension, check_points, check_tangents, curvature_tensor_rows,
+                       berger_inner_rows, berger_orthonormalize_rows,
+                       check_dimension, check_points, check_tangents, curvature_orders_rows,
                        fubini_study_inner_rows, geodesic_sphere_reps, killing_field_rows,
                        killing_flow_differential_rows, killing_flow_rows, mult_i, ricci_rows,
                        sectional_curvature_rows, tai_embed_rows, tai_sff_inner_rows,
@@ -394,9 +394,11 @@ def torus_fourier_index(tau, potential=4) -> IndexReport:
 # check's stream in one (rows, slots, dim) block, which is the order in which
 # a one-sample-at-a-time loop would draw them, so the samples do not depend
 # on the chunk size.  A check that evaluates one kernel on several argument
-# sets of a batch (the rearrangements of a curvature identity, the two ends
-# of a finite difference) stacks them ``_in_groups`` of at most SAMPLE_CHUNK
-# rows per call, so a small batch pays the per-call cost once.
+# sets of a batch (the two ends of a finite difference) stacks them
+# ``_in_groups`` of at most SAMPLE_CHUNK rows per call, so a small batch pays
+# the per-call cost once; the curvature checks pass all their argument orders
+# to one ``curvature_orders_rows`` call instead.  A check that ``verify`` runs
+# at two tau draws each batch once for both.
 
 
 def _chunks(samples: int, divisor: int = 1):
@@ -480,23 +482,39 @@ def _worst(worst: float, errors: np.ndarray) -> float:
 
 def killing_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SEED) -> CheckReport:
     """Metric invariance under the vertical flow, by finite differences."""
+    return _killing_checks((tau,), n, samples, seed)[0]
+
+
+def _killing_checks(taus, n: int, samples: int, seed: int) -> list[CheckReport]:
+    """``killing_check`` at each of ``taus``.  Every tau draws the same
+    samples from the check's stream, so each batch is drawn once."""
     h = 1e-5
-    param = BergerParam.coerce(tau)
+    params = [BergerParam.coerce(tau) for tau in taus]
     rng = _rng(seed, "killing")
-    worst = 0.0
-
-    def inner(zt, vt, wt):
-        zt = check_points(zt)
-        check_tangents(zt, vt, wt)
-        return berger_inner_rows(param, zt, vt, wt)
-
+    worst = [0.0] * len(params)
     for count in _chunks(samples):
         z, (v, w) = _draw(rng, n, count, 2)
-        ends = _stacked(inner, [(killing_flow_rows(param, t, z),
-                                 killing_flow_differential_rows(param, t, v),
-                                 killing_flow_differential_rows(param, t, w)) for t in (h, -h)])
-        worst = _worst(worst, np.abs((ends[0] - ends[1]) / (2 * h)))
-    return _report("killing-flow-isometry", worst, samples, 1e-6, seed)
+        for k, param in enumerate(params):
+            ends = _stacked(functools.partial(_moved_inner, param),
+                            [(killing_flow_rows(param, t, z),
+                              killing_flow_differential_rows(param, t, v),
+                              killing_flow_differential_rows(param, t, w)) for t in (h, -h)])
+            worst[k] = _worst(worst[k], np.abs((ends[0] - ends[1]) / (2 * h)))
+    return [_report("killing-flow-isometry", w, samples, 1e-6, seed) for w in worst]
+
+
+def _moved_inner(param: BergerParam, zt: np.ndarray, vt: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """The Berger metric on points and tangent rows moved by a flow, which
+    are checked again first."""
+    zt = check_points(zt)
+    check_tangents(zt, vt, wt)
+    return berger_inner_rows(param, zt, vt, wt)
+
+
+# R(x, y, z, w) and the rearrangements R(y, x, z, w), R(x, y, w, z),
+# R(z, w, x, y), R(y, z, x, w) and R(z, x, y, w), as indices into (x, y, z, w)
+_SYMMETRY_ORDERS = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (1, 2, 0, 3),
+                    (2, 0, 1, 3))
 
 
 def curvature_symmetry_check(tau, n: int, samples: int = 500,
@@ -504,20 +522,15 @@ def curvature_symmetry_check(tau, n: int, samples: int = 500,
     """Antisymmetries, pair symmetry and the cyclic identity of the curvature.
 
     The reference value R(x, y, z, w) and its five rearrangements are one
-    ``_stacked`` evaluation of ``curvature_tensor_rows``: a batch of up to
-    SAMPLE_CHUNK // 6 rows takes one kernel call, a full batch six.
+    ``curvature_orders_rows`` call per batch, which forms every product the
+    six orders share once.
     """
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "curvature-symmetry")
     worst = 0.0
-
-    def curv(*args):
-        return curvature_tensor_rows(param, *args)
-
     for count in _chunks(samples):
-        z, (x, y, zz, w) = _draw(rng, n, count, 4)
-        r = _stacked(curv, [(z, x, y, zz, w), (z, y, x, zz, w), (z, x, y, w, zz),
-                            (z, zz, w, x, y), (z, y, zz, x, w), (z, zz, x, y, w)])
+        z, vectors = _draw(rng, n, count, 4)
+        r = curvature_orders_rows(param, z, vectors, _SYMMETRY_ORDERS)
         worst = _worst(worst, np.max([
             np.abs(r[0] + r[1]),
             np.abs(r[0] + r[2]),
@@ -528,19 +541,21 @@ def curvature_symmetry_check(tau, n: int, samples: int = 500,
 
 
 def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEED) -> CheckReport:
-    """At tau = 1 the curvature is the constant-curvature-one tensor."""
+    """At tau = 1 the curvature is the constant-curvature-one tensor.
+
+    R(x, y, z, w) and the products <y,z>, <x,w>, <x,z> and <y,w> are one
+    ``curvature_orders_rows`` call per batch.  At tau = 1 every term of the
+    curvature but <y,z><x,w> - <x,z><y,w> carries the factor 1 - tau^2 = 0,
+    so the check sees only that term.
+    """
     param = BergerParam(Fraction(1))
     rng = _rng(seed, "round-degeneration")
     worst = 0.0
-
-    def ip(*args):
-        return berger_inner_rows(param, *args)
-
     for count in _chunks(samples):
-        z, (x, y, zz, w) = _draw(rng, n, count, 4)
-        yz, xw, xz, yw = _stacked(ip, [(z, y, zz), (z, x, w), (z, x, zz), (z, y, w)])
-        expected = yz * xw - xz * yw
-        worst = _worst(worst, np.abs(curvature_tensor_rows(param, z, x, y, zz, w) - expected))
+        z, vectors = _draw(rng, n, count, 4)
+        r, yz, xw, xz, yw = curvature_orders_rows(param, z, vectors, ((0, 1, 2, 3),),
+                                                  ((1, 2), (0, 3), (0, 2), (1, 3)))
+        worst = _worst(worst, np.abs(r - (yz * xw - xz * yw)))
     return _report("round-sphere-degeneration", worst, samples, 1e-12, seed)
 
 
@@ -561,7 +576,8 @@ def sectional_consistency_check(tau, n: int, samples: int = 500,
         full = kept.all(axis=1)
         z, v, w = z[full], frames[full, 0], frames[full, 1]
         k = sectional_curvature_rows(param, z, v, w)
-        worst = _worst(worst, np.abs(k - curvature_tensor_rows(param, z, v, w, w, v)))
+        r = curvature_orders_rows(param, z, (v, w), ((0, 1, 1, 0),))[0]
+        worst = _worst(worst, np.abs(k - r))
         done += int(full.sum())
     return _report("sectional-consistency", worst, samples, 1e-12, seed)
 
@@ -605,26 +621,35 @@ def geodesic_sphere_isometry_check(tau, n: int, samples: int = 500,
     representative curve; the Fubini-Study pairing projects out the scale
     and phase drift.
     """
+    return _geodesic_sphere_checks((tau,), n, samples, seed)[0]
+
+
+def _geodesic_sphere_checks(taus, n: int, samples: int, seed: int) -> list[CheckReport]:
+    """``geodesic_sphere_isometry_check`` at each of ``taus``, from one draw
+    per batch.  A representative differs between taus only in its constant
+    first coordinate, which the central differences cancel to exactly 0, so
+    the pushforwards are formed once, at the first tau."""
     h = 1e-6
-    param = BergerParam.coerce(tau)
-    if param.is_round:
+    params = [BergerParam.coerce(tau) for tau in taus]
+    if any(param.is_round for param in params):
         raise GeometryDomainError("the geodesic-sphere picture needs tau < 1")
     rng = _rng(seed, "geodesic-sphere-isometry")
-    scale = 1.0 / math.sqrt(float(param.one_minus))
-    worst = 0.0
+    scales = [1.0 / math.sqrt(float(param.one_minus)) for param in params]
+    worst = [0.0] * len(params)
 
     def rep(zc: np.ndarray) -> np.ndarray:
-        return geodesic_sphere_reps(param, zc / np.linalg.norm(zc, axis=1, keepdims=True))
+        return geodesic_sphere_reps(params[0], zc / np.linalg.norm(zc, axis=1, keepdims=True))
 
     for count in _chunks(samples):
         z, (u, v) = _draw(rng, n, count, 2)
-        p0 = geodesic_sphere_reps(param, z)
-        p0 = p0 * (scale / np.linalg.norm(p0, axis=1))[:, None]
         ends = _stacked(rep, [(z + h * u,), (z - h * u,), (z + h * v,), (z - h * v,)])
-        got = fubini_study_inner_rows(p0, scale, (ends[0] - ends[1]) / (2 * h),
-                                      (ends[2] - ends[3]) / (2 * h))
-        worst = _worst(worst, np.abs(got - berger_inner_rows(param, z, u, v)))
-    return _report("geodesic-sphere-isometry", worst, samples, 1e-8, seed)
+        push_u, push_v = (ends[0] - ends[1]) / (2 * h), (ends[2] - ends[3]) / (2 * h)
+        for k, (param, scale) in enumerate(zip(params, scales)):
+            p0 = geodesic_sphere_reps(param, z)
+            p0 = p0 * (scale / np.linalg.norm(p0, axis=1))[:, None]
+            got = fubini_study_inner_rows(p0, scale, push_u, push_v)
+            worst[k] = _worst(worst[k], np.abs(got - berger_inner_rows(param, z, u, v)))
+    return [_report("geodesic-sphere-isometry", w, samples, 1e-8, seed) for w in worst]
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +782,21 @@ class _TaiProbe:
 
     def sff(self, pairs) -> np.ndarray:
         """Second fundamental form s(x, y) of every pair (x, y), stacked, by
-        polarised second derivatives in the directions x + y and x - y."""
-        directions = np.stack([x + y for x, y in pairs] + [x - y for x, y in pairs])
+        polarised second derivatives in the directions x + y and x - y.
+
+        A pair (b, b) of one array has no x - y direction to evaluate: its
+        curve is constant, every step of the stencil gives the base value,
+        and the second difference is exactly 0, so s(b, b) is the x + y part
+        alone, bit for bit.
+        """
+        minus = [i for i, (x, y) in enumerate(pairs) if x is not y]
+        directions = np.stack([x + y for x, y in pairs]
+                              + [pairs[i][0] - pairs[i][1] for i in minus])
         normal = _in_groups(lambda d: self._normal_part(self._second_derivative(d)),
                             directions, SAMPLE_CHUNK // 4)
         # (plus - minus) / 4 in place, so no further stack is allocated
         s = normal[:len(pairs)]
-        s -= normal[len(pairs):]
+        s[minus] -= normal[len(pairs):]
         s /= 4.0
         return s
 
@@ -847,12 +880,17 @@ def gauss_flatness_check(tau, samples: int = 64, seed: int = DEFAULT_SEED) -> Ch
     ((1+tau^2)/4 on the diagonal, (tau^2-1)/4 off it); the check compares
     those coefficients with samples of the embedding.
     """
-    param = BergerParam.coerce(tau)
-    ts = param.tau_sq
-    worst = 0.0
+    return _gauss_flatness_checks((tau,), samples, seed)[0]
+
+
+def _gauss_flatness_checks(taus, samples: int, seed: int) -> list[CheckReport]:
+    """``gauss_flatness_check`` at each of ``taus``, from one draw per batch;
+    the products of the Gram coefficients that do not depend on tau are
+    formed once."""
+    params = [BergerParam.coerce(tau) for tau in taus]
+    worst = [0.0] * len(params)
     rng = _rng(seed, "gauss-flatness")
-    e_exact = float((1 + ts) / 4)
-    f_exact = float((ts - 1) / 4)
+    exact = [(float((1 + p.tau_sq) / 4), float((p.tau_sq - 1) / 4)) for p in params]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for count in _chunks(samples):
         t, s = rng.uniform(0, 2 * math.pi, size=(count, 2)).T
@@ -861,11 +899,12 @@ def gauss_flatness_check(tau, samples: int = 64, seed: int = DEFAULT_SEED) -> Ch
         dt = np.stack([-np.sin(t), np.cos(t), zero, zero], axis=1) * inv_sqrt2
         ds = np.stack([zero, zero, -np.sin(s), np.cos(s)], axis=1) * inv_sqrt2
         check_tangents(z, dt, ds)
-        g_tt, g_ts, g_ss = berger_gram_rows(param, z, dt, ds)
-        worst = _worst(worst, np.max([
-            np.abs(g_tt - e_exact), np.abs(g_ss - e_exact), np.abs(g_ts - f_exact),
-        ], axis=0))
-    return _report("gauss-flatness", worst, samples, 1e-12, seed)
+        grams = _berger_grams(params, z, dt, ds)
+        for k, ((g_tt, g_ts, g_ss), (e_exact, f_exact)) in enumerate(zip(grams, exact)):
+            worst[k] = _worst(worst[k], np.max([
+                np.abs(g_tt - e_exact), np.abs(g_ss - e_exact), np.abs(g_ts - f_exact),
+            ], axis=0))
+    return [_report("gauss-flatness", w, samples, 1e-12, seed) for w in worst]
 
 
 def _bump_periodic(x: np.ndarray, center: float, kappa: float = 3.0) -> np.ndarray:
@@ -1184,17 +1223,14 @@ def verify_all(samples: int = 200, seed: int = DEFAULT_SEED) -> list[CheckReport
     third = Fraction(1, 3)
     half = Fraction(1, 2)
     reports = [
-        killing_check(third, 2, samples, seed),
-        killing_check(Fraction(1), 2, samples, seed),
+        *_killing_checks((third, Fraction(1)), 2, samples, seed),
         curvature_symmetry_check(third, 2, samples, seed),
         round_degeneration_check(2, samples, seed),
         sectional_consistency_check(third, 2, samples, seed),
         ricci_vertical_check(third, 2, samples, seed),
         metric_definiteness_check(third, 2, max(50, samples // 4), seed),
-        geodesic_sphere_isometry_check(third, 2, samples, seed),
-        geodesic_sphere_isometry_check(half, 2, samples, seed),
-        gauss_flatness_check(third, seed=seed),
-        gauss_flatness_check(Fraction(1), seed=seed),
+        *_geodesic_sphere_checks((third, half), 2, samples, seed),
+        *_gauss_flatness_checks((third, Fraction(1)), 64, seed),
         *tai_checks(half, 2, max(50, samples // 4), seed),
         *_clifford_minimality_checks((third, Fraction(1)), 2, seed),
         minimality_first_variation_check(TotallyRealSphere(2, 1), third, 2, seed),

@@ -189,6 +189,9 @@ BAD_INPUTS = [
     # n-max above cli.PHASE_N_MAX: about 1.25 n^2 models built before any row
     ["phase", "--n-max", "65"],
     ["phase", "--n-max", "100000"],
+    # samples above cli.MODULI_SAMPLES_MAX: every vector and row held before any output
+    ["moduli", "--samples", "10001"],
+    ["moduli", "--samples", "100000"],
 ]
 
 

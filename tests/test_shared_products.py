@@ -1,8 +1,12 @@
 """Sampled checks that share products within a batch: bitwise equality with
-their per-call forms, independence of the grouping budget, and the row
-bound of every kernel call."""
+their per-call forms, independence of the grouping budget, the row bound of
+every kernel call, and a named perturbation of what each restructured check
+examines that makes it fail."""
 
+import __future__
+import inspect
 import io
+import textwrap
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,7 +18,7 @@ from bergersphere.geometry import BergerParam
 NS = [1, 2, 3]
 TAUS = [F(1, 3), F(2, 7), F(1, 2)]
 SEEDS = [1, 7, 12345, 0x5EED]
-# 256 // 6 = 42: the six curvature arrangements of up to 42 rows share one call
+# sizes around a 256-row batch (SAMPLE_CHUNK) and its sixth, 42
 SAMPLES = [1, 7, 42, 43, 255, 256, 257, 600]
 
 
@@ -131,19 +135,36 @@ def _ref_tai_sff_inner(tau, reps, scale, x, y, v, w):
                   + ip(x, 1j * v) * ip(y, 1j * w))
 
 
-def _perturb_unshared_products(monkeypatch):
-    """At tau = 1 the curvature tensor is the round-degeneration formula term
-    for term, so that check reads exactly 0.  Perturbing only the metric
-    calls given no precomputed g(v, iz) (the ``berger_inner_rows`` products;
-    the curvature kernel passes its own) makes every error nonzero and a
-    function of those products."""
-    true_metric = geometry._metric
+def _mutated(owner, name: str, old: str, new: str):
+    """``owner.name`` recompiled from its source with the text ``old``, which
+    must occur once, replaced by ``new``; it keeps its module's globals."""
+    fn = getattr(owner, name)
+    lines, first = inspect.getsourcelines(fn)
+    src = textwrap.dedent("".join(lines))
+    assert src.count(old) == 1, (name, old)
+    namespace = dict(fn.__globals__)
+    # padded so that a traceback names the function's own lines
+    exec(compile("\n" * (first - 1) + src.replace(old, new), inspect.getsourcefile(fn), "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[name]
 
-    def metric(lam, iz, v, w, *known):
-        out = true_metric(lam, iz, v, w, *known)
-        return out if known else out + 0.25 * v[..., 0] * w[..., 1]
 
-    monkeypatch.setattr(geometry, "_metric", metric)
+def _edit(owner, name: str, old: str, new: str):
+    """A perturbation: ``_mutated`` installed on ``owner`` and, for a
+    geometry kernel, on the name ``oracle`` imported it under."""
+    def apply(monkeypatch):
+        fn = _mutated(owner, name, old, new)
+        monkeypatch.setattr(owner, name, fn)
+        if owner is geometry and hasattr(oracle, name):
+            monkeypatch.setattr(oracle, name, fn)
+    return apply
+
+
+# At tau = 1 every term of the curvature but the constant-curvature one
+# carries 1 - tau^2 = 0, so round-sphere-degeneration reads exactly 0 and can
+# see only that term; flipping its sign makes every error nonzero.
+_FLIP_CONSTANT_TERM = _edit(geometry, "curvature_orders_rows",
+                            "val = yz * xw - xz * yw", "val = yz * xw + xz * yw")
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +197,11 @@ def test_stacked_check_bitwise_equals_per_call_reference(name, tau, n):
 @pytest.mark.parametrize("perturbed", [False, True], ids=["berger", "perturbed"])
 @pytest.mark.parametrize("n", NS)
 def test_round_degeneration_bitwise_equals_per_call_reference(n, perturbed, monkeypatch):
+    """The check takes R and its four products from one kernel call; the
+    reference takes the products from ``berger_inner_rows``.  They agree bit
+    for bit, also with the kernel's constant-curvature term perturbed."""
     if perturbed:
-        _perturb_unshared_products(monkeypatch)
+        _FLIP_CONSTANT_TERM(monkeypatch)
     for samples in SAMPLES:
         for seed in SEEDS:
             got = oracle.round_degeneration_check(n, samples, seed)
@@ -248,9 +272,9 @@ def test_stacked_checks_do_not_depend_on_the_group_budget(n, monkeypatch):
 # oracle's name of each kernel it calls on sampled batches -> position of the
 # batch (points, representatives or curve directions) among its arguments
 KERNELS = {
-    "berger_gram_rows": 1, "_berger_grams": 1, "berger_inner_rows": 1,
+    "_berger_grams": 1, "berger_inner_rows": 1,
     "berger_orthonormalize_rows": 1, "check_points": 0, "check_tangents": 0,
-    "curvature_tensor_rows": 1, "sectional_curvature_rows": 1, "ricci_rows": 1,
+    "curvature_orders_rows": 1, "sectional_curvature_rows": 1, "ricci_rows": 1,
     "fubini_study_inner_rows": 0, "geodesic_sphere_reps": 1, "killing_field_rows": 1,
     "killing_flow_rows": 2, "killing_flow_differential_rows": 2, "tai_sff_inner_rows": 1,
     "_tai_curve": 3,
@@ -294,7 +318,7 @@ def kernel_rows(monkeypatch):
     (lambda samples: cli.main(["tai-check", "--tau-sq", "2/7", "--n", "3",
                                "--samples", str(samples)], io.StringIO()), "_tai_curve"),
     (lambda samples: cli.main(["curvature-check", "--tau-sq", "2/7", "--n", "3",
-                               "--samples", str(samples)], io.StringIO()), "curvature_tensor_rows"),
+                               "--samples", str(samples)], io.StringIO()), "curvature_orders_rows"),
 ], ids=["verify_all", "tai-check", "curvature-check"])
 def test_no_kernel_call_exceeds_the_chunk(run, kernel, kernel_rows):
     for samples in (1, 16, 43, 300, 600):
@@ -305,9 +329,285 @@ def test_no_kernel_call_exceeds_the_chunk(run, kernel, kernel_rows):
 
 
 @pytest.mark.parametrize("samples, calls", [
-    (16, [96]), (42, [252]), (43, [215, 43]), (256, [256] * 6), (300, [256] * 6 + [220, 44]),
+    (16, [16]), (42, [42]), (43, [43]), (256, [256]), (300, [256, 44]),
 ])
 def test_curvature_arrangements_share_calls(samples, calls, kernel_rows):
-    """The six arrangements share a call while they fit in SAMPLE_CHUNK rows."""
+    """The six arrangements share one kernel call per batch."""
     oracle.curvature_symmetry_check(F(1, 3), 2, samples)
-    assert [rows for name, rows in kernel_rows if name == "curvature_tensor_rows"] == calls
+    assert [rows for name, rows in kernel_rows if name == "curvature_orders_rows"] == calls
+
+
+# ---------------------------------------------------------------------------
+# The multi-order curvature kernel
+# ---------------------------------------------------------------------------
+
+
+def _ref_curvature_tensor(tau, z, x, y, zz, w):
+    """The five-term curvature of one order, every product formed for that
+    order alone."""
+    lam, t, iz = geometry._validated(tau, z, x, y, zz, w)
+    xi = iz / t
+    dot, metric = geometry._dot, geometry._metric
+    x_iz, y_iz, z_iz, w_iz, xi_iz = (dot(v, iz) for v in (x, y, zz, w, xi))
+    jx, jy, jz = (geometry._j(z, v, v_iz) for v, v_iz in ((x, x_iz), (y, y_iz), (zz, z_iz)))
+    jx_iz, jy_iz, jz_iz = dot(jx, iz), dot(jy, iz), dot(jz, iz)
+    yz = metric(lam, iz, y, zz, y_iz, z_iz)
+    xw = metric(lam, iz, x, w, x_iz, w_iz)
+    xz = metric(lam, iz, x, zz, x_iz, z_iz)
+    yw = metric(lam, iz, y, w, y_iz, w_iz)
+    x_xi = metric(lam, iz, x, xi, x_iz, xi_iz)
+    y_xi = metric(lam, iz, y, xi, y_iz, xi_iz)
+    val = yz * xw - xz * yw
+    val += lam * (metric(lam, iz, jy, zz, jy_iz, z_iz) * metric(lam, iz, jx, w, jx_iz, w_iz)
+                  - metric(lam, iz, jx, zz, jx_iz, z_iz) * metric(lam, iz, jy, w, jy_iz, w_iz)
+                  - 2.0 * metric(lam, iz, jx, y, jx_iz, y_iz)
+                  * metric(lam, iz, jz, w, jz_iz, w_iz))
+    val += lam * metric(lam, iz, zz, xi, z_iz, xi_iz) * (x_xi * yw - y_xi * xw)
+    val += lam * metric(lam, iz, w, xi, w_iz, xi_iz) * (y_xi * xz - x_xi * yz)
+    return val
+
+
+# (vector count, orders, pairs): the six symmetry orders, the round check's
+# order with its four products, the sectional check's R(v, w, w, v), and
+# orders that repeat a vector in other slots
+KERNEL_CALLS = [
+    (4, oracle._SYMMETRY_ORDERS, ()),
+    (4, ((0, 1, 2, 3),), ((1, 2), (0, 3), (0, 2), (1, 3))),
+    (2, ((0, 1, 1, 0),), ()),
+    (4, ((0, 1, 1, 0), (3, 3, 3, 3), (2, 0, 0, 2), (1, 2, 3, 0)), ((2, 2), (3, 1), (1, 3))),
+]
+
+
+@pytest.mark.parametrize("tau", [F(1, 1000), F(2, 7), F(1, 3), F(1)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_multi_order_kernel_equals_one_call_per_order(n, tau):
+    rng = np.random.default_rng([21, n])
+    for rows in (1, 42, 43, 256, 257):
+        z, vectors = oracle._draw(rng, n, rows, 4)
+        for count, orders, pairs in KERNEL_CALLS:
+            vecs = vectors[:count]
+            got = geometry.curvature_orders_rows(tau, z, vecs, orders, pairs)
+            assert got.shape == (len(orders) + len(pairs), rows)
+            for r, order in zip(got, orders):
+                args = [vecs[i] for i in order]
+                assert r.tobytes() == geometry.curvature_tensor_rows(tau, z, *args).tobytes()
+                assert r.tobytes() == _ref_curvature_tensor(tau, z, *args).tobytes()
+            for product, (p, q) in zip(got[len(orders):], pairs):
+                want = geometry.berger_inner_rows(tau, z, vecs[p], vecs[q])
+                assert product.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The projector probe skips the zero directions of its (b, b) pairs
+# ---------------------------------------------------------------------------
+
+
+def _ref_sff(probe, pairs):
+    """``_TaiProbe.sff`` evaluating the direction x - y of every pair, also
+    where it is zero."""
+    directions = np.stack([x + y for x, y in pairs] + [x - y for x, y in pairs])
+    normal = oracle._in_groups(lambda d: probe._normal_part(probe._second_derivative(d)),
+                               directions, oracle.SAMPLE_CHUNK // 4)
+    s = normal[:len(pairs)]
+    s -= normal[len(pairs):]
+    s /= 4.0
+    return s
+
+
+@pytest.mark.parametrize("tau", [F(1, 1000), F(2, 7), F(1, 3), F(3, 4)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_probe_without_zero_directions_equals_probe_with_them(n, tau):
+    param = BergerParam.coerce(tau)
+    radius = 1.0 / np.sqrt(float(param.one_minus))
+    rng = np.random.default_rng([22, n])
+    for rows in (1, 5, 64):
+        zc, (x, y, v, w) = oracle._draw_horizontal(rng, n, rows, 4, radius)
+        probe = oracle._TaiProbe(param, zc, radius)
+        # (v, v.copy()) is a zero direction of two arrays, which is evaluated
+        pairs = ([(x, y), (v, w), (1j * x, 1j * y), (x, x), (v, v.copy())]
+                 + [(b, b) for b in probe.real_basis])
+        assert probe.sff(pairs).tobytes() == _ref_sff(probe, pairs).tobytes()
+
+
+@pytest.mark.parametrize("n", NS)
+def test_tai_reports_equal_those_of_the_probe_with_zero_directions(n, monkeypatch):
+    cases = [(tau, samples, seed) for tau in (F(1, 1000), F(2, 7), F(1, 2))
+             for samples in (1, 50, 257) for seed in (1, 0x5EED)]
+    got = [oracle.tai_checks(tau, n, samples, seed) for tau, samples, seed in cases]
+    monkeypatch.setattr(oracle._TaiProbe, "sff", _ref_sff)
+    want = [oracle.tai_checks(tau, n, samples, seed) for tau, samples, seed in cases]
+    assert [[r.max_error.hex() for r in reports] for reports in got] == \
+        [[r.max_error.hex() for r in reports] for reports in want]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# verify evaluates each tau pair from one draw
+# ---------------------------------------------------------------------------
+
+
+def _ref_gauss_flatness(tau, samples, seed):
+    param = BergerParam.coerce(tau)
+    rng = oracle._rng(seed, "gauss-flatness")
+    e_exact, f_exact = float((1 + param.tau_sq) / 4), float((param.tau_sq - 1) / 4)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    worst = 0.0
+    for count in oracle._chunks(samples):
+        t, s = rng.uniform(0, 2 * np.pi, size=(count, 2)).T
+        zero = np.zeros(count)
+        z = np.stack([np.cos(t), np.sin(t), np.cos(s), np.sin(s)], axis=1) * inv_sqrt2
+        dt = np.stack([-np.sin(t), np.cos(t), zero, zero], axis=1) * inv_sqrt2
+        ds = np.stack([zero, zero, -np.sin(s), np.cos(s)], axis=1) * inv_sqrt2
+
+        def ip(a, b):
+            return geometry.berger_inner_rows(param, z, a, b)
+
+        worst = oracle._worst(worst, np.max([
+            np.abs(ip(dt, dt) - e_exact), np.abs(ip(ds, ds) - e_exact),
+            np.abs(ip(dt, ds) - f_exact)], axis=0))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [1, 0x5EED])
+@pytest.mark.parametrize("samples", [1, 22, 43, 257])
+def test_verify_tau_pairs_equal_their_one_tau_checks(samples, seed):
+    third, half, one = F(1, 3), F(1, 2), F(1)
+    one_tau = {
+        "killing-flow-isometry": [
+            (oracle.killing_check(tau, 2, samples, seed), _ref_killing(tau, 2, samples, seed))
+            for tau in (third, one)],
+        "geodesic-sphere-isometry": [
+            (oracle.geodesic_sphere_isometry_check(tau, 2, samples, seed),
+             _ref_geodesic_sphere(tau, 2, samples, seed)) for tau in (third, half)],
+        "gauss-flatness": [
+            (oracle.gauss_flatness_check(tau, seed=seed), _ref_gauss_flatness(tau, 64, seed))
+            for tau in (third, one)],
+    }
+    reports = oracle.verify_all(samples, seed)
+    for name, want in one_tau.items():
+        got = [r for r in reports if r.name == name]
+        assert got == [report for report, _ in want]
+        assert [r.max_error.hex() for r in got] == [ref.hex() for _, ref in want]
+
+
+# ---------------------------------------------------------------------------
+# Each restructured check fails under a named perturbation of what it examines
+# ---------------------------------------------------------------------------
+
+
+def _curvature_reports():
+    return [oracle.curvature_symmetry_check(F(2, 7), 2, 64),
+            oracle.sectional_consistency_check(F(2, 7), 2, 64),
+            oracle.round_degeneration_check(2, 64)]
+
+
+def _round_report():
+    return [oracle.round_degeneration_check(2, 64)]
+
+
+def _tai_reports():
+    return oracle.tai_checks(F(1, 2), 2, 50)
+
+
+def _verify_reports():
+    return oracle.verify_all(16)
+
+
+def _swap_pair_order(monkeypatch):
+    orders = tuple((2, 3, 1, 0) if order == (2, 3, 0, 1) else order
+                   for order in oracle._SYMMETRY_ORDERS)
+    monkeypatch.setattr(oracle, "_SYMMETRY_ORDERS", orders)
+
+
+_KERNEL = (geometry, "curvature_orders_rows")
+_ORDERS_PICKED = "a, b, c, d = np.array(orders).T"
+
+# name -> (perturbation, reports, names of the reports that must all fail)
+PERTURBATIONS = {
+    "kernel -2 <Jx,y><Jz,w> as -1": (
+        _edit(*_KERNEL, "- 2.0 * jx_y * jz_w", "- 1.0 * jx_y * jz_w"), _curvature_reports,
+        ["curvature-symmetries", "sectional-consistency"]),
+    # <x,z><y,w> of R(v, w, w, v) is <v,w>^2 = 0 on orthonormal pairs, so
+    # sectional-consistency passes
+    "kernel constant-curvature term with + <x,z><y,w>": (
+        _FLIP_CONSTANT_TERM, _curvature_reports,
+        ["curvature-symmetries", "round-sphere-degeneration"]),
+    # only R(z, x, y, w) reads <x, y>, so the cyclic identity breaks
+    "kernel <x,y> alone scaled by 1.001": (
+        _edit(*_KERNEL, _ORDERS_PICKED, "metric[0, 1] *= 1.001; " + _ORDERS_PICKED),
+        _curvature_reports, ["curvature-symmetries"]),
+    "kernel <w,w> of R(v, w, w, v) scaled by 1.001": (
+        _edit(*_KERNEL, _ORDERS_PICKED, "metric[1, 1] *= 1.001; " + _ORDERS_PICKED),
+        _curvature_reports, ["sectional-consistency"]),
+    "R(z, w, x, y) evaluated as R(z, w, y, x)": (
+        _swap_pair_order, _curvature_reports, ["curvature-symmetries"]),
+    "sectional order R(v, w, v, w)": (
+        _edit(oracle, "sectional_consistency_check", "((0, 1, 1, 0),)", "((0, 1, 0, 1),)"),
+        _curvature_reports, ["sectional-consistency"]),
+    "closed-form law 2 <x,y><v,w> as 1 <x,y><v,w>": (
+        _edit(geometry, "tai_sff_inner_rows", "2.0 * ip(hx, hy)", "1.0 * ip(hx, hy)"),
+        _tai_reports, ["tai-sff-law"]),
+    "probe skips x - y for every pair": (
+        _edit(oracle._TaiProbe, "sff", "if x is not y]", "if False]"),
+        _tai_reports, ["tai-sff-law"]),
+    "J-rotated pair as (i x, -i y)": (
+        _edit(oracle, "_tai_sff_errors", "(1j * x, 1j * y)", "(1j * x, -1j * y)"),
+        _tai_reports, ["tai-sff-j-invariance"]),
+    "trace without its last basis vector": (
+        _edit(oracle, "_tai_sff_errors", "for s in s_bb:", "for s in s_bb[:-1]:"),
+        _tai_reports, ["tai-minimality"]),
+    "trace pairs (b, b) probed as (b, i b)": (
+        _edit(oracle, "_tai_sff_errors", "[(b, b) for b", "[(b, 1j * b) for b"),
+        _tai_reports, ["tai-minimality"]),
+    "flow differential scaled by 1 + t": (
+        _edit(geometry, "killing_flow_differential_rows",
+              "return math.cos(th) * v + math.sin(th) * mult_i(v)",
+              "return (1.0 + t) * (math.cos(th) * v + math.sin(th) * mult_i(v))"),
+        _verify_reports, ["killing-flow-isometry"]),
+    "each tau compared with the other tau's Berger metric": (
+        _edit(oracle, "_geodesic_sphere_checks", "berger_inner_rows(param, z, u, v)",
+              "berger_inner_rows(params[-1 - k], z, u, v)"),
+        _verify_reports, ["geodesic-sphere-isometry"]),
+}
+
+# Perturbations a check cannot see, with the reason; each check still passes.
+BLIND_SPOTS = {
+    # every term but the constant-curvature one carries 1 - tau^2 = 0 at tau = 1
+    "kernel -2 <Jx,y><Jz,w> as -1": (
+        PERTURBATIONS["kernel -2 <Jx,y><Jz,w> as -1"][0], _curvature_reports,
+        ["round-sphere-degeneration"]),
+    # R and the expected <y,z><x,w> - <x,z><y,w> read the same product
+    "kernel <y,z> scaled by 1.001": (
+        _edit(*_KERNEL, _ORDERS_PICKED, "metric[1, 2] *= 1.001; " + _ORDERS_PICKED),
+        _round_report, ["round-sphere-degeneration"]),
+    # the flow turns z, v and w by one phase, an isometry of every Berger
+    # metric, and the report does not say which tau it ran at
+    "each tau's slot evaluated at the other tau": (
+        _edit(oracle, "_killing_checks", "enumerate(params)", "enumerate(params[::-1])"),
+        _verify_reports, ["killing-flow-isometry"]),
+}
+
+
+def _by_name(reports, names):
+    found = [r for r in reports if r.name in names]
+    assert {r.name for r in found} == set(names)
+    return found
+
+
+@pytest.mark.parametrize("run", [_curvature_reports, _tai_reports, _verify_reports])
+def test_unperturbed_checks_pass(run):
+    assert all(r.passed for r in run())
+
+
+@pytest.mark.parametrize("name", PERTURBATIONS)
+def test_perturbation_fails_the_check(name, monkeypatch):
+    perturb, run, names = PERTURBATIONS[name]
+    perturb(monkeypatch)
+    assert not any(r.passed for r in _by_name(run(), names))
+
+
+@pytest.mark.parametrize("name", BLIND_SPOTS)
+def test_recorded_blind_spot_still_passes(name, monkeypatch):
+    perturb, run, names = BLIND_SPOTS[name]
+    perturb(monkeypatch)
+    assert all(r.passed for r in _by_name(run(), names))
