@@ -40,7 +40,9 @@ Cases:
   ``curvature_tensor_rows`` calls in a tree without it (inputs built outside
   the timed region).
 * L3 ``curvature_symmetry_check(1/3, 2, 500)`` (two batches of full
-  size), ``sectional_consistency_check(2/7, 3, 256)`` and
+  size), ``tai_checks(2/7, 1, 2048)`` (the benchmark's ``tai-check`` cap)
+  and ``tai_checks(2/7, 16, 300)`` at n = ``oracle.N_LIMIT``, which also
+  reports its ``tracemalloc`` peak from one more, untimed call, ``sectional_consistency_check(2/7, 3, 256)`` and
   ``round_degeneration_check(3, 256)`` (one full batch each),
   ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``
   and ``minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)``,
@@ -62,7 +64,9 @@ Cases:
   --tau-sq 2/7``, ``python -m bergersphere.cli phase --n-max 8
   --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json`` and
   ``python -m bergersphere.cli tai-check --tau-sq 1/2 --n 3 --samples 2048``
-  (the benchmark's sample cap for ``tai-check``), and the small sampled
+  (the benchmark's sample cap for ``tai-check``), ``curvature-check
+  --tau-sq 2/7 --n 3 --samples 1024`` (its cap for ``curvature-check``), and
+  the small sampled
   commands near the sampled-verify benchmark's median,
   ``curvature-check --tau-sq 2/7 --n 2 --samples 16`` and
   ``tai-check --tau-sq 2/7 --n 2 --samples 20``; the depth-64 Clifford
@@ -75,7 +79,8 @@ Cases:
 Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
 difference of several milliseconds on code that did not change.  The output
 holds, per case and tree, the median and the interquartile range of the
-repeats in seconds and, for L5 cases, of the peak RSS in MiB; per case, the number of pairs, how many of them the after
+repeats in seconds and, for L5 cases, of the peak RSS in MiB (for a traced
+L3 case, of the traced peak in MiB); per case, the number of pairs, how many of them the after
 tree won (ran faster), and the median and interquartile range of the
 per-pair difference after - before in seconds; the number of ``np.einsum``
 calls each tree makes for each command of ``EINSUM_COMMANDS`` (numpy's
@@ -96,6 +101,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -123,6 +129,8 @@ CASES = [
     ("L2", "curvature-tensor-500", None),
     ("L2", "curvature-six-orders-256", None),
     ("L3", "curvature_symmetry_check(1/3, 2, 500)", None),
+    ("L3", "tai_checks(2/7, 1, 2048)", None),
+    ("L3", "tai_checks(2/7, 16, 300)", None),
     ("L3", "sectional_consistency_check(2/7, 3, 256)", None),
     ("L3", "round_degeneration_check(3, 256)", None),
     ("L3", "curvature_symmetry_check(2/7, 2, 16) warm", None),
@@ -143,6 +151,8 @@ CASES = [
       "--format", "json"]),
     ("L5", "cli tai-check --tau-sq 1/2 --n 3 --samples 2048 (process wall)",
      ["tai-check", "--tau-sq", "1/2", "--n", "3", "--samples", "2048"]),
+    ("L5", "cli curvature-check --tau-sq 2/7 --n 3 --samples 1024 (process wall)",
+     ["curvature-check", "--tau-sq", "2/7", "--n", "3", "--samples", "1024"]),
     ("L5", "cli curvature-check --tau-sq 2/7 --n 2 --samples 16 (process wall)",
      ["curvature-check", "--tau-sq", "2/7", "--n", "2", "--samples", "16"]),
     ("L5", "cli tai-check --tau-sq 2/7 --n 2 --samples 20 (process wall)",
@@ -162,6 +172,10 @@ CASES = [
      ["spectrum", "--space", "berger", "--n", "2", "--tau-sq", "2/7", "--kmax", "8"]),
 ]
 
+# In-process cases whose child also reports the tracemalloc peak of one
+# more call, in MiB.
+TRACED_CASES = {"tai_checks(2/7, 16, 300)"}
+
 # Command lines whose ``np.einsum`` calls are counted, once per tree.
 EINSUM_COMMANDS = [
     ["verify", "--samples", "22"],
@@ -170,9 +184,10 @@ EINSUM_COMMANDS = [
 ]
 
 
-def _time_in_process(case: str) -> float:
-    """One timed run of the in-process case named ``case``; inputs are built
-    before the clock starts."""
+def _time_in_process(case: str) -> list[float]:
+    """One timed run of the in-process case named ``case``, in seconds;
+    inputs are built before the clock starts.  A case of ``TRACED_CASES``
+    then runs once more under ``tracemalloc`` and adds its peak in MiB."""
     from fractions import Fraction
 
     from bergersphere import cli, geometry, oracle, spectra, stability
@@ -192,7 +207,7 @@ def _time_in_process(case: str) -> float:
         model_list = cli._phase_models(n_max)
         start = time.perf_counter()
         stability.phase_rows(model_list, grid)
-        return time.perf_counter() - start
+        return [time.perf_counter() - start]
     if case in ("curvature-tensor-500", "curvature-six-orders-256"):
         rows = 500 if case == "curvature-tensor-500" else 256
         rng = np.random.default_rng(2024)
@@ -212,7 +227,7 @@ def _time_in_process(case: str) -> float:
         else:
             for order in orders:
                 geometry.curvature_tensor_rows(Fraction(1, 3), z, *(vecs[i] for i in order))
-        return time.perf_counter() - start
+        return [time.perf_counter() - start]
     call = {
         "harmonic_dim_bruteforce(3, 3, 4)": lambda: oracle.harmonic_dim_bruteforce(3, 3, 4),
         "harmonic_dim_bruteforce(2, 1, 4)": lambda: oracle.harmonic_dim_bruteforce(2, 1, 4),
@@ -232,6 +247,8 @@ def _time_in_process(case: str) -> float:
             lambda: oracle.sectional_consistency_check(Fraction(2, 7), 3, 256),
         "round_degeneration_check(3, 256)": lambda: oracle.round_degeneration_check(3, 256),
         "tai_checks(2/7, 2, 20)": lambda: oracle.tai_checks(Fraction(2, 7), 2, 20),
+        "tai_checks(2/7, 1, 2048)": lambda: oracle.tai_checks(Fraction(2, 7), 1, 2048),
+        "tai_checks(2/7, 16, 300)": lambda: oracle.tai_checks(Fraction(2, 7), 16, 300),
         "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":
             lambda: oracle.minimality_first_variation_check(CliffordHypersurface(0, 0),
                                                             Fraction(1, 3), 2),
@@ -253,7 +270,13 @@ def _time_in_process(case: str) -> float:
         call()
     start = time.perf_counter()
     call()
-    return time.perf_counter() - start
+    result = [time.perf_counter() - start]
+    if case in TRACED_CASES:
+        tracemalloc.start()
+        call()
+        result.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        tracemalloc.stop()
+    return result
 
 
 def _count_einsum(argv: list[str]) -> int:
@@ -286,7 +309,7 @@ def tree_env(src: Path) -> dict:
 
 def _one_run(name: str, command, env: dict) -> tuple[float, Optional[float]]:
     """Seconds of one run and, for a command line, the peak RSS of its
-    process in MiB."""
+    process in MiB (for a case of ``TRACED_CASES``, its traced peak)."""
     if command is not None:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "bergersphere.cli", *command],
@@ -297,7 +320,8 @@ def _one_run(name: str, command, env: dict) -> tuple[float, Optional[float]]:
         return elapsed, usage.ru_maxrss / 1024
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name],
                          env=env, capture_output=True, text=True, check=True)
-    return float(out.stdout.strip().splitlines()[-1]), None
+    values = [float(value) for value in out.stdout.strip().splitlines()[-1].split()]
+    return values[0], (values[1] if len(values) > 1 else None)
 
 
 def _one_einsum_count(command, env: dict) -> int:
@@ -358,7 +382,7 @@ def main(argv=None) -> int:
     parser.add_argument("--child-einsum", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(_time_in_process(args.child))
+        print(*_time_in_process(args.child))
         return 0
     if args.child_einsum:
         print(_count_einsum(args.child_einsum))
@@ -390,9 +414,10 @@ def main(argv=None) -> int:
             paired = _paired(times["before"], times["after"])
             case = {"layer": layer, "case": name, "before": before, "after": after,
                     "speedup": before["median_s"] / after["median_s"], "paired": paired}
-            if command is not None:
-                case["peak_rss_mb"] = {tree: dict(zip(("median", "iqr"), _median_iqr(rss[tree])))
-                                       for tree in rss}
+            if command is not None or name in TRACED_CASES:
+                key = "peak_rss_mb" if command is not None else "traced_peak_mib"
+                case[key] = {tree: dict(zip(("median", "iqr"), _median_iqr(rss[tree])))
+                             for tree in rss}
             cases.append(case)
             print(f"{layer} {name}: {before['median_s']:.4f} s -> {after['median_s']:.4f} s, "
                   f"after won {paired['after_wins']}/{paired['pairs']} pairs, "

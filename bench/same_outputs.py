@@ -20,6 +20,10 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
 * ``tai-check`` and ``curvature-check`` at ``--samples`` 1, 43 and 257, json,
   at n = 16 (``oracle.N_LIMIT``) and tau^2 = 1/1000, where rounding is
   largest;
+* ``BOUNDARY_SAMPLES``: ``curvature-check``, ``tai-check`` and ``verify``,
+  json, tau^2 = 2/7, at the sample counts on both sides of every batch and
+  direction-group boundary of ``oracle.CALL_BYTES`` at n = 1, 2, 3 and 16
+  (``verify`` runs at n = 2);
 * ``spectrum`` in every format at tau^2 in {1/3, 2/7, 1}: ``--space berger``
   for n in {0, 1, 4} and ``--space clifford`` for (m1, m2) in {(0, 0),
   (1, 2), (3, 3)}, at the default depth, ``--kmax`` 0, 4 and 8 and, for
@@ -51,6 +55,27 @@ from pathlib import Path
 from layers import ROOT, extract_src, git, tree_env
 
 
+# Sample counts around the batch and group boundaries of a 128 KiB call
+# budget, per command and n.  curvature-check: the batches of five, three and
+# two vectors of S^{2n+1}.  tai-check: the isometry batch (two steps of
+# (n+1)^2 complex entries per row), half of it (both pushes in one call),
+# the probe's batch of half that (samples = 5 x its sff rows, and 5 more),
+# and the sff rows up to which all of a probe batch's 2n + 6 directions, or
+# its 2n pushes, share one call.  verify (n = 2): the curvature, geodesic and
+# killing batches, and the 248-row metric-definiteness batch (samples / 4).
+BOUNDARY_SAMPLES = {
+    ("curvature-check", 1): (818, 819, 820, 1365, 1366, 2048, 2049),
+    ("curvature-check", 2): (545, 546, 547, 910, 911, 1365, 1366),
+    ("curvature-check", 3): (408, 409, 410, 682, 683, 1024, 1025),
+    ("curvature-check", 16): (95, 96, 97, 160, 161, 240, 241),
+    ("tai-check", 1): (512, 513, 640, 645, 1023, 1024, 1025, 2564, 2565),
+    ("tai-check", 2): (227, 228, 229, 230, 454, 455, 456, 569, 570, 1139, 1140),
+    ("tai-check", 3): (109, 110, 128, 129, 214, 215, 255, 256, 257, 644, 645),
+    ("tai-check", 16): (7, 8, 13, 14, 15, 74, 75),
+    ("verify", 2): (546, 547, 682, 683, 910, 911, 995, 996),
+}
+
+
 def corpus() -> list[list[str]]:
     argvs = [["verify", "--format", fmt, "--seed", seed, *samples]
              for fmt in ("table", "json") for seed in ("1", "7", "12345", "0x5EED")
@@ -66,6 +91,10 @@ def corpus() -> list[list[str]]:
               for n in range(1, 4) for tau_sq in ("1/3", "2/7", "1/2")]
     argvs += [[cmd, "--tau-sq", "1/1000", "--n", "16", "--samples", samples, "--format", "json"]
               for cmd in ("tai-check", "curvature-check") for samples in ("1", "43", "257")]
+    for (cmd, n), counts in BOUNDARY_SAMPLES.items():
+        args = ["--seed", "1"] if cmd == "verify" else ["--tau-sq", "2/7", "--n", str(n)]
+        argvs += [[cmd, *args, "--samples", str(samples), "--format", "json"]
+                  for samples in counts]
     spaces = [["--space", "berger", "--n", n] for n in ("0", "1", "4")]
     pairs = ((0, 0), (1, 2), (3, 3))
     spaces += [["--space", "clifford", "--m1", str(m1), "--m2", str(m2)] for m1, m2 in pairs]

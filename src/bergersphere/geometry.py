@@ -300,27 +300,42 @@ def curvature_orders_rows(tau, z: np.ndarray, vectors, orders, pairs=()) -> np.n
             + lam <z,xi> (<x,xi><y,w> - <y,xi><x,w>)
             + lam <w,xi> (<y,xi><x,z> - <x,xi><y,z>),   lam = 1 - tau^2.
 
-    Each vector's g(v, iz), J v and <v, xi> is formed once, and so is the
-    Berger product <v_p, v_q> and <Jv_p, v_q> of every ordered pair of
-    ``vectors`` (two ``einsum`` calls), however many orders share it; the
-    orders then only pick their products.  A product is kept per ordered
-    pair: (lam g(v, iz)) g(w, iz) and (lam g(w, iz)) g(v, iz) may differ in
-    the last bit.  Every value is that of evaluating the form term by term
-    on the order's own arguments, bit for bit.
+    Each vector's g(v, iz) and <v, xi> is formed once.  The Berger products
+    <v_p, v_q> and <Jv_p, v_q> are formed once per ordered pair, however
+    many orders read it, by one ``einsum`` call each over a block of pairs:
+    p runs from the least to the greatest index that the orders and
+    ``pairs`` read on the left, q likewise on the right, and J v is formed
+    for the left vectors of the second block only.  One order thus forms
+    4 + 9 products and 3 J v, not 16 + 16 and 4.  A product is kept per
+    ordered pair: (lam g(v, iz)) g(w, iz) and (lam g(w, iz)) g(v, iz) may
+    differ in the last bit.  Every value is that of evaluating the form term
+    by term on the order's own arguments, bit for bit.
     """
     lam, t, iz = _validated(tau, z, *vectors)
     vecs = np.stack(vectors)
     xi = iz / t
     v_iz = _dot(vecs, iz)
-    jv = _j(z, vecs, v_iz)
     lam_v = lam * v_iz
     v_xi = _dot(vecs, xi) - lam_v * _dot(xi, iz)
-    metric = np.einsum("pri,qri->pqr", vecs, vecs) - lam_v[:, None] * v_iz
-    j_metric = np.einsum("pri,qri->pqr", jv, vecs) - (lam * _dot(jv, iz))[:, None] * v_iz
 
     a, b, c, d = np.array(orders).T
+    # tables of the products of every ordered pair, of which only the blocks
+    # read are formed
+    metric, j_metric = np.empty((2, len(vectors)) + v_iz.shape)
+    left, right = _span(orders, (0, 1), pairs, 0), _span(orders, (2, 3), pairs, 1)
+    products = metric[left, right]
+    np.einsum("pri,qri->pqr", vecs[left], vecs[right], out=products)
+    products -= lam_v[left, None] * v_iz[right]
+    left, right = _span(orders, (0, 1, 2)), _span(orders, (1, 2, 3))
+    jv = _j(z, vecs[left], v_iz[left])
+    products = j_metric[left, right]
+    np.einsum("pri,qri->pqr", jv, vecs[right], out=products)
+    products -= (lam * _dot(jv, iz))[:, None] * v_iz[right]
+
     yz, xw, xz, yw = metric[[b, a, a, b], [c, d, c, d]]
     jy_z, jx_w, jx_z, jy_w, jx_y, jz_w = j_metric[[b, a, a, b, a, c], [c, d, c, d, b, d]]
+    pair_products = metric[tuple(np.array(pairs).T)] if pairs else None
+    del metric, j_metric, products  # the tables are freed before the terms are formed
     x_xi, y_xi, z_xi, w_xi = v_xi[[a, b, c, d]]
     val = yz * xw - xz * yw
     val += lam * (jy_z * jx_w - jx_z * jy_w - 2.0 * jx_y * jz_w)
@@ -328,8 +343,15 @@ def curvature_orders_rows(tau, z: np.ndarray, vectors, orders, pairs=()) -> np.n
     val += lam * w_xi * (y_xi * xz - x_xi * yz)
     if not pairs:
         return val
-    p, q = np.array(pairs).T
-    return np.concatenate((val, metric[p, q]))
+    return np.concatenate((val, pair_products))
+
+
+def _span(orders, slots, pairs=(), side=0) -> slice:
+    """The slice from the least to the greatest vector index that the
+    ``orders`` read in their ``slots`` and, with ``pairs``, that the pairs
+    read at their index ``side``."""
+    every = [order[slot] for order in orders for slot in slots] + [pair[side] for pair in pairs]
+    return slice(min(every), max(every) + 1)
 
 
 def sectional_curvature_rows(tau, z: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -502,8 +524,9 @@ def tai_embed_rows(tau, reps: np.ndarray) -> np.ndarray:
     p = BergerParam.coerce(tau)
     if p.is_round:
         raise RoundSphereUnsupportedError("the projector embedding needs tau < 1")
-    coef = math.sqrt(float(p.one_minus)) / math.sqrt(2.0)
-    return coef * (reps[..., :, None] * reps.conj()[..., None, :])
+    out = reps[..., :, None] * reps.conj()[..., None, :]
+    out *= math.sqrt(float(p.one_minus)) / math.sqrt(2.0)
+    return out
 
 
 def tai_sphere_center(tau, n: int) -> np.ndarray:

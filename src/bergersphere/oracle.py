@@ -38,14 +38,18 @@ from .models import (CliffordHypersurface, IndexReport, JacobiMode, ModelSubmani
 
 DEFAULT_SEED = 0x5EED
 
-# Rows per batch in the sampled checks.  The projector-embedding probe keeps
-# about twenty complex (n+1)x(n+1) matrices per row, several times what the
-# real-vector checks keep, so its batches are a quarter as long.
-SAMPLE_CHUNK = 256
+# Bytes that one kernel call of a sampled check may hold.  A batch, and a
+# group of stacked finite-difference directions, gets as many rows as fit: a
+# row brings (vectors per row) x (2n+2) floats to a call of the real-vector
+# checks, and a direction-row two steps of (n+1)^2 complex entries to a
+# projector curve call.  At n = 16 no call gets more rows than it did when
+# every batch had 256 rows and every probe call 64; at n <= 3 calls are up to
+# 16 times longer, and memory, not speed, sets the size (README).
+CALL_BYTES = 2 ** 17
 
 # Largest n that the command-line curvature and projector checks accept: at
-# n = 16 a 256-sample projector batch traces about 35 MiB, and the Ricci
-# check's roundoff on 2n tau^2 grows with n (at n = 128 it exceeds 1e-12).
+# n = 16 ``tai-check --samples 300`` traces 1.8 MiB, and the Ricci check's
+# roundoff on 2n tau^2 grows with n (at n = 128 it exceeds 1e-12).
 N_LIMIT = 16
 
 # Largest degree the exact kernel-rank oracles accept.
@@ -388,66 +392,91 @@ def torus_fourier_index(tau, potential=4) -> IndexReport:
 # Sampled differential-geometry checks
 # ---------------------------------------------------------------------------
 #
-# Each check draws its samples in batches of at most SAMPLE_CHUNK rows and
+# Each check draws its samples in batches that fit ``CALL_BYTES`` and
 # evaluates them with the batched kernel of ``geometry``; memory therefore
 # does not grow with the sample count.  A batch takes its normals from the
 # check's stream in one (rows, slots, dim) block, which is the order in which
 # a one-sample-at-a-time loop would draw them, so the samples do not depend
-# on the chunk size.  A check that evaluates one kernel on several argument
+# on the batch size.  A check that evaluates one kernel on several argument
 # sets of a batch (the two ends of a finite difference) stacks them
-# ``_in_groups`` of at most SAMPLE_CHUNK rows per call, so a small batch pays
-# the per-call cost once; the curvature checks pass all their argument orders
-# to one ``curvature_orders_rows`` call instead.  A check that ``verify`` runs
-# at two tau draws each batch once for both.
+# ``_in_groups`` that fit the same budget, so a small batch pays the per-call
+# cost once; the curvature checks pass all their argument orders to one
+# ``curvature_orders_rows`` call instead.  A check that ``verify`` runs at
+# two tau draws each batch once for both.
 
 
-def _chunks(samples: int, divisor: int = 1):
-    """Sizes of the consecutive batches of ``SAMPLE_CHUNK // divisor`` rows
-    covering ``samples`` draws."""
-    size = max(1, SAMPLE_CHUNK // divisor)
+def _vector_bytes(n: int, vectors: int) -> int:
+    """Bytes of a row of ``vectors`` real vectors of S^{2n+1}."""
+    return vectors * (2 * n + 2) * 8
+
+
+def _curve_bytes(n: int) -> int:
+    """Bytes of a direction-row of a projector curve call: its two steps,
+    complex (n+1) x (n+1) matrices."""
+    return 2 * (n + 1) ** 2 * 16
+
+
+def _rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes that fit one call, at least one (also for
+    the empty rows of a dimension that the draw then refuses)."""
+    return max(1, CALL_BYTES // max(1, row_bytes))
+
+
+def _chunks(samples: int, row_bytes: int):
+    """Sizes of the consecutive batches of ``_rows(row_bytes)`` rows covering
+    ``samples`` draws."""
+    size = _rows(row_bytes)
     for start in range(0, samples, size):
         yield min(size, samples - start)
 
 
-def _in_groups(fn, directions: np.ndarray, budget: int) -> np.ndarray:
+def _groups(fn, directions: np.ndarray, row_bytes: int):
     """``fn`` of stacked ``directions`` (k, rows, ...), evaluated on
-    consecutive groups of directions and stacked again on the leading axis.
+    consecutive groups of directions: yields (start, values), values stacked
+    on the leading axis.
 
-    A group holds at most ``budget`` direction-rows, and at least one
-    direction, so a small batch shares one call among several directions
-    while memory per call stays that of one ``budget``-row batch.  ``fn``
-    works on each direction independently, so the grouping does not change
-    the values.  A group of one direction is passed unstacked, as a plain
-    (rows, ...) batch: operands of equal shape keep numpy's fast path, which
-    a leading axis of length one would leave.
+    A group holds as many directions as fit ``CALL_BYTES`` at ``row_bytes``
+    per direction-row, and at least one, so a small batch shares one call
+    among several directions.  ``fn`` works on each direction independently,
+    so the grouping does not change the values.  A group of one direction is
+    passed unstacked, as a plain (rows, ...) batch: operands of equal shape
+    keep numpy's fast path, which a leading axis of length one would leave.
     """
     k, rows = directions.shape[:2]
-    size = max(1, budget // rows)
+    size = _rows(row_bytes * rows)
     if size >= k:
-        return fn(directions)
-
-    def group(start: int) -> np.ndarray:
+        yield 0, fn(directions)
+        return
+    for start in range(0, k, size):
         if size == 1:
-            return fn(directions[start])[None]
-        return fn(directions[start:start + size])
+            yield start, fn(directions[start])[None]
+        else:
+            yield start, fn(directions[start:start + size])
 
-    first = group(0)
-    out = np.empty((k,) + first.shape[1:], dtype=first.dtype)
-    out[:size] = first
+
+def _in_groups(fn, directions: np.ndarray, row_bytes: int) -> np.ndarray:
+    """``_groups`` of ``directions``, stacked again on the leading axis."""
+    groups = _groups(fn, directions, row_bytes)
+    _, first = next(groups)
+    if len(first) == len(directions):
+        return first
+    out = np.empty((len(directions),) + first.shape[1:], dtype=first.dtype)
+    out[:len(first)] = first
     del first  # freed before the next group is evaluated
-    for start in range(size, k, size):
-        out[start:start + size] = group(start)
+    for start, values in groups:
+        out[start:start + len(values)] = values
+        del values  # freed before the next group is evaluated
     return out
 
 
-def _stacked(fn, arguments: list[tuple]) -> np.ndarray:
+def _stacked(fn, arguments: list[tuple], row_bytes: int) -> np.ndarray:
     """``fn(*args)`` for every argument tuple of ``arguments``, stacked on a
     new leading axis.
 
-    Every tuple holds batches of the same rows; ``_in_groups`` decides which
-    tuples share one call.  A shared call gets each argument's batches joined
-    row-wise; ``fn`` works row by row, so the joining does not change the
-    values.  A tuple alone is passed as it is.
+    Every tuple holds batches of the same rows, ``row_bytes`` per row;
+    ``_in_groups`` decides which tuples share one call.  A shared call gets
+    each argument's batches joined row-wise; ``fn`` works row by row, so the
+    joining does not change the values.  A tuple alone is passed as it is.
     """
     rows = len(arguments[0][0])
     ids = np.broadcast_to(np.arange(len(arguments))[:, None], (len(arguments), rows))
@@ -458,7 +487,7 @@ def _stacked(fn, arguments: list[tuple]) -> np.ndarray:
         out = fn(*map(np.concatenate, zip(*(arguments[i] for i in ids[:, 0]))))
         return out.reshape(ids.shape + out.shape[1:])
 
-    return _in_groups(group, ids, SAMPLE_CHUNK)
+    return _in_groups(group, ids, row_bytes)
 
 
 def _draw(rng, n: int, count: int, tangents: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -492,13 +521,15 @@ def _killing_checks(taus, n: int, samples: int, seed: int) -> list[CheckReport]:
     params = [BergerParam.coerce(tau) for tau in taus]
     rng = _rng(seed, "killing")
     worst = [0.0] * len(params)
-    for count in _chunks(samples):
+    row_bytes = _vector_bytes(n, 3)
+    for count in _chunks(samples, row_bytes):
         z, (v, w) = _draw(rng, n, count, 2)
         for k, param in enumerate(params):
             ends = _stacked(functools.partial(_moved_inner, param),
                             [(killing_flow_rows(param, t, z),
                               killing_flow_differential_rows(param, t, v),
-                              killing_flow_differential_rows(param, t, w)) for t in (h, -h)])
+                              killing_flow_differential_rows(param, t, w)) for t in (h, -h)],
+                            row_bytes)
             worst[k] = _worst(worst[k], np.abs((ends[0] - ends[1]) / (2 * h)))
     return [_report("killing-flow-isometry", w, samples, 1e-6, seed) for w in worst]
 
@@ -528,7 +559,7 @@ def curvature_symmetry_check(tau, n: int, samples: int = 500,
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "curvature-symmetry")
     worst = 0.0
-    for count in _chunks(samples):
+    for count in _chunks(samples, _vector_bytes(n, 5)):
         z, vectors = _draw(rng, n, count, 4)
         r = curvature_orders_rows(param, z, vectors, _SYMMETRY_ORDERS)
         worst = _worst(worst, np.max([
@@ -551,7 +582,7 @@ def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEE
     param = BergerParam(Fraction(1))
     rng = _rng(seed, "round-degeneration")
     worst = 0.0
-    for count in _chunks(samples):
+    for count in _chunks(samples, _vector_bytes(n, 5)):
         z, vectors = _draw(rng, n, count, 4)
         r, yz, xw, xz, yw = curvature_orders_rows(param, z, vectors, ((0, 1, 2, 3),),
                                                   ((1, 2), (0, 3), (0, 2), (1, 3)))
@@ -571,7 +602,7 @@ def sectional_consistency_check(tau, n: int, samples: int = 500,
     worst = 0.0
     done = 0
     while done < samples:
-        z, (a, b) = _draw(rng, n, min(SAMPLE_CHUNK, samples - done), 2)
+        z, (a, b) = _draw(rng, n, min(_rows(_vector_bytes(n, 3)), samples - done), 2)
         frames, kept = berger_orthonormalize_rows(param, z, np.stack([a, b], axis=1))
         full = kept.all(axis=1)
         z, v, w = z[full], frames[full, 0], frames[full, 1]
@@ -588,7 +619,7 @@ def ricci_vertical_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SE
     rng = _rng(seed, "ricci-vertical")
     expected = 2 * n * float(param.tau_sq)
     worst = 0.0
-    for count in _chunks(samples):
+    for count in _chunks(samples, _vector_bytes(n, 2)):
         z, _ = _draw(rng, n, count, 0)
         xi = killing_field_rows(param, z)
         worst = _worst(worst, np.abs(ricci_rows(param, z, xi) - expected))
@@ -604,7 +635,8 @@ def metric_definiteness_check(tau, n: int, samples: int = 200, seed: int = DEFAU
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "metric-definiteness")
     worst = -math.inf
-    for count in _chunks(samples):
+    # a row holds the point, its frame of 2n+1 tangents and their Gram matrix
+    for count in _chunks(samples, _vector_bytes(n, 4 * n + 3)):
         z, vecs = _draw(rng, n, count, 2 * n + 1)
         frame = np.stack(vecs, axis=1)
         gram = berger_inner_rows(param, z[:, None, None, :],
@@ -640,9 +672,10 @@ def _geodesic_sphere_checks(taus, n: int, samples: int, seed: int) -> list[Check
     def rep(zc: np.ndarray) -> np.ndarray:
         return geodesic_sphere_reps(params[0], zc / np.linalg.norm(zc, axis=1, keepdims=True))
 
-    for count in _chunks(samples):
+    row_bytes = _vector_bytes(n + 1, 3)  # the pushforwards: three complex vectors of C^{n+2}
+    for count in _chunks(samples, row_bytes):
         z, (u, v) = _draw(rng, n, count, 2)
-        ends = _stacked(rep, [(z + h * u,), (z - h * u,), (z + h * v,), (z - h * v,)])
+        ends = _stacked(rep, [(z + h * u,), (z - h * u,), (z + h * v,), (z - h * v,)], row_bytes)
         push_u, push_v = (ends[0] - ends[1]) / (2 * h), (ends[2] - ends[3]) / (2 * h)
         for k, (param, scale) in enumerate(zip(params, scales)):
             p0 = geodesic_sphere_reps(param, z)
@@ -698,23 +731,34 @@ def _tai_curve(param: BergerParam, zc: np.ndarray, radius: float, direction: np.
     to ``radius``, at every step t: shape (len(steps), *direction.shape[:-1],
     n+1, n+1).  ``direction`` is a batch of rows (rows, n+1) or a stack of
     such batches."""
-    t = np.asarray(steps, dtype=float).reshape((-1,) + (1,) * direction.ndim)
-    w = zc + t * direction
-    w = w * (radius / np.linalg.norm(w, axis=-1))[..., None]
+    w = np.asarray(steps, dtype=float).reshape((-1,) + (1,) * direction.ndim) * direction
+    w += zc
+    w *= (radius / np.linalg.norm(w, axis=-1))[..., None]
     return tai_embed_rows(param, w)
 
 
 def _tai_push(param: BergerParam, zc: np.ndarray, radius: float,
               direction: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    c = _tai_curve(param, zc, radius, direction, (h, -h))
-    return (c[0] - c[1]) / (2 * h)
+    plus, minus = _tai_curve(param, zc, radius, direction, (h, -h))
+    out = plus - minus
+    out /= 2 * h
+    return out
 
 
 class _TaiProbe:
     """Numeric second fundamental form of the projector embedding at a batch of points.
 
     Finite-difference directions are stacked on a leading axis and evaluated
-    ``_in_groups`` of at most ``SAMPLE_CHUNK // 4`` direction-rows.
+    in ``_groups`` that fit ``CALL_BYTES``, two steps of (n+1)^2 complex
+    entries per direction-row; a batch is half a group, so that every call
+    evaluates at least two directions.  The probe is lean, so that these
+    calls do not raise the peak memory: per row it keeps its 2n tangent
+    matrices (not also their conjugates), the base value and the curve's
+    value at 0; the second derivative holds two of its four curve steps at a
+    time; the normal part is subtracted in place; and ``sff`` polarises each
+    group's normal parts as they come and sums a trace without keeping its
+    forms.  Every value is the one of evaluating each direction and step
+    alone, bit for bit.
     """
 
     def __init__(self, param: BergerParam, zc: np.ndarray, radius: float):
@@ -746,58 +790,75 @@ class _TaiProbe:
                                     for b in (cbasis[:, i], 1j * cbasis[:, i])])
         # tangent span of the image, orthonormal in the Frobenius metric
         pushes = _in_groups(lambda d: _tai_push(param, zc, radius, d), self.real_basis,
-                            SAMPLE_CHUNK // 4)
+                            _curve_bytes(nc - 1))
         tangent = []
-        for t in pushes:
+        for t in pushes:  # in place, so the tangent matrices are the pushes' memory
             for s in tangent:
-                t = t - _hm_inner(t, s)[:, None, None] * s
-            t = t / np.sqrt(_hm_inner(t, t))[:, None, None]
+                t -= _hm_inner(t, s)[:, None, None] * s
+            t /= np.sqrt(_hm_inner(t, t))[:, None, None]
             tangent.append(t)
         self.tangent = tangent
-        self.tangent_conj = [t.conj() for t in tangent]
         # every curve through the base point takes this value at 0, whatever
         # its direction
         self.c0 = _tai_curve(param, zc, radius, np.zeros_like(zc), (0.0,))[0]
 
     def _second_derivative(self, direction: np.ndarray, h: float = 2e-3) -> np.ndarray:
         """Richardson-extrapolated second derivative of the curve in each of
-        the stacked ``direction``, all four steps in one ``_tai_curve`` call.
+        the stacked ``direction``, from two ``_tai_curve`` calls of two steps.
 
         The base step is larger than the first-derivative default because the
         h^-2 roundoff amplification of plain second differences would not
         reach the 1e-8 tolerances; extrapolation removes the h^2 truncation.
         """
-        c = _tai_curve(self.param, self.zc, self.radius, direction, (h / 2, -h / 2, h, -h))
+        def d2(step):
+            plus, minus = _tai_curve(self.param, self.zc, self.radius, direction, (step, -step))
+            out = plus - 2.0 * self.c0  # a new array: the curve is freed on return
+            out += minus
+            out /= step * step
+            return out
 
-        def d2(plus, minus, step):
-            return (plus - 2.0 * self.c0 + minus) / (step * step)
-
-        return (4.0 * d2(c[0], c[1], h / 2) - d2(c[2], c[3], h)) / 3.0
-
-    def _normal_part(self, mat: np.ndarray) -> np.ndarray:
-        out = mat
-        for t, t_conj in zip(self.tangent, self.tangent_conj):
-            out = out - _hm_dot(out, t_conj)[..., None, None] * t
+        out = d2(h / 2)
+        out *= 4.0
+        out -= d2(h)
+        out /= 3.0
         return out
 
-    def sff(self, pairs) -> np.ndarray:
+    def _normal_part(self, mat: np.ndarray) -> np.ndarray:
+        """``mat`` without its tangent part, in place."""
+        for t in self.tangent:
+            mat -= _hm_dot(mat, t.conj())[..., None, None] * t
+        return mat
+
+    def sff(self, pairs, traced=()) -> np.ndarray:
         """Second fundamental form s(x, y) of every pair (x, y), stacked, by
-        polarised second derivatives in the directions x + y and x - y.
+        polarised second derivatives in the directions x + y and x - y; with
+        ``traced`` vectors, then the sum of s(b, b) over them.
 
         A pair (b, b) of one array has no x - y direction to evaluate: its
         curve is constant, every step of the stencil gives the base value,
         and the second difference is exactly 0, so s(b, b) is the x + y part
-        alone, bit for bit.
+        alone, bit for bit.  Each group's normal parts are polarised into
+        the result as they come, and the forms s(b, b) of ``traced`` are
+        added to the sum in order and not kept.
         """
         minus = [i for i, (x, y) in enumerate(pairs) if x is not y]
-        directions = np.stack([x + y for x, y in pairs]
+        directions = np.stack([x + y for x, y in pairs] + [b + b for b in traced]
                               + [pairs[i][0] - pairs[i][1] for i in minus])
-        normal = _in_groups(lambda d: self._normal_part(self._second_derivative(d)),
-                            directions, SAMPLE_CHUNK // 4)
-        # (plus - minus) / 4 in place, so no further stack is allocated
-        s = normal[:len(pairs)]
-        s[minus] -= normal[len(pairs):]
-        s /= 4.0
+        traced_end = len(pairs) + len(traced)
+        s = np.empty((len(pairs) + (len(traced) > 0),) + self.base.shape, dtype=self.base.dtype)
+        s[len(pairs):] = 0.0
+        for start, normal in _groups(lambda d: self._normal_part(self._second_derivative(d)),
+                                     directions, _curve_bytes(self.zc.shape[1] - 1)):
+            for i, part in enumerate(normal, start):
+                if i < len(pairs):
+                    s[i] = part
+                elif i < traced_end:
+                    part /= 4.0
+                    s[-1] += part
+                else:
+                    s[minus[i - traced_end]] -= part
+            del normal, part  # freed before the next group is evaluated
+        s[:len(pairs)] /= 4.0
         return s
 
 
@@ -810,13 +871,9 @@ def _tai_sff_errors(param: BergerParam, radius: float, center: np.ndarray, r_sq:
     next batch is drawn.
     """
     probe = _TaiProbe(param, zc, radius)
-    s_xy, s_vw, s_ixy, *s_bb = probe.sff([(x, y), (v, w), (1j * x, 1j * y)]
-                                         + [(b, b) for b in probe.real_basis])
+    s_xy, s_vw, s_ixy, trace = probe.sff([(x, y), (v, w), (1j * x, 1j * y)], probe.real_basis)
     law = np.abs(_hm_inner(s_xy, s_vw) - tai_sff_inner_rows(param, zc, radius, x, y, v, w))
     j = np.max(np.abs(s_ixy - s_xy), axis=(1, 2))
-    trace = np.zeros_like(probe.base)
-    for s in s_bb:
-        trace = trace + s
     n = zc.shape[1] - 1
     residual = trace + (2 * n / r_sq) * (probe.base - center)
     return law, j, np.max(np.abs(residual), axis=(1, 2))
@@ -842,17 +899,17 @@ def tai_checks(tau, n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> lis
     r_sq = float(tai_sphere_radius_sq(param, n))
 
     err_iso = err_sphere = 0.0
-    for count in _chunks(samples):
+    for count in _chunks(samples, _curve_bytes(n)):
         zc, (u, v) = _draw_horizontal(rng, n, count, 2, radius)
         got = _hm_inner(*_in_groups(lambda d: _tai_push(param, zc, radius, d),
-                                    np.stack([u, v]), SAMPLE_CHUNK))
+                                    np.stack([u, v]), _curve_bytes(n)))
         err_iso = _worst(err_iso, np.abs(got - np.real(_cdot(v, u))))
         diff = tai_embed_rows(param, zc) - center
         err_sphere = _worst(err_sphere, np.abs(_hm_inner(diff, diff) - r_sq))
 
     sff_samples = max(10, samples // 5)
     err_law = err_j = err_min = 0.0
-    for count in _chunks(sff_samples, 4):
+    for count in _chunks(sff_samples, 2 * _curve_bytes(n)):
         zc, vectors = _draw_horizontal(rng, n, count, 4, radius)
         law, j, minimality = _tai_sff_errors(param, radius, center, r_sq, zc, *vectors)
         err_law = _worst(err_law, law)
@@ -892,7 +949,7 @@ def _gauss_flatness_checks(taus, samples: int, seed: int) -> list[CheckReport]:
     rng = _rng(seed, "gauss-flatness")
     exact = [(float((1 + p.tau_sq) / 4), float((p.tau_sq - 1) / 4)) for p in params]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for count in _chunks(samples):
+    for count in _chunks(samples, _vector_bytes(1, 3)):
         t, s = rng.uniform(0, 2 * math.pi, size=(count, 2)).T
         zero = np.zeros(count)
         z = check_points(np.stack([np.cos(t), np.sin(t), np.cos(s), np.sin(s)], axis=1) * inv_sqrt2)
@@ -991,12 +1048,16 @@ def _area_densities(params: list[BergerParam], patch) -> list[np.ndarray]:
 
 def _draw_normal(rng, normal, dim: int):
     """A random constant vector ``a`` and its unit ``normal`` field (a
-    ``_normal_frame``) on the chart; redrawn if the field nearly vanishes."""
+    ``_normal_frame``) on the chart; redrawn if the field nearly vanishes
+    (a length <= 0.3), up to 32 draws, after which it raises.  A NaN field
+    is kept: its estimate is NaN, and the check fails."""
     for _ in range(32):
         a = rng.standard_normal(dim)
         eta, nrm = normal(a)
-        if nrm.min() > 0.3:
+        if not nrm.min() <= 0.3:
             break
+    else:
+        raise AssertionError("the normal field nearly vanished (length <= 0.3) on 32 draws")
     return a, eta
 
 

@@ -342,15 +342,15 @@ class TestSampledChecks:
     def test_tai_checks_do_not_depend_on_the_group_budget(self, n, monkeypatch):
         """Stacking directions in groups of any size gives the same reports,
         bit for bit: from one direction per call to all of them."""
-        grouped = oracle._in_groups
+        grouped = oracle._groups
 
         def reports():
             return [repr(oracle.tai_checks(F(2, 7), n, samples, seed=5)) for samples in (7, 330)]
 
         want = reports()
-        for budget in (1, 3, 64, 10 ** 6):
-            monkeypatch.setattr(oracle, "_in_groups",
-                                lambda fn, directions, _, b=budget: grouped(fn, directions, b))
+        for row_bytes in (oracle.CALL_BYTES, 2 ** 13, 2 ** 9, 1):
+            monkeypatch.setattr(oracle, "_groups",
+                                lambda fn, directions, _, b=row_bytes: grouped(fn, directions, b))
             assert reports() == want
 
     def test_seed_outside_32_bits_rejected(self):
@@ -385,6 +385,31 @@ class TestMinimality:
         report = oracle.minimality_first_variation_check(
             TotallyRealSphere(2, 2), F(1, 2), samples=1)
         assert report.passed
+
+    def test_normal_draw_takes_the_first_field_that_does_not_vanish(self):
+        lengths = iter([0.3, 0.1, 0.9])
+        drawn = []
+
+        def normal(a):
+            drawn.append(a)
+            return a[None] * 2.0, np.array([1.0, next(lengths)])
+
+        a, eta = oracle._draw_normal(np.random.default_rng(4), normal, 4)
+        assert len(drawn) == 3 and a is drawn[-1]
+        assert np.array_equal(eta, 2.0 * a[None])
+
+    def test_normal_draw_raises_after_32_vanishing_fields(self):
+        """The redraw rule ends in an error, not in the last, nearly
+        vanishing field."""
+        drawn = []
+
+        def vanishing(a):
+            drawn.append(a)
+            return np.zeros((3, 4)), np.array([1.0, 0.3, 1.0])
+
+        with pytest.raises(AssertionError, match="on 32 draws"):
+            oracle._draw_normal(np.random.default_rng(4), vanishing, 4)
+        assert len(drawn) == 32
 
     def test_unsupported_model_refused(self):
         with pytest.raises(GeometryDomainError):
@@ -426,19 +451,21 @@ def _random_horizontal(rng, zc, radius):
     return u / np.linalg.norm(u)
 
 
-def _sampled_reports(samples, seed=3):
+def _sampled_reports(samples, n, seed=3):
+    """Every batched sampled report at dimension n, with the tau pairs that
+    verify runs, as JSON."""
     third, half = F(1, 3), F(1, 2)
-    return [
-        oracle.killing_check(third, 2, samples, seed),
-        oracle.curvature_symmetry_check(third, 2, samples, seed),
-        oracle.round_degeneration_check(1, samples, seed),
-        oracle.sectional_consistency_check(third, 3, samples, seed),
-        oracle.ricci_vertical_check(third, 2, samples, seed),
-        oracle.metric_definiteness_check(third, 2, samples, seed),
-        oracle.geodesic_sphere_isometry_check(half, 2, samples, seed),
-        oracle.gauss_flatness_check(third, samples, seed),
-        *oracle.tai_checks(half, 2, samples, seed),
-    ]
+    return [report.to_json() for report in (
+        *oracle._killing_checks((third, F(1)), n, samples, seed),
+        oracle.curvature_symmetry_check(third, n, samples, seed),
+        oracle.round_degeneration_check(n, samples, seed),
+        oracle.sectional_consistency_check(third, n, samples, seed),
+        oracle.ricci_vertical_check(third, n, samples, seed),
+        oracle.metric_definiteness_check(third, n, samples, seed),
+        *oracle._geodesic_sphere_checks((third, half), n, samples, seed),
+        *oracle._gauss_flatness_checks((third, F(1)), samples, seed),
+        *oracle.tai_checks(half, n, samples, seed),
+    )]
 
 
 # (name, samples, tolerance, pass) of ``verify --format json`` at the default
@@ -505,13 +532,16 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("samples", [6, 7, 8])
     def test_chunking_does_not_change_any_error(self, samples, monkeypatch):
-        whole = _sampled_reports(samples)
-        monkeypatch.setattr(oracle, "SAMPLE_CHUNK", 7)
-        chunked = _sampled_reports(samples)
-        assert [r.name for r in chunked] == [r.name for r in whole]
-        for a, b in zip(chunked, whole):
-            assert a.max_error == b.max_error, a.name
-            assert a.passed and a.samples == b.samples
+        """A one-row budget (every batch one row, every call one direction)
+        and a one-batch budget (every check one batch, every stack one call)
+        give the reports of the byte budget, exactly."""
+        for n in (1, 2, 3, oracle.N_LIMIT):
+            want = _sampled_reports(samples, n)
+            assert all(report["pass"] for report in want)
+            for budget in (1, 2 ** 40):
+                monkeypatch.setattr(oracle, "CALL_BYTES", budget)
+                assert _sampled_reports(samples, n) == want, (n, budget)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("n", ["0", "-1", "-2"])
     def test_curvature_check_rejects_small_n(self, n, capsys):

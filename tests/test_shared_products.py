@@ -7,6 +7,7 @@ import __future__
 import inspect
 import io
 import textwrap
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,8 +19,10 @@ from bergersphere.geometry import BergerParam
 NS = [1, 2, 3]
 TAUS = [F(1, 3), F(2, 7), F(1, 2)]
 SEEDS = [1, 7, 12345, 0x5EED]
-# sizes around a 256-row batch (SAMPLE_CHUNK) and its sixth, 42
-SAMPLES = [1, 7, 42, 43, 255, 256, 257, 600]
+# sizes around the 256-row batch of earlier versions and its sixth, 42, and
+# around the 409-row curvature batch at n = 3 (``oracle.CALL_BYTES`` over
+# five vectors of 8 floats)
+SAMPLES = [1, 7, 42, 43, 255, 256, 257, 409, 410, 600]
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +35,7 @@ def _ref_killing(tau, n, samples, seed):
     param = BergerParam.coerce(tau)
     rng = oracle._rng(seed, "killing")
     worst = 0.0
-    for count in oracle._chunks(samples):
+    for count in oracle._chunks(samples, oracle._vector_bytes(n, 3)):
         z, (v, w) = oracle._draw(rng, n, count, 2)
 
         def moved(t):
@@ -50,7 +53,7 @@ def _ref_curvature_symmetry(tau, n, samples, seed):
     param = BergerParam.coerce(tau)
     rng = oracle._rng(seed, "curvature-symmetry")
     worst = 0.0
-    for count in oracle._chunks(samples):
+    for count in oracle._chunks(samples, oracle._vector_bytes(n, 5)):
         z, (x, y, zz, w) = oracle._draw(rng, n, count, 4)
 
         def curv(a, b, c, d):
@@ -70,7 +73,7 @@ def _ref_round_degeneration(n, samples, seed):
     param = BergerParam(F(1))
     rng = oracle._rng(seed, "round-degeneration")
     worst = 0.0
-    for count in oracle._chunks(samples):
+    for count in oracle._chunks(samples, oracle._vector_bytes(n, 5)):
         z, (x, y, zz, w) = oracle._draw(rng, n, count, 4)
 
         def ip(a, b):
@@ -92,7 +95,7 @@ def _ref_geodesic_sphere(tau, n, samples, seed):
     def rep(zc):
         return geometry.geodesic_sphere_reps(param, zc / np.linalg.norm(zc, axis=1, keepdims=True))
 
-    for count in oracle._chunks(samples):
+    for count in oracle._chunks(samples, oracle._vector_bytes(n + 1, 3)):
         z, (u, v) = oracle._draw(rng, n, count, 2)
         p0 = geometry.geodesic_sphere_reps(param, z)
         p0 = p0 * (scale / np.linalg.norm(p0, axis=1))[:, None]
@@ -257,16 +260,16 @@ def _stacked_reports(n, samples):
 def test_stacked_checks_do_not_depend_on_the_group_budget(n, monkeypatch):
     """From one argument set per call to all of them in one, the reports are
     the same, bit for bit."""
-    grouped = oracle._in_groups
+    grouped = oracle._groups
     want = [_stacked_reports(n, samples) for samples in (1, 43, 300)]
-    for budget in (1, 3, 64, 10 ** 6):
-        monkeypatch.setattr(oracle, "_in_groups",
-                            lambda fn, directions, _, b=budget: grouped(fn, directions, b))
+    for row_bytes in (oracle.CALL_BYTES, 2 ** 13, 2 ** 9, 1):
+        monkeypatch.setattr(oracle, "_groups",
+                            lambda fn, directions, _, b=row_bytes: grouped(fn, directions, b))
         assert [_stacked_reports(n, samples) for samples in (1, 43, 300)] == want
 
 
 # ---------------------------------------------------------------------------
-# Row bound: no kernel call of a sampled check gets more than SAMPLE_CHUNK rows
+# Byte budget: no kernel call of a sampled check holds more than CALL_BYTES
 # ---------------------------------------------------------------------------
 
 # oracle's name of each kernel it calls on sampled batches -> position of the
@@ -282,18 +285,33 @@ KERNELS = {
 # The first-variation checks integrate over fixed quadrature grids (up to
 # 48 x 48 rows), which no sample count changes; their calls are not recorded.
 GRID_CHECKS = ["_clifford_variations", "_great_circle_variation", "_real_sphere_variation"]
+# Rows of a sampled batch before batches were sized by bytes, and the
+# direction-rows of a projector probe call then
+OLD_BATCH_ROWS, OLD_PROBE_ROWS = 256, 64
+
+
+def _call_bytes(name, args) -> int:
+    """Bytes a kernel call holds: the matrices of every step of a projector
+    curve call, and the arrays passed to any other kernel, those in a list
+    or tuple argument included."""
+    if name == "_tai_curve":
+        direction, steps = args[3], args[4]
+        return len(steps) * int(np.prod(direction.shape[:-1])) * direction.shape[-1] ** 2 * 16
+    arrays = [a for arg in args for a in (arg if isinstance(arg, (list, tuple)) else [arg])]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
 
 @pytest.fixture
 def kernel_rows(monkeypatch):
-    """Rows of every kernel call, as (kernel, rows) in call order."""
+    """Every kernel call, as (kernel, rows, bytes) in call order."""
     calls = []
     on_grid = [False]
 
     def recording(name, fn, position):
         def wrapper(*args, **kwargs):
             if not on_grid[0]:
-                calls.append((name, int(np.prod(np.shape(args[position])[:-1]))))
+                calls.append((name, int(np.prod(np.shape(args[position])[:-1])),
+                              _call_bytes(name, args)))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -313,28 +331,74 @@ def kernel_rows(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("run, kernel", [
-    (lambda samples: oracle.verify_all(samples), "geodesic_sphere_reps"),
-    (lambda samples: cli.main(["tai-check", "--tau-sq", "2/7", "--n", "3",
-                               "--samples", str(samples)], io.StringIO()), "_tai_curve"),
-    (lambda samples: cli.main(["curvature-check", "--tau-sq", "2/7", "--n", "3",
-                               "--samples", str(samples)], io.StringIO()), "curvature_orders_rows"),
-], ids=["verify_all", "tai-check", "curvature-check"])
-def test_no_kernel_call_exceeds_the_chunk(run, kernel, kernel_rows):
-    for samples in (1, 16, 43, 300, 600):
+def _command(cmd, n):
+    return lambda samples: cli.main([cmd, "--tau-sq", "2/7", "--n", str(n),
+                                     "--samples", str(samples)], io.StringIO())
+
+
+@pytest.mark.parametrize("run, kernel, n, sample_counts", [
+    (lambda samples: oracle.verify_all(samples), "geodesic_sphere_reps", 2,
+     (1, 16, 43, 300, 600, 1100)),
+    (_command("tai-check", 3), "_tai_curve", 3, (1, 16, 43, 300, 600, 1300)),
+    (_command("curvature-check", 3), "curvature_orders_rows", 3, (1, 16, 43, 300, 600, 1100)),
+    (_command("tai-check", oracle.N_LIMIT), "_tai_curve", oracle.N_LIMIT, (1, 43, 300)),
+    (_command("curvature-check", oracle.N_LIMIT), "curvature_orders_rows", oracle.N_LIMIT,
+     (1, 43, 300, 600)),
+], ids=["verify_all", "tai-check", "curvature-check", "tai-check-n-limit",
+        "curvature-check-n-limit"])
+def test_no_kernel_call_exceeds_the_chunk(run, kernel, n, sample_counts, kernel_rows):
+    """Every kernel call fits the byte budget; at n = N_LIMIT no call gets
+    more rows than a fixed-row batch gave it."""
+    for samples in sample_counts:
         kernel_rows.clear()
         run(samples)
-        assert kernel in {name for name, _ in kernel_rows}
-        assert max(rows for _, rows in kernel_rows) <= oracle.SAMPLE_CHUNK, samples
+        assert kernel in {name for name, _, _ in kernel_rows}
+        assert max(size for _, _, size in kernel_rows) <= oracle.CALL_BYTES, samples
+        if n == oracle.N_LIMIT:
+            assert max(rows for _, rows, _ in kernel_rows) <= OLD_BATCH_ROWS, samples
+            assert max((rows for name, rows, _ in kernel_rows if name == "_tai_curve"),
+                       default=0) <= OLD_PROBE_ROWS, samples
 
 
+# 546 rows of five vectors of S^5 fit CALL_BYTES
 @pytest.mark.parametrize("samples, calls", [
-    (16, [16]), (42, [42]), (43, [43]), (256, [256]), (300, [256, 44]),
+    (16, [16]), (42, [42]), (43, [43]), (256, [256]), (300, [300]), (546, [546]),
+    (547, [546, 1]), (1100, [546, 546, 8]),
 ])
 def test_curvature_arrangements_share_calls(samples, calls, kernel_rows):
     """The six arrangements share one kernel call per batch."""
     oracle.curvature_symmetry_check(F(1, 3), 2, samples)
-    assert [rows for name, rows in kernel_rows if name == "curvature_orders_rows"] == calls
+    assert [rows for name, rows, _ in kernel_rows if name == "curvature_orders_rows"] == calls
+
+
+# tracemalloc peak of one warm command in this test, in MiB, before batches
+# were sized by bytes: the largest operation of the sampled-verify benchmark
+# was verify --samples 512 at 1.3075 (its first-variation grids do not
+# depend on --samples), and tai-check --n 16 --samples 300 traced 30.81
+# while the projector probe kept every direction's normal part
+PEAK_LIMIT_MIB = {"n <= 3": 1.31, "n = N_LIMIT": 30.81}
+
+
+@pytest.mark.parametrize("argv, limit", [
+    *[(["tai-check", "--tau-sq", "2/7", "--n", str(n), "--samples", "2048"], "n <= 3")
+      for n in (1, 2, 3)],
+    *[(["curvature-check", "--tau-sq", "2/7", "--n", str(n), "--samples", "1024"], "n <= 3")
+      for n in (1, 2, 3)],
+    (["verify", "--samples", "512"], "n <= 3"),
+    (["tai-check", "--tau-sq", "2/7", "--n", str(oracle.N_LIMIT), "--samples", "300"],
+     "n = N_LIMIT"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_traced_peak_stays_within_the_old_largest(argv, limit):
+    """At the benchmark's caps no sampled command traces more than the
+    largest operation did before batches were sized by bytes."""
+    cli.main(argv, io.StringIO())
+    tracemalloc.start()
+    try:
+        cli.main(argv, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= PEAK_LIMIT_MIB[limit]
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +466,23 @@ def test_multi_order_kernel_equals_one_call_per_order(n, tau):
 # ---------------------------------------------------------------------------
 
 
-def _ref_sff(probe, pairs):
+def _ref_sff(probe, pairs, traced=()):
     """``_TaiProbe.sff`` evaluating the direction x - y of every pair, also
-    where it is zero."""
-    directions = np.stack([x + y for x, y in pairs] + [x - y for x, y in pairs])
+    where it is zero, with every form of the trace stacked before it is
+    summed."""
+    every = list(pairs) + [(b, b) for b in traced]
+    directions = np.stack([x + y for x, y in every] + [x - y for x, y in every])
     normal = oracle._in_groups(lambda d: probe._normal_part(probe._second_derivative(d)),
-                               directions, oracle.SAMPLE_CHUNK // 4)
-    s = normal[:len(pairs)]
-    s -= normal[len(pairs):]
+                               directions, oracle._curve_bytes(probe.zc.shape[1] - 1))
+    s = normal[:len(every)]
+    s -= normal[len(every):]
     s /= 4.0
-    return s
+    if not len(traced):
+        return s
+    trace = np.zeros_like(probe.base)
+    for form in s[len(pairs):]:
+        trace = trace + form
+    return np.concatenate((s[:len(pairs)], trace[None]))
 
 
 @pytest.mark.parametrize("tau", [F(1, 1000), F(2, 7), F(1, 3), F(3, 4)], ids=str)
@@ -427,6 +498,9 @@ def test_probe_without_zero_directions_equals_probe_with_them(n, tau):
         pairs = ([(x, y), (v, w), (1j * x, 1j * y), (x, x), (v, v.copy())]
                  + [(b, b) for b in probe.real_basis])
         assert probe.sff(pairs).tobytes() == _ref_sff(probe, pairs).tobytes()
+        got = probe.sff(pairs[:5], probe.real_basis)
+        assert got.shape == (6, rows, n + 1, n + 1)
+        assert got.tobytes() == _ref_sff(probe, pairs[:5], probe.real_basis).tobytes()
 
 
 @pytest.mark.parametrize("n", NS)
@@ -452,7 +526,7 @@ def _ref_gauss_flatness(tau, samples, seed):
     e_exact, f_exact = float((1 + param.tau_sq) / 4), float((param.tau_sq - 1) / 4)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     worst = 0.0
-    for count in oracle._chunks(samples):
+    for count in oracle._chunks(samples, oracle._vector_bytes(1, 3)):
         t, s = rng.uniform(0, 2 * np.pi, size=(count, 2)).T
         zero = np.zeros(count)
         z = np.stack([np.cos(t), np.sin(t), np.cos(s), np.sin(s)], axis=1) * inv_sqrt2
@@ -520,7 +594,14 @@ def _swap_pair_order(monkeypatch):
 
 
 _KERNEL = (geometry, "curvature_orders_rows")
-_ORDERS_PICKED = "a, b, c, d = np.array(orders).T"
+_PRODUCTS_FORMED = "products -= lam_v[left, None] * v_iz[right]"
+
+
+def _scale_product(p, q):
+    """The kernel with its Berger product <v_p, v_q> scaled by 1.001 where
+    its block of products holds it."""
+    return _edit(*_KERNEL, _PRODUCTS_FORMED, _PRODUCTS_FORMED + f"; metric[{p}, {q}] *= (1.001 if "
+                 f"left.start <= {p} < left.stop and right.start <= {q} < right.stop else 1.0)")
 
 # name -> (perturbation, reports, names of the reports that must all fail)
 PERTURBATIONS = {
@@ -534,10 +615,10 @@ PERTURBATIONS = {
         ["curvature-symmetries", "round-sphere-degeneration"]),
     # only R(z, x, y, w) reads <x, y>, so the cyclic identity breaks
     "kernel <x,y> alone scaled by 1.001": (
-        _edit(*_KERNEL, _ORDERS_PICKED, "metric[0, 1] *= 1.001; " + _ORDERS_PICKED),
+        _scale_product(0, 1),
         _curvature_reports, ["curvature-symmetries"]),
     "kernel <w,w> of R(v, w, w, v) scaled by 1.001": (
-        _edit(*_KERNEL, _ORDERS_PICKED, "metric[1, 1] *= 1.001; " + _ORDERS_PICKED),
+        _scale_product(1, 1),
         _curvature_reports, ["sectional-consistency"]),
     "R(z, w, x, y) evaluated as R(z, w, y, x)": (
         _swap_pair_order, _curvature_reports, ["curvature-symmetries"]),
@@ -554,10 +635,11 @@ PERTURBATIONS = {
         _edit(oracle, "_tai_sff_errors", "(1j * x, 1j * y)", "(1j * x, -1j * y)"),
         _tai_reports, ["tai-sff-j-invariance"]),
     "trace without its last basis vector": (
-        _edit(oracle, "_tai_sff_errors", "for s in s_bb:", "for s in s_bb[:-1]:"),
+        _edit(oracle, "_tai_sff_errors", "probe.real_basis)", "probe.real_basis[:-1])"),
         _tai_reports, ["tai-minimality"]),
+    # the trace's directions b + b polarise the pairs (b, b)
     "trace pairs (b, b) probed as (b, i b)": (
-        _edit(oracle, "_tai_sff_errors", "[(b, b) for b", "[(b, 1j * b) for b"),
+        _edit(oracle._TaiProbe, "sff", "[b + b for b in traced]", "[b + 1j * b for b in traced]"),
         _tai_reports, ["tai-minimality"]),
     "flow differential scaled by 1 + t": (
         _edit(geometry, "killing_flow_differential_rows",
@@ -578,7 +660,7 @@ BLIND_SPOTS = {
         ["round-sphere-degeneration"]),
     # R and the expected <y,z><x,w> - <x,z><y,w> read the same product
     "kernel <y,z> scaled by 1.001": (
-        _edit(*_KERNEL, _ORDERS_PICKED, "metric[1, 2] *= 1.001; " + _ORDERS_PICKED),
+        _scale_product(1, 2),
         _round_report, ["round-sphere-degeneration"]),
     # the flow turns z, v and w by one phase, an isometry of every Berger
     # metric, and the report does not say which tau it ran at
