@@ -42,7 +42,8 @@ Cases:
 * L3 ``curvature_symmetry_check(1/3, 2, 500)`` (two batches of full
   size), ``tai_checks(2/7, 1, 2048)`` (the benchmark's ``tai-check`` cap)
   and ``tai_checks(2/7, 16, 300)`` at n = ``oracle.N_LIMIT``, which also
-  reports its ``tracemalloc`` peak from one more, untimed call, ``sectional_consistency_check(2/7, 3, 256)`` and
+  reports its ``tracemalloc`` peak from one more, untimed call,
+  ``sectional_consistency_check(2/7, 3, 256)`` and
   ``round_degeneration_check(3, 256)`` (one full batch each),
   ``minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)``
   and ``minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)``,
@@ -66,8 +67,7 @@ Cases:
   ``python -m bergersphere.cli tai-check --tau-sq 1/2 --n 3 --samples 2048``
   (the benchmark's sample cap for ``tai-check``), ``curvature-check
   --tau-sq 2/7 --n 3 --samples 1024`` (its cap for ``curvature-check``), and
-  the small sampled
-  commands near the sampled-verify benchmark's median,
+  the small sampled commands near the sampled-verify benchmark's median,
   ``curvature-check --tau-sq 2/7 --n 2 --samples 16`` and
   ``tai-check --tau-sq 2/7 --n 2 --samples 20``; the depth-64 Clifford
   tables ``index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64`` and
@@ -80,9 +80,10 @@ Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
 difference of several milliseconds on code that did not change.  The output
 holds, per case and tree, the median and the interquartile range of the
 repeats in seconds and, for L5 cases, of the peak RSS in MiB (for a traced
-L3 case, of the traced peak in MiB); per case, the number of pairs, how many of them the after
-tree won (ran faster), and the median and interquartile range of the
-per-pair difference after - before in seconds; the number of ``np.einsum``
+L3 case, of the traced peak in MiB); per case, the number of pairs, how
+many of them the after tree won (ran faster), and the median and
+interquartile range of the per-pair difference after - before in seconds;
+the number of ``np.einsum``
 calls each tree makes for each command of ``EINSUM_COMMANDS`` (numpy's
 per-call cost dominates small sampled runs); plus the git sha, a digest of
 the after tree's sources, and the Python and numpy versions.
