@@ -56,23 +56,23 @@ from layers import ROOT, extract_src, git, tree_env
 
 
 # Sample counts around the batch and group boundaries of a 128 KiB call
-# budget, per command and n.  curvature-check: the batches of five, three and
-# two vectors of S^{2n+1}.  tai-check: the isometry batch (two steps of
-# (n+1)^2 complex entries per row), half of it (both pushes in one call),
-# the probe's batch of half that (samples = 5 x its sff rows, and 5 more),
-# and the sff rows up to which all of a probe batch's 2n + 6 directions, or
-# its 2n pushes, share one call.  verify (n = 2): the curvature, geodesic and
-# killing batches, and the 248-row metric-definiteness batch (samples / 4).
+# budget, per command and n.  curvature-check: one and two batches of five
+# vectors of S^{2n+1}.  tai-check: the isometry batch (two steps of (n+1)^2
+# complex entries per row), half of it (both pushes in one call), the
+# probe's batch of half that (samples = 5 x its sff rows, and 5 more), and
+# the sff rows up to which all of a probe batch's 2n + 6 directions, or its
+# 2n pushes, share one call.  verify (n = 2): one and two batches of five
+# vectors, and the 455-row metric-definiteness batch (samples / 4).
 BOUNDARY_SAMPLES = {
-    ("curvature-check", 1): (818, 819, 820, 1365, 1366, 2048, 2049),
-    ("curvature-check", 2): (545, 546, 547, 910, 911, 1365, 1366),
-    ("curvature-check", 3): (408, 409, 410, 682, 683, 1024, 1025),
-    ("curvature-check", 16): (95, 96, 97, 160, 161, 240, 241),
+    ("curvature-check", 1): (818, 819, 820, 1638, 1639),
+    ("curvature-check", 2): (545, 546, 547, 1092, 1093),
+    ("curvature-check", 3): (408, 409, 410, 818, 819),
+    ("curvature-check", 16): (95, 96, 97, 192, 193),
     ("tai-check", 1): (512, 513, 640, 645, 1023, 1024, 1025, 2564, 2565),
     ("tai-check", 2): (227, 228, 229, 230, 454, 455, 456, 569, 570, 1139, 1140),
     ("tai-check", 3): (109, 110, 128, 129, 214, 215, 255, 256, 257, 644, 645),
     ("tai-check", 16): (7, 8, 13, 14, 15, 74, 75),
-    ("verify", 2): (546, 547, 682, 683, 910, 911, 995, 996),
+    ("verify", 2): (545, 546, 547, 1092, 1093, 1823, 1824),
 }
 
 

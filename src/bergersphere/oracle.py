@@ -40,9 +40,9 @@ DEFAULT_SEED = 0x5EED
 
 # Bytes that one kernel call of a sampled check may hold.  A batch, and a
 # group of stacked finite-difference directions, gets as many rows as fit: a
-# row brings (vectors per row) x (2n+2) floats to a call of the real-vector
-# checks, and a direction-row two steps of (n+1)^2 complex entries to a
-# projector curve call.  At n = 16 no call gets more rows than it did when
+# row of a real-vector check counts as five vectors of 2n+2 floats (a
+# metric-definiteness row as its 2n+2 vectors), and a direction-row of a
+# projector curve call as two steps of (n+1)^2 complex entries.  At n = 16 no call gets more rows than it did when
 # every batch had 256 rows and every probe call 64; at n <= 3 calls are up to
 # 16 times longer, and memory, not speed, sets the size (README).
 CALL_BYTES = 2 ** 17
@@ -405,8 +405,11 @@ def torus_fourier_index(tau, potential=4) -> IndexReport:
 # two tau draws each batch once for both.
 
 
-def _vector_bytes(n: int, vectors: int) -> int:
-    """Bytes of a row of ``vectors`` real vectors of S^{2n+1}."""
+def _vector_bytes(n: int, vectors: int = 5) -> int:
+    """Bytes of a row of ``vectors`` real vectors of S^{2n+1}.  A row of a
+    real-vector check counts five, the most that a curvature check draws per
+    sample, whatever the check draws; only metric-definiteness, whose rows
+    hold a point and 2n+1 tangents, counts more."""
     return vectors * (2 * n + 2) * 8
 
 
@@ -521,7 +524,7 @@ def _killing_checks(taus, n: int, samples: int, seed: int) -> list[CheckReport]:
     params = [BergerParam.coerce(tau) for tau in taus]
     rng = _rng(seed, "killing")
     worst = [0.0] * len(params)
-    row_bytes = _vector_bytes(n, 3)
+    row_bytes = _vector_bytes(n)
     for count in _chunks(samples, row_bytes):
         z, (v, w) = _draw(rng, n, count, 2)
         for k, param in enumerate(params):
@@ -559,7 +562,7 @@ def curvature_symmetry_check(tau, n: int, samples: int = 500,
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "curvature-symmetry")
     worst = 0.0
-    for count in _chunks(samples, _vector_bytes(n, 5)):
+    for count in _chunks(samples, _vector_bytes(n)):
         z, vectors = _draw(rng, n, count, 4)
         r = curvature_orders_rows(param, z, vectors, _SYMMETRY_ORDERS)
         worst = _worst(worst, np.max([
@@ -582,7 +585,7 @@ def round_degeneration_check(n: int, samples: int = 500, seed: int = DEFAULT_SEE
     param = BergerParam(Fraction(1))
     rng = _rng(seed, "round-degeneration")
     worst = 0.0
-    for count in _chunks(samples, _vector_bytes(n, 5)):
+    for count in _chunks(samples, _vector_bytes(n)):
         z, vectors = _draw(rng, n, count, 4)
         r, yz, xw, xz, yw = curvature_orders_rows(param, z, vectors, ((0, 1, 2, 3),),
                                                   ((1, 2), (0, 3), (0, 2), (1, 3)))
@@ -602,7 +605,7 @@ def sectional_consistency_check(tau, n: int, samples: int = 500,
     worst = 0.0
     done = 0
     while done < samples:
-        z, (a, b) = _draw(rng, n, min(_rows(_vector_bytes(n, 3)), samples - done), 2)
+        z, (a, b) = _draw(rng, n, min(_rows(_vector_bytes(n)), samples - done), 2)
         frames, kept = berger_orthonormalize_rows(param, z, np.stack([a, b], axis=1))
         full = kept.all(axis=1)
         z, v, w = z[full], frames[full, 0], frames[full, 1]
@@ -619,7 +622,7 @@ def ricci_vertical_check(tau, n: int, samples: int = 500, seed: int = DEFAULT_SE
     rng = _rng(seed, "ricci-vertical")
     expected = 2 * n * float(param.tau_sq)
     worst = 0.0
-    for count in _chunks(samples, _vector_bytes(n, 2)):
+    for count in _chunks(samples, _vector_bytes(n)):
         z, _ = _draw(rng, n, count, 0)
         xi = killing_field_rows(param, z)
         worst = _worst(worst, np.abs(ricci_rows(param, z, xi) - expected))
@@ -635,8 +638,7 @@ def metric_definiteness_check(tau, n: int, samples: int = 200, seed: int = DEFAU
     param = BergerParam.coerce(tau)
     rng = _rng(seed, "metric-definiteness")
     worst = -math.inf
-    # a row holds the point, its frame of 2n+1 tangents and their Gram matrix
-    for count in _chunks(samples, _vector_bytes(n, 4 * n + 3)):
+    for count in _chunks(samples, _vector_bytes(n, 2 * n + 2)):
         z, vecs = _draw(rng, n, count, 2 * n + 1)
         frame = np.stack(vecs, axis=1)
         gram = berger_inner_rows(param, z[:, None, None, :],
@@ -672,7 +674,7 @@ def _geodesic_sphere_checks(taus, n: int, samples: int, seed: int) -> list[Check
     def rep(zc: np.ndarray) -> np.ndarray:
         return geodesic_sphere_reps(params[0], zc / np.linalg.norm(zc, axis=1, keepdims=True))
 
-    row_bytes = _vector_bytes(n + 1, 3)  # the pushforwards: three complex vectors of C^{n+2}
+    row_bytes = _vector_bytes(n)
     for count in _chunks(samples, row_bytes):
         z, (u, v) = _draw(rng, n, count, 2)
         ends = _stacked(rep, [(z + h * u,), (z - h * u,), (z + h * v,), (z - h * v,)], row_bytes)
@@ -834,16 +836,15 @@ class _TaiProbe:
         polarised second derivatives in the directions x + y and x - y; with
         ``traced`` vectors, then the sum of s(b, b) over them.
 
-        A pair (b, b) of one array has no x - y direction to evaluate: its
+        A form s(b, b) of ``traced`` has no x - y direction to evaluate: its
         curve is constant, every step of the stencil gives the base value,
         and the second difference is exactly 0, so s(b, b) is the x + y part
         alone, bit for bit.  Each group's normal parts are polarised into
-        the result as they come, and the forms s(b, b) of ``traced`` are
-        added to the sum in order and not kept.
+        the result as they come, and the forms of ``traced`` are added to
+        the sum in order and not kept.
         """
-        minus = [i for i, (x, y) in enumerate(pairs) if x is not y]
         directions = np.stack([x + y for x, y in pairs] + [b + b for b in traced]
-                              + [pairs[i][0] - pairs[i][1] for i in minus])
+                              + [x - y for x, y in pairs])
         traced_end = len(pairs) + len(traced)
         s = np.empty((len(pairs) + (len(traced) > 0),) + self.base.shape, dtype=self.base.dtype)
         s[len(pairs):] = 0.0
@@ -856,7 +857,7 @@ class _TaiProbe:
                     part /= 4.0
                     s[-1] += part
                 else:
-                    s[minus[i - traced_end]] -= part
+                    s[i - traced_end] -= part
             del normal, part  # freed before the next group is evaluated
         s[:len(pairs)] /= 4.0
         return s
@@ -949,7 +950,7 @@ def _gauss_flatness_checks(taus, samples: int, seed: int) -> list[CheckReport]:
     rng = _rng(seed, "gauss-flatness")
     exact = [(float((1 + p.tau_sq) / 4), float((p.tau_sq - 1) / 4)) for p in params]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for count in _chunks(samples, _vector_bytes(1, 3)):
+    for count in _chunks(samples, _vector_bytes(1)):
         t, s = rng.uniform(0, 2 * math.pi, size=(count, 2)).T
         zero = np.zeros(count)
         z = check_points(np.stack([np.cos(t), np.sin(t), np.cos(s), np.sin(s)], axis=1) * inv_sqrt2)
@@ -1048,16 +1049,18 @@ def _area_densities(params: list[BergerParam], patch) -> list[np.ndarray]:
 
 def _draw_normal(rng, normal, dim: int):
     """A random constant vector ``a`` and its unit ``normal`` field (a
-    ``_normal_frame``) on the chart; redrawn if the field nearly vanishes
-    (a length <= 0.3), up to 32 draws, after which it raises.  A NaN field
-    is kept: its estimate is NaN, and the check fails."""
+    ``_normal_frame``) on the chart; redrawn while a length is not above 0.3
+    (NaN included), up to 32 draws.  A field that then still nearly vanishes
+    raises; one with NaN lengths, which a NaN metric gives, is kept, so that
+    the estimate is NaN and the check fails."""
     for _ in range(32):
         a = rng.standard_normal(dim)
         eta, nrm = normal(a)
-        if not nrm.min() <= 0.3:
+        if nrm.min() > 0.3:
             break
     else:
-        raise AssertionError("the normal field nearly vanished (length <= 0.3) on 32 draws")
+        if not np.isnan(nrm).any():
+            raise GeometryDomainError("the normal field nearly vanished on 32 draws")
     return a, eta
 
 

@@ -387,7 +387,7 @@ class TestMinimality:
         assert report.passed
 
     def test_normal_draw_takes_the_first_field_that_does_not_vanish(self):
-        lengths = iter([0.3, 0.1, 0.9])
+        lengths = iter([0.3, 0.1, np.nan, 0.9])
         drawn = []
 
         def normal(a):
@@ -395,7 +395,7 @@ class TestMinimality:
             return a[None] * 2.0, np.array([1.0, next(lengths)])
 
         a, eta = oracle._draw_normal(np.random.default_rng(4), normal, 4)
-        assert len(drawn) == 3 and a is drawn[-1]
+        assert len(drawn) == 4 and a is drawn[-1]
         assert np.array_equal(eta, 2.0 * a[None])
 
     def test_normal_draw_raises_after_32_vanishing_fields(self):
@@ -407,9 +407,31 @@ class TestMinimality:
             drawn.append(a)
             return np.zeros((3, 4)), np.array([1.0, 0.3, 1.0])
 
-        with pytest.raises(AssertionError, match="on 32 draws"):
+        with pytest.raises(GeometryDomainError, match="on 32 draws"):
             oracle._draw_normal(np.random.default_rng(4), vanishing, 4)
         assert len(drawn) == 32
+
+    def test_normal_draw_keeps_a_nan_field_after_32_draws(self):
+        """A field of NaN lengths is redrawn like a vanishing one, but the
+        last is kept, so that a NaN metric gives a NaN estimate."""
+        drawn = []
+
+        def undefined(a):
+            drawn.append(a)
+            return np.full((3, 4), np.nan), np.array([1.0, np.nan, 0.2])
+
+        a, eta = oracle._draw_normal(np.random.default_rng(4), undefined, 4)
+        assert len(drawn) == 32 and a is drawn[-1] and np.isnan(eta).all()
+
+    def test_vanishing_normal_field_is_an_error_line(self, monkeypatch, capsys):
+        def vanishing(param, pts, tangents):
+            return lambda a: (np.zeros_like(pts), np.zeros(len(pts)))
+
+        monkeypatch.setattr(oracle, "_normal_frame", vanishing)
+        out = io.StringIO()
+        assert cli.main(["verify", "--samples", "1"], out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == "error: the normal field nearly vanished on 32 draws\n"
 
     def test_unsupported_model_refused(self):
         with pytest.raises(GeometryDomainError):
