@@ -42,9 +42,10 @@ DEFAULT_SEED = 0x5EED
 # group of stacked finite-difference directions, gets as many rows as fit: a
 # row of a real-vector check counts as five vectors of 2n+2 floats (a
 # metric-definiteness row as its 2n+2 vectors), and a direction-row of a
-# projector curve call as two steps of (n+1)^2 complex entries.  At n = 16 no call gets more rows than it did when
-# every batch had 256 rows and every probe call 64; at n <= 3 calls are up to
-# 16 times longer, and memory, not speed, sets the size (README).
+# projector curve call as two steps of (n+1)^2 complex entries.  At n = 16
+# no call gets more rows than it did when every batch had 256 rows and every
+# probe call 64; at n <= 3 calls are up to 16 times longer, and memory, not
+# speed, sets the size (README).
 CALL_BYTES = 2 ** 17
 
 # Largest n that the command-line curvature and projector checks accept: at
