@@ -73,8 +73,11 @@ Cases:
   tables ``index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64`` and
   ``spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64``, the
   latter also with ``--format json``, and the small ``spectrum --space
-  berger --n 2 --tau-sq 2/7 --kmax 8``; process wall time and the process's
-  peak resident set size (``ru_maxrss`` of the reaped child).
+  berger --n 2 --tau-sq 2/7 --kmax 8``; ``moduli`` at its defaults and the
+  small ``spectrum --space clifford --m1 0 --m2 0 --tau-sq 1/3``, whose
+  process time is mostly imports; and a cold ``python -c "import
+  bergersphere"``; process wall time and the process's peak resident set
+  size (``ru_maxrss`` of the reaped child).
 
 Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
 difference of several milliseconds on code that did not change.  The output
@@ -171,6 +174,10 @@ CASES = [
       "--kmax", "64", "--format", "json"]),
     ("L5", "cli spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8 (process wall)",
      ["spectrum", "--space", "berger", "--n", "2", "--tau-sq", "2/7", "--kmax", "8"]),
+    ("L5", "cli moduli (process wall)", ["moduli"]),
+    ("L5", "cli spectrum --space clifford --m1 0 --m2 0 --tau-sq 1/3 (process wall)",
+     ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3"]),
+    ("L5", "python -c 'import bergersphere' (process wall)", ["-c", "import bergersphere"]),
 ]
 
 # In-process cases whose child also reports the tracemalloc peak of one
@@ -310,11 +317,14 @@ def tree_env(src: Path) -> dict:
 
 def _one_run(name: str, command, env: dict) -> tuple[float, Optional[float]]:
     """Seconds of one run and, for a command line, the peak RSS of its
-    process in MiB (for a case of ``TRACED_CASES``, its traced peak)."""
+    process in MiB (for a case of ``TRACED_CASES``, its traced peak).  A
+    command line is the arguments of ``bergersphere.cli``, or of the
+    interpreter when it starts with ``-c``."""
     if command is not None:
+        if command[0] != "-c":
+            command = ["-m", "bergersphere.cli", *command]
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "bergersphere.cli", *command],
-                                env=env, stdout=subprocess.DEVNULL)
+        proc = subprocess.Popen([sys.executable, *command], env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         elapsed = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)

@@ -37,7 +37,9 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
 * ``phase`` in every format at ``--n-max`` 1, 2, 3, 8 and 12, each on the
   default grid, on a grid of every threshold of those models (1/k for
   2 <= k <= 25, and 1) and on three random grids of six values with
-  denominators up to 1000, drawn from ``random.Random`` seeds 1, 2 and 3.
+  denominators up to 1000, drawn from ``random.Random`` seeds 1, 2 and 3;
+* ``moduli`` in every format at the default range and at ``--tau-sq-min 1/7
+  --tau-sq-max 5/6 --samples 65``.
 
 The exit code and stdout must be byte-identical.  Each invocation that
 differs is printed; the exit status is 1 if any differs, else 0.
@@ -126,6 +128,9 @@ def corpus() -> list[list[str]]:
         grids.append(["--tau-sq-grid", ",".join(values)])
     argvs += [["phase", "--n-max", n_max, *grid, "--format", fmt]
               for n_max in ("1", "2", "3", "8", "12") for grid in grids
+              for fmt in ("table", "csv", "json")]
+    argvs += [["moduli", *bounds, "--format", fmt]
+              for bounds in ([], ["--tau-sq-min", "1/7", "--tau-sq-max", "5/6", "--samples", "65"])
               for fmt in ("table", "csv", "json")]
     return argvs
 

@@ -1,13 +1,12 @@
 """Curvature, Laplace spectra and Jacobi stability tables for Berger spheres."""
 
-from .geometry import (BergerParam, GeometryDomainError, RoundSphereUnsupportedError,
-                       ambient_mean_curvature, scalar_curvature)
 from .models import (MODELS, CircleCover, CliffordHypersurface, IndexReport, JacobiMode,
                      ModelSubmanifold, TotallyGeodesicBergerSphere, TotallyRealSphere,
                      TruncationError, VeroneseRP3, VeroneseS3, circle_stability,
                      clifford_index_nullity, enumerate_index, jacobi_modes,
                      tg_berger_index_nullity, totally_real_sphere_index_nullity,
                      veronese_index_nullity)
+from .params import BergerParam, GeometryDomainError, RoundSphereUnsupportedError
 from .spectra import (CliffordMode, LaplaceMode, berger_eigenvalue, berger_modes,
                       berger_multiplicity, bidegree_dimension, clifford_eigenvalue,
                       clifford_modes, clifford_multiplicity, round_eigenvalue,
@@ -19,4 +18,4 @@ from .stability import (CliffordTorus, MinimalSphere, ModuliVector, OtherSurface
                         moduli_curve, proof_polynomial_P, s1_bundle_stability,
                         surface_index_one_classification)
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

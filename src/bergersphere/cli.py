@@ -17,10 +17,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import models, oracle, spectra, stability
-from .geometry import GeometryDomainError
+from . import models, spectra, stability
 from .models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                      TotallyRealSphere, TruncationError, VeroneseRP3, VeroneseS3)
+from .params import BergerParam, GeometryDomainError, _as_fraction
 
 _MODEL_BY_NAME = {cls.name: cls for cls in models.MODELS}
 # The parameter flags of ``index``: every field of some family, in first-seen order.
@@ -46,18 +46,8 @@ class CliError(Exception):
 
 
 def parse_tau_sq(text: str) -> Fraction:
-    text = text.strip()
-    if any(ch in text.lower() for ch in (".", "e")):
-        raise CliError(
-            f"tau^2 must be an exact fraction like 1/3, got {text!r}; "
-            "float input is rejected because thresholds are exact rationals")
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"cannot parse tau^2 from {text!r}; expected num/den")
-    if not (0 < value <= 1):
-        raise CliError(f"tau^2 must lie in (0, 1], got {value}")
-    return value
+    """tau^2 in (0, 1] by the package's one rule for exact input."""
+    return BergerParam.coerce(_as_fraction(text, hint="; write it as a fraction like 1/3")).tau_sq
 
 
 def _write_csv(header, rows, out) -> None:
@@ -264,6 +254,13 @@ def cmd_moduli(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _oracle():
+    """The ``oracle`` module, imported by the sampled commands alone: it loads
+    numpy, which the exact commands never need."""
+    from . import oracle
+    return oracle
+
+
 def _emit_reports(reports, args, out) -> int:
     if args.format == "json":
         out.write(json.dumps({"checks": [r.to_json() for r in reports]}, indent=2) + "\n")
@@ -282,26 +279,28 @@ def _samples(args) -> int:
 
 
 def _dimension(args) -> int:
-    if args.n > oracle.N_LIMIT:
-        raise CliError(f"--n must be at most {oracle.N_LIMIT}, got {args.n}")
+    limit = _oracle().N_LIMIT
+    if args.n > limit:
+        raise CliError(f"--n must be at most {limit}, got {args.n}")
     return args.n
 
 
 def cmd_verify(args, out) -> int:
-    reports = oracle.verify_all(samples=_samples(args), seed=args.seed)
+    reports = _oracle().verify_all(samples=_samples(args), seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
 def cmd_tai_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
-    reports = oracle.tai_checks(tau_sq, _dimension(args), samples=_samples(args),
-                                seed=args.seed)
+    reports = _oracle().tai_checks(tau_sq, _dimension(args), samples=_samples(args),
+                                   seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
 def cmd_curvature_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
     n, samples = _dimension(args), _samples(args)
+    oracle = _oracle()
     reports = [
         oracle.curvature_symmetry_check(tau_sq, n, samples, args.seed),
         oracle.sectional_consistency_check(tau_sq, n, samples, args.seed),
@@ -323,7 +322,7 @@ def _default_seed() -> int:
             return int(env, 0)
         except ValueError:
             raise CliError(f"BERGER_SEED must be an integer, got {env!r}")
-    return oracle.DEFAULT_SEED
+    return _oracle().DEFAULT_SEED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,15 +8,13 @@ metric shrunk by a factor tau^2 along the Hopf circle direction:
 with g the Euclidean metric.  Ambient objects live in interleaved real
 coordinates (Re z_1, Im z_1, Re z_2, Im z_2, ...); the complex structure is
 the fixed linear map pairing those slots.  The deformation parameter is
-carried as an exact rational tau^2 because every classification threshold
-in this package is a rational number in tau^2 - floats would misclassify
-boundary cases.  Square roots are taken only where a float is required.
+an exact rational tau^2 (``params.BergerParam``, re-exported here with the
+domain errors); square roots are taken only where a float is required.
 
 The float geometry has one entry point, the batched ``*_rows`` kernel: a
 batch of points and a batch of tangent vectors are float arrays of shape
 (samples, 2n+2), one sample per row; a single sample is the batch ``x[None]``.
-The exact scalar formulas (``scalar_curvature``, ``ambient_mean_curvature``,
-``tai_sphere_radius_sq``) take no points.
+The exact ``tai_sphere_radius_sq`` takes no points.
 
 Conventions fixed here (used throughout the package):
 
@@ -35,83 +33,12 @@ Conventions fixed here (used throughout the package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional
 
 import numpy as np
 
-
-class GeometryDomainError(ValueError):
-    """Raised when arguments violate a documented precondition."""
-
-
-class RoundSphereUnsupportedError(GeometryDomainError):
-    """Raised for constructions that are only defined for tau < 1."""
-
-
-# ---------------------------------------------------------------------------
-# Parameters and validation
-# ---------------------------------------------------------------------------
-
-
-def _as_fraction(value, name: str = "tau^2",
-                 hint: str = "; use BergerParam.from_float to round a float explicitly"
-                 ) -> Fraction:
-    """``value`` as an exact Fraction; a float, or a string written as a
-    decimal (with ".", "e" or "E"), raises ``GeometryDomainError``."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational) or isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and not any(ch in value for ch in ".eE"):
-        return Fraction(value)
-    raise GeometryDomainError(f"{name} must be an exact rational, got {value!r}{hint}")
-
-
-@dataclass(frozen=True)
-class BergerParam:
-    """Deformation parameter, stored as an exact rational tau^2."""
-
-    tau_sq: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau_sq", _as_fraction(self.tau_sq))
-        if not (0 < self.tau_sq <= 1):
-            raise GeometryDomainError(f"tau^2 must lie in (0, 1], got {self.tau_sq}")
-
-    @classmethod
-    def coerce(cls, value) -> "BergerParam":
-        if isinstance(value, BergerParam):
-            return value
-        return cls(_as_fraction(value))
-
-    @classmethod
-    def from_float(cls, tau: float) -> "BergerParam":
-        """Exact binary rational tau^2 from a float tau (explicit opt-in)."""
-        return cls(Fraction(tau) ** 2)
-
-    @property
-    def tau(self) -> float:
-        return math.sqrt(self.tau_sq)
-
-    @property
-    def one_minus(self) -> Fraction:
-        """1 - tau^2, exact."""
-        return 1 - self.tau_sq
-
-    @property
-    def vertical_ratio(self) -> Fraction:
-        """(1 - tau^2) / tau^2, exact."""
-        return (1 - self.tau_sq) / self.tau_sq
-
-    @property
-    def is_round(self) -> bool:
-        return self.tau_sq == 1
-
-    def __str__(self):
-        return f"tau^2={self.tau_sq}"
+from .params import BergerParam, GeometryDomainError, RoundSphereUnsupportedError
 
 
 def mult_i(v: np.ndarray) -> np.ndarray:
@@ -420,14 +347,6 @@ def horizontal_frame_rows(tau, z: np.ndarray) -> np.ndarray:
     return np.take_along_axis(frames, order[:, :, None], axis=1)
 
 
-def scalar_curvature(tau, n: int) -> Fraction:
-    """Scalar curvature 2n (2(n+1) - tau^2), exact."""
-    p = BergerParam.coerce(tau)
-    if n < 0:
-        raise GeometryDomainError("n must be nonnegative")
-    return Fraction(2 * n) * (2 * (n + 1) - p.tau_sq)
-
-
 # ---------------------------------------------------------------------------
 # Embeddings into complex projective space and Hermitian matrices
 # ---------------------------------------------------------------------------
@@ -492,24 +411,6 @@ def sff_geodesic_sphere_rows(tau, z: np.ndarray, x: np.ndarray, y: np.ndarray) -
     lam, t, iz = _validated(tau, z, x, y)
     xi = iz / t
     return t * _metric(lam, iz, x, y) - (lam / t) * _metric(lam, iz, x, xi) * _metric(lam, iz, y, xi)
-
-
-def ambient_mean_curvature(tau, d: int, xi_top_norm_sq) -> float:
-    """Mean-curvature coefficient of a d-submanifold seen in projective space.
-
-    For a minimal d-submanifold of the Berger sphere with tangential
-    Killing-field norm squared ``xi_top_norm_sq``, the mean curvature in
-    the ambient projective space points along the normal direction with
-    coefficient (1/d)(tau d - ((1-tau^2)/tau) |xi^T|^2).  ``xi_top_norm_sq``
-    is an exact rational, so zero detection is exact; a float raises.
-    """
-    p = BergerParam.coerce(tau)
-    if d < 1:
-        raise GeometryDomainError("d must be a positive integer")
-    x = _as_fraction(xi_top_norm_sq, "xi_top_norm_sq", hint="")
-    if not (0 <= x <= 1):
-        raise GeometryDomainError("xi_top_norm_sq must lie in [0, 1]")
-    return float(p.tau_sq * d - p.one_minus * x) / (d * p.tau)
 
 
 def tai_embed_rows(tau, reps: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import ClassVar, NamedTuple, Optional, Union
 
-from .geometry import BergerParam, GeometryDomainError
+from .params import BergerParam, GeometryDomainError
 from . import spectra
 from .spectra import ModeRow
 

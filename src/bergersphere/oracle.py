@@ -26,8 +26,7 @@ import numpy as np
 
 from . import geometry, spectra
 from .exactlinalg import integer_rank, kernel_basis
-from .geometry import (BergerParam, GeometryDomainError, _as_fraction, _berger_grams, _dot,
-                       berger_inner_rows, berger_orthonormalize_rows,
+from .geometry import (_berger_grams, _dot, berger_inner_rows, berger_orthonormalize_rows,
                        check_dimension, check_points, check_tangents, curvature_orders_rows,
                        fubini_study_inner_rows, geodesic_sphere_reps, killing_field_rows,
                        killing_flow_differential_rows, killing_flow_rows, mult_i, ricci_rows,
@@ -35,6 +34,7 @@ from .geometry import (BergerParam, GeometryDomainError, _as_fraction, _berger_g
                        tai_sphere_center, tai_sphere_radius_sq)
 from .models import (CliffordHypersurface, IndexReport, JacobiMode, ModelSubmanifold,
                      TotallyRealSphere, clifford_index_nullity)
+from .params import BergerParam, GeometryDomainError, _as_fraction
 
 DEFAULT_SEED = 0x5EED
 

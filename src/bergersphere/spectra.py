@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import NamedTuple
 
-from .geometry import BergerParam, GeometryDomainError
+from .params import BergerParam, GeometryDomainError
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Union
 
 from . import models, spectra
-from .geometry import BergerParam, GeometryDomainError, _as_fraction
+from .params import BergerParam, GeometryDomainError, _as_fraction
 
 
 class Verdict(Enum):

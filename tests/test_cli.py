@@ -202,6 +202,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["abc", "1/0", "", "nan", "1/-3", "0.5"])
+    def test_inexact_tau_sq_follows_the_package_rule(self, text, capsys):
+        # one rule for exact input (params._as_fraction), with a hint for the
+        # command line instead of the library's BergerParam.from_float
+        assert run(["spectrum", "--space", "berger", "--n", "1", "--tau-sq", text]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: tau^2 must be an exact rational, got {text!r}; "
+            "write it as a fraction like 1/3\n")
+
 
 class TestDimensionLimit:
     @pytest.mark.parametrize("cmd", ["tai-check", "curvature-check"])

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergersphere import geometry as geo
-from bergersphere.geometry import (BergerParam, GeometryDomainError, RoundSphereUnsupportedError,
-                                   ambient_mean_curvature, scalar_curvature)
+from bergersphere.geometry import BergerParam, GeometryDomainError, RoundSphereUnsupportedError
 
 RNG = np.random.default_rng(20240817)
 
@@ -45,6 +44,11 @@ class TestBergerParam:
             BergerParam.coerce(text)
         with pytest.raises(GeometryDomainError, match="tau\\^2 must be an exact rational"):
             BergerParam(text)
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", "", "nan", "1/-3"])
+    def test_unparseable_string_is_a_domain_error(self, text):
+        with pytest.raises(GeometryDomainError, match="tau\\^2 must be an exact rational"):
+            BergerParam.coerce(text)
 
     def test_rational_string_accepted(self):
         assert BergerParam.coerce("1/3").tau_sq == F(1, 3)
@@ -196,10 +200,6 @@ class TestCurvature:
         v, w = frames[:, 0], frames[:, 1]
         assert geo.sectional_curvature_rows(F(1), z, v, w)[0] == pytest.approx(1.0, abs=1e-12)
         assert geo.ricci_rows(F(1), z, v)[0] == pytest.approx(2 * n, abs=1e-12)
-        assert scalar_curvature(F(1), n) == 2 * n * (2 * (n + 1) - 1)
-
-    def test_scalar_curvature_exact(self):
-        assert scalar_curvature(F(1, 3), 1) == F(22, 3)
 
 
 class TestGeodesicSphereEmbedding:
@@ -248,28 +248,6 @@ class TestSecondFundamentalForm:
         e0, e1 = frame[:, 0], frame[:, 1]
         assert geo.sff_geodesic_sphere_rows(ts, z, e0, e0)[0] == pytest.approx(tau, abs=1e-12)
         assert geo.sff_geodesic_sphere_rows(ts, z, e0, e1)[0] == pytest.approx(0.0, abs=1e-12)
-
-
-class TestAmbientMeanCurvature:
-    def test_balanced_parameter_is_minimal(self):
-        for d in (1, 2, 3, 5):
-            assert ambient_mean_curvature(F(1, d + 1), d, 1) == 0.0
-
-    def test_normal_killing_gives_tau(self):
-        ts = F(1, 3)
-        assert ambient_mean_curvature(ts, 4, 0) == pytest.approx(BergerParam(ts).tau)
-
-    def test_surface_value(self):
-        got = ambient_mean_curvature(F(1, 2), 2, 1)
-        assert got == pytest.approx(math.sqrt(2) / 4, abs=1e-15)
-
-    def test_range_check(self):
-        with pytest.raises(GeometryDomainError):
-            ambient_mean_curvature(F(1, 2), 2, 2)
-
-    def test_float_rejected(self):
-        with pytest.raises(GeometryDomainError, match="xi_top_norm_sq must be an exact rational"):
-            ambient_mean_curvature(F(1, 2), 2, 0.5)
 
 
 def random_rep(n, ts):
