@@ -60,11 +60,11 @@ Cases:
   ``curvature_symmetry_check(2/7, 2, 16)`` and ``tai_checks(2/7, 2, 20)``,
   small batches near that benchmark's median operation, and L4
   ``verify_all(24)``.
-* L5 ``python -m bergersphere.cli verify --samples 2000``,
-  ``python -m bergersphere.cli index --model totally-real --n 4 --d 3
-  --tau-sq 2/7``, ``python -m bergersphere.cli phase --n-max 8
-  --tau-sq-grid 1/7,3/17,2/9,5/12,8/13,29/31 --format json`` and
-  ``python -m bergersphere.cli tai-check --tau-sq 1/2 --n 3 --samples 2048``
+* L5, each command run as ``bergersphere.cli`` by ``runpy`` in a fresh
+  interpreter: ``verify --samples 2000``, ``index --model totally-real --n 4
+  --d 3 --tau-sq 2/7``, ``phase --n-max 8 --tau-sq-grid
+  1/7,3/17,2/9,5/12,8/13,29/31 --format json`` and
+  ``tai-check --tau-sq 1/2 --n 3 --samples 2048``
   (the benchmark's sample cap for ``tai-check``), ``curvature-check
   --tau-sq 2/7 --n 3 --samples 1024`` (its cap for ``curvature-check``), and
   the small sampled commands near the sampled-verify benchmark's median,
@@ -77,7 +77,8 @@ Cases:
   small ``spectrum --space clifford --m1 0 --m2 0 --tau-sq 1/3``, whose
   process time is mostly imports; and a cold ``python -c "import
   bergersphere"``; process wall time and the process's peak resident set
-  size (``ru_maxrss`` of the reaped child).
+  size (``VmHWM`` of its own address space, which the process writes to
+  stderr at exit: see ``PEAK_HOOK``).
 
 Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
 difference of several milliseconds on code that did not change.  The output
@@ -179,6 +180,16 @@ CASES = [
      ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3"]),
     ("L5", "python -c 'import bergersphere' (process wall)", ["-c", "import bergersphere"]),
 ]
+
+# Code run first in an L5 process: at exit it writes the peak resident set
+# size of the process's own address space (VmHWM) to stderr.  ``ru_maxrss``
+# of the reaped child cannot serve: it also counts the address space the
+# child was forked from, this script with numpy loaded, so it never reads
+# below about 35 MiB.
+PEAK_HOOK = ("import atexit, sys\n"
+             "atexit.register(lambda: sys.stderr.write(\n"
+             "    [line for line in open('/proc/self/status') if line.startswith('VmHWM:')][0]))\n")
+RUN_CLI = "import runpy\nrunpy.run_module('bergersphere.cli', run_name='__main__')\n"
 
 # In-process cases whose child also reports the tracemalloc peak of one
 # more call, in MiB.
@@ -318,17 +329,16 @@ def tree_env(src: Path) -> dict:
 def _one_run(name: str, command, env: dict) -> tuple[float, Optional[float]]:
     """Seconds of one run and, for a command line, the peak RSS of its
     process in MiB (for a case of ``TRACED_CASES``, its traced peak).  A
-    command line is the arguments of ``bergersphere.cli``, or of the
-    interpreter when it starts with ``-c``."""
+    command line is the arguments of ``bergersphere.cli``, or ``-c`` and the
+    code to run in its place."""
     if command is not None:
-        if command[0] != "-c":
-            command = ["-m", "bergersphere.cli", *command]
+        code, args = (command[1], command[2:]) if command[0] == "-c" else (RUN_CLI, command)
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *command], env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
+        out = subprocess.run([sys.executable, "-c", PEAK_HOOK + code, *args], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                             check=True)
         elapsed = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        return elapsed, usage.ru_maxrss / 1024
+        return elapsed, int(out.stderr.rsplit("VmHWM:", 1)[1].split()[0]) / 1024
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", name],
                          env=env, capture_output=True, text=True, check=True)
     values = [float(value) for value in out.stdout.strip().splitlines()[-1].split()]

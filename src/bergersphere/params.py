@@ -5,7 +5,7 @@ every classification threshold in this package is a rational number in
 tau^2: floats would misclassify boundary cases.  This module imports no
 numpy, so the exact layers (``exactlinalg``, ``spectra``, ``models``,
 ``stability``) and the exact commands of ``cli`` never load it;
-``geometry`` re-exports every name defined here.
+``geometry`` re-exports ``BergerParam`` and the two errors.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ def _as_fraction(value, name: str = "tau^2",
     raises ``GeometryDomainError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, Rational) or isinstance(value, int):
+    if isinstance(value, str):
+        if not ("." in value or "e" in value or "E" in value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+    elif isinstance(value, Rational) or isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and not any(ch in value for ch in ".eE"):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
     raise GeometryDomainError(f"{name} must be an exact rational, got {value!r}{hint}")
 
 
