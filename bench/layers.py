@@ -19,10 +19,11 @@ Cases:
 * L0 ``oracle.harmonic_dim_bruteforce`` at (n, a, b) = (3, 3, 4), a size of
   the exact-oracles benchmark's large tier, and (2, 1, 4), a small-tier size
   near the benchmark's median operation.  ``oracle.lxi_squared_spectrum`` at
-  (n, tau^2, k) = (1, 1/3, 8), (2, 1/3, 5), (3, 2/7, 4) and (2, 1/3, 8):
-  exact kernel ranks, dominated by the elimination in ``exactlinalg``.  The
-  middle two are sizes of the exact-oracles benchmark's large tier;
-  (2, 1/3, 8) lies beyond it, at the degree cap.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
+  (n, tau^2, k) = (1, 1/3, 8), (1, 1/3, 7), (2, 1/3, 5), (3, 2/7, 4) and
+  (2, 1/3, 8): exact kernel ranks, dominated by the elimination in
+  ``exactlinalg``.  The first four are sizes of the exact-oracles
+  benchmark's large tier, (1, 8) and (1, 7) the two with the largest shares
+  of its time; (2, 1/3, 8) lies beyond it, at the degree cap.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
   scan, which ``verify`` runs five times.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 and over ``cli._phase_models(12)`` at ten
@@ -121,6 +122,7 @@ CASES = [
     ("L0", "harmonic_dim_bruteforce(3, 3, 4)", None),
     ("L0", "harmonic_dim_bruteforce(2, 1, 4)", None),
     ("L0", "lxi_squared_spectrum(1, 1/3, 8)", None),
+    ("L0", "lxi_squared_spectrum(1, 1/3, 7)", None),
     ("L0", "lxi_squared_spectrum(2, 1/3, 5)", None),
     ("L0", "lxi_squared_spectrum(3, 2/7, 4)", None),
     ("L0", "lxi_squared_spectrum(2, 1/3, 8)", None),
@@ -252,6 +254,8 @@ def _time_in_process(case: str) -> list[float]:
         "harmonic_dim_bruteforce(2, 1, 4)": lambda: oracle.harmonic_dim_bruteforce(2, 1, 4),
         "lxi_squared_spectrum(1, 1/3, 8)":
             lambda: oracle.lxi_squared_spectrum(1, Fraction(1, 3), 8),
+        "lxi_squared_spectrum(1, 1/3, 7)":
+            lambda: oracle.lxi_squared_spectrum(1, Fraction(1, 3), 7),
         "lxi_squared_spectrum(2, 1/3, 5)":
             lambda: oracle.lxi_squared_spectrum(2, Fraction(1, 3), 5),
         "lxi_squared_spectrum(3, 2/7, 4)":

@@ -183,95 +183,61 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
                for _, size, cols, targets in _sorted_weight_blocks(n, a, b))
 
 
-def _block_basis(dvec: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """x-exponent tuples of one pair-degree block (y-exponents are d_j - a_j)."""
+def _block_basis(dvec: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """x-exponent tuples a of one pair-degree block (y-exponents are d_j - a_j),
+    as two halves: even sum(a), then odd."""
     basis = [()]
     for d in dvec:
         basis = [t + (v,) for t in basis for v in range(d + 1)]
-    return basis
+    return [[t for t in basis if sum(t) % 2 == h] for h in (0, 1)]
 
 
-def _block_vertical_sq(dvec: tuple[int, ...]):
-    """Matrix of the squared rotation derivative on one pair-degree block.
+def _rotation_block(dvec: tuple[int, ...]):
+    """rot and rot^2 on one pair-degree block, split by the parity of sum(a).
 
-    The block basis is indexed by x-exponents a (0 <= a_j <= d_j), the
-    monomial being prod x_j^{a_j} y_j^{d_j - a_j}.  The rotation field
-    sends a basis monomial to an integer combination inside the block.
+    Monomial i of half h is prod x_j^{a_j} y_j^{d_j - a_j} with a =
+    halves[h][i] (``_block_basis``).  The rotation field sum_j (x_j d/dy_j -
+    y_j d/dx_j) moves one a_j by one, so it maps each half into the other:
+    rot[h][i] is the image of monomial i of half h as (index in half 1 - h,
+    coefficient) pairs.  Each entry is checked as it is built: one that
+    lands in half h raises, since rot^2 would then have an entry between the
+    halves.  squares[h], composed from rot, is the matrix of rot^2 on half h.
+    Returns (halves, rot, squares).
     """
-    basis = _block_basis(dvec)
-    index = {t: i for i, t in enumerate(basis)}
-
-    def apply_rot(vec):
-        out = [0] * len(basis)
-        for i, coef in enumerate(vec):
-            if coef == 0:
-                continue
-            t = basis[i]
+    halves = _block_basis(dvec)
+    index = {t: (h, i) for h, half in enumerate(halves) for i, t in enumerate(half)}
+    rot = [[], []]
+    for h, half in enumerate(halves):
+        for t in half:
+            image = []
             for j, dj in enumerate(dvec):
-                aj = t[j]
-                if aj < dj:  # x_j d/dy_j
-                    out[index[t[:j] + (aj + 1,) + t[j + 1:]]] += coef * (dj - aj)
-                if aj > 0:  # -y_j d/dx_j
-                    out[index[t[:j] + (aj - 1,) + t[j + 1:]]] -= coef * aj
-        return out
-
-    mat = []
-    for i in range(len(basis)):
-        e = [0] * len(basis)
-        e[i] = 1
-        mat.append(apply_rot(apply_rot(e)))
-    # columns of the operator: transpose the image list
-    return basis, [[mat[j][i] for j in range(len(basis))] for i in range(len(basis))]
-
-
-def _parity_halves(dvec: tuple[int, ...]):
-    """rot^2 of one pair-degree block as two blocks, by the parity of sum(a).
-
-    The rotation field moves one a_j by one, so rot^2 changes sum(a) by 0
-    or +-2 and never mixes the parities; raises if an entry would be dropped.
-    Returns [(basis, matrix)] for even, then odd sum(a).
-    """
-    basis, rot_sq = _block_vertical_sq(dvec)
-    parity = [sum(t) % 2 for t in basis]
-    if any(row[j] and parity[i] != parity[j]
-           for i, row in enumerate(rot_sq) for j in range(len(basis))):
-        raise AssertionError(f"rot^2 mixes the parities of sum(a) on block {dvec}")
-    halves = []
-    for half in (0, 1):
-        idx = [i for i in range(len(basis)) if parity[i] == half]
-        halves.append(([basis[i] for i in idx], [[rot_sq[i][j] for j in idx] for i in idx]))
-    return halves
+                for step, coef in ((1, dj - t[j]), (-1, -t[j])):  # x_j d/dy_j, -y_j d/dx_j
+                    if coef:
+                        half_of, i = index[t[:j] + (t[j] + step,) + t[j + 1:]]
+                        if half_of == h:
+                            raise AssertionError(f"rot^2 mixes the parities on block {dvec}")
+                        image.append((i, coef))
+            rot[h].append(image)
+    squares = []
+    for h, images in enumerate(rot):
+        square = [[0] * len(images) for _ in images]
+        for i, image in enumerate(images):
+            for mid, coef in image:
+                for r, coef2 in rot[1 - h][mid]:
+                    square[r][i] += coef * coef2
+        squares.append(square)
+    return halves, rot, squares
 
 
-def _frequency_vectors(dvecs, m: int, halves: dict) -> list:
-    """Kernel of rot^2 + m^2 on every block of ``dvecs``, as (dvec, basis,
-    integer coordinates) triples.
-
-    rot is symmetric in the pairs, so permuting the pairs maps the block of
-    a sorted dvec onto the block of each of its permutations.  The kernel is
-    solved once per sorted dvec and parity (``halves`` maps each sorted dvec
-    to its ``_parity_halves``) and relabelled to every dvec of the class.
-    """
-    kernels = {}
-    vectors = []
-    for dvec in dvecs:
-        key = tuple(sorted(dvec))
-        if key not in kernels:
-            kernels[key] = []
-            for basis, mat in halves[key]:
-                shifted = [[x + m * m if i == j else x for j, x in enumerate(row)]
-                           for i, row in enumerate(mat)]
-                kernels[key].append(kernel_basis(shifted, len(basis)))
-        # key[pos[j]] == dvec[j]: pair j of dvec is pair pos[j] of the sorted block
-        order = sorted(range(len(dvec)), key=dvec.__getitem__)
-        pos = [0] * len(dvec)
-        for i, j in enumerate(order):
-            pos[j] = i
-        for (basis, _), vecs in zip(halves[key], kernels[key]):
-            if vecs:
-                relabelled = [tuple(t[p] for p in pos) for t in basis]
-                vectors.extend((dvec, relabelled, vec) for vec in vecs)
-    return vectors
+def _apply(images, vec, size: int) -> list:
+    """The sparse map whose i-th column is the (index, coefficient) list
+    ``images[i]``, applied to ``vec``; ``size`` is the length of the result."""
+    out = [0] * size
+    for x, image in zip(vec, images):
+        if x:
+            for i, coef in image:
+                out[i] += x * coef
+    return out
 
 
 def lxi_squared_spectrum(n: int, tau, k: int):
@@ -283,6 +249,8 @@ def lxi_squared_spectrum(n: int, tau, k: int):
     exact kernel ranks.  Returns [(eigenvalue, multiplicity)] sorted by
     decreasing eigenvalue; eigenvalues are -m^2/tau^2 as exact fractions.
     Raises if the multiplicities fail to add up to the full harmonic count.
+    The exact symmetries that shrink the eliminations, and the checks that
+    every call makes of them, are in the README ("Exact oracles").
     """
     if n < 0 or k < 0:
         raise GeometryDomainError(f"n and k must be nonnegative, got n={n}, k={k}")
@@ -293,14 +261,12 @@ def lxi_squared_spectrum(n: int, tau, k: int):
     if k == 0:
         return [(Fraction(0), 1)]
 
-    dvecs = list(_monomials(npairs, k))
-    halves = {key: _parity_halves(key) for key in {tuple(sorted(dvec)) for dvec in dvecs}}
-
     tgt_index = {}
     if k >= 2:
         for dvec in _monomials(npairs, k - 2):
-            for t in _block_basis(dvec):
-                tgt_index[(dvec, t)] = len(tgt_index)
+            for half in _block_basis(dvec):
+                for t in half:
+                    tgt_index[(dvec, t)] = len(tgt_index)
 
     def laplacian_column(dvec, t, coef):
         """Second-derivative image of one monomial, as {target: coefficient}."""
@@ -317,10 +283,44 @@ def lxi_squared_spectrum(n: int, tau, k: int):
                     out[key] = out.get(key, 0) + coef * bj * (bj - 1)
         return out
 
+    # rot is symmetric in the pairs: each sorted dvec's block is built once,
+    # and its halves relabelled once to every dvec of its class.
+    blocks = {}
+    relabelled = []  # per dvec: (dvec, sorted dvec, relabelled halves)
+    for dvec in _monomials(npairs, k):
+        key = tuple(sorted(dvec))
+        if key not in blocks:
+            blocks[key] = _rotation_block(key)
+        # key[pos[j]] == dvec[j]: pair j of dvec is pair pos[j] of the sorted block
+        order = sorted(range(npairs), key=dvec.__getitem__)
+        pos = sorted(range(npairs), key=order.__getitem__)
+        relabelled.append((dvec, key, [[tuple(t[p] for p in pos) for t in half]
+                                       for half in blocks[key][0]]))
+
     results = []
     total = 0
     for m in range(k % 2, k + 1, 2):
-        vectors = _frequency_vectors(dvecs, m, halves)
+        shift = m * m
+        kernels = {}
+        for key, (halves, rot, squares) in blocks.items():
+            small = int(len(halves[1]) < len(halves[0]))
+            kernel = kernels[key] = [[], []]
+            for h in (0, 1) if m == 0 else (small,):
+                kernel[h] = kernel_basis([row[:i] + [row[i] + shift] + row[i + 1:]
+                                          for i, row in enumerate(squares[h])], len(halves[h]))
+            if m:
+                # rot commutes with rot^2, which is -m^2 on the kernel, so rot maps
+                # the kernel of the small half one-to-one onto that of the other.  Each
+                # image w = rot(v) is checked: rot(w) = -m^2 v gives (rot^2 + m^2) w =
+                # rot(rot(w) + m^2 v) = 0.
+                other = 1 - small
+                kernel[other] = [_apply(rot[small], v, len(halves[other])) for v in kernel[small]]
+                for v, w in zip(kernel[small], kernel[other]):
+                    if _apply(rot[other], w, len(v)) != [-shift * x for x in v]:
+                        raise AssertionError(f"a rot image on block {key} does not solve "
+                                             f"rot^2 + {shift} = 0")
+        vectors = [(dvec, basis, vec) for dvec, key, bases in relabelled
+                   for basis, vecs in zip(bases, kernels[key]) for vec in vecs]
         if not vectors:
             continue
         rows = [[0] * len(vectors) for _ in range(len(tgt_index))]
@@ -332,7 +332,7 @@ def lxi_squared_spectrum(n: int, tau, k: int):
                     rows[tgt_index[key]][col] += val
         nullity = len(vectors) - integer_rank(rows)
         if nullity > 0:
-            results.append((Fraction(-m * m) / param.tau_sq, nullity))
+            results.append((Fraction(-shift) / param.tau_sq, nullity))
             total += nullity
 
     expected = spectra.round_multiplicity(n, k)

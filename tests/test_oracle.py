@@ -1,9 +1,11 @@
 """Brute-force oracles and the sampled verification checks."""
 
+import inspect
 import io
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -106,6 +108,31 @@ def _all_weight_blocks(n, a, b):
     return by_weight(a, b), by_weight(a - 1, b - 1)
 
 
+def _rot_square_reference(dvec):
+    """rot^2 on the whole block of ``dvec`` by direct differentiation: the
+    x-exponent tuples in product order, and the matrix whose column j is
+    rot^2 of monomial j."""
+    basis = list(itertools.product(*(range(d + 1) for d in dvec)))
+
+    def rot(poly):
+        out = Counter()
+        for a, c in poly.items():
+            for j, dj in enumerate(dvec):
+                if a[j] < dj:  # x_j d/dy_j
+                    out[a[:j] + (a[j] + 1,) + a[j + 1:]] += c * (dj - a[j])
+                if a[j] > 0:  # -y_j d/dx_j
+                    out[a[:j] + (a[j] - 1,) + a[j + 1:]] -= c * a[j]
+        return out
+
+    images = [rot(rot({t: 1})) for t in basis]
+    return basis, [[image[s] for image in images] for s in basis]
+
+
+def _shifted(square, m):
+    """The matrix ``square`` + m^2 times the identity."""
+    return [[x + m * m * (i == j) for j, x in enumerate(row)] for i, row in enumerate(square)]
+
+
 class TestVerticalSpectrum:
     def test_constants(self):
         assert oracle.lxi_squared_spectrum(1, F(1, 2), 0) == [(F(0), 1)]
@@ -121,7 +148,7 @@ class TestVerticalSpectrum:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_frequency_split(self, n):
         ts = F(2, 5)
-        for k in range({0: 8, 1: 8, 2: 6, 3: 5}[n] + 1):
+        for k in range({0: 8, 1: 8, 2: 8, 3: 6}[n] + 1):
             got = dict(oracle.lxi_squared_spectrum(n, ts, k))
             expected = {}
             for p in range(k // 2 + 1):
@@ -136,18 +163,20 @@ class TestVerticalSpectrum:
         """Each block's kernel of rot^2 + m^2, relabelled from its sorted dvec,
         is a basis of the kernel of the operator built for that block."""
         for k in range(1, 7):
-            dvecs = list(oracle._monomials(n + 1, k))
-            halves = {key: oracle._parity_halves(key)
-                      for key in {tuple(sorted(d)) for d in dvecs}}
-            for m in range(k + 1):
-                got = {}
-                for dvec, basis, vec in oracle._frequency_vectors(dvecs, m, halves):
-                    got.setdefault(dvec, []).append(dict(zip(basis, vec)))
-                for dvec in dvecs:
-                    basis, rot_sq = oracle._block_vertical_sq(dvec)
-                    shifted = [[x + m * m * (i == j) for j, x in enumerate(row)]
-                               for i, row in enumerate(rot_sq)]
-                    vecs = [[v.get(t, 0) for t in basis] for v in got.get(dvec, [])]
+            for dvec in oracle._monomials(n + 1, k):
+                key = tuple(sorted(dvec))
+                # pair j of dvec is pair perm[j] of the sorted block
+                perm = next(p for p in itertools.permutations(range(n + 1))
+                            if all(key[p[j]] == dvec[j] for j in range(n + 1)))
+                halves, _, squares = oracle._rotation_block(key)
+                basis, rot_sq = _rot_square_reference(dvec)
+                for m in range(k % 2, k + 1, 2):
+                    vecs = []
+                    for half, square in zip(halves, squares):
+                        for vec in kernel_basis(_shifted(square, m), len(half)):
+                            coords = {tuple(t[p] for p in perm): x for t, x in zip(half, vec)}
+                            vecs.append([coords.get(t, 0) for t in basis])
+                    shifted = _shifted(rot_sq, m)
                     for vec in vecs:
                         assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in shifted)
                     own = len(kernel_basis(shifted, len(basis)))
@@ -157,21 +186,69 @@ class TestVerticalSpectrum:
         for n in range(4):
             for k in range(7):
                 for dvec in oracle._monomials(n + 1, k):
-                    basis, rot_sq = oracle._block_vertical_sq(dvec)
+                    basis, rot_sq = _rot_square_reference(dvec)
                     assert all(x == 0 for s, row in zip(basis, rot_sq)
                                for t, x in zip(basis, row) if (sum(s) - sum(t)) % 2)
+                    halves, _, squares = oracle._rotation_block(dvec)
+                    for h, (half, square) in enumerate(zip(halves, squares)):
+                        assert half == [t for t in basis if sum(t) % 2 == h]
+                        idx = [basis.index(t) for t in half]
+                        assert square == [[rot_sq[i][j] for j in idx] for i in idx], (dvec, h)
 
     def test_a_cross_parity_entry_is_caught(self, monkeypatch):
-        build = oracle._block_vertical_sq
+        build = oracle._block_basis
 
         def mixed(dvec):
-            basis, rot_sq = build(dvec)
-            rot_sq[0][1] += 1  # a = (0, ..., 0) and (0, ..., 1) differ in parity
-            return basis, rot_sq
+            even, odd = build(dvec)
+            return [even + odd[:1], odd[1:]]  # one odd sum(a) filed with the even ones
 
-        monkeypatch.setattr(oracle, "_block_vertical_sq", mixed)
+        monkeypatch.setattr(oracle, "_block_basis", mixed)
         with pytest.raises(AssertionError, match="mixes the parities"):
             oracle.lxi_squared_spectrum(1, F(1, 3), 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_rot_carries_one_half_kernel_onto_the_other(self, n):
+        """For m >= 1, rot maps the kernel of rot^2 + m^2 on either half of a
+        block onto the kernel on the other half."""
+        for k in range(1, 7):
+            for key in {tuple(sorted(dvec)) for dvec in oracle._monomials(n + 1, k)}:
+                halves, rot, squares = oracle._rotation_block(key)
+                for m in range(max(1, k % 2), k + 1, 2):
+                    for h in (0, 1):
+                        size = len(halves[1 - h])
+                        images = [oracle._apply(rot[h], v, size)
+                                  for v in kernel_basis(_shifted(squares[h], m), len(halves[h]))]
+                        shifted = _shifted(squares[1 - h], m)
+                        for w in images:
+                            assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in shifted)
+                        own = len(kernel_basis(shifted, size))
+                        assert len(images) == integer_rank(images) == own, (key, m, h)
+
+    @pytest.mark.parametrize("mutation", ["cross-half rot^2 entry", "wrong rot image"])
+    def test_each_inference_is_checked(self, mutation, monkeypatch):
+        """A monomial filed with the wrong half, or rot images that do not
+        solve rot^2 + m^2, raise on every call."""
+        build_basis, build_block = oracle._block_basis, oracle._rotation_block
+
+        def mixed(dvec):
+            even, odd = build_basis(dvec)
+            return [even + odd[:1], odd[1:]] if sum(dvec) == k else [even, odd]
+
+        def wrong_rot(dvec):
+            halves, rot, squares = build_block(dvec)
+            return halves, [[[(i, 2 * c) for i, c in image] for image in half]
+                            for half in rot], squares
+
+        if mutation == "cross-half rot^2 entry":
+            monkeypatch.setattr(oracle, "_block_basis", mixed)
+        else:
+            monkeypatch.setattr(oracle, "_rotation_block", wrong_rot)
+        message = {"cross-half rot^2 entry": "mixes the parities",
+                   "wrong rot image": "does not solve"}[mutation]
+        for n in range(4):
+            for k in range(1, 7):
+                with pytest.raises(AssertionError, match=message):
+                    oracle.lxi_squared_spectrum(n, F(1, 3), k)
 
     def test_cap(self):
         with pytest.raises(GeometryDomainError):
@@ -180,6 +257,39 @@ class TestVerticalSpectrum:
             oracle.lxi_squared_spectrum(-1, F(1, 3), 2)
         with pytest.raises(GeometryDomainError):
             oracle.lxi_squared_spectrum(1, F(1, 3), -1)
+
+
+# The (n, k) sizes at which the exact-oracles benchmark calls lxi_squared_spectrum.
+BENCHMARK_LXI_SIZES = ([(0, k) for k in range(1, 9)] + [(1, k) for k in range(1, 9)]
+                       + [(2, k) for k in range(1, 6)] + [(3, k) for k in range(1, 5)])
+
+
+def test_exact_oracles_read_no_closed_form_but_the_round_total(monkeypatch):
+    """With every public spectra function but round_multiplicity refusing to
+    run, both kernel-rank oracles return what they return with them."""
+    def run():
+        return ([oracle.lxi_squared_spectrum(n, F(2, 7), k) for n, k in BENCHMARK_LXI_SIZES],
+                [oracle.harmonic_dim_bruteforce(n, a, b)
+                 for n in range(4) for a in range(9) for b in range(9 - a)])
+
+    def refusing(name, fn):
+        def refuse(*args, **kwargs):
+            if sys._getframe(1).f_code is total.__code__:  # a helper of round_multiplicity
+                return fn(*args, **kwargs)
+            raise AssertionError(f"the oracle called spectra.{name}")
+        return refuse
+
+    expected = run()
+    total = spectra.round_multiplicity
+    public = [name for name, fn in vars(spectra).items() if inspect.isfunction(fn)
+              and fn.__module__ == spectra.__name__ and not name.startswith("_")]
+    assert {"round_multiplicity", "berger_multiplicity", "bidegree_dimension"} <= set(public)
+    for name in public:
+        if name != "round_multiplicity":
+            monkeypatch.setattr(spectra, name, refusing(name, getattr(spectra, name)))
+    with pytest.raises(AssertionError, match="sphere_harmonic_multiplicity"):
+        spectra.sphere_harmonic_multiplicity(3, 2)
+    assert run() == expected
 
 
 class TestTorusFourier:
