@@ -1,6 +1,6 @@
 """Time one representative call per layer, before and after a change.
 
-    python3 bench/layers.py --before <git rev> --out BENCH_<n>.json
+    python3 bench/layers.py --before <git rev> --out BENCH_<n>.json [--only <text> ...]
 
 The source tree of ``<git rev>`` is extracted with ``git archive`` into a
 temporary directory; the "after" tree is the working tree.  Every case runs
@@ -19,11 +19,12 @@ Cases:
 * L0 ``oracle.harmonic_dim_bruteforce`` at (n, a, b) = (3, 3, 4), a size of
   the exact-oracles benchmark's large tier, and (2, 1, 4), a small-tier size
   near the benchmark's median operation.  ``oracle.lxi_squared_spectrum`` at
-  (n, tau^2, k) = (1, 1/3, 8), (1, 1/3, 7), (2, 1/3, 5), (3, 2/7, 4) and
-  (2, 1/3, 8): exact kernel ranks, dominated by the elimination in
-  ``exactlinalg``.  The first four are sizes of the exact-oracles
-  benchmark's large tier, (1, 8) and (1, 7) the two with the largest shares
-  of its time; (2, 1/3, 8) lies beyond it, at the degree cap.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
+  (n, tau^2, k) = (1, 1/3, 8), (1, 1/3, 7), (2, 1/3, 5), (3, 2/7, 4),
+  (2, 1/3, 8) and (3, 2/7, 6): exact kernel ranks, dominated by the
+  elimination in ``exactlinalg``.  The first four are sizes of the
+  exact-oracles benchmark's large tier, (1, 8) and (1, 7) the two with the
+  largest shares of its time; (2, 1/3, 8) and (3, 2/7, 6) lie beyond it, at
+  the cap the tests reach.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
   scan, which ``verify`` runs five times.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 and over ``cli._phase_models(12)`` at ten
@@ -42,7 +43,7 @@ Cases:
   the timed region).
 * L3 ``curvature_symmetry_check(1/3, 2, 500)`` (two batches of full
   size), ``tai_checks(2/7, 1, 2048)`` (the benchmark's ``tai-check`` cap)
-  and ``tai_checks(2/7, 16, 300)`` at n = ``oracle.N_LIMIT``, which also
+  and ``tai_checks(2/7, 16, 300)`` at n = ``sampled.N_LIMIT``, which also
   reports its ``tracemalloc`` peak from one more, untimed call,
   ``sectional_consistency_check(2/7, 3, 256)`` and
   ``round_degeneration_check(3, 256)`` (one full batch each),
@@ -76,11 +77,14 @@ Cases:
   latter also with ``--format json``, and the small ``spectrum --space
   berger --n 2 --tau-sq 2/7 --kmax 8``; ``moduli`` at its defaults and the
   small ``spectrum --space clifford --m1 0 --m2 0 --tau-sq 1/3``, whose
-  process time is mostly imports; and a cold ``python -c "import
-  bergersphere"``; process wall time and the process's peak resident set
-  size (``VmHWM`` of its own address space, which the process writes to
-  stderr at exit: see ``PEAK_HOOK``).
+  process time is mostly imports; a cold ``python -c "import
+  bergersphere"``, and a cold ``python -c "import bergersphere.oracle"``,
+  the import that the exact-oracles benchmark's worker makes; process wall
+  time and the process's peak resident set size (``VmHWM`` of its own
+  address space, which the process writes to stderr at exit: see
+  ``PEAK_HOOK``).
 
+``--only`` runs the cases whose names contain one of the given texts.
 Every case runs 21 pairs: on a host whose speed drifts, 11 pairs have read a
 difference of several milliseconds on code that did not change.  The output
 holds, per case and tree, the median and the interquartile range of the
@@ -102,6 +106,7 @@ import io
 import json
 import os
 import platform
+import shlex
 import shutil
 import subprocess
 import sys
@@ -126,6 +131,7 @@ CASES = [
     ("L0", "lxi_squared_spectrum(2, 1/3, 5)", None),
     ("L0", "lxi_squared_spectrum(3, 2/7, 4)", None),
     ("L0", "lxi_squared_spectrum(2, 1/3, 8)", None),
+    ("L0", "lxi_squared_spectrum(3, 2/7, 6)", None),
     ("L0", "torus_fourier_index(1/3, 4)", None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", None),
     ("L1", "phase_rows(_phase_models(12), 10 random tau^2)", None),
@@ -181,6 +187,8 @@ CASES = [
     ("L5", "cli spectrum --space clifford --m1 0 --m2 0 --tau-sq 1/3 (process wall)",
      ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3"]),
     ("L5", "python -c 'import bergersphere' (process wall)", ["-c", "import bergersphere"]),
+    ("L5", "python -c 'import bergersphere.oracle' (process wall)",
+     ["-c", "import bergersphere.oracle"]),
 ]
 
 # Code run first in an L5 process: at exit it writes the peak resident set
@@ -212,6 +220,10 @@ def _time_in_process(case: str) -> list[float]:
     from fractions import Fraction
 
     from bergersphere import cli, geometry, oracle, spectra, stability
+    try:
+        from bergersphere import sampled
+    except ImportError:  # a tree whose oracle module still holds the sampled checks
+        sampled = oracle
     from bergersphere.models import CliffordHypersurface, TotallyRealSphere
 
     phase_sizes = {"phase_rows(_phase_models(8), 6 random tau^2)": (8, 6),
@@ -262,21 +274,23 @@ def _time_in_process(case: str) -> list[float]:
             lambda: oracle.lxi_squared_spectrum(3, Fraction(2, 7), 4),
         "lxi_squared_spectrum(2, 1/3, 8)":
             lambda: oracle.lxi_squared_spectrum(2, Fraction(1, 3), 8),
+        "lxi_squared_spectrum(3, 2/7, 6)":
+            lambda: oracle.lxi_squared_spectrum(3, Fraction(2, 7), 6),
         "curvature_symmetry_check(1/3, 2, 500)":
-            lambda: oracle.curvature_symmetry_check(Fraction(1, 3), 2, 500),
+            lambda: sampled.curvature_symmetry_check(Fraction(1, 3), 2, 500),
         "curvature_symmetry_check(2/7, 2, 16)":
-            lambda: oracle.curvature_symmetry_check(Fraction(2, 7), 2, 16),
+            lambda: sampled.curvature_symmetry_check(Fraction(2, 7), 2, 16),
         "sectional_consistency_check(2/7, 3, 256)":
-            lambda: oracle.sectional_consistency_check(Fraction(2, 7), 3, 256),
-        "round_degeneration_check(3, 256)": lambda: oracle.round_degeneration_check(3, 256),
-        "tai_checks(2/7, 2, 20)": lambda: oracle.tai_checks(Fraction(2, 7), 2, 20),
-        "tai_checks(2/7, 1, 2048)": lambda: oracle.tai_checks(Fraction(2, 7), 1, 2048),
-        "tai_checks(2/7, 16, 300)": lambda: oracle.tai_checks(Fraction(2, 7), 16, 300),
+            lambda: sampled.sectional_consistency_check(Fraction(2, 7), 3, 256),
+        "round_degeneration_check(3, 256)": lambda: sampled.round_degeneration_check(3, 256),
+        "tai_checks(2/7, 2, 20)": lambda: sampled.tai_checks(Fraction(2, 7), 2, 20),
+        "tai_checks(2/7, 1, 2048)": lambda: sampled.tai_checks(Fraction(2, 7), 1, 2048),
+        "tai_checks(2/7, 16, 300)": lambda: sampled.tai_checks(Fraction(2, 7), 16, 300),
         "minimality_first_variation_check(CliffordHypersurface(0, 0), 1/3, 2)":
-            lambda: oracle.minimality_first_variation_check(CliffordHypersurface(0, 0),
+            lambda: sampled.minimality_first_variation_check(CliffordHypersurface(0, 0),
                                                             Fraction(1, 3), 2),
         "minimality_first_variation_check(TotallyRealSphere(2, 2), 1/2, 1)":
-            lambda: oracle.minimality_first_variation_check(TotallyRealSphere(2, 2),
+            lambda: sampled.minimality_first_variation_check(TotallyRealSphere(2, 2),
                                                             Fraction(1, 2), 1),
         "torus_fourier_index(1/3, 4)": lambda: oracle.torus_fourier_index(Fraction(1, 3), 4),
         "berger_modes(4, 2/7, 8)": lambda: spectra.berger_modes(4, Fraction(2, 7), 8),
@@ -284,10 +298,10 @@ def _time_in_process(case: str) -> list[float]:
         "clifford_modes(3, 3, 1/3, 64)":
             lambda: spectra.clifford_modes(3, 3, Fraction(1, 3), 64),
         "CliffordHypersurface(3, 3).table(64)": lambda: CliffordHypersurface(3, 3).table(64),
-        "tai_checks(1/2, 2, 50)": lambda: oracle.tai_checks(Fraction(1, 2), 2, 50),
+        "tai_checks(1/2, 2, 50)": lambda: sampled.tai_checks(Fraction(1, 2), 2, 50),
         "bidegree_cross_check()": oracle.bidegree_cross_check,
-        "verify_all(512)": lambda: oracle.verify_all(512),
-        "verify_all(24)": lambda: oracle.verify_all(24),
+        "verify_all(512)": lambda: sampled.verify_all(512),
+        "verify_all(24)": lambda: sampled.verify_all(24),
     }[case.removesuffix(" warm")]
     if case.endswith(" warm"):
         call()
@@ -403,6 +417,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", help="git rev of the tree to compare against")
     parser.add_argument("--out", default="-", help="output JSON file, - for stdout")
+    parser.add_argument("--only", action="append",
+                        help="run only the cases whose name contains this text (repeatable)")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--child-einsum", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -428,6 +444,8 @@ def main(argv=None) -> int:
             print(f"einsum calls of {' '.join(command)}: {counts['before']} -> "
                   f"{counts['after']}", file=sys.stderr)
         for layer, name, command in CASES:
+            if args.only and not any(text in name for text in args.only):
+                continue
             times = {"before": [], "after": []}
             rss = {"before": [], "after": []}
             for i in range(PAIRS):
@@ -448,7 +466,8 @@ def main(argv=None) -> int:
                   f"after won {paired['after_wins']}/{paired['pairs']} pairs, "
                   f"diff median {paired['diff_median_s']:+.4f} s", file=sys.stderr)
     result = {
-        "command": f"python3 bench/layers.py --before {args.before} --out {args.out}",
+        "command": " ".join(["python3 bench/layers.py", "--before", args.before, "--out", args.out,
+                             *(f"--only {shlex.quote(text)}" for text in args.only or ())]),
         "before": {"git_sha": before_sha},
         "after": {"git_sha": git("rev-parse", "HEAD"),
                   "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),

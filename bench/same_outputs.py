@@ -18,11 +18,11 @@ of a fixed corpus runs once per tree, each in a fresh interpreter whose
   json, for n = 1..3 and tau^2 in {1/3, 2/7, 1/2}.  These straddle a full
   256-row batch and its sixth, 42 rows;
 * ``tai-check`` and ``curvature-check`` at ``--samples`` 1, 43 and 257, json,
-  at n = 16 (``oracle.N_LIMIT``) and tau^2 = 1/1000, where rounding is
+  at n = 16 (``sampled.N_LIMIT``) and tau^2 = 1/1000, where rounding is
   largest;
 * ``BOUNDARY_SAMPLES``: ``curvature-check``, ``tai-check`` and ``verify``,
   json, tau^2 = 2/7, at the sample counts on both sides of every batch and
-  direction-group boundary of ``oracle.CALL_BYTES`` at n = 1, 2, 3 and 16
+  direction-group boundary of ``sampled.CALL_BYTES`` at n = 1, 2, 3 and 16
   (``verify`` runs at n = 2);
 * ``spectrum`` in every format at tau^2 in {1/3, 2/7, 1}: ``--space berger``
   for n in {0, 1, 4} and ``--space clifford`` for (m1, m2) in {(0, 0),

@@ -254,11 +254,11 @@ def cmd_moduli(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _oracle():
-    """The ``oracle`` module, imported by the sampled commands alone: it loads
-    numpy, which the exact commands never need."""
-    from . import oracle
-    return oracle
+def _sampled():
+    """The ``sampled`` module, imported by the sampled commands alone: it loads
+    numpy and the float kernel, which the exact commands never need."""
+    from . import sampled
+    return sampled
 
 
 def _emit_reports(reports, args, out) -> int:
@@ -279,33 +279,33 @@ def _samples(args) -> int:
 
 
 def _dimension(args) -> int:
-    limit = _oracle().N_LIMIT
+    limit = _sampled().N_LIMIT
     if args.n > limit:
         raise CliError(f"--n must be at most {limit}, got {args.n}")
     return args.n
 
 
 def cmd_verify(args, out) -> int:
-    reports = _oracle().verify_all(samples=_samples(args), seed=args.seed)
+    reports = _sampled().verify_all(samples=_samples(args), seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
 def cmd_tai_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
-    reports = _oracle().tai_checks(tau_sq, _dimension(args), samples=_samples(args),
-                                   seed=args.seed)
+    reports = _sampled().tai_checks(tau_sq, _dimension(args), samples=_samples(args),
+                                    seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
 def cmd_curvature_check(args, out) -> int:
     tau_sq = parse_tau_sq(args.tau_sq)
     n, samples = _dimension(args), _samples(args)
-    oracle = _oracle()
+    sampled = _sampled()
     reports = [
-        oracle.curvature_symmetry_check(tau_sq, n, samples, args.seed),
-        oracle.sectional_consistency_check(tau_sq, n, samples, args.seed),
-        oracle.ricci_vertical_check(tau_sq, n, samples, args.seed),
-        oracle.round_degeneration_check(n, samples, args.seed),
+        sampled.curvature_symmetry_check(tau_sq, n, samples, args.seed),
+        sampled.sectional_consistency_check(tau_sq, n, samples, args.seed),
+        sampled.ricci_vertical_check(tau_sq, n, samples, args.seed),
+        sampled.round_degeneration_check(n, samples, args.seed),
     ]
     return _emit_reports(reports, args, out)
 
@@ -322,7 +322,8 @@ def _default_seed() -> int:
             return int(env, 0)
         except ValueError:
             raise CliError(f"BERGER_SEED must be an integer, got {env!r}")
-    return _oracle().DEFAULT_SEED
+    from .oracle import DEFAULT_SEED
+    return DEFAULT_SEED
 
 
 def build_parser() -> argparse.ArgumentParser:

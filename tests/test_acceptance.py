@@ -8,7 +8,7 @@ import math
 import time
 from fractions import Fraction as F
 
-from bergersphere import oracle, spectra, stability
+from bergersphere import oracle, sampled, spectra, stability
 from bergersphere.models import (CircleCover, CliffordHypersurface,
                                  TotallyGeodesicBergerSphere, TotallyRealSphere,
                                  VeroneseRP3, VeroneseS3, clifford_index_nullity,
@@ -118,13 +118,13 @@ def test_criterion_6_geometry_suite():
     start = time.monotonic()
     ts = F(1, 3)
     reports = [
-        oracle.killing_check(ts, 2, samples=500),
-        oracle.curvature_symmetry_check(ts, 2, samples=500),
-        oracle.round_degeneration_check(2, samples=500),
-        oracle.sectional_consistency_check(ts, 2, samples=500),
-        oracle.ricci_vertical_check(ts, 2, samples=500),
-        oracle.geodesic_sphere_isometry_check(ts, 2, samples=500),
-        *oracle.tai_checks(F(1, 2), 2, samples=500),
+        sampled.killing_check(ts, 2, samples=500),
+        sampled.curvature_symmetry_check(ts, 2, samples=500),
+        sampled.round_degeneration_check(2, samples=500),
+        sampled.sectional_consistency_check(ts, 2, samples=500),
+        sampled.ricci_vertical_check(ts, 2, samples=500),
+        sampled.geodesic_sphere_isometry_check(ts, 2, samples=500),
+        *sampled.tai_checks(F(1, 2), 2, samples=500),
     ]
     for report in reports:
         assert report.passed, report

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from bergersphere import cli, models, oracle
+from bergersphere import cli, models, sampled
 from bergersphere.models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                                  TotallyRealSphere, VeroneseRP3, VeroneseS3)
 
@@ -180,7 +180,7 @@ BAD_INPUTS = [
      "0x1FFFFFFFB"],
     ["curvature-check", "--tau-sq", "1/3", "--n", "2", "--samples", "50", "--seed",
      "0x100000000"],
-    # n above oracle.N_LIMIT: out of memory, or roundoff past an absolute tolerance
+    # n above sampled.N_LIMIT: out of memory, or roundoff past an absolute tolerance
     ["tai-check", "--tau-sq", "1/3", "--n", "17", "--samples", "1"],
     ["tai-check", "--tau-sq", "1/3", "--n", "150", "--samples", "1"],
     ["curvature-check", "--tau-sq", "1/3", "--n", "17", "--samples", "1"],
@@ -215,14 +215,14 @@ class TestBadInput:
 class TestDimensionLimit:
     @pytest.mark.parametrize("cmd", ["tai-check", "curvature-check"])
     def test_n_at_the_limit_runs(self, cmd):
-        code, text = run([cmd, "--tau-sq", "1/3", "--n", str(oracle.N_LIMIT), "--samples", "3"])
+        code, text = run([cmd, "--tau-sq", "1/3", "--n", str(sampled.N_LIMIT), "--samples", "3"])
         assert code == 0 and all(line.startswith("PASS") for line in text.splitlines())
 
     @pytest.mark.parametrize("cmd", ["tai-check", "curvature-check"])
     def test_one_more_is_bad_input(self, cmd, capsys):
-        n = oracle.N_LIMIT + 1
+        n = sampled.N_LIMIT + 1
         assert run([cmd, "--tau-sq", "1/3", "--n", str(n), "--samples", "3"]) == (2, "")
-        assert capsys.readouterr().err == f"error: --n must be at most {oracle.N_LIMIT}, got {n}\n"
+        assert capsys.readouterr().err == f"error: --n must be at most {sampled.N_LIMIT}, got {n}\n"
 
 
 class TestParserReuse:

@@ -226,7 +226,7 @@ class TestGeodesicSphereEmbedding:
             geo.geodesic_sphere_reps(F(1), z)
 
     def test_pullback_is_berger_metric(self):
-        from bergersphere.oracle import geodesic_sphere_isometry_check
+        from bergersphere.sampled import geodesic_sphere_isometry_check
         report = geodesic_sphere_isometry_check(F(1, 3), 2, samples=100, seed=7)
         assert report.passed, report
 
@@ -338,7 +338,7 @@ class TestTaiSffInner:
 class TestMetricDefiniteness:
     def test_positive_definite_on_random_frames(self):
         # 200 frames of 5 tangent vectors = 1000 sampled vectors
-        from bergersphere.oracle import metric_definiteness_check
+        from bergersphere.sampled import metric_definiteness_check
         for ts in (F(1, 12), F(1, 3), F(1)):
             report = metric_definiteness_check(ts, 2, samples=200, seed=11)
             assert report.passed and report.max_error < 0

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from bergersphere import geometry, oracle
+from bergersphere import geometry, oracle, sampled
 from bergersphere.geometry import BergerParam
 from bergersphere.models import CliffordHypersurface, TotallyRealSphere
 
@@ -45,7 +45,7 @@ def _ref_clifford(model, param, samples, rng):
     def embed(t_arr, s_arr, bump_c, e):
         pts = np.stack([np.cos(t_arr), np.sin(t_arr), np.cos(s_arr), np.sin(s_arr)], axis=1) * inv
         nrm = np.stack([np.cos(t_arr), np.sin(t_arr), -np.cos(s_arr), -np.sin(s_arr)], axis=1) * inv
-        b = oracle._bump_periodic(t_arr, bump_c[0]) * oracle._bump_periodic(s_arr, bump_c[1])
+        b = sampled._bump_periodic(t_arr, bump_c[0]) * sampled._bump_periodic(s_arr, bump_c[1])
         out = pts + e * b[:, None] * nrm
         return out / np.linalg.norm(out, axis=1, keepdims=True)
 
@@ -62,7 +62,7 @@ def _ref_clifford(model, param, samples, rng):
     dvol = np.sqrt(np.full(len(tt), (1 + ts) / 4 * (1 + ts) / 4 - ((ts - 1) / 4) ** 2)) * cell
     for _ in range(samples):
         c = rng.uniform(0, 2 * math.pi, size=2)
-        b = oracle._bump_periodic(tt, c[0]) * oracle._bump_periodic(ss, c[1])
+        b = sampled._bump_periodic(tt, c[0]) * sampled._bump_periodic(ss, c[1])
         weight = float(np.sum(b * dvol))
         delta = (area(c, eps) - area(c, -eps)) / (2 * eps)
         worst = max(worst, abs(delta / (model.dimension * weight)))
@@ -102,7 +102,7 @@ def _ref_great_circle(model, param, samples, rng):
             return w / nrm[:, None]
 
         def embed(th_arr, e):
-            pts = chart(th_arr) + e * oracle._bump_periodic(th_arr, c0)[:, None] * eta(th_arr)
+            pts = chart(th_arr) + e * sampled._bump_periodic(th_arr, c0)[:, None] * eta(th_arr)
             return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
         def length(e):
@@ -110,7 +110,7 @@ def _ref_great_circle(model, param, samples, rng):
             return float(np.sum(np.sqrt(
                 geometry.berger_inner_rows(param, embed(th, e), dv, dv)))) * cell
 
-        weight = float(np.sum(oracle._bump_periodic(th, c0))) * cell
+        weight = float(np.sum(sampled._bump_periodic(th, c0))) * cell
         delta = (length(eps) - length(-eps)) / (2 * eps)
         worst = max(worst, abs(delta / weight))
     return worst
@@ -195,7 +195,7 @@ REFERENCES = {
 
 def _reference(model, tau, samples, seed):
     return REFERENCES[model][1](model, BergerParam.coerce(tau), samples,
-                                oracle._rng(seed, f"minimality-{model.label()}"))
+                                sampled._rng(seed, f"minimality-{model.label()}"))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def test_max_error_bitwise_equals_unhoisted_loops(model, metric, tau, monkeypatc
     nonzero = 0
     for samples in (1, 2, 3):
         for seed in SEEDS:
-            got = oracle.minimality_first_variation_check(model, tau, samples, seed)
+            got = sampled.minimality_first_variation_check(model, tau, samples, seed)
             want = _reference(model, tau, samples, seed)
             assert got.name == REFERENCES[model][0]
             assert got.max_error.hex() == want.hex(), (samples, seed)
@@ -259,7 +259,7 @@ def test_max_error_bitwise_equals_unhoisted_loops(model, metric, tau, monkeypatc
 ], ids=["clifford", "great-circle", "real-sphere"])
 def test_nan_metric_fails(model, tau, samples, monkeypatch):
     monkeypatch.setattr(geometry, "_metric", _perturbed_metric(lambda v, w: np.nan))
-    report = oracle.minimality_first_variation_check(model, tau, samples)
+    report = sampled.minimality_first_variation_check(model, tau, samples)
     assert math.isnan(report.max_error)
     assert not report.passed
 
@@ -274,20 +274,20 @@ VERIFY_CASES = [
 
 @pytest.mark.parametrize("model, tau, samples", VERIFY_CASES)
 def test_reflection_even_metric_mutation_fails(model, tau, samples, monkeypatch):
-    assert oracle.minimality_first_variation_check(model, tau, samples).passed
+    assert sampled.minimality_first_variation_check(model, tau, samples).passed
     monkeypatch.setattr(geometry, "_metric", _perturbed_metric(_reflection_even))
-    assert not oracle.minimality_first_variation_check(model, tau, samples).passed
+    assert not sampled.minimality_first_variation_check(model, tau, samples).passed
 
 
 def test_reflection_even_metric_mutation_leaves_great_circle_at_zero(monkeypatch):
     """The normal field lies in the -1 eigenspace of the reflection that fixes
     the circle, and this perturbation is invariant under it, so the +eps and
     -eps lengths agree bit for bit."""
-    assert oracle.minimality_first_variation_check(GREAT_CIRCLE, F(1, 3), 2).passed
+    assert sampled.minimality_first_variation_check(GREAT_CIRCLE, F(1, 3), 2).passed
     monkeypatch.setattr(geometry, "_metric", _perturbed_metric(_reflection_even))
     for samples in (1, 2, 3):
         for seed in SEEDS:
-            report = oracle.minimality_first_variation_check(GREAT_CIRCLE, F(1, 3), samples, seed)
+            report = sampled.minimality_first_variation_check(GREAT_CIRCLE, F(1, 3), samples, seed)
             assert report.max_error == 0.0 and report.passed, (samples, seed)
 
 
@@ -296,7 +296,7 @@ def test_reflection_even_metric_mutation_leaves_great_circle_at_zero(monkeypatch
 ], ids=["great-circle", "real-sphere"])
 def test_conjugation_odd_metric_mutation_fails(model, tau, samples, monkeypatch):
     monkeypatch.setattr(geometry, "_metric", _perturbed_metric(_conjugation_odd))
-    report = oracle.minimality_first_variation_check(model, tau, samples)
+    report = sampled.minimality_first_variation_check(model, tau, samples)
     assert report.max_error > report.tolerance
 
 
@@ -310,7 +310,7 @@ CLIFFORD_PAIR = (F(1, 3), F(1))
 def test_shared_draw_clifford_pair_bitwise_equals_reference():
     for samples in (1, 2, 3):
         for seed in SEEDS:
-            reports = oracle._clifford_minimality_checks(CLIFFORD_PAIR, samples, seed)
+            reports = sampled._clifford_minimality_checks(CLIFFORD_PAIR, samples, seed)
             assert [r.name for r in reports] == ["minimality-clifford"] * 2
             for report, tau in zip(reports, CLIFFORD_PAIR):
                 want = _reference(CLIFFORD, tau, samples, seed)
@@ -322,10 +322,10 @@ def test_shared_draw_clifford_pair_bitwise_equals_reference():
 @pytest.mark.parametrize("extra", [lambda v, w: np.nan, _reflection_even, _conjugation_odd],
                          ids=["nan", "reflection-even", "conjugation-odd"])
 def test_shared_draw_clifford_pair_fails_under_metric_mutations(extra, monkeypatch):
-    reports = oracle._clifford_minimality_checks(CLIFFORD_PAIR, 2, oracle.DEFAULT_SEED)
+    reports = sampled._clifford_minimality_checks(CLIFFORD_PAIR, 2, oracle.DEFAULT_SEED)
     assert all(r.passed for r in reports)
     monkeypatch.setattr(geometry, "_metric", _perturbed_metric(extra))
-    reports = oracle._clifford_minimality_checks(CLIFFORD_PAIR, 2, oracle.DEFAULT_SEED)
+    reports = sampled._clifford_minimality_checks(CLIFFORD_PAIR, 2, oracle.DEFAULT_SEED)
     assert len(reports) == 2
     for report in reports:
         assert not report.passed
@@ -341,9 +341,9 @@ def test_real_sphere_with_rows_of_length_8_matches_reference(metric, monkeypatch
     model = TotallyRealSphere(3, 2)
     for samples in (1, 2):
         for seed in SEEDS:
-            got = oracle.minimality_first_variation_check(model, F(1, 2), samples, seed)
+            got = sampled.minimality_first_variation_check(model, F(1, 2), samples, seed)
             want = _ref_real_sphere(model, BergerParam(F(1, 2)), samples,
-                                    oracle._rng(seed, f"minimality-{model.label()}"))
+                                    sampled._rng(seed, f"minimality-{model.label()}"))
             assert abs(got.max_error - want) <= 1e-8, (samples, seed)
             assert got.passed == (metric is None)
             assert metric is None or want > 1e-3

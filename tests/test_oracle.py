@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergersphere import cli, oracle, spectra
+from bergersphere import cli, oracle, sampled, spectra
 from bergersphere.exactlinalg import integer_rank, kernel_basis
 from bergersphere.geometry import BergerParam, GeometryDomainError
 from bergersphere.models import (CliffordHypersurface, IndexReport, JacobiMode,
@@ -241,6 +241,61 @@ class TestVerticalSpectrum:
                 with pytest.raises(AssertionError, match="does not solve"):
                     oracle.lxi_squared_spectrum(n, F(1, 3), k)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_class_ranks_sum_to_the_unsplit_rank(self, n):
+        """On every frequency space, the ranks of the Laplacian's class blocks
+        add up to the rank of the whole Laplacian, differentiated directly;
+        over all frequencies, to the number of degree-(k-2) monomials, since
+        the Laplacian maps onto them."""
+        for k in range(2, 7):
+            targets, sizes = oracle._laplacian_targets(n + 1, k - 2)
+            total = 0
+            for m in range(k % 2, k + 1, 2):
+                columns, polys = {}, []
+                for dvec in oracle._monomials(n + 1, k):
+                    parity = tuple(d % 2 for d in dvec)
+                    halves, _, squares = oracle._rotation_block(dvec)
+                    for h, (half, square) in enumerate(zip(halves, squares)):
+                        cls = (parity, h)
+                        images = oracle._laplacian_images(dvec, half, cls, targets)
+                        for vec in kernel_basis(_shifted(square, m), len(half)):
+                            columns.setdefault(cls, []).append((images, vec))
+                            # exponents of x_0, y_0, x_1, y_1, ...
+                            polys.append({tuple(e for a, d in zip(t, dvec) for e in (a, d - a)): x
+                                          for t, x in zip(half, vec) if x})
+                split = sum(oracle._class_rank(cols, sizes.get(cls, 0))
+                            for cls, cols in columns.items())
+                rows = {}
+                for col, poly in enumerate(polys):
+                    for e, x in poly.items():
+                        for v, ev in enumerate(e):
+                            if ev >= 2:
+                                row = rows.setdefault(e[:v] + (ev - 2,) + e[v + 1:],
+                                                      [0] * len(polys))
+                                row[col] += x * ev * (ev - 1)
+                assert split == integer_rank(list(rows.values())), (k, m)
+                total += split
+            assert total == len(targets) == sum(sizes.values()), k
+
+    @pytest.mark.parametrize("flip", ["sum(a) parity", "dvec mod 2"])
+    def test_a_misfiled_laplacian_target_is_caught(self, monkeypatch, flip):
+        number = oracle._laplacian_targets
+
+        def misfiled(npairs, degree):
+            targets, sizes = number(npairs, degree)
+            # one degree-(k-2) target filed under a class it does not lie in
+            key = list(targets)[len(targets) // 2]
+            (parity, h), i = targets[key]
+            targets[key] = (((parity, 1 - h) if flip == "sum(a) parity"
+                             else ((1 - parity[0],) + parity[1:], h)), i)
+            return targets, sizes
+
+        monkeypatch.setattr(oracle, "_laplacian_targets", misfiled)
+        for n in range(4):
+            for k in range(2, 7):
+                with pytest.raises(AssertionError, match="leaves its class"):
+                    oracle.lxi_squared_spectrum(n, F(1, 3), k)
+
     def test_cap(self):
         with pytest.raises(GeometryDomainError):
             oracle.lxi_squared_spectrum(1, F(1, 2), 9)
@@ -366,29 +421,29 @@ def _fraction_torus_index(ts, potential):
 
 class TestSampledChecks:
     def test_killing_round(self):
-        assert oracle.killing_check(F(1), 1, samples=50).passed
+        assert sampled.killing_check(F(1), 1, samples=50).passed
 
     def test_killing_deformed(self):
-        assert oracle.killing_check(F(1, 3), 2, samples=50).passed
+        assert sampled.killing_check(F(1, 3), 2, samples=50).passed
 
     def test_curvature_symmetries(self):
-        report = oracle.curvature_symmetry_check(F(1, 3), 2, samples=100)
+        report = sampled.curvature_symmetry_check(F(1, 3), 2, samples=100)
         assert report.passed and report.tolerance == 1e-10
 
     def test_gauss_flatness_any_parameter(self):
         for ts in (F(1, 5), F(1, 3), F(1)):
-            report = oracle.gauss_flatness_check(ts)
+            report = sampled.gauss_flatness_check(ts)
             assert report.passed and report.max_error < 1e-12
 
     def test_seeded_determinism(self):
-        a = oracle.curvature_symmetry_check(F(1, 3), 1, samples=40, seed=123)
-        b = oracle.curvature_symmetry_check(F(1, 3), 1, samples=40, seed=123)
-        c = oracle.curvature_symmetry_check(F(1, 3), 1, samples=40, seed=124)
+        a = sampled.curvature_symmetry_check(F(1, 3), 1, samples=40, seed=123)
+        b = sampled.curvature_symmetry_check(F(1, 3), 1, samples=40, seed=123)
+        c = sampled.curvature_symmetry_check(F(1, 3), 1, samples=40, seed=124)
         assert a == b
         assert a.max_error != c.max_error
 
     def test_tai_suite(self):
-        reports = oracle.tai_checks(F(1, 2), 2, samples=60)
+        reports = sampled.tai_checks(F(1, 2), 2, samples=60)
         assert all(r.passed for r in reports)
         names = {r.name for r in reports}
         assert {"tai-isometry", "tai-sphere-containment", "tai-sff-law",
@@ -397,7 +452,7 @@ class TestSampledChecks:
     def test_tai_suite_rejects_the_round_sphere(self):
         with pytest.raises(GeometryDomainError,
                            match=r"^the projector embedding needs tau\^2 < 1$"):
-            oracle.tai_checks(1, 2)
+            sampled.tai_checks(1, 2)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tai_probe_sff_matches_per_call_evaluation(self, n):
@@ -406,21 +461,21 @@ class TestSampledChecks:
         fundamental form of evaluating the curve one direction and one step
         per call, bit for bit; so do its stacked tangent pushes."""
         param, radius = BergerParam(F(3, 4)), 2.0  # radius 1/sqrt(1 - tau^2)
-        zc, (x, y, v, w) = oracle._draw_horizontal(np.random.default_rng([11, n]), n, 5, 4,
+        zc, (x, y, v, w) = sampled._draw_horizontal(np.random.default_rng([11, n]), n, 5, 4,
                                                    radius)
-        probe = oracle._TaiProbe(param, zc, radius)
+        probe = sampled._TaiProbe(param, zc, radius)
 
         tangent = []
         for b in probe.real_basis:
-            t = oracle._tai_push(param, zc, radius, b)
+            t = sampled._tai_push(param, zc, radius, b)
             for s in tangent:
-                t = t - oracle._hm_inner(t, s)[:, None, None] * s
-            tangent.append(t / np.sqrt(oracle._hm_inner(t, t))[:, None, None])
+                t = t - sampled._hm_inner(t, s)[:, None, None] * s
+            tangent.append(t / np.sqrt(sampled._hm_inner(t, t))[:, None, None])
         assert [t.tobytes() for t in probe.tangent] == [t.tobytes() for t in tangent]
 
         def second_derivative(direction, h=2e-3):
             def curve(step):
-                return oracle._tai_curve(param, zc, radius, direction, [step])[0]
+                return sampled._tai_curve(param, zc, radius, direction, [step])[0]
 
             def d2(step):
                 return (curve(step) - 2.0 * curve(0.0) + curve(-step)) / (step * step)
@@ -428,7 +483,7 @@ class TestSampledChecks:
 
         def normal_part(mat):
             for t in probe.tangent:
-                mat = mat - oracle._hm_inner(mat, t)[:, None, None] * t
+                mat = mat - sampled._hm_inner(mat, t)[:, None, None] * t
             return mat
 
         pairs = [(x, y), (v, w), (1j * x, 1j * y), (x, x)] + [(b, b) for b in probe.real_basis]
@@ -443,29 +498,29 @@ class TestSampledChecks:
     def test_tai_checks_do_not_depend_on_the_group_budget(self, n, monkeypatch):
         """Stacking directions in groups of any size gives the same reports,
         bit for bit: from one direction per call to all of them."""
-        grouped = oracle._groups
+        grouped = sampled._groups
 
         def reports():
-            return [repr(oracle.tai_checks(F(2, 7), n, samples, seed=5)) for samples in (7, 330)]
+            return [repr(sampled.tai_checks(F(2, 7), n, samples, seed=5)) for samples in (7, 330)]
 
         want = reports()
-        for row_bytes in (oracle.CALL_BYTES, 2 ** 13, 2 ** 9, 1):
-            monkeypatch.setattr(oracle, "_groups",
+        for row_bytes in (sampled.CALL_BYTES, 2 ** 13, 2 ** 9, 1):
+            monkeypatch.setattr(sampled, "_groups",
                                 lambda fn, directions, _, b=row_bytes: grouped(fn, directions, b))
             assert reports() == want
 
     def test_seed_outside_32_bits_rejected(self):
         for seed in (-1, 2 ** 32):
             with pytest.raises(GeometryDomainError, match="seed"):
-                oracle.ricci_vertical_check(F(1, 2), 1, samples=3, seed=seed)
-        assert oracle.ricci_vertical_check(F(1, 2), 1, samples=3, seed=2 ** 32 - 1).passed
+                sampled.ricci_vertical_check(F(1, 2), 1, samples=3, seed=seed)
+        assert sampled.ricci_vertical_check(F(1, 2), 1, samples=3, seed=2 ** 32 - 1).passed
 
     def test_no_samples_fails(self):
-        report = oracle.curvature_symmetry_check(F(1, 3), 1, samples=0)
+        report = sampled.curvature_symmetry_check(F(1, 3), 1, samples=0)
         assert report.samples == 0 and not report.passed
 
     def test_reports_serialise(self):
-        report = oracle.ricci_vertical_check(F(1, 2), 1, samples=10)
+        report = sampled.ricci_vertical_check(F(1, 2), 1, samples=10)
         blob = report.to_json()
         assert blob["pass"] is True and blob["name"] == "ricci-vertical"
 
@@ -473,17 +528,17 @@ class TestSampledChecks:
 class TestMinimality:
     def test_clifford_torus(self):
         for ts in (F(1, 3), F(1)):
-            report = oracle.minimality_first_variation_check(
+            report = sampled.minimality_first_variation_check(
                 CliffordHypersurface(0, 0), ts, samples=2)
             assert report.passed, report
 
     def test_great_circle(self):
-        report = oracle.minimality_first_variation_check(
+        report = sampled.minimality_first_variation_check(
             TotallyRealSphere(2, 1), F(1, 3), samples=2)
         assert report.passed
 
     def test_real_two_sphere(self):
-        report = oracle.minimality_first_variation_check(
+        report = sampled.minimality_first_variation_check(
             TotallyRealSphere(2, 2), F(1, 2), samples=1)
         assert report.passed
 
@@ -495,7 +550,7 @@ class TestMinimality:
             drawn.append(a)
             return a[None] * 2.0, np.array([1.0, next(lengths)])
 
-        a, eta = oracle._draw_normal(np.random.default_rng(4), normal, 4)
+        a, eta = sampled._draw_normal(np.random.default_rng(4), normal, 4)
         assert len(drawn) == 4 and a is drawn[-1]
         assert np.array_equal(eta, 2.0 * a[None])
 
@@ -509,7 +564,7 @@ class TestMinimality:
             return np.zeros((3, 4)), np.array([1.0, 0.3, 1.0])
 
         with pytest.raises(GeometryDomainError, match="on 32 draws"):
-            oracle._draw_normal(np.random.default_rng(4), vanishing, 4)
+            sampled._draw_normal(np.random.default_rng(4), vanishing, 4)
         assert len(drawn) == 32
 
     def test_normal_draw_keeps_a_nan_field_after_32_draws(self):
@@ -521,14 +576,14 @@ class TestMinimality:
             drawn.append(a)
             return np.full((3, 4), np.nan), np.array([1.0, np.nan, 0.2])
 
-        a, eta = oracle._draw_normal(np.random.default_rng(4), undefined, 4)
+        a, eta = sampled._draw_normal(np.random.default_rng(4), undefined, 4)
         assert len(drawn) == 32 and a is drawn[-1] and np.isnan(eta).all()
 
     def test_vanishing_normal_field_is_an_error_line(self, monkeypatch, capsys):
         def vanishing(param, pts, tangents):
             return lambda a: (np.zeros_like(pts), np.zeros(len(pts)))
 
-        monkeypatch.setattr(oracle, "_normal_frame", vanishing)
+        monkeypatch.setattr(sampled, "_normal_frame", vanishing)
         out = io.StringIO()
         assert cli.main(["verify", "--samples", "1"], out) == 2
         assert out.getvalue() == ""
@@ -536,7 +591,7 @@ class TestMinimality:
 
     def test_unsupported_model_refused(self):
         with pytest.raises(GeometryDomainError):
-            oracle.minimality_first_variation_check(
+            sampled.minimality_first_variation_check(
                 CliffordHypersurface(1, 0), F(1, 3), samples=1)
 
 
@@ -579,15 +634,15 @@ def _sampled_reports(samples, n, seed=3):
     verify runs, as JSON."""
     third, half = F(1, 3), F(1, 2)
     return [report.to_json() for report in (
-        *oracle._killing_checks((third, F(1)), n, samples, seed),
-        oracle.curvature_symmetry_check(third, n, samples, seed),
-        oracle.round_degeneration_check(n, samples, seed),
-        oracle.sectional_consistency_check(third, n, samples, seed),
-        oracle.ricci_vertical_check(third, n, samples, seed),
-        oracle.metric_definiteness_check(third, n, samples, seed),
-        *oracle._geodesic_sphere_checks((third, half), n, samples, seed),
-        *oracle._gauss_flatness_checks((third, F(1)), samples, seed),
-        *oracle.tai_checks(half, n, samples, seed),
+        *sampled._killing_checks((third, F(1)), n, samples, seed),
+        sampled.curvature_symmetry_check(third, n, samples, seed),
+        sampled.round_degeneration_check(n, samples, seed),
+        sampled.sectional_consistency_check(third, n, samples, seed),
+        sampled.ricci_vertical_check(third, n, samples, seed),
+        sampled.metric_definiteness_check(third, n, samples, seed),
+        *sampled._geodesic_sphere_checks((third, half), n, samples, seed),
+        *sampled._gauss_flatness_checks((third, F(1)), samples, seed),
+        *sampled.tai_checks(half, n, samples, seed),
     )]
 
 
@@ -629,13 +684,13 @@ class TestBatchedSampling:
         tangents = [_random_tangent(scalar, z) for _ in range(4)]
         after = scalar.standard_normal()
         batched = np.random.default_rng([5, n])
-        zb, vecs = oracle._draw(batched, n, 1, 4)
+        zb, vecs = sampled._draw(batched, n, 1, 4)
         assert batched.standard_normal() == after
         np.testing.assert_allclose(zb[0], z, rtol=0, atol=1e-15)
         for got, want in zip(vecs, tangents):
             np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-14)
         # and the first row of a larger batch is the same sample
-        zb3, vecs3 = oracle._draw(np.random.default_rng([5, n]), n, 3, 4)
+        zb3, vecs3 = sampled._draw(np.random.default_rng([5, n]), n, 3, 4)
         assert np.array_equal(zb3[0], zb[0])
         assert all(np.array_equal(a[0], b[0]) for a, b in zip(vecs3, vecs))
 
@@ -647,7 +702,7 @@ class TestBatchedSampling:
         horizontal = [_random_horizontal(scalar, zc, radius) for _ in range(4)]
         after = scalar.standard_normal()
         batched = np.random.default_rng([9, n])
-        zb, vecs = oracle._draw_horizontal(batched, n, 1, 4, radius)
+        zb, vecs = sampled._draw_horizontal(batched, n, 1, 4, radius)
         assert batched.standard_normal() == after
         np.testing.assert_allclose(zb[0], zc, rtol=0, atol=1e-14)
         for got, want in zip(vecs, horizontal):
@@ -658,11 +713,11 @@ class TestBatchedSampling:
         """A one-row budget (every batch one row, every call one direction)
         and a one-batch budget (every check one batch, every stack one call)
         give the reports of the byte budget, exactly."""
-        for n in (1, 2, 3, oracle.N_LIMIT):
+        for n in (1, 2, 3, sampled.N_LIMIT):
             want = _sampled_reports(samples, n)
             assert all(report["pass"] for report in want)
             for budget in (1, 2 ** 40):
-                monkeypatch.setattr(oracle, "CALL_BYTES", budget)
+                monkeypatch.setattr(sampled, "CALL_BYTES", budget)
                 assert _sampled_reports(samples, n) == want, (n, budget)
             monkeypatch.undo()
 

@@ -6,21 +6,23 @@ examines that makes it fail."""
 import __future__
 import inspect
 import io
+import json
 import textwrap
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bergersphere import cli, geometry, oracle
+from bergersphere import cli, geometry, sampled
 from bergersphere.geometry import BergerParam
 
 NS = [1, 2, 3]
 TAUS = [F(1, 3), F(2, 7), F(1, 2)]
 SEEDS = [1, 7, 12345, 0x5EED]
 # sizes around the 256-row batch of earlier versions and its sixth, 42, and
-# around the 409-row curvature batch at n = 3 (``oracle.CALL_BYTES`` over
+# around the 409-row curvature batch at n = 3 (``sampled.CALL_BYTES`` over
 # five vectors of 8 floats)
 SAMPLES = [1, 7, 42, 43, 255, 256, 257, 409, 410, 600]
 
@@ -33,10 +35,10 @@ SAMPLES = [1, 7, 42, 43, 255, 256, 257, 409, 410, 600]
 def _ref_killing(tau, n, samples, seed):
     h = 1e-5
     param = BergerParam.coerce(tau)
-    rng = oracle._rng(seed, "killing")
+    rng = sampled._rng(seed, "killing")
     worst = 0.0
-    for count in oracle._chunks(samples, oracle._vector_bytes(n)):
-        z, (v, w) = oracle._draw(rng, n, count, 2)
+    for count in sampled._chunks(samples, sampled._vector_bytes(n)):
+        z, (v, w) = sampled._draw(rng, n, count, 2)
 
         def moved(t):
             zt = geometry.check_points(geometry.killing_flow_rows(param, t, z))
@@ -45,22 +47,22 @@ def _ref_killing(tau, n, samples, seed):
             geometry.check_tangents(zt, vt, wt)
             return geometry.berger_inner_rows(param, zt, vt, wt)
 
-        worst = oracle._worst(worst, np.abs((moved(h) - moved(-h)) / (2 * h)))
+        worst = sampled._worst(worst, np.abs((moved(h) - moved(-h)) / (2 * h)))
     return worst
 
 
 def _ref_curvature_symmetry(tau, n, samples, seed):
     param = BergerParam.coerce(tau)
-    rng = oracle._rng(seed, "curvature-symmetry")
+    rng = sampled._rng(seed, "curvature-symmetry")
     worst = 0.0
-    for count in oracle._chunks(samples, oracle._vector_bytes(n)):
-        z, (x, y, zz, w) = oracle._draw(rng, n, count, 4)
+    for count in sampled._chunks(samples, sampled._vector_bytes(n)):
+        z, (x, y, zz, w) = sampled._draw(rng, n, count, 4)
 
         def curv(a, b, c, d):
             return geometry.curvature_tensor_rows(param, z, a, b, c, d)
 
         r = curv(x, y, zz, w)
-        worst = oracle._worst(worst, np.max([
+        worst = sampled._worst(worst, np.max([
             np.abs(r + curv(y, x, zz, w)),
             np.abs(r + curv(x, y, w, zz)),
             np.abs(r - curv(zz, w, x, y)),
@@ -71,16 +73,16 @@ def _ref_curvature_symmetry(tau, n, samples, seed):
 
 def _ref_round_degeneration(n, samples, seed):
     param = BergerParam(F(1))
-    rng = oracle._rng(seed, "round-degeneration")
+    rng = sampled._rng(seed, "round-degeneration")
     worst = 0.0
-    for count in oracle._chunks(samples, oracle._vector_bytes(n)):
-        z, (x, y, zz, w) = oracle._draw(rng, n, count, 4)
+    for count in sampled._chunks(samples, sampled._vector_bytes(n)):
+        z, (x, y, zz, w) = sampled._draw(rng, n, count, 4)
 
         def ip(a, b):
             return geometry.berger_inner_rows(param, z, a, b)
 
         expected = ip(y, zz) * ip(x, w) - ip(x, zz) * ip(y, w)
-        worst = oracle._worst(worst, np.abs(
+        worst = sampled._worst(worst, np.abs(
             geometry.curvature_tensor_rows(param, z, x, y, zz, w) - expected))
     return worst
 
@@ -88,15 +90,15 @@ def _ref_round_degeneration(n, samples, seed):
 def _ref_geodesic_sphere(tau, n, samples, seed):
     h = 1e-6
     param = BergerParam.coerce(tau)
-    rng = oracle._rng(seed, "geodesic-sphere-isometry")
+    rng = sampled._rng(seed, "geodesic-sphere-isometry")
     scale = 1.0 / np.sqrt(float(param.one_minus))
     worst = 0.0
 
     def rep(zc):
         return geometry.geodesic_sphere_reps(param, zc / np.linalg.norm(zc, axis=1, keepdims=True))
 
-    for count in oracle._chunks(samples, oracle._vector_bytes(n)):
-        z, (u, v) = oracle._draw(rng, n, count, 2)
+    for count in sampled._chunks(samples, sampled._vector_bytes(n)):
+        z, (u, v) = sampled._draw(rng, n, count, 2)
         p0 = geometry.geodesic_sphere_reps(param, z)
         p0 = p0 * (scale / np.linalg.norm(p0, axis=1))[:, None]
 
@@ -104,7 +106,7 @@ def _ref_geodesic_sphere(tau, n, samples, seed):
             return (rep(z + h * t) - rep(z - h * t)) / (2 * h)
 
         got = _ref_fubini_study(p0, scale, push(u), push(v))
-        worst = oracle._worst(worst, np.abs(got - geometry.berger_inner_rows(param, z, u, v)))
+        worst = sampled._worst(worst, np.abs(got - geometry.berger_inner_rows(param, z, u, v)))
     return worst
 
 
@@ -154,12 +156,12 @@ def _mutated(owner, name: str, old: str, new: str):
 
 def _edit(owner, name: str, old: str, new: str):
     """A perturbation: ``_mutated`` installed on ``owner`` and, for a
-    geometry kernel, on the name ``oracle`` imported it under."""
+    geometry kernel, on the name ``sampled`` imported it under."""
     def apply(monkeypatch):
         fn = _mutated(owner, name, old, new)
         monkeypatch.setattr(owner, name, fn)
-        if owner is geometry and hasattr(oracle, name):
-            monkeypatch.setattr(oracle, name, fn)
+        if owner is geometry and hasattr(sampled, name):
+            monkeypatch.setattr(sampled, name, fn)
     return apply
 
 
@@ -175,9 +177,9 @@ _FLIP_CONSTANT_TERM = _edit(geometry, "curvature_orders_rows",
 # ---------------------------------------------------------------------------
 
 CHECKS = {
-    "curvature-symmetries": (oracle.curvature_symmetry_check, _ref_curvature_symmetry),
-    "killing-flow-isometry": (oracle.killing_check, _ref_killing),
-    "geodesic-sphere-isometry": (oracle.geodesic_sphere_isometry_check, _ref_geodesic_sphere),
+    "curvature-symmetries": (sampled.curvature_symmetry_check, _ref_curvature_symmetry),
+    "killing-flow-isometry": (sampled.killing_check, _ref_killing),
+    "geodesic-sphere-isometry": (sampled.geodesic_sphere_isometry_check, _ref_geodesic_sphere),
 }
 
 
@@ -207,7 +209,7 @@ def test_round_degeneration_bitwise_equals_per_call_reference(n, perturbed, monk
         _FLIP_CONSTANT_TERM(monkeypatch)
     for samples in SAMPLES:
         for seed in SEEDS:
-            got = oracle.round_degeneration_check(n, samples, seed)
+            got = sampled.round_degeneration_check(n, samples, seed)
             want = _ref_round_degeneration(n, samples, seed)
             assert got.max_error.hex() == want.hex(), (samples, seed)
             assert (want != 0.0) == perturbed
@@ -218,9 +220,9 @@ def test_round_degeneration_bitwise_equals_per_call_reference(n, perturbed, monk
 @pytest.mark.parametrize("n", NS)
 def test_tai_sff_law_bitwise_equals_per_call_reference(n, tau, monkeypatch):
     cases = [(samples, seed) for samples in SAMPLES for seed in SEEDS]
-    got = [oracle.tai_checks(tau, n, samples, seed)[2] for samples, seed in cases]
-    monkeypatch.setattr(oracle, "tai_sff_inner_rows", _ref_tai_sff_inner)
-    want = [oracle.tai_checks(tau, n, samples, seed)[2] for samples, seed in cases]
+    got = [sampled.tai_checks(tau, n, samples, seed)[2] for samples, seed in cases]
+    monkeypatch.setattr(sampled, "tai_sff_inner_rows", _ref_tai_sff_inner)
+    want = [sampled.tai_checks(tau, n, samples, seed)[2] for samples, seed in cases]
     for case, a, b in zip(cases, got, want):
         assert a.name == "tai-sff-law"
         assert a.max_error.hex() == b.max_error.hex(), case
@@ -234,7 +236,7 @@ def test_shared_projections_equal_per_call_products(n):
     per-call forms bit for bit, also over a leading stack axis."""
     rng = np.random.default_rng([3, n])
     radius = 2.0
-    zc, vectors = oracle._draw_horizontal(rng, n, 9, 4, radius)
+    zc, vectors = sampled._draw_horizontal(rng, n, 9, 4, radius)
     stacked = [np.stack([u, 1j * u, u + 2.0]) for u in vectors]
     for reps, (x, y, v, w) in ((zc, vectors), (zc[None], stacked)):
         for tau in TAUS:
@@ -251,19 +253,19 @@ def test_shared_projections_equal_per_call_products(n):
 
 def _stacked_reports(n, samples):
     return [repr(check(F(2, 7), n, samples, 5)) for check in (
-        oracle.curvature_symmetry_check, oracle.killing_check,
-        oracle.geodesic_sphere_isometry_check,
-        lambda _, n, samples, seed: oracle.round_degeneration_check(n, samples, seed))]
+        sampled.curvature_symmetry_check, sampled.killing_check,
+        sampled.geodesic_sphere_isometry_check,
+        lambda _, n, samples, seed: sampled.round_degeneration_check(n, samples, seed))]
 
 
 @pytest.mark.parametrize("n", NS)
 def test_stacked_checks_do_not_depend_on_the_group_budget(n, monkeypatch):
     """From one argument set per call to all of them in one, the reports are
     the same, bit for bit."""
-    grouped = oracle._groups
+    grouped = sampled._groups
     want = [_stacked_reports(n, samples) for samples in (1, 43, 300)]
-    for row_bytes in (oracle.CALL_BYTES, 2 ** 13, 2 ** 9, 1):
-        monkeypatch.setattr(oracle, "_groups",
+    for row_bytes in (sampled.CALL_BYTES, 2 ** 13, 2 ** 9, 1):
+        monkeypatch.setattr(sampled, "_groups",
                             lambda fn, directions, _, b=row_bytes: grouped(fn, directions, b))
         assert [_stacked_reports(n, samples) for samples in (1, 43, 300)] == want
 
@@ -272,7 +274,7 @@ def test_stacked_checks_do_not_depend_on_the_group_budget(n, monkeypatch):
 # Byte budget: no kernel call of a sampled check holds more than CALL_BYTES
 # ---------------------------------------------------------------------------
 
-# oracle's name of each kernel it calls on sampled batches -> position of the
+# sampled's name of each kernel it calls on sampled batches -> position of the
 # batch (points, representatives or curve directions) among its arguments
 KERNELS = {
     "_berger_grams": 1, "berger_inner_rows": 1,
@@ -329,9 +331,9 @@ def kernel_rows(monkeypatch):
         return wrapper
 
     for name, position in KERNELS.items():
-        monkeypatch.setattr(oracle, name, recording(name, getattr(oracle, name), position))
+        monkeypatch.setattr(sampled, name, recording(name, getattr(sampled, name), position))
     for name in GRID_CHECKS:
-        monkeypatch.setattr(oracle, name, grid(getattr(oracle, name)))
+        monkeypatch.setattr(sampled, name, grid(getattr(sampled, name)))
     return calls
 
 
@@ -341,12 +343,12 @@ def _command(cmd, n):
 
 
 @pytest.mark.parametrize("run, kernel, n, sample_counts", [
-    (lambda samples: oracle.verify_all(samples), "geodesic_sphere_reps", 2,
+    (lambda samples: sampled.verify_all(samples), "geodesic_sphere_reps", 2,
      (1, 16, 43, 300, 600, 1100)),
     (_command("tai-check", 3), "_tai_curve", 3, (1, 16, 43, 300, 600, 1300)),
     (_command("curvature-check", 3), "curvature_orders_rows", 3, (1, 16, 43, 300, 600, 1100)),
-    (_command("tai-check", oracle.N_LIMIT), "_tai_curve", oracle.N_LIMIT, (1, 43, 300)),
-    (_command("curvature-check", oracle.N_LIMIT), "curvature_orders_rows", oracle.N_LIMIT,
+    (_command("tai-check", sampled.N_LIMIT), "_tai_curve", sampled.N_LIMIT, (1, 43, 300)),
+    (_command("curvature-check", sampled.N_LIMIT), "curvature_orders_rows", sampled.N_LIMIT,
      (1, 43, 300, 600)),
 ], ids=["verify_all", "tai-check", "curvature-check", "tai-check-n-limit",
         "curvature-check-n-limit"])
@@ -357,8 +359,8 @@ def test_no_kernel_call_exceeds_the_chunk(run, kernel, n, sample_counts, kernel_
         kernel_rows.clear()
         run(samples)
         assert kernel in {name for name, _, _ in kernel_rows}
-        assert max(size for _, _, size in kernel_rows) <= oracle.CALL_BYTES, samples
-        if n == oracle.N_LIMIT:
+        assert max(size for _, _, size in kernel_rows) <= sampled.CALL_BYTES, samples
+        if n == sampled.N_LIMIT:
             assert max(rows for _, rows, _ in kernel_rows) <= OLD_BATCH_ROWS, samples
             assert max((rows for name, rows, _ in kernel_rows if name == "_tai_curve"),
                        default=0) <= OLD_PROBE_ROWS, samples
@@ -371,7 +373,7 @@ def test_no_kernel_call_exceeds_the_chunk(run, kernel, n, sample_counts, kernel_
 ])
 def test_curvature_arrangements_share_calls(samples, calls, kernel_rows):
     """The six arrangements share one kernel call per batch."""
-    oracle.curvature_symmetry_check(F(1, 3), 2, samples)
+    sampled.curvature_symmetry_check(F(1, 3), 2, samples)
     assert [rows for name, rows, _ in kernel_rows if name == "curvature_orders_rows"] == calls
 
 
@@ -415,7 +417,7 @@ N_LIMIT_PEAK_MIB = 30.81
 
 
 def test_traced_peak_at_n_limit_stays_within_the_fixed_row_batches():
-    argv = ["tai-check", "--tau-sq", "2/7", "--n", str(oracle.N_LIMIT), "--samples", "300"]
+    argv = ["tai-check", "--tau-sq", "2/7", "--n", str(sampled.N_LIMIT), "--samples", "300"]
     assert _traced_peak(argv) / 2 ** 20 <= N_LIMIT_PEAK_MIB
 
 
@@ -453,7 +455,7 @@ def _ref_curvature_tensor(tau, z, x, y, zz, w):
 # order with its four products, the sectional check's R(v, w, w, v), and
 # orders that repeat a vector in other slots
 KERNEL_CALLS = [
-    (4, oracle._SYMMETRY_ORDERS, ()),
+    (4, sampled._SYMMETRY_ORDERS, ()),
     (4, ((0, 1, 2, 3),), ((1, 2), (0, 3), (0, 2), (1, 3))),
     (2, ((0, 1, 1, 0),), ()),
     (4, ((0, 1, 1, 0), (3, 3, 3, 3), (2, 0, 0, 2), (1, 2, 3, 0)), ((2, 2), (3, 1), (1, 3))),
@@ -465,7 +467,7 @@ KERNEL_CALLS = [
 def test_multi_order_kernel_equals_one_call_per_order(n, tau):
     rng = np.random.default_rng([21, n])
     for rows in (1, 42, 43, 256, 257):
-        z, vectors = oracle._draw(rng, n, rows, 4)
+        z, vectors = sampled._draw(rng, n, rows, 4)
         for count, orders, pairs in KERNEL_CALLS:
             vecs = vectors[:count]
             got = geometry.curvature_orders_rows(tau, z, vecs, orders, pairs)
@@ -489,8 +491,8 @@ def _ref_sff(probe, pairs, traced=()):
     form too, with every form of the trace stacked before it is summed."""
     every = list(pairs) + [(b, b) for b in traced]
     directions = np.stack([x + y for x, y in every] + [x - y for x, y in every])
-    normal = oracle._in_groups(lambda d: probe._normal_part(probe._second_derivative(d)),
-                               directions, oracle._curve_bytes(probe.zc.shape[1] - 1))
+    normal = sampled._in_groups(lambda d: probe._normal_part(probe._second_derivative(d)),
+                               directions, sampled._curve_bytes(probe.zc.shape[1] - 1))
     s = normal[:len(every)]
     s -= normal[len(every):]
     s /= 4.0
@@ -509,8 +511,8 @@ def test_probe_without_zero_directions_equals_probe_with_them(n, tau):
     radius = 1.0 / np.sqrt(float(param.one_minus))
     rng = np.random.default_rng([22, n])
     for rows in (1, 5, 64):
-        zc, (x, y, v, w) = oracle._draw_horizontal(rng, n, rows, 4, radius)
-        probe = oracle._TaiProbe(param, zc, radius)
+        zc, (x, y, v, w) = sampled._draw_horizontal(rng, n, rows, 4, radius)
+        probe = sampled._TaiProbe(param, zc, radius)
         # a pair (b, b) is evaluated in its zero direction b - b too
         pairs = ([(x, y), (v, w), (1j * x, 1j * y), (x, x), (v, v.copy())]
                  + [(b, b) for b in probe.real_basis])
@@ -524,9 +526,9 @@ def test_probe_without_zero_directions_equals_probe_with_them(n, tau):
 def test_tai_reports_equal_those_of_the_probe_with_zero_directions(n, monkeypatch):
     cases = [(tau, samples, seed) for tau in (F(1, 1000), F(2, 7), F(1, 2))
              for samples in (1, 50, 257) for seed in (1, 0x5EED)]
-    got = [oracle.tai_checks(tau, n, samples, seed) for tau, samples, seed in cases]
-    monkeypatch.setattr(oracle._TaiProbe, "sff", _ref_sff)
-    want = [oracle.tai_checks(tau, n, samples, seed) for tau, samples, seed in cases]
+    got = [sampled.tai_checks(tau, n, samples, seed) for tau, samples, seed in cases]
+    monkeypatch.setattr(sampled._TaiProbe, "sff", _ref_sff)
+    want = [sampled.tai_checks(tau, n, samples, seed) for tau, samples, seed in cases]
     assert [[r.max_error.hex() for r in reports] for reports in got] == \
         [[r.max_error.hex() for r in reports] for reports in want]
     assert got == want
@@ -539,11 +541,11 @@ def test_tai_reports_equal_those_of_the_probe_with_zero_directions(n, monkeypatc
 
 def _ref_gauss_flatness(tau, samples, seed):
     param = BergerParam.coerce(tau)
-    rng = oracle._rng(seed, "gauss-flatness")
+    rng = sampled._rng(seed, "gauss-flatness")
     e_exact, f_exact = float((1 + param.tau_sq) / 4), float((param.tau_sq - 1) / 4)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     worst = 0.0
-    for count in oracle._chunks(samples, oracle._vector_bytes(1)):
+    for count in sampled._chunks(samples, sampled._vector_bytes(1)):
         t, s = rng.uniform(0, 2 * np.pi, size=(count, 2)).T
         zero = np.zeros(count)
         z = np.stack([np.cos(t), np.sin(t), np.cos(s), np.sin(s)], axis=1) * inv_sqrt2
@@ -553,7 +555,7 @@ def _ref_gauss_flatness(tau, samples, seed):
         def ip(a, b):
             return geometry.berger_inner_rows(param, z, a, b)
 
-        worst = oracle._worst(worst, np.max([
+        worst = sampled._worst(worst, np.max([
             np.abs(ip(dt, dt) - e_exact), np.abs(ip(ds, ds) - e_exact),
             np.abs(ip(dt, ds) - f_exact)], axis=0))
     return worst
@@ -565,16 +567,16 @@ def test_verify_tau_pairs_equal_their_one_tau_checks(samples, seed):
     third, half, one = F(1, 3), F(1, 2), F(1)
     one_tau = {
         "killing-flow-isometry": [
-            (oracle.killing_check(tau, 2, samples, seed), _ref_killing(tau, 2, samples, seed))
+            (sampled.killing_check(tau, 2, samples, seed), _ref_killing(tau, 2, samples, seed))
             for tau in (third, one)],
         "geodesic-sphere-isometry": [
-            (oracle.geodesic_sphere_isometry_check(tau, 2, samples, seed),
+            (sampled.geodesic_sphere_isometry_check(tau, 2, samples, seed),
              _ref_geodesic_sphere(tau, 2, samples, seed)) for tau in (third, half)],
         "gauss-flatness": [
-            (oracle.gauss_flatness_check(tau, seed=seed), _ref_gauss_flatness(tau, 64, seed))
+            (sampled.gauss_flatness_check(tau, seed=seed), _ref_gauss_flatness(tau, 64, seed))
             for tau in (third, one)],
     }
-    reports = oracle.verify_all(samples, seed)
+    reports = sampled.verify_all(samples, seed)
     for name, want in one_tau.items():
         got = [r for r in reports if r.name == name]
         assert got == [report for report, _ in want]
@@ -587,27 +589,35 @@ def test_verify_tau_pairs_equal_their_one_tau_checks(samples, seed):
 
 
 def _curvature_reports():
-    return [oracle.curvature_symmetry_check(F(2, 7), 2, 64),
-            oracle.sectional_consistency_check(F(2, 7), 2, 64),
-            oracle.round_degeneration_check(2, 64)]
+    return [sampled.curvature_symmetry_check(F(2, 7), 2, 64),
+            sampled.sectional_consistency_check(F(2, 7), 2, 64),
+            sampled.round_degeneration_check(2, 64)]
+
+
+def _curvature_command_n1():
+    """The reports of ``curvature-check --n 1``, read from its JSON output."""
+    out = io.StringIO()
+    cli.main(["curvature-check", "--tau-sq", "2/7", "--n", "1", "--format", "json"], out)
+    return [SimpleNamespace(name=c["name"], passed=c["pass"])
+            for c in json.loads(out.getvalue())["checks"]]
 
 
 def _round_report():
-    return [oracle.round_degeneration_check(2, 64)]
+    return [sampled.round_degeneration_check(2, 64)]
 
 
 def _tai_reports():
-    return oracle.tai_checks(F(1, 2), 2, 50)
+    return sampled.tai_checks(F(1, 2), 2, 50)
 
 
 def _verify_reports():
-    return oracle.verify_all(16)
+    return sampled.verify_all(16)
 
 
 def _swap_pair_order(monkeypatch):
     orders = tuple((2, 3, 1, 0) if order == (2, 3, 0, 1) else order
-                   for order in oracle._SYMMETRY_ORDERS)
-    monkeypatch.setattr(oracle, "_SYMMETRY_ORDERS", orders)
+                   for order in sampled._SYMMETRY_ORDERS)
+    monkeypatch.setattr(sampled, "_SYMMETRY_ORDERS", orders)
 
 
 _KERNEL = (geometry, "curvature_orders_rows")
@@ -640,23 +650,23 @@ PERTURBATIONS = {
     "R(z, w, x, y) evaluated as R(z, w, y, x)": (
         _swap_pair_order, _curvature_reports, ["curvature-symmetries"]),
     "sectional order R(v, w, v, w)": (
-        _edit(oracle, "sectional_consistency_check", "((0, 1, 1, 0),)", "((0, 1, 0, 1),)"),
+        _edit(sampled, "sectional_consistency_check", "((0, 1, 1, 0),)", "((0, 1, 0, 1),)"),
         _curvature_reports, ["sectional-consistency"]),
     "closed-form law 2 <x,y><v,w> as 1 <x,y><v,w>": (
         _edit(geometry, "tai_sff_inner_rows", "2.0 * ip(hx, hy)", "1.0 * ip(hx, hy)"),
         _tai_reports, ["tai-sff-law"]),
     "probe skips x - y for every pair": (
-        _edit(oracle._TaiProbe, "sff", "+ [x - y for x, y in pairs]", ""),
+        _edit(sampled._TaiProbe, "sff", "+ [x - y for x, y in pairs]", ""),
         _tai_reports, ["tai-sff-law"]),
     "J-rotated pair as (i x, -i y)": (
-        _edit(oracle, "_tai_sff_errors", "(1j * x, 1j * y)", "(1j * x, -1j * y)"),
+        _edit(sampled, "_tai_sff_errors", "(1j * x, 1j * y)", "(1j * x, -1j * y)"),
         _tai_reports, ["tai-sff-j-invariance"]),
     "trace without its last basis vector": (
-        _edit(oracle, "_tai_sff_errors", "probe.real_basis)", "probe.real_basis[:-1])"),
+        _edit(sampled, "_tai_sff_errors", "probe.real_basis)", "probe.real_basis[:-1])"),
         _tai_reports, ["tai-minimality"]),
     # the trace's directions b + b polarise the pairs (b, b)
     "trace pairs (b, b) probed as (b, i b)": (
-        _edit(oracle._TaiProbe, "sff", "[b + b for b in traced]", "[b + 1j * b for b in traced]"),
+        _edit(sampled._TaiProbe, "sff", "[b + b for b in traced]", "[b + 1j * b for b in traced]"),
         _tai_reports, ["tai-minimality"]),
     "flow differential scaled by 1 + t": (
         _edit(geometry, "killing_flow_differential_rows",
@@ -664,7 +674,7 @@ PERTURBATIONS = {
               "return (1.0 + t) * (math.cos(th) * v + math.sin(th) * mult_i(v))"),
         _verify_reports, ["killing-flow-isometry"]),
     "each tau compared with the other tau's Berger metric": (
-        _edit(oracle, "_geodesic_sphere_checks", "berger_inner_rows(param, z, u, v)",
+        _edit(sampled, "_geodesic_sphere_checks", "berger_inner_rows(param, z, u, v)",
               "berger_inner_rows(params[-1 - k], z, u, v)"),
         _verify_reports, ["geodesic-sphere-isometry"]),
 }
@@ -682,8 +692,16 @@ BLIND_SPOTS = {
     # the flow turns z, v and w by one phase, an isometry of every Berger
     # metric, and the report does not say which tau it ran at
     "each tau's slot evaluated at the other tau": (
-        _edit(oracle, "_killing_checks", "enumerate(params)", "enumerate(params[::-1])"),
+        _edit(sampled, "_killing_checks", "enumerate(params)", "enumerate(params[::-1])"),
         _verify_reports, ["killing-flow-isometry"]),
+    # at n = 1 the edited tensor keeps every curvature symmetry: an exact
+    # evaluation on the 81 basis 4-tuples at z = e_0 finds no violation (24
+    # at n = 2), and U(2)-homogeneity and multilinearity carry that to every
+    # point and vector; K(e, ie) = 4 - 3 tau^2 would read 3 - 2 tau^2, and
+    # the command's sectional-consistency fails
+    "kernel -2 <Jx,y><Jz,w> as -1, at n = 1": (
+        PERTURBATIONS["kernel -2 <Jx,y><Jz,w> as -1"][0], _curvature_command_n1,
+        ["curvature-symmetries"]),
 }
 
 
