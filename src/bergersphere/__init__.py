@@ -18,4 +18,4 @@ from .stability import (CliffordTorus, MinimalSphere, ModuliVector, OtherSurface
                         moduli_curve, proof_polynomial_P, s1_bundle_stability,
                         surface_index_one_classification)
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
