@@ -264,6 +264,8 @@ def _class_rank(columns, size: int) -> int:
             if x:
                 for r, coef in image:
                     rows[r][col] += x * coef
+    if size == 1 or len(columns) == 1:  # one row or column: rank 1 unless all zero
+        return int(any(map(any, rows)))
     return integer_rank(rows)
 
 
@@ -294,7 +296,7 @@ def lxi_squared_spectrum(n: int, tau, k: int):
     # and its halves relabelled once to every dvec of its class, where the
     # Laplacian images of their monomials are formed.
     blocks = {}
-    sources = []  # per dvec: (sorted dvec, per half (class, Laplacian images))
+    classes = {}  # Laplacian class -> (sorted dvec, half, Laplacian images) per member half
     for dvec in _monomials(npairs, k):
         key = tuple(sorted(dvec))
         if key not in blocks:
@@ -303,9 +305,10 @@ def lxi_squared_spectrum(n: int, tau, k: int):
         order = sorted(range(npairs), key=dvec.__getitem__)
         pos = sorted(range(npairs), key=order.__getitem__)
         parity = tuple(d % 2 for d in dvec)
-        sources.append((key, [((parity, h), _laplacian_images(
-            dvec, [tuple(t[p] for p in pos) for t in half], (parity, h), targets))
-            for h, half in enumerate(blocks[key][0])]))
+        for h, half in enumerate(blocks[key][0]):
+            cls = (parity, h)
+            classes.setdefault(cls, []).append((key, h, _laplacian_images(
+                dvec, [tuple(t[p] for p in pos) for t in half], cls, targets)))
 
     results = []
     total = 0
@@ -331,12 +334,10 @@ def lxi_squared_spectrum(n: int, tau, k: int):
                                              f"rot^2 + {shift} = 0")
         # The Laplacian keeps the class of every monomial, so its rank on the
         # frequency space is the sum of the ranks of its class blocks.
-        columns = {}
-        for key, halves in sources:
-            for (cls, images), vecs in zip(halves, kernels[key]):
-                columns.setdefault(cls, []).extend((images, vec) for vec in vecs)
-        nullity = sum(len(cols) - _class_rank(cols, sizes.get(cls, 0))
-                      for cls, cols in columns.items())
+        nullity = 0
+        for cls, members in classes.items():
+            columns = [(images, vec) for key, h, images in members for vec in kernels[key][h]]
+            nullity += len(columns) - _class_rank(columns, sizes.get(cls, 0))
         if nullity > 0:
             results.append((Fraction(-shift) / param.tau_sq, nullity))
             total += nullity
