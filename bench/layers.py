@@ -30,10 +30,10 @@ Cases:
   at six random rationals tau^2 and over ``cli._phase_models(12)`` at ten
   (seeded, drawn outside the timed region).  Each run is a fresh
   interpreter, so the mode tables start cold, as they do for a single
-  command-line call.  L1 Laplace tables:
-  ``spectra.berger_modes(4, 2/7, 8)`` and ``spectra.clifford_modes(1, 2,
-  2/7, 6)``, sizes of the exact-tables benchmark's ``spectrum`` draws, and
-  the depth-64 Clifford tables ``spectra.clifford_modes(3, 3, 1/3, 64)`` and
+  command-line call.  L1 Laplace tables, each its rows evaluated at tau^2:
+  ``evaluate(berger_rows(4, 8), 2/7)`` and ``evaluate(clifford_rows(1, 2,
+  6), 2/7)``, sizes of the exact-tables benchmark's ``spectrum`` draws, and
+  the depth-64 Clifford tables ``evaluate(clifford_rows(3, 3, 64), 1/3)`` and
   ``CliffordHypersurface(3, 3).table(64)``.
 * L2 ``curvature-tensor-500``: one ``curvature_tensor_rows`` call on 500
   sampled points, and ``curvature-six-orders-256``: R(x, y, z, w) and the
@@ -74,10 +74,10 @@ Cases:
   ``tai-check --tau-sq 2/7 --n 2 --samples 20``; the depth-64 Clifford
   tables ``index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64`` and
   ``spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64``, the
-  latter also with ``--format json``, and the small ``spectrum --space
-  berger --n 2 --tau-sq 2/7 --kmax 8``; ``moduli`` at its defaults and the
-  small ``spectrum --space clifford --m1 0 --m2 0 --tau-sq 1/3``, whose
-  process time is mostly imports; a cold ``python -c "import
+  latter also with ``--format csv`` and ``--format json``, and the small
+  ``spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8``; ``moduli`` at its
+  defaults and the small ``spectrum --space clifford --m1 0 --m2 0 --tau-sq
+  1/3``, whose process time is mostly imports; a cold ``python -c "import
   bergersphere"``, and a cold ``python -c "import bergersphere.oracle"``,
   the import that the exact-oracles benchmark's worker makes; process wall
   time and the process's peak resident set size (``VmHWM`` of its own
@@ -135,9 +135,9 @@ CASES = [
     ("L0", "torus_fourier_index(1/3, 4)", None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", None),
     ("L1", "phase_rows(_phase_models(12), 10 random tau^2)", None),
-    ("L1", "berger_modes(4, 2/7, 8)", None),
-    ("L1", "clifford_modes(1, 2, 2/7, 6)", None),
-    ("L1", "clifford_modes(3, 3, 1/3, 64)", None),
+    ("L1", "evaluate(berger_rows(4, 8), 2/7)", None),
+    ("L1", "evaluate(clifford_rows(1, 2, 6), 2/7)", None),
+    ("L1", "evaluate(clifford_rows(3, 3, 64), 1/3)", None),
     ("L1", "CliffordHypersurface(3, 3).table(64)", None),
     ("L2", "curvature-tensor-500", None),
     ("L2", "curvature-six-orders-256", None),
@@ -177,6 +177,10 @@ CASES = [
      "(process wall)",
      ["spectrum", "--space", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
       "--kmax", "64"]),
+    ("L5", "cli spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 --format csv "
+     "(process wall)",
+     ["spectrum", "--space", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
+      "--kmax", "64", "--format", "csv"]),
     ("L5", "cli spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 --format json "
      "(process wall)",
      ["spectrum", "--space", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
@@ -293,10 +297,12 @@ def _time_in_process(case: str) -> list[float]:
             lambda: sampled.minimality_first_variation_check(TotallyRealSphere(2, 2),
                                                             Fraction(1, 2), 1),
         "torus_fourier_index(1/3, 4)": lambda: oracle.torus_fourier_index(Fraction(1, 3), 4),
-        "berger_modes(4, 2/7, 8)": lambda: spectra.berger_modes(4, Fraction(2, 7), 8),
-        "clifford_modes(1, 2, 2/7, 6)": lambda: spectra.clifford_modes(1, 2, Fraction(2, 7), 6),
-        "clifford_modes(3, 3, 1/3, 64)":
-            lambda: spectra.clifford_modes(3, 3, Fraction(1, 3), 64),
+        "evaluate(berger_rows(4, 8), 2/7)":
+            lambda: spectra.evaluate(spectra.berger_rows(4, 8), Fraction(2, 7)),
+        "evaluate(clifford_rows(1, 2, 6), 2/7)":
+            lambda: spectra.evaluate(spectra.clifford_rows(1, 2, 6), Fraction(2, 7)),
+        "evaluate(clifford_rows(3, 3, 64), 1/3)":
+            lambda: spectra.evaluate(spectra.clifford_rows(3, 3, 64), Fraction(1, 3)),
         "CliffordHypersurface(3, 3).table(64)": lambda: CliffordHypersurface(3, 3).table(64),
         "tai_checks(1/2, 2, 50)": lambda: sampled.tai_checks(Fraction(1, 2), 2, 50),
         "bidegree_cross_check()": oracle.bidegree_cross_check,

@@ -7,9 +7,8 @@ from .models import (MODELS, CircleCover, CliffordHypersurface, IndexReport, Jac
                      tg_berger_index_nullity, totally_real_sphere_index_nullity,
                      veronese_index_nullity)
 from .params import BergerParam, GeometryDomainError, RoundSphereUnsupportedError
-from .spectra import (CliffordMode, LaplaceMode, berger_eigenvalue, berger_modes,
-                      berger_multiplicity, bidegree_dimension, clifford_eigenvalue,
-                      clifford_modes, clifford_multiplicity, round_eigenvalue,
+from .spectra import (berger_eigenvalue, berger_multiplicity, bidegree_dimension,
+                      clifford_eigenvalue, clifford_multiplicity, round_eigenvalue,
                       round_multiplicity, sphere_harmonic_multiplicity)
 from .stability import (CliffordTorus, MinimalSphere, ModuliVector, OtherSurface,
                         StabilityVerdict, Verdict, clifford_moduli_vector,
@@ -18,4 +17,4 @@ from .stability import (CliffordTorus, MinimalSphere, ModuliVector, OtherSurface
                         moduli_curve, proof_polynomial_P, s1_bundle_stability,
                         surface_index_one_classification)
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"

@@ -96,26 +96,25 @@ def cmd_spectrum(args, out) -> int:
             raise CliError(f"--space {args.space} takes no --{name}")
     if args.low and args.kmax is not None:
         raise CliError("--low takes no --kmax")
+    # Each table is evaluated where it is built: a named table would keep its
+    # rows alive while the output is written.
     if args.space == "berger":
         if args.n is None:
             raise CliError("--space berger needs --n")
         if args.low:
             raise CliError("--low applies only to --space clifford")
-        rows = [(m.k, m.p, str(m.value), m.multiplicity, "vertical-split")
-                for m in spectra.berger_modes(args.n, tau_sq, kmax)]
+        rows = [(*row.labels, str(value), row.multiplicity, "vertical-split")
+                for row, value in spectra.evaluate(spectra.berger_rows(args.n, kmax), tau_sq)]
         header = ("k", "p", "value", "multiplicity", "source")
     else:
         if args.m1 is None or args.m2 is None:
             raise CliError("--space clifford needs --m1 and --m2")
+        rows = [(*row.labels, str(value), row.multiplicity, "product-split")
+                for row, value in spectra.evaluate(
+                    spectra.clifford_rows(args.m1, args.m2, 2 if args.low else kmax), tau_sq)]
         if args.low:
-            by_label = {(m.k1, m.k2, m.p): m
-                        for m in spectra.clifford_modes(args.m1, args.m2, tau_sq, 2)}
-            cmodes = [by_label[label] for label in spectra.LOW_LABELS]
-        else:
-            cmodes = spectra.clifford_modes(args.m1, args.m2, tau_sq, kmax)
-        rows = [(m.k1, m.k2, m.p, str(m.value), m.multiplicity, "product-split")
-                for m in cmodes]
-        del cmodes  # the rows hold all that is printed; free the modes before writing
+            by_label = {row[:3]: row for row in rows}
+            rows = [by_label[label] for label in spectra.LOW_LABELS]
         header = ("k1", "k2", "p", "value", "multiplicity", "source")
 
     if args.format == "json":

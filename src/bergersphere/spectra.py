@@ -41,33 +41,11 @@ numbers by another route; the row builders never call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from typing import NamedTuple
 
 from .params import BergerParam, GeometryDomainError
-
-
-@dataclass(frozen=True)
-class LaplaceMode:
-    """One Laplace eigenvalue on the Berger sphere with its labels."""
-
-    k: int
-    p: int
-    value: Fraction
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class CliffordMode:
-    """One Laplace eigenvalue on a Clifford product hypersurface."""
-
-    k1: int
-    k2: int
-    p: int
-    value: Fraction
-    multiplicity: int
 
 
 class ModeRow(NamedTuple):
@@ -214,15 +192,6 @@ def berger_rows(n: int, k_max: int) -> list[ModeRow]:
     return rows
 
 
-def berger_modes(n: int, tau, k_max: int) -> list[LaplaceMode]:
-    """All modes with k <= k_max, in (k, p) lexicographic order: the rows of
-    ``berger_rows`` at tau."""
-    rows = berger_rows(n, k_max)
-    tau_sq = BergerParam.coerce(tau).tau_sq
-    return [LaplaceMode(*row.labels, value, row.multiplicity)
-            for row, value in evaluate(rows, tau_sq)]
-
-
 # ---------------------------------------------------------------------------
 # Clifford products of odd spheres
 # ---------------------------------------------------------------------------
@@ -308,12 +277,3 @@ def clifford_rows(m1: int, m2: int, sum_max: int) -> list[ModeRow]:
                     qq = (top - 2 * p) ** 2 * den
                     rows.append(ModeRow("clifford", (k1, k2, p), mult, h - qq, 0, qq, den))
     return rows
-
-
-def clifford_modes(m1: int, m2: int, tau, sum_max: int) -> list[CliffordMode]:
-    """All modes with k1 + k2 <= sum_max, in (k1, k2, p) lexicographic order:
-    the rows of ``clifford_rows`` at tau."""
-    rows = clifford_rows(m1, m2, sum_max)
-    tau_sq = BergerParam.coerce(tau).tau_sq
-    return [CliffordMode(*row.labels, value, row.multiplicity)
-            for row, value in evaluate(rows, tau_sq)]

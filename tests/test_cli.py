@@ -1,5 +1,6 @@
 """Command-line interface: content, formats, exit codes, determinism."""
 
+import csv
 import dataclasses
 import gc
 import io
@@ -8,7 +9,7 @@ import json
 
 import pytest
 
-from bergersphere import cli, models, sampled
+from bergersphere import cli, models, sampled, spectra
 from bergersphere.models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                                  TotallyRealSphere, VeroneseRP3, VeroneseS3)
 
@@ -17,6 +18,16 @@ def run(argv):
     out = io.StringIO()
     code = cli.main(argv, out=out)
     return code, out.getvalue()
+
+
+def spectrum_cells(text, fmt):
+    """The header and rows of a ``spectrum`` output, each a tuple of strings."""
+    if fmt == "json":
+        modes = json.loads(text)["modes"]
+        return [tuple(modes[0])] + [tuple(map(str, mode.values())) for mode in modes]
+    if fmt == "csv":
+        return [tuple(row) for row in csv.reader(io.StringIO(text))]
+    return [tuple(line.split()) for line in text.splitlines()]
 
 
 class TestSpectrumCommand:
@@ -32,13 +43,22 @@ class TestSpectrumCommand:
             "2,1,8,3,vertical-split",
         ]
 
-    def test_clifford_low_modes(self):
-        code, text = run(["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0",
-                          "--tau-sq", "1/3", "--low", "--format", "json"])
-        assert code == 0
-        modes = json.loads(text)["modes"]
-        assert [(m["k1"], m["k2"], m["p"], m["multiplicity"]) for m in modes] == [
-            (0, 0, 0, 1), (1, 0, 0, 2), (0, 1, 0, 2), (1, 1, 1, 2)]
+    @pytest.mark.parametrize("m1, m2, fmt", [(m1, m2, fmt) for m1 in range(4)
+                                             for m2 in range(4)
+                                             for fmt in ("table", "csv", "json")])
+    def test_low_prints_the_low_labels_of_the_depth_two_table(self, m1, m2, fmt):
+        argv = ["spectrum", "--space", "clifford", "--m1", str(m1), "--m2", str(m2),
+                "--tau-sq", "2/7", "--format", fmt]
+        (low_code, low), (full_code, full) = run([*argv, "--low"]), run([*argv, "--kmax", "2"])
+        assert low_code == full_code == 0
+        header, *rows = spectrum_cells(low, fmt)
+        full_header, *full_rows = spectrum_cells(full, fmt)
+        assert header == full_header == ("k1", "k2", "p", "value", "multiplicity", "source")
+        assert [tuple(map(int, row[:3])) for row in rows] == list(spectra.LOW_LABELS)
+        assert [int(row[4]) for row in rows] == [1, 2 * m1 + 2, 2 * m2 + 2,
+                                                 2 * (m1 + 1) * (m2 + 1)]
+        by_label = {row[:3]: row for row in full_rows}
+        assert rows == [by_label[row[:3]] for row in rows]
 
     def test_kmax_at_the_index_limit(self):
         # one more is bad input (BAD_INPUTS)

@@ -101,8 +101,8 @@ class TestBergerMultiplicity:
             assert total == spectra.round_multiplicity(n, k)
 
     def test_mode_listing_order_and_content(self):
-        modes = spectra.berger_modes(1, F(1, 3), 2)
-        assert [(m.k, m.p, m.value, m.multiplicity) for m in modes] == [
+        pairs = spectra.evaluate(spectra.berger_rows(1, 2), F(1, 3))
+        assert [(*row.labels, value, row.multiplicity) for row, value in pairs] == [
             (0, 0, F(0), 1), (1, 0, F(5), 4), (2, 0, F(16), 6), (2, 1, F(8), 3)]
 
 
@@ -199,13 +199,13 @@ def parent_clifford_multiplicity(m1, m2, k1, k2, p):
     return total
 
 
-def parent_berger_modes(n, ts, k_max):
+def parent_berger_spectrum(n, ts, k_max):
     return [(k, p, parent_berger_eigenvalue(n, ts, k, p), spectra.berger_multiplicity(n, k, p))
             for k in range(k_max + 1) for p in range(k // 2 + 1)
             if spectra.berger_multiplicity(n, k, p)]
 
 
-def parent_clifford_modes(m1, m2, ts, sum_max):
+def parent_clifford_spectrum(m1, m2, ts, sum_max):
     return [(k1, k2, p, parent_clifford_eigenvalue(m1, m2, ts, k1, k2, p),
              parent_clifford_multiplicity(m1, m2, k1, k2, p))
             for k1 in range(sum_max + 1) for k2 in range(sum_max + 1 - k1)
@@ -217,7 +217,7 @@ def parent_clifford_table(m1, m2, sum_max):
     """The Jacobi table as built from the Laplace modes at tau^2 = 1."""
     shift = 4 * (m1 + m2 + 1)
     rows = []
-    for k1, k2, p, h, mult in parent_clifford_modes(m1, m2, F(1), sum_max):
+    for k1, k2, p, h, mult in parent_clifford_spectrum(m1, m2, F(1), sum_max):
         v = (k1 + k2 - 2 * p) ** 2
         rows.append(ModeRow("hypersurface", (k1, k2, p), mult,
                             h.numerator - (shift + v) * h.denominator, 0,
@@ -240,16 +240,17 @@ class TestRowTables:
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(0, 6), ts=TAU_SQ, k_max=st.integers(0, 12))
-    def test_berger_modes_match_the_per_label_formulas(self, n, ts, k_max):
-        got = [(m.k, m.p, m.value, m.multiplicity) for m in spectra.berger_modes(n, ts, k_max)]
-        assert got == parent_berger_modes(n, ts, k_max)
+    def test_berger_rows_at_tau_match_the_per_label_formulas(self, n, ts, k_max):
+        got = [(*row.labels, value, row.multiplicity)
+               for row, value in spectra.evaluate(spectra.berger_rows(n, k_max), ts)]
+        assert got == parent_berger_spectrum(n, ts, k_max)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(m1=st.integers(0, 4), m2=st.integers(0, 4), ts=TAU_SQ, sum_max=st.integers(0, 12))
-    def test_clifford_modes_match_the_per_label_formulas(self, m1, m2, ts, sum_max):
-        got = [(m.k1, m.k2, m.p, m.value, m.multiplicity)
-               for m in spectra.clifford_modes(m1, m2, ts, sum_max)]
-        assert got == parent_clifford_modes(m1, m2, ts, sum_max)
+    def test_clifford_rows_at_tau_match_the_per_label_formulas(self, m1, m2, ts, sum_max):
+        got = [(*row.labels, value, row.multiplicity)
+               for row, value in spectra.evaluate(spectra.clifford_rows(m1, m2, sum_max), ts)]
+        assert got == parent_clifford_spectrum(m1, m2, ts, sum_max)
 
     def test_berger_rows_split_the_round_shells(self):
         for n in range(7):
@@ -292,10 +293,10 @@ class TestTablesAvoidTheClosedForms:
             monkeypatch.setattr(spectra, name, refuse)
         ts = F(2, 7)
         for n in range(4):
-            spectra.berger_modes(n, ts, 8)
+            spectra.evaluate(spectra.berger_rows(n, 8), ts)
         for m1 in range(3):
             for m2 in range(3):
-                spectra.clifford_modes(m1, m2, ts, 6)
+                spectra.evaluate(spectra.clifford_rows(m1, m2, 6), ts)
         for model in family_library():
             # a depth other than the certified one is built afresh, not memoised
             model.table(model.certified_k + 3)
