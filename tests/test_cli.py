@@ -54,7 +54,9 @@ class TestSpectrumCommand:
         header, *rows = spectrum_cells(low, fmt)
         full_header, *full_rows = spectrum_cells(full, fmt)
         assert header == full_header == ("k1", "k2", "p", "value", "multiplicity", "source")
-        assert [tuple(map(int, row[:3])) for row in rows] == list(spectra.LOW_LABELS)
+        assert spectra.LOW_LABELS == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))
+        assert [tuple(map(int, row[:3])) for row in rows] == [(0, 0, 0), (1, 0, 0),
+                                                              (0, 1, 0), (1, 1, 1)]
         assert [int(row[4]) for row in rows] == [1, 2 * m1 + 2, 2 * m2 + 2,
                                                  2 * (m1 + 1) * (m2 + 1)]
         by_label = {row[:3]: row for row in full_rows}
