@@ -26,6 +26,14 @@ Cases:
   largest shares of its time; (2, 1/3, 8) and (3, 2/7, 6) lie beyond it, at
   the cap the tests reach.  L0 ``oracle.torus_fourier_index(1/3, 4)``: the dual-lattice
   scan, which ``verify`` runs five times.
+* L0 small tier, named with a trailing ``per call``: sizes of the
+  exact-oracles benchmark's small tier, whose calls set that benchmark's
+  median operation.  ``oracle.harmonic_dim_bruteforce`` at (1, 2, 3),
+  (2, 3, 3), (3, 3, 4) and (2, 4, 4), and ``oracle.lxi_squared_spectrum``
+  at tau^2 = 2/7 and (n, k) = (0, 8), (1, 1), (1, 3), (2, 2), (3, 1) and
+  (3, 3).  One call runs before the clock starts; the time is the mean of
+  ``PER_CALL_REPEATS`` calls after it, since one call of 20 to 800 us in a
+  fresh interpreter reads mostly the host's noise.
 * L1 ``phase_rows``: ``stability.phase_rows`` over ``cli._phase_models(8)``
   at six random rationals tau^2 and over ``cli._phase_models(12)`` at ten
   (seeded, drawn outside the timed region).  Each run is a fresh
@@ -133,6 +141,16 @@ CASES = [
     ("L0", "lxi_squared_spectrum(2, 1/3, 8)", None),
     ("L0", "lxi_squared_spectrum(3, 2/7, 6)", None),
     ("L0", "torus_fourier_index(1/3, 4)", None),
+    ("L0", "harmonic_dim_bruteforce(1, 2, 3) per call", None),
+    ("L0", "harmonic_dim_bruteforce(2, 3, 3) per call", None),
+    ("L0", "harmonic_dim_bruteforce(3, 3, 4) per call", None),
+    ("L0", "harmonic_dim_bruteforce(2, 4, 4) per call", None),
+    ("L0", "lxi_squared_spectrum(0, 2/7, 8) per call", None),
+    ("L0", "lxi_squared_spectrum(1, 2/7, 1) per call", None),
+    ("L0", "lxi_squared_spectrum(1, 2/7, 3) per call", None),
+    ("L0", "lxi_squared_spectrum(2, 2/7, 2) per call", None),
+    ("L0", "lxi_squared_spectrum(3, 2/7, 1) per call", None),
+    ("L0", "lxi_squared_spectrum(3, 2/7, 3) per call", None),
     ("L1", "phase_rows(_phase_models(8), 6 random tau^2)", None),
     ("L1", "phase_rows(_phase_models(12), 10 random tau^2)", None),
     ("L1", "evaluate(berger_rows(4, 8), 2/7)", None),
@@ -204,6 +222,9 @@ PEAK_HOOK = ("import atexit, sys\n"
              "atexit.register(lambda: sys.stderr.write(\n"
              "    [line for line in open('/proc/self/status') if line.startswith('VmHWM:')][0]))\n")
 RUN_CLI = "import runpy\nrunpy.run_module('bergersphere.cli', run_name='__main__')\n"
+
+# Calls timed per ``per call`` case, after one untimed call.
+PER_CALL_REPEATS = 200
 
 # In-process cases whose child also reports the tracemalloc peak of one
 # more call, in MiB.
@@ -297,6 +318,12 @@ def _time_in_process(case: str) -> list[float]:
             lambda: sampled.minimality_first_variation_check(TotallyRealSphere(2, 2),
                                                             Fraction(1, 2), 1),
         "torus_fourier_index(1/3, 4)": lambda: oracle.torus_fourier_index(Fraction(1, 3), 4),
+        **{f"harmonic_dim_bruteforce({n}, {a}, {b})":
+           lambda n=n, a=a, b=b: oracle.harmonic_dim_bruteforce(n, a, b)
+           for n, a, b in ((1, 2, 3), (2, 3, 3), (2, 4, 4))},
+        **{f"lxi_squared_spectrum({n}, 2/7, {k})":
+           lambda n=n, k=k: oracle.lxi_squared_spectrum(n, Fraction(2, 7), k)
+           for n, k in ((0, 8), (1, 1), (1, 3), (2, 2), (3, 1), (3, 3))},
         "evaluate(berger_rows(4, 8), 2/7)":
             lambda: spectra.evaluate(spectra.berger_rows(4, 8), Fraction(2, 7)),
         "evaluate(clifford_rows(1, 2, 6), 2/7)":
@@ -308,7 +335,13 @@ def _time_in_process(case: str) -> list[float]:
         "bidegree_cross_check()": oracle.bidegree_cross_check,
         "verify_all(512)": lambda: sampled.verify_all(512),
         "verify_all(24)": lambda: sampled.verify_all(24),
-    }[case.removesuffix(" warm")]
+    }[case.removesuffix(" warm").removesuffix(" per call")]
+    if case.endswith(" per call"):
+        call()
+        start = time.perf_counter()
+        for _ in range(PER_CALL_REPEATS):
+            call()
+        return [(time.perf_counter() - start) / PER_CALL_REPEATS]
     if case.endswith(" warm"):
         call()
     start = time.perf_counter()

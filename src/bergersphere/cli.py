@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import models, spectra, stability
 from .models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
@@ -45,9 +44,11 @@ class CliError(Exception):
     """Bad input found by the command line itself; exits with EXIT_BAD_INPUT."""
 
 
-def parse_tau_sq(text: str) -> Fraction:
-    """tau^2 in (0, 1] by the package's one rule for exact input."""
-    return BergerParam.coerce(_as_fraction(text, hint="; write it as a fraction like 1/3")).tau_sq
+def parse_param(text: str) -> BergerParam:
+    """tau^2 in (0, 1] by the package's one rule for exact input.  The library
+    entry points take the returned ``BergerParam`` as it is, so tau^2 is
+    validated once."""
+    return BergerParam(_as_fraction(text, hint="; write it as a fraction like 1/3"))
 
 
 def _write_csv(header, rows, out) -> None:
@@ -87,7 +88,7 @@ def _print_table(header, rows, out):
 
 
 def cmd_spectrum(args, out) -> int:
-    tau_sq = parse_tau_sq(args.tau_sq)
+    tau_sq = parse_param(args.tau_sq).tau_sq
     kmax = 4 if args.kmax is None else args.kmax
     if kmax > models.K_LIMIT:
         raise CliError(f"--kmax must be at most {models.K_LIMIT}, got {kmax}")
@@ -152,9 +153,10 @@ def _mode_rows(report):
 
 
 def cmd_index(args, out) -> int:
-    tau_sq = parse_tau_sq(args.tau_sq)
+    param = parse_param(args.tau_sq)
+    tau_sq = param.tau_sq
     model = _build_model(args)
-    report = models.enumerate_index(model, tau_sq, args.kmax)
+    report = models.enumerate_index(model, param, args.kmax)
     if args.format == "json":
         out.write(json.dumps({
             "model": model.label(),
@@ -210,7 +212,7 @@ def _phase_models(n_max: int):
 
 
 def cmd_phase(args, out) -> int:
-    grid = [parse_tau_sq(chunk) for chunk in args.tau_sq_grid.split(",") if chunk.strip()]
+    grid = [parse_param(chunk) for chunk in args.tau_sq_grid.split(",") if chunk.strip()]
     if args.n_max < 1 or not grid:
         raise CliError("phase needs --n-max >= 1 and a nonempty --tau-sq-grid")
     if args.n_max > PHASE_N_MAX:
@@ -229,8 +231,8 @@ def cmd_phase(args, out) -> int:
 
 
 def cmd_moduli(args, out) -> int:
-    lo = parse_tau_sq(args.tau_sq_min)
-    hi = parse_tau_sq(args.tau_sq_max)
+    lo = parse_param(args.tau_sq_min).tau_sq
+    hi = parse_param(args.tau_sq_max).tau_sq
     if args.samples > MODULI_SAMPLES_MAX:
         raise CliError(f"--samples must be at most {MODULI_SAMPLES_MAX}, got {args.samples}")
     curve = stability.moduli_curve(args.samples, lo, hi)
@@ -290,14 +292,14 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_tai_check(args, out) -> int:
-    tau_sq = parse_tau_sq(args.tau_sq)
+    tau_sq = parse_param(args.tau_sq).tau_sq
     reports = _sampled().tai_checks(tau_sq, _dimension(args), samples=_samples(args),
                                     seed=args.seed)
     return _emit_reports(reports, args, out)
 
 
 def cmd_curvature_check(args, out) -> int:
-    tau_sq = parse_tau_sq(args.tau_sq)
+    tau_sq = parse_param(args.tau_sq).tau_sq
     n, samples = _dimension(args), _samples(args)
     sampled = _sampled()
     reports = [

@@ -47,8 +47,14 @@ def _row_reduce(rows, ncols: int, full: bool):
 
 
 def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix (list of equal-length row lists)."""
-    return len(_row_reduce(rows, len(rows[0]) if rows else 0, full=False)[1])
+    """Rank of an integer matrix (list of equal-length row lists).
+
+    A matrix with at most one row or at most one column has rank 1 unless
+    all its entries are zero, and is not row reduced.
+    """
+    if len(rows) <= 1 or len(rows[0]) <= 1:
+        return int(any(map(any, rows)))
+    return len(_row_reduce(rows, len(rows[0]), full=False)[1])
 
 
 def kernel_basis(rows, ncols: int) -> list[list[int]]:

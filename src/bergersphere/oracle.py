@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Optional
 
 from . import spectra
@@ -74,54 +73,64 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return [head + (left,) for head, left in heads]
 
 
-def _sorted_weight_blocks(n: int, a: int, b: int):
-    """One weight block per sorted weight: (weight, class size, cols, targets).
+def _sorted_weights(n: int, a: int, b: int):
+    """One (weight, class size, degree) triple per sorted weight.
 
     The sorted weights are the nondecreasing w in Z^{n+1} with sum a - b whose
     negative parts w-_j = max(0, -w_j) sum to at most b.  With w+ = w + w-,
     the block of w is the exponent pairs (gamma + w+, gamma + w-) of bidegree
-    (a, b), so |gamma| = b - |w-|; its targets are those with |gamma| one
-    less.  The class size (n+1)!/prod mult! counts the distinct permutations
-    of w.
+    (a, b), so gamma runs over the monomials of degree b - |w-|, the triple's
+    last entry.  The class size (n+1)!/prod mult! counts the distinct
+    permutations of w.
     """
     heads = [((), -b, a - b, b)]  # (entries so far, least next entry, sum left, |w-| left)
     for slots in range(n + 1, 1, -1):
         heads = [(w + (v,), v, left - v, budget + min(v, 0))
                  for w, least, left, budget in heads
                  for v in range(max(least, -budget), left // slots + 1)]
-    # |gamma| = b - |w-| <= b - max(0, b - a) = min(a, b)
-    monomials = [_monomials(n + 1, d) for d in range(min(a, b) + 1)]
+    perms = math.factorial(n + 1)
     for w, _, left, budget in heads:
         free = budget + min(left, 0)  # b - |w-|
         if free < 0:
             continue
         w += (left,)
-        pos = [max(x, 0) for x in w]
-        neg = [p - x for p, x in zip(pos, w)]
-        cols, targets = ([(tuple(map(add, gamma, pos)), tuple(map(add, gamma, neg)))
-                          for gamma in monomials[d]] if d >= 0 else []
-                         for d in (free, free - 1))
-        size = math.factorial(n + 1)
+        size = perms
         for x in set(w):
             size //= math.factorial(w.count(x))
-        yield w, size, cols, targets
+        yield w, size, free
 
 
-def _weight_block_nullity(n: int, cols: list, targets) -> int:
-    """Kernel dimension of the mixed second derivative sum on one weight block.
+def _lowering_maps(nvars: int, top: int) -> list:
+    """The lowering maps of degrees 0 to ``top``: per degree d, one list per
+    monomial gamma of degree d in ``_monomials`` order, holding (v, gamma_v,
+    index of gamma - e_v among the monomials of degree d - 1) for every v
+    with gamma_v >= 1."""
+    maps = [[[]]]  # the constant monomial lowers to nothing
+    index = {(0,) * nvars: 0}
+    for degree in range(1, top + 1):
+        monomials = _monomials(nvars, degree)
+        maps.append([[(v, g, index[gamma[:v] + (g - 1,) + gamma[v + 1:]])
+                      for v, g in enumerate(gamma) if g] for gamma in monomials])
+        index = {gamma: i for i, gamma in enumerate(monomials)}
+    return maps
 
-    ``cols`` are the block's exponent pairs (alpha, beta), ``targets`` those
-    of bidegree (a-1, b-1) and the same weight.
+
+def _weight_block_rows(w, lowering, nrows: int) -> list[list[int]]:
+    """Matrix of the mixed second derivative sum on the block of weight w.
+
+    Column j is the pair (gamma + w+, gamma + w-) of the j-th monomial gamma
+    of the degree that ``lowering`` (one degree's list of ``_lowering_maps``)
+    lowers, row i the pair of the i-th monomial of one degree less (``nrows``
+    of them).  Differentiating in z_v and zbar_v lowers gamma by e_v, with the
+    coefficient (gamma_v + w+_v)(gamma_v + w-_v) = gamma_v (gamma_v + |w_v|),
+    since w+_v w-_v = 0.
     """
-    tgt_index = {t: i for i, t in enumerate(targets)}
-    rows = [[0] * len(cols) for _ in range(len(tgt_index))]
-    for j, (al, be) in enumerate(cols):
-        for v in range(n + 1):
-            if al[v] >= 1 and be[v] >= 1:
-                al2 = al[:v] + (al[v] - 1,) + al[v + 1:]
-                be2 = be[:v] + (be[v] - 1,) + be[v + 1:]
-                rows[tgt_index[(al2, be2)]][j] = al[v] * be[v]
-    return len(cols) - integer_rank(rows)
+    size = [abs(x) for x in w]
+    rows = [[0] * len(lowering) for _ in range(nrows)]
+    for j, image in enumerate(lowering):
+        for v, g, i in image:
+            rows[i][j] = g * (g + size[v])
+    return rows
 
 
 def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
@@ -145,9 +154,12 @@ def harmonic_dim_bruteforce(n: int, a: int, b: int) -> int:
     # symmetric in the n+1 variables, and permuting them maps the block of a
     # weight onto the block of the permuted weight, so only the sorted weights
     # are enumerated, each block solved once and counted once per weight of
-    # its class.
-    return sum(size * _weight_block_nullity(n, cols, targets)
-               for _, size, cols, targets in _sorted_weight_blocks(n, a, b))
+    # its class.  A block's entries depend on its weight only through |w_v|:
+    # it is assembled from the lowering map of its degree, built once per call.
+    lowering = _lowering_maps(n + 1, min(a, b))
+    return sum(size * (len(lowering[d]) - integer_rank(
+        _weight_block_rows(w, lowering[d], len(lowering[d - 1]) if d else 0)))
+               for w, size, d in _sorted_weights(n, a, b))
 
 
 def _block_basis(dvec: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
@@ -251,22 +263,18 @@ def _laplacian_images(dvec: tuple[int, ...], basis, cls, targets) -> list:
     return images
 
 
-def _class_rank(columns, size: int) -> int:
-    """Rank of one class block of the Laplacian: one row per target of the
+def _class_rows(columns, size: int) -> list[list[int]]:
+    """Matrix of one class block of the Laplacian: one row per target of the
     class (``size`` of them), one column per (images, vec) pair of
     ``columns``, the image of the vector whose coordinates on the monomials
     of ``images`` are ``vec``."""
-    if not size or not columns:
-        return 0
     rows = [[0] * len(columns) for _ in range(size)]
     for col, (images, vec) in enumerate(columns):
         for x, image in zip(vec, images):
             if x:
                 for r, coef in image:
                     rows[r][col] += x * coef
-    if size == 1 or len(columns) == 1:  # one row or column: rank 1 unless all zero
-        return int(any(map(any, rows)))
-    return integer_rank(rows)
+    return rows
 
 
 def lxi_squared_spectrum(n: int, tau, k: int):
@@ -291,16 +299,21 @@ def lxi_squared_spectrum(n: int, tau, k: int):
     if k == 0:
         return [(Fraction(0), 1)]
 
-    targets, sizes = _laplacian_targets(npairs, k - 2) if k >= 2 else ({}, {})
+    # Below degree 2 the Laplacian is zero: every frequency vector is harmonic.
+    targets, sizes = _laplacian_targets(npairs, k - 2) if k >= 2 else (None, {})
     # rot is symmetric in the pairs: each sorted dvec's block is built once,
     # and its halves relabelled once to every dvec of its class, where the
     # Laplacian images of their monomials are formed.
     blocks = {}
+    relabels = {}  # sorted dvec -> number of dvecs relabelled from it
     classes = {}  # Laplacian class -> (sorted dvec, half, Laplacian images) per member half
     for dvec in _monomials(npairs, k):
         key = tuple(sorted(dvec))
         if key not in blocks:
             blocks[key] = _rotation_block(key)
+        relabels[key] = relabels.get(key, 0) + 1
+        if targets is None:
+            continue
         # key[pos[j]] == dvec[j]: pair j of dvec is pair pos[j] of the sorted block
         order = sorted(range(npairs), key=dvec.__getitem__)
         pos = sorted(range(npairs), key=order.__getitem__)
@@ -332,12 +345,16 @@ def lxi_squared_spectrum(n: int, tau, k: int):
                     if _apply(rot[other], w, len(v)) != [-shift * x for x in v]:
                         raise AssertionError(f"a rot image on block {key} does not solve "
                                              f"rot^2 + {shift} = 0")
-        # The Laplacian keeps the class of every monomial, so its rank on the
-        # frequency space is the sum of the ranks of its class blocks.
-        nullity = 0
-        for cls, members in classes.items():
-            columns = [(images, vec) for key, h, images in members for vec in kernels[key][h]]
-            nullity += len(columns) - _class_rank(columns, sizes.get(cls, 0))
+        if targets is None:
+            nullity = sum(count * (len(kernels[key][0]) + len(kernels[key][1]))
+                          for key, count in relabels.items())
+        else:
+            # The Laplacian keeps the class of every monomial, so its rank on the
+            # frequency space is the sum of the ranks of its class blocks.
+            nullity = 0
+            for cls, members in classes.items():
+                columns = [(images, vec) for key, h, images in members for vec in kernels[key][h]]
+                nullity += len(columns) - integer_rank(_class_rows(columns, sizes.get(cls, 0)))
         if nullity > 0:
             results.append((Fraction(-shift) / param.tau_sq, nullity))
             total += nullity

@@ -6,12 +6,14 @@ import gc
 import io
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from bergersphere import cli, models, sampled, spectra
 from bergersphere.models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                                  TotallyRealSphere, VeroneseRP3, VeroneseS3)
+from bergersphere.params import BergerParam
 
 
 def run(argv):
@@ -293,6 +295,36 @@ class TestPhaseCommand:
         assert run(["phase", "--n-max", str(n)]) == (2, "")
         assert capsys.readouterr().err == (
             f"error: --n-max must be at most {cli.PHASE_N_MAX}, got {n}\n")
+
+
+class TestTauValidatedOnce:
+    """``index`` and ``phase`` hand the ``BergerParam`` they parsed on, and the
+    library's ``coerce`` returns it as it is: one construction per value."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        values = []
+        validate = BergerParam.__post_init__
+
+        def counting(param):
+            values.append(param.tau_sq)
+            validate(param)
+
+        monkeypatch.setattr(BergerParam, "__post_init__", counting)
+        return values
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("model", EXAMPLES, ids=lambda m: m.name)
+    def test_one_param_per_index_call(self, model, fmt, built):
+        code, _ = run(["index", "--model", model.name, *model_flags(model), "--tau-sq", "2/7",
+                       "--format", fmt])
+        assert code == 0 and built == [Fraction(2, 7)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", ["1/7,3/17,2/9,5/12,8/13,29/31", "1/3,2/6,1"])
+    def test_one_param_per_phase_grid_value(self, grid, fmt, built):
+        code, _ = run(["phase", "--n-max", "3", "--tau-sq-grid", grid, "--format", fmt])
+        assert code == 0 and built == [Fraction(value) for value in grid.split(",")]
 
 
 def _old_csv_dump(header, rows) -> str:

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -55,21 +56,47 @@ class TestHarmonicBruteforce:
         # permuted weight; the oracle enumerates and solves only the sorted
         # one, and each sorted weight's class must account for every pair.
         for n in range(4):
-            for a in range(7):
-                for b in range(7 - a):
-                    sources, targets = _all_weight_blocks(n, a, b)
-                    nullity = {w: oracle._weight_block_nullity(n, cols, targets.get(w, ()))
-                               for w, cols in sources.items()}
+            for a in range(9):
+                for b in range(9 - a):
+                    sources, _ = _all_weight_blocks(n, a, b)
+                    blocks = _assembled_blocks(n, a, b)
+                    nullity = {w: len(block[0]) - integer_rank(rows)
+                               for w, (block, rows) in blocks.items()}
                     for w, value in nullity.items():
                         assert value == nullity[tuple(sorted(w))], (n, a, b, w)
                     classes = Counter(tuple(sorted(w)) for w in sources)
-                    blocks = list(oracle._sorted_weight_blocks(n, a, b))
-                    assert {w: size for w, size, _, _ in blocks} == classes, (n, a, b)
-                    for w, _, cols, tgts in blocks:
-                        assert sorted(cols) == sorted(sources[w]), (n, a, b, w)
-                        assert sorted(tgts) == sorted(targets.get(w, [])), (n, a, b, w)
-                    assert sum(size * len(cols) for _, size, cols, _ in blocks) == \
+                    weights = list(oracle._sorted_weights(n, a, b))
+                    assert {w: size for w, size, _ in weights} == classes, (n, a, b)
+                    for w, _, d in weights:
+                        assert len(oracle._monomials(n + 1, d)) == len(sources[w]), (n, a, b, w)
+                    assert sum(size * len(sources[w]) for w, size, _ in weights) == \
                         sum(map(len, sources.values())), (n, a, b)
+
+    def test_assembled_blocks_are_the_differentiated_blocks(self):
+        """Every weight block assembled from the lowering maps, entry by
+        entry, against the block differentiated on the exponent pairs."""
+        for n in range(4):
+            for a in range(9):
+                for b in range(9 - a):
+                    _check_assembled_blocks(n, a, b)
+
+    def test_a_shifted_lowering_target_is_caught(self, monkeypatch):
+        build = oracle._lowering_maps
+
+        def shifted(nvars, top):
+            maps = build(nvars, top)
+            # one entry of the top degree lowered onto the next monomial
+            image = maps[top][len(maps[top]) // 2]
+            v, g, i = image[0]
+            image[0] = (v, g, (i + 1) % len(maps[top - 1]))
+            return maps
+
+        monkeypatch.setattr(oracle, "_lowering_maps", shifted)
+        for n in range(1, 4):
+            for a in range(2, 7):
+                for b in range(2, 9 - a):
+                    with pytest.raises(AssertionError):
+                        _check_assembled_blocks(n, a, b)
 
     def test_matches_every_weight_block_solved(self):
         """The shortcut against the kernel rank of every weight block."""
@@ -77,7 +104,8 @@ class TestHarmonicBruteforce:
             for a in range(9):
                 for b in range(9 - a):
                     sources, targets = _all_weight_blocks(n, a, b)
-                    expected = sum(oracle._weight_block_nullity(n, cols, targets.get(w, ()))
+                    expected = sum(len(cols) - integer_rank(
+                        _differentiated_rows(n, cols, targets.get(w, [])))
                                    for w, cols in sources.items())
                     assert oracle.harmonic_dim_bruteforce(n, a, b) == expected, (n, a, b)
 
@@ -106,6 +134,51 @@ def _all_weight_blocks(n, a, b):
         return blocks
 
     return by_weight(a, b), by_weight(a - 1, b - 1)
+
+
+def _differentiated_rows(n, cols, targets):
+    """The mixed second derivative sum on one weight block, differentiated
+    on its exponent pairs: column j is the pair cols[j], one row per pair of
+    ``targets``."""
+    rows = [[0] * len(cols) for _ in targets]
+    for j, (al, be) in enumerate(cols):
+        for v in range(n + 1):
+            if al[v] >= 1 and be[v] >= 1:
+                al2 = al[:v] + (al[v] - 1,) + al[v + 1:]
+                be2 = be[:v] + (be[v] - 1,) + be[v + 1:]
+                rows[targets.index((al2, be2))][j] = al[v] * be[v]
+    return rows
+
+
+def _assembled_blocks(n, a, b):
+    """Every weight's block as the oracle assembles it: {w: ((column pairs,
+    row pairs), rows)}, the pairs (gamma + w+, gamma + w-) of the monomials
+    gamma in the lowering maps' order."""
+    lowering = oracle._lowering_maps(n + 1, max(min(a, b), 0))
+    blocks = {}
+    for w in _all_weight_blocks(n, a, b)[0]:
+        pos = tuple(max(x, 0) for x in w)
+        neg = tuple(p - x for p, x in zip(pos, w))
+        d = b - sum(neg)
+
+        def pairs(degree):
+            return [(tuple(map(operator.add, g, pos)), tuple(map(operator.add, g, neg)))
+                    for g in oracle._monomials(n + 1, degree)] if degree >= 0 else []
+
+        block = (pairs(d), pairs(d - 1))
+        blocks[w] = block, oracle._weight_block_rows(w, lowering[d], len(block[1]))
+    return blocks
+
+
+def _check_assembled_blocks(n, a, b):
+    """Raise unless every assembled weight block has the entries of the
+    differentiated one, pair by pair."""
+    sources, targets = _all_weight_blocks(n, a, b)
+    for w, ((cols, tgts), rows) in _assembled_blocks(n, a, b).items():
+        assert sorted(cols) == sorted(sources[w]), (n, a, b, w)
+        assert sorted(tgts) == sorted(targets.get(w, [])), (n, a, b, w)
+        want = _differentiated_rows(n, cols, tgts)
+        assert rows == want, (n, a, b, w)
 
 
 def _rot_square_reference(dvec):
@@ -140,6 +213,22 @@ class TestVerticalSpectrum:
     def test_degree_one(self):
         ts = F(1, 3)
         assert oracle.lxi_squared_spectrum(1, ts, 1) == [(-1 / ts, 4)]
+
+    def test_degree_one_builds_no_laplacian(self, monkeypatch):
+        """At k = 1 the Laplacian is zero: no target, image or class block is
+        built, and every frequency vector counts."""
+        expected = {n: oracle.lxi_squared_spectrum(n, F(2, 7), 1) for n in range(4)}
+
+        def refuse(*args):
+            raise AssertionError("a Laplacian was built at degree one")
+
+        for name in ("_laplacian_targets", "_laplacian_images", "_class_rows"):
+            monkeypatch.setattr(oracle, name, refuse)
+        for n in range(4):
+            assert oracle.lxi_squared_spectrum(n, F(2, 7), 1) == expected[n] == \
+                [(F(-7, 2), 2 * (n + 1))]
+        with pytest.raises(AssertionError, match="degree one"):
+            oracle.lxi_squared_spectrum(1, F(2, 7), 2)
 
     def test_degree_two(self):
         ts = F(1, 3)
@@ -263,7 +352,7 @@ class TestVerticalSpectrum:
                             # exponents of x_0, y_0, x_1, y_1, ...
                             polys.append({tuple(e for a, d in zip(t, dvec) for e in (a, d - a)): x
                                           for t, x in zip(half, vec) if x})
-                split = sum(oracle._class_rank(cols, sizes.get(cls, 0))
+                split = sum(integer_rank(oracle._class_rows(cols, sizes.get(cls, 0)))
                             for cls, cols in columns.items())
                 rows = {}
                 for col, poly in enumerate(polys):
