@@ -17,4 +17,4 @@ from .stability import (CliffordTorus, MinimalSphere, ModuliVector, OtherSurface
                         moduli_curve, proof_polynomial_P, s1_bundle_stability,
                         surface_index_one_classification)
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
