@@ -82,7 +82,9 @@ Cases:
   ``tai-check --tau-sq 2/7 --n 2 --samples 20``; the depth-64 Clifford
   tables ``index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64`` and
   ``spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64``, the
-  latter also with ``--format csv`` and ``--format json``, and the small
+  former also with ``--format json``, the latter also with ``--format csv``
+  and ``--format json``; ``moduli --samples 10000 --format json``, the
+  largest JSON document ``moduli`` writes; and the small
   ``spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8``; ``moduli`` at its
   defaults and the small ``spectrum --space clifford --m1 0 --m2 0 --tau-sq
   1/3``, whose process time is mostly imports; a cold ``python -c "import
@@ -191,6 +193,10 @@ CASES = [
     ("L5", "cli index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 (process wall)",
      ["index", "--model", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
       "--kmax", "64"]),
+    ("L5", "cli index --model clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 --format json "
+     "(process wall)",
+     ["index", "--model", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
+      "--kmax", "64", "--format", "json"]),
     ("L5", "cli spectrum --space clifford --m1 3 --m2 3 --tau-sq 1/3 --kmax 64 "
      "(process wall)",
      ["spectrum", "--space", "clifford", "--m1", "3", "--m2", "3", "--tau-sq", "1/3",
@@ -206,6 +212,8 @@ CASES = [
     ("L5", "cli spectrum --space berger --n 2 --tau-sq 2/7 --kmax 8 (process wall)",
      ["spectrum", "--space", "berger", "--n", "2", "--tau-sq", "2/7", "--kmax", "8"]),
     ("L5", "cli moduli (process wall)", ["moduli"]),
+    ("L5", "cli moduli --samples 10000 --format json (process wall)",
+     ["moduli", "--samples", "10000", "--format", "json"]),
     ("L5", "cli spectrum --space clifford --m1 0 --m2 0 --tau-sq 1/3 (process wall)",
      ["spectrum", "--space", "clifford", "--m1", "0", "--m2", "0", "--tau-sq", "1/3"]),
     ("L5", "python -c 'import bergersphere' (process wall)", ["-c", "import bergersphere"]),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -35,9 +36,16 @@ DEFAULT_PHASE_GRID = "1/12,1/8,1/6,1/4,1/3,1/2,3/5,1"
 # Largest ``phase --n-max``: the model list grows like 1.25 n^2 and is built
 # before the first row is written; n = 64 takes about a second on the default grid.
 PHASE_N_MAX = 64
-# Largest ``moduli --samples``: every vector, row and the JSON document are
-# held before the first byte is written; 10,000 takes well under a second.
+# Largest ``moduli --samples``: every vector, and for table output every row,
+# is held before the first byte is written; 10,000 takes well under a second.
 MODULI_SAMPLES_MAX = 10_000
+
+# Rows per call of the C JSON encoder: the JSON writer holds one chunk at a
+# time, however many rows a command prints.
+JSON_CHUNK_ROWS = 64
+# ``json`` runs its C encoder only without ``indent``.  A row's fields sit at
+# depth 3 of the indent-2 document, so the item separator carries their indent.
+_JSON_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 class CliError(Exception):
@@ -58,20 +66,22 @@ def _write_csv(header, rows, out) -> None:
 
 
 def _write_json_rows(doc: dict, key: str, header, rows, out) -> None:
-    """``json.dumps`` of ``doc`` with ``key`` added last, holding one object
-    per row, at indent 2 and with a final newline; the rows are encoded and
-    written one at a time, each re-indented to its depth in the document."""
-    encoder = json.JSONEncoder(indent=2)
-    head = encoder.encode({**doc, key: []})  # ends in '[]\n}'
-    if not rows:
-        out.write(head + "\n")
-        return
-    out.write(head[:-4] + "[")
-    sep = "\n    "
-    for row in rows:
-        out.write(sep + encoder.encode(dict(zip(header, row))).replace("\n", "\n    "))
-        sep = ",\n    "
-    out.write("\n  ]\n}\n")
+    """``json.dumps`` of ``doc`` with ``key`` added last, holding one flat
+    object per row of ``rows`` (any iterable; ``header`` nonempty), at indent
+    2 and with a final newline.  ``JSON_CHUNK_ROWS`` rows at a time go through
+    the C encoder, whose item separator already carries a field's indent;
+    ``ensure_ascii`` escapes every newline inside a string, so the encoder
+    writes ``},\\n      {`` only between two rows, and one replace turns that
+    into the indent-2 boundary."""
+    head = json.dumps({**doc, key: []}, indent=2)  # ends in '[]\n}'
+    rows = iter(rows)
+    sep = opening = head[:-4] + "["
+    while chunk := [dict(zip(header, row)) for row in itertools.islice(rows, JSON_CHUNK_ROWS)]:
+        body = _JSON_ROWS_ENCODER.encode(chunk)[2:-2]  # without the outer '[{' and '}]'
+        out.write(sep + "\n    {\n      " + body.replace("},\n      {", "\n    },\n    {\n      ")
+                  + "\n    }")
+        sep = ","
+    out.write(head + "\n" if sep is opening else "\n  ]\n}\n")
 
 
 def _print_table(header, rows, out):
@@ -97,22 +107,23 @@ def cmd_spectrum(args, out) -> int:
             raise CliError(f"--space {args.space} takes no --{name}")
     if args.low and args.kmax is not None:
         raise CliError("--low takes no --kmax")
-    # Each table is evaluated where it is built: a named table would keep its
-    # rows alive while the output is written.
+    # Each table is evaluated where it is built, and its printed tuples are
+    # made as they are written: a named table would keep its rows alive while
+    # the output is written, and the JSON and CSV writers hold no printed row.
     if args.space == "berger":
         if args.n is None:
             raise CliError("--space berger needs --n")
         if args.low:
             raise CliError("--low applies only to --space clifford")
-        rows = [(*row.labels, str(value), row.multiplicity, "vertical-split")
-                for row, value in spectra.evaluate(spectra.berger_rows(args.n, kmax), tau_sq)]
+        rows = ((*row.labels, str(value), row.multiplicity, "vertical-split")
+                for row, value in spectra.evaluate(spectra.berger_rows(args.n, kmax), tau_sq))
         header = ("k", "p", "value", "multiplicity", "source")
     else:
         if args.m1 is None or args.m2 is None:
             raise CliError("--space clifford needs --m1 and --m2")
-        rows = [(*row.labels, str(value), row.multiplicity, "product-split")
+        rows = ((*row.labels, str(value), row.multiplicity, "product-split")
                 for row, value in spectra.evaluate(
-                    spectra.clifford_rows(args.m1, args.m2, 2 if args.low else kmax), tau_sq)]
+                    spectra.clifford_rows(args.m1, args.m2, 2 if args.low else kmax), tau_sq))
         if args.low:
             by_label = {row[:3]: row for row in rows}
             rows = [by_label[label] for label in spectra.LOW_LABELS]
@@ -147,6 +158,9 @@ def _build_model(args):
     return cls(*(getattr(args, name) for name in own))
 
 
+MODE_HEADER = ("family", "labels", "value", "multiplicity", "sign")
+
+
 def _mode_rows(report):
     return [(m.family, ",".join(str(x) for x in m.labels), str(m.value),
              m.multiplicity, m.sign) for m in report.nonpositive_modes]
@@ -158,7 +172,7 @@ def cmd_index(args, out) -> int:
     model = _build_model(args)
     report = models.enumerate_index(model, param, args.kmax)
     if args.format == "json":
-        out.write(json.dumps({
+        _write_json_rows({
             "model": model.label(),
             "d": model.dimension,
             "tau_sq": str(tau_sq),
@@ -168,9 +182,7 @@ def cmd_index(args, out) -> int:
             "nullity_is_lower_bound": report.nullity_is_lower_bound,
             "truncation_k": report.truncation_k,
             "certificate": report.certificate,
-            "modes": [{"family": f, "labels": l, "value": v, "multiplicity": mu, "sign": s}
-                      for (f, l, v, mu, s) in _mode_rows(report)],
-        }, indent=2) + "\n")
+        }, "modes", MODE_HEADER, _mode_rows(report), out)
     elif args.format == "csv":
         _write_csv(("model", "d", "tau_sq_num", "tau_sq_den", "index", "nullity", "source"),
                    [(model.label(), model.dimension, tau_sq.numerator, tau_sq.denominator,
@@ -183,8 +195,7 @@ def cmd_index(args, out) -> int:
         out.write(f"nullity: {gn}{report.nullity}\n")
         out.write(f"truncation: k<={report.truncation_k}  [{report.certificate}]\n")
         out.write("nonpositive modes:\n")
-        _print_table(("family", "labels", "value", "multiplicity", "sign"),
-                     _mode_rows(report), out)
+        _print_table(MODE_HEADER, _mode_rows(report), out)
     return EXIT_OK
 
 
@@ -236,14 +247,13 @@ def cmd_moduli(args, out) -> int:
     if args.samples > MODULI_SAMPLES_MAX:
         raise CliError(f"--samples must be at most {MODULI_SAMPLES_MAX}, got {args.samples}")
     curve = stability.moduli_curve(args.samples, lo, hi)
-    header = ("tau_sq_num", "tau_sq_den", "x", "y")
-    rows = [(v.tau_sq.numerator, v.tau_sq.denominator, repr(v.x), repr(v.y))
-            for v in curve]
     if args.format == "json":
-        out.write(json.dumps({
-            "rows": [{"tau_sq": str(v.tau_sq), "x": v.x, "y": v.y} for v in curve]
-        }, indent=2) + "\n")
-    elif args.format == "csv":
+        _write_json_rows({}, "rows", ("tau_sq", "x", "y"),
+                         ((str(v.tau_sq), v.x, v.y) for v in curve), out)
+        return EXIT_OK
+    header = ("tau_sq_num", "tau_sq_den", "x", "y")
+    rows = ((v.tau_sq.numerator, v.tau_sq.denominator, repr(v.x), repr(v.y)) for v in curve)
+    if args.format == "csv":
         _write_csv(header, rows, out)
     else:
         _print_table(header, rows, out)

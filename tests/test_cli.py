@@ -9,8 +9,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bergersphere import cli, models, sampled, spectra
+from bergersphere import cli, models, sampled, spectra, stability
 from bergersphere.models import (CircleCover, CliffordHypersurface, TotallyGeodesicBergerSphere,
                                  TotallyRealSphere, VeroneseRP3, VeroneseS3)
 from bergersphere.params import BergerParam
@@ -360,7 +361,10 @@ def _writer_rows(count):
             zip(range(count), itertools.cycle(WRITER_ROWS))]
 
 
-@pytest.mark.parametrize("count", [0, 1, 600])
+CHUNK = cli.JSON_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 600])
 class TestRowWriters:
     @pytest.mark.parametrize("doc,key", [({}, "rows"),
                                          ({"space": "berger", "tau_sq": "1/3"}, "modes")])
@@ -370,6 +374,43 @@ class TestRowWriters:
         cli._write_json_rows(doc, key, WRITER_HEADER, rows, out)
         want = {**doc, key: [dict(zip(WRITER_HEADER, r)) for r in rows]}
         assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+    def test_generator_rows_give_the_same_bytes(self, count):
+        rows = _writer_rows(count)
+        for write, header in ((cli._write_csv, WRITER_HEADER),
+                              (cli._print_table, WRITER_HEADER[:3])):
+            cells = [r[:len(header)] for r in rows]
+            from_list, from_generator = io.StringIO(), io.StringIO()
+            write(header, cells, from_list)
+            write(header, (r for r in cells), from_generator)
+            assert from_generator.getvalue() == from_list.getvalue()
+        out = io.StringIO()
+        cli._write_json_rows({}, "rows", WRITER_HEADER, (r for r in rows), out)
+        want = {"rows": [dict(zip(WRITER_HEADER, r)) for r in rows]}
+        assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+    def test_json_writer_holds_at_most_one_chunk(self, count):
+        """Every write finds at most JSON_CHUNK_ROWS rows drawn and not yet written."""
+        drawn = 0
+
+        def rows():
+            nonlocal drawn
+            for row in _writer_rows(count):
+                drawn += 1
+                yield row
+
+        class Out(io.StringIO):
+            def write(self, text):
+                super().write(text)
+                # Each written row opens with '{' at the start of a line indented by 4.
+                pending.append(drawn - self.getvalue().count("\n    {\n"))
+
+        pending = []
+        out = Out()
+        cli._write_json_rows({}, "rows", WRITER_HEADER, rows(), out)
+        assert drawn == count and pending[-1] == 0
+        assert max(pending) <= CHUNK
+        assert len(pending) == -(-count // CHUNK) + 1
 
     def test_csv_rows_match_the_whole_document(self, count):
         rows = _writer_rows(count)
@@ -382,6 +423,102 @@ class TestRowWriters:
         out = io.StringIO()
         cli._print_table(WRITER_HEADER[:3], rows, out)
         assert out.getvalue() == _old_print_table(WRITER_HEADER[:3], rows)
+
+
+# Strings that the indent-2 layout or the row boundary could trip on.
+AWKWARD_TEXT = ["},\n      {", '"}, {"', "back\\slash", 'quote " and \\"', "\x00\x01\x1f\x7f",
+                "\b\f\n\r\t", "caf\u00e9 \u2603 \U0001f600 \ud800", "\u2028\u2029", ""]
+JSON_SCALARS = st.one_of(
+    st.integers(), st.sampled_from([10 ** 100, -10 ** 100, -1, 0, 2 ** 63, -2 ** 63 - 1]),
+    st.booleans(), st.none(),
+    st.floats(), st.sampled_from([-0.0, 1e300, -1e300, 5e-324, float("nan"), float("inf"),
+                                  float("-inf")]),
+    st.text(), st.sampled_from(AWKWARD_TEXT))
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(AWKWARD_TEXT))
+
+
+@st.composite
+def json_documents(draw):
+    """(doc, key, header, rows) for the JSON row writer: ``key`` not in ``doc``,
+    a nonempty header of distinct keys and rows of its width."""
+    doc = draw(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3))
+    key = draw(JSON_KEYS.filter(lambda k: k not in doc))
+    header = draw(st.lists(JSON_KEYS, min_size=1, max_size=4, unique=True))
+    width = len(header)
+    rows = draw(st.lists(st.tuples(*[JSON_SCALARS] * width),
+                         max_size=draw(st.sampled_from([3, CHUNK + 2, 2 * CHUNK + 2]))))
+    return doc, key, header, rows
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(json_documents())
+def test_json_rows_match_one_dump_for_any_scalars(case):
+    doc, key, header, rows = case
+    out = io.StringIO()
+    cli._write_json_rows(doc, key, header, iter(rows), out)
+    want = {**doc, key: [dict(zip(header, r)) for r in rows]}
+    assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+
+def _old_index_json(model, report, tau_sq) -> str:
+    """The hand-built ``index --format json`` document the row writer replaced."""
+    return json.dumps({
+        "model": model.label(),
+        "d": model.dimension,
+        "tau_sq": str(tau_sq),
+        "index": report.index,
+        "nullity": report.nullity,
+        "index_is_lower_bound": report.index_is_lower_bound,
+        "nullity_is_lower_bound": report.nullity_is_lower_bound,
+        "truncation_k": report.truncation_k,
+        "certificate": report.certificate,
+        "modes": [{"family": m.family, "labels": ",".join(str(x) for x in m.labels),
+                   "value": str(m.value), "multiplicity": m.multiplicity, "sign": m.sign}
+                  for m in report.nonpositive_modes],
+    }, indent=2) + "\n"
+
+
+def _old_moduli_json(samples, lo, hi) -> str:
+    """The hand-built ``moduli --format json`` document the row writer replaced."""
+    curve = stability.moduli_curve(samples, lo, hi)
+    return json.dumps({"rows": [{"tau_sq": str(v.tau_sq), "x": v.x, "y": v.y} for v in curve]},
+                      indent=2) + "\n"
+
+
+class TestJsonDocuments:
+    @pytest.mark.parametrize("model,tau_sq", [(CliffordHypersurface(3, 3), "1/3"),
+                                              (TotallyRealSphere(4, 3), "2/7"),
+                                              (CircleCover(1, 2), "1/12")])
+    def test_index_matches_the_hand_built_document(self, model, tau_sq):
+        flags = [x for f in dataclasses.fields(model)
+                 for x in (f"--{f.name}", str(getattr(model, f.name)))]
+        code, text = run(["index", "--model", model.name, *flags, "--tau-sq", tau_sq,
+                          "--format", "json"])
+        report = models.enumerate_index(model, BergerParam(Fraction(tau_sq)))
+        assert code == 0 and report.nonpositive_modes
+        assert text == _old_index_json(model, report, Fraction(tau_sq))
+
+    def test_index_with_no_mode_matches_the_hand_built_document(self, monkeypatch):
+        enumerate_index = models.enumerate_index
+        reports = []
+
+        def no_modes(*args):
+            reports.append(dataclasses.replace(enumerate_index(*args), nonpositive_modes=()))
+            return reports[-1]
+
+        monkeypatch.setattr(models, "enumerate_index", no_modes)
+        model = CliffordHypersurface(0, 0)
+        code, text = run(["index", "--model", "clifford", "--m1", "0", "--m2", "0",
+                          "--tau-sq", "1/3", "--format", "json"])
+        assert code == 0 and json.loads(text)["modes"] == []
+        assert text == _old_index_json(model, reports[0], Fraction(1, 3))
+
+    @pytest.mark.parametrize("samples,lo,hi", [(2, "1/3", "1"), (65, "1/7", "5/6")])
+    def test_moduli_matches_the_hand_built_document(self, samples, lo, hi):
+        code, text = run(["moduli", "--samples", str(samples), "--tau-sq-min", lo,
+                          "--tau-sq-max", hi, "--format", "json"])
+        assert code == 0 and len(json.loads(text)["rows"]) == samples
+        assert text == _old_moduli_json(samples, Fraction(lo), Fraction(hi))
 
 
 class TestModuliCommand:
