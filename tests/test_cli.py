@@ -444,8 +444,7 @@ def json_documents(draw):
     doc = draw(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3))
     key = draw(JSON_KEYS.filter(lambda k: k not in doc))
     header = draw(st.lists(JSON_KEYS, min_size=1, max_size=4, unique=True))
-    width = len(header)
-    rows = draw(st.lists(st.tuples(*[JSON_SCALARS] * width),
+    rows = draw(st.lists(st.tuples(*[JSON_SCALARS] * len(header)),
                          max_size=draw(st.sampled_from([3, CHUNK + 2, 2 * CHUNK + 2]))))
     return doc, key, header, rows
 
@@ -490,9 +489,7 @@ class TestJsonDocuments:
                                               (TotallyRealSphere(4, 3), "2/7"),
                                               (CircleCover(1, 2), "1/12")])
     def test_index_matches_the_hand_built_document(self, model, tau_sq):
-        flags = [x for f in dataclasses.fields(model)
-                 for x in (f"--{f.name}", str(getattr(model, f.name)))]
-        code, text = run(["index", "--model", model.name, *flags, "--tau-sq", tau_sq,
+        code, text = run(["index", "--model", model.name, *model_flags(model), "--tau-sq", tau_sq,
                           "--format", "json"])
         report = models.enumerate_index(model, BergerParam(Fraction(tau_sq)))
         assert code == 0 and report.nonpositive_modes
